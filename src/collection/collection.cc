@@ -1022,42 +1022,48 @@ Status JsonCollection::Checkpoint() {
 
 // --- Observer ---------------------------------------------------------------
 
-// The DmlObserver keeps the default (no-op) Undo* hooks: IMC invalidation
-// is conservative under rollback — an unnecessarily invalid store only
-// costs a repopulation — and the own-guide is additive like the index's
-// DataGuide (§3.4).
+// The DmlObserver keeps the default (no-op) Undo* hooks: marking a row IMC
+// dirty is conservative under rollback — a row a rolled-back DML marked
+// only costs re-evaluating that one row at the next EnsureImc() — and the
+// own-guide is additive like the index's DataGuide (§3.4).
 
-Status JsonCollection::DmlObserver::OnInsert(size_t, const rdbms::Row& row) {
+Status JsonCollection::DmlObserver::OnInsert(size_t row_id,
+                                             const rdbms::Row& row) {
   FSDM_TRACE_SPAN(span, "collection", "observer.insert");
   FSDM_FAULT_POINT("collection.observer.insert");
-  owner_->InvalidateImc();
+  owner_->InvalidateImc(row_id);
   if (owner_->index_ == nullptr) {
     return owner_->MaintainOwnGuide(row[owner_->json_physical_pos_]);
   }
   return Status::Ok();
 }
 
-Status JsonCollection::DmlObserver::OnDelete(size_t, const rdbms::Row&) {
+Status JsonCollection::DmlObserver::OnDelete(size_t row_id,
+                                             const rdbms::Row&) {
   // The DataGuide is additive (§3.4): deletes never remove entries.
   FSDM_TRACE_SPAN(span, "collection", "observer.delete");
   FSDM_FAULT_POINT("collection.observer.delete");
-  owner_->InvalidateImc();
+  owner_->InvalidateImc(row_id);
   return Status::Ok();
 }
 
-Status JsonCollection::DmlObserver::OnReplace(size_t, const rdbms::Row&,
+Status JsonCollection::DmlObserver::OnReplace(size_t row_id,
+                                              const rdbms::Row&,
                                               const rdbms::Row& new_row) {
   FSDM_TRACE_SPAN(span, "collection", "observer.replace");
   FSDM_FAULT_POINT("collection.observer.replace");
-  owner_->InvalidateImc();
+  owner_->InvalidateImc(row_id);
   if (owner_->index_ == nullptr) {
     return owner_->MaintainOwnGuide(new_row[owner_->json_physical_pos_]);
   }
   return Status::Ok();
 }
 
-void JsonCollection::InvalidateImc() {
-  if (imc_.has_value() && imc_valid_) {
+void JsonCollection::InvalidateImc(size_t row_id) {
+  if (!imc_.has_value()) return;
+  if (row_id >= imc_dirty_.size()) imc_dirty_.resize(row_id + 1);
+  imc_dirty_[row_id] = true;
+  if (imc_valid_) {
     imc_valid_ = false;
     imc_invalidations_.Add(1);
     FSDM_COUNT("fsdm_collection_imc_invalidations_total", 1);
@@ -1210,6 +1216,7 @@ Status JsonCollection::PopulateImc(std::vector<std::string> columns) {
                         imc::ColumnStore::Populate(*table_, columns));
   imc_ = std::move(store);
   imc_columns_ = std::move(columns);
+  imc_dirty_.clear();
   imc_valid_ = true;
   return Status::Ok();
 }
@@ -1247,7 +1254,16 @@ Result<const imc::ColumnStore*> JsonCollection::EnsureImc() {
     return shards_[0]->imc();
   }
   if (imc_valid()) return &*imc_;
-  FSDM_RETURN_NOT_OK(PopulateImc(imc_columns_));
+  if (!imc_.has_value()) {
+    FSDM_RETURN_NOT_OK(PopulateImc(imc_columns_));
+    return &*imc_;
+  }
+  FSDM_ASSIGN_OR_RETURN(
+      imc::ColumnStore store,
+      imc::ColumnStore::Populate(*table_, imc_columns_, &*imc_, imc_dirty_));
+  imc_ = std::move(store);
+  imc_dirty_.clear();
+  imc_valid_ = true;
   return &*imc_;
 }
 

@@ -276,10 +276,11 @@ class JsonCollection {
   const std::string* VirtualColumnFor(const std::string& path) const;
 
   // --- In-memory column store (§5.2) ------------------------------------
-  /// Populates the managed IMC store. Empty `columns` selects the default
-  /// set: key column, the hidden OSON column (when installed), and every
-  /// declared JSON_VALUE virtual column. Subsequent DML invalidates the
-  /// store through the observer hook; EnsureImc() repopulates on demand.
+  /// Populates the managed IMC store from every live row. Empty `columns`
+  /// selects the default set: key column, the hidden OSON column (when
+  /// installed), and every declared JSON_VALUE virtual column. Subsequent
+  /// DML invalidates the store and marks the rows it touched dirty through
+  /// the observer hook; EnsureImc() then re-evaluates only those rows.
   Status PopulateImc(std::vector<std::string> columns = {});
   /// The managed store when populated AND still valid, else nullptr.
   /// Always nullptr on a sharded facade (each shard manages its own store;
@@ -293,9 +294,11 @@ class JsonCollection {
   /// Populated at least once (possibly since invalidated — "stale" in
   /// TELEMETRY$COLLECTIONS terms). Facade: every shard populated.
   bool imc_populated() const;
-  /// Lazily (re)populates the managed store and returns it. On a sharded
-  /// facade, ensures every shard's store and returns shard 0's as a
-  /// representative.
+  /// Lazily brings the managed store up to date and returns it: the first
+  /// call populates in full, later ones refresh from the previous store,
+  /// evaluating only the rows DML marked dirty (ColumnStore::Populate with
+  /// a prior store). On a sharded facade, ensures every shard's store and
+  /// returns shard 0's as a representative.
   Result<const imc::ColumnStore*> EnsureImc();
   /// Number of times DML invalidated a populated store. Backed by a
   /// telemetry::Counter; the engine-wide registry additionally aggregates
@@ -327,10 +330,11 @@ class JsonCollection {
   friend Result<RoutedPlan> RoutePredicates(
       const JsonCollection& coll, const std::vector<PathPredicate>& preds);
 
-  /// Table observer wired at creation: invalidates the populated IMC on
-  /// every insert/delete/replace (the stale-read hazard the facade
-  /// closes), and maintains the collection-local DataGuide when no search
-  /// index is attached (reusing the IS JSON constraint's parse).
+  /// Table observer wired at creation: invalidates the populated IMC and
+  /// marks the touched row dirty on every insert/delete/replace (the
+  /// stale-read hazard the facade closes), and maintains the
+  /// collection-local DataGuide when no search index is attached (reusing
+  /// the IS JSON constraint's parse).
   class DmlObserver final : public rdbms::TableObserver {
    public:
     explicit DmlObserver(JsonCollection* owner) : owner_(owner) {}
@@ -347,7 +351,7 @@ class JsonCollection {
                  CollectionOptions options)
       : db_(db), name_(std::move(name)), options_(std::move(options)) {}
 
-  void InvalidateImc();
+  void InvalidateImc(size_t row_id);
   Status MaintainOwnGuide(const Value& doc_value);
   std::vector<std::string> DefaultImcColumns() const;
   /// DML guard: Unavailable while quarantined, OK otherwise.
@@ -399,6 +403,9 @@ class JsonCollection {
   std::optional<imc::ColumnStore> imc_;
   std::vector<std::string> imc_columns_;  // last requested population set
   bool imc_valid_ = false;
+  // Shard-local row ids DML touched since the store was last populated,
+  // as a bitmap indexed by row id; kept only while a store exists.
+  std::vector<bool> imc_dirty_;
   telemetry::Counter imc_invalidations_;
   int64_t next_auto_key_ = 1;
   uint64_t last_rebuild_ts_us_ = 0;

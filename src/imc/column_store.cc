@@ -292,9 +292,13 @@ size_t ColumnVector::MemoryBytes() const {
 }
 
 Result<ColumnStore> ColumnStore::Populate(
-    const rdbms::Table& table, const std::vector<std::string>& columns) {
+    const rdbms::Table& table, const std::vector<std::string>& columns,
+    const ColumnStore* prior, const std::vector<bool>& dirty) {
   // Simulated population failure (e.g. memory pressure) before any work.
   FSDM_FAULT_POINT("imc.populate");
+  if (prior != nullptr && prior->names_ != columns) {
+    return Status::InvalidArgument("prior IMC store holds other columns");
+  }
   FSDM_COUNT("fsdm_imc_populations_total", 1);
   FSDM_TIME_SCOPE_US("fsdm_imc_populate_us");
   FSDM_TRACE_SPAN(span, "imc", "imc.populate");
@@ -303,32 +307,53 @@ Result<ColumnStore> ColumnStore::Populate(
   store.names_ = columns;
   std::vector<std::vector<Value>> data(columns.size());
 
-  // Column positions within the hidden-inclusive output row.
-  rdbms::Schema full = table.OutputSchema(/*include_hidden=*/true);
-  std::vector<size_t> positions;
-  for (const std::string& name : columns) {
-    size_t pos = full.IndexOf(name);
+  std::vector<size_t> positions;  // within table.columns()
+  // Columns whose prior values can be copied: GetValue() gives back what
+  // the expression produced everywhere except the double-only encodings.
+  std::vector<bool> reusable;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    size_t pos = table.ColumnIndex(columns[c]);
     if (pos == rdbms::Schema::npos) {
-      return Status::NotFound("column '" + name + "' on " + table.name());
+      return Status::NotFound("column '" + columns[c] + "' on " +
+                              table.name());
     }
     positions.push_back(pos);
+    bool reuse = false;
+    if (prior != nullptr) {
+      const ColumnEncoding e = prior->columns_[c].encoding();
+      reuse = e != ColumnEncoding::kNumber && e != ColumnEncoding::kDouble;
+    }
+    reusable.push_back(reuse);
   }
 
+  size_t evaluated = 0;
+  size_t p = 0;  // cursor into prior->row_ids_, which ascend like r
   for (size_t r = 0; r < table.row_count(); ++r) {
     if (!table.IsLive(r)) continue;
-    FSDM_ASSIGN_OR_RETURN(rdbms::Row row,
-                          table.MaterializeRow(r, /*include_hidden=*/true));
-    for (size_t c = 0; c < columns.size(); ++c) {
-      data[c].push_back(std::move(row[positions[c]]));
+    if (prior != nullptr) {
+      while (p < prior->row_ids_.size() && prior->row_ids_[p] < r) ++p;
     }
-    ++store.row_count_;
+    const bool kept = prior != nullptr && p < prior->row_ids_.size() &&
+                      prior->row_ids_[p] == r &&
+                      !(r < dirty.size() && dirty[r]);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (kept && reusable[c]) {
+        data[c].push_back(prior->columns_[c].GetValue(p));
+        continue;
+      }
+      FSDM_ASSIGN_OR_RETURN(Value v,
+                            table.MaterializeColumn(r, positions[c]));
+      data[c].push_back(std::move(v));
+    }
+    if (!kept) ++evaluated;
+    store.row_ids_.push_back(r);
   }
   for (size_t c = 0; c < columns.size(); ++c) {
     store.columns_.push_back(ColumnVector::Build(std::move(data[c])));
     store.index_[columns[c]] = c;
   }
-  FSDM_COUNT("fsdm_imc_populated_rows_total", store.row_count_);
-  size_t bytes = 0;
+  FSDM_COUNT("fsdm_imc_populated_rows_total", evaluated);
+  size_t bytes = store.row_ids_.size() * sizeof(size_t);
   for (const ColumnVector& c : store.columns_) bytes += c.MemoryBytes();
   store.memory_bytes_ = bytes;
   FSDM_GAUGE_SET("fsdm_imc_bytes", store.MemoryBytes());
@@ -407,8 +432,8 @@ Result<std::vector<uint32_t>> ColumnStore::FilterPositions(
   }
   if (first) {
     // No predicates: everything matches.
-    sel.resize(row_count_);
-    for (uint32_t i = 0; i < row_count_; ++i) sel[i] = i;
+    sel.resize(row_count());
+    for (uint32_t i = 0; i < row_count(); ++i) sel[i] = i;
   }
   FSDM_COUNT("fsdm_imc_scan_rows_total", sel.size());
   return sel;

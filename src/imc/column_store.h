@@ -87,18 +87,29 @@ class ColumnStore {
  public:
   /// Populates `columns` of `table` (hidden virtual columns included when
   /// named explicitly). Deleted rows are skipped.
+  ///
+  /// With a `prior` store over the same columns, a live row that `prior`
+  /// holds and `dirty` does not mark (row id < dirty.size() and set) keeps
+  /// its values from `prior`; every other live row is evaluated. kNumber
+  /// columns keep only doubles, which cannot give back the Int64/Decimal
+  /// the expression produced, so those columns alone are re-evaluated on
+  /// kept rows. fsdm_imc_populated_rows_total counts the evaluated rows.
   static Result<ColumnStore> Populate(const rdbms::Table& table,
-                                      const std::vector<std::string>& columns);
+                                      const std::vector<std::string>& columns,
+                                      const ColumnStore* prior = nullptr,
+                                      const std::vector<bool>& dirty = {});
 
-  size_t row_count() const { return row_count_; }
+  size_t row_count() const { return row_ids_.size(); }
+  /// Table row id of each position, ascending.
+  const std::vector<size_t>& row_ids() const { return row_ids_; }
   const std::vector<std::string>& column_names() const { return names_; }
   /// nullptr when absent.
   const ColumnVector* column(const std::string& name) const;
 
-  /// Columnar image footprint. Computed once at Populate() (the vectors
-  /// are immutable afterwards) and served from a cached value, so the
-  /// ISSUE 9 memory reporters can poll it per refresh without re-walking
-  /// every dictionary string.
+  /// Columnar image footprint: every column plus the row-id array.
+  /// Computed once at Populate() (the vectors are immutable afterwards)
+  /// and served from a cached value, so the memory reporters can poll it
+  /// per refresh without re-walking every dictionary string.
   size_t MemoryBytes() const { return memory_bytes_; }
 
   /// Row-source over the store (optionally only `columns`), so ordinary
@@ -126,7 +137,7 @@ class ColumnStore {
   std::vector<std::string> names_;
   std::map<std::string, size_t> index_;
   std::vector<ColumnVector> columns_;
-  size_t row_count_ = 0;
+  std::vector<size_t> row_ids_;
   size_t memory_bytes_ = 0;  // cached at Populate; columns are immutable
 };
 

@@ -1,5 +1,7 @@
 #include "rdbms/table.h"
 
+#include <algorithm>
+
 #include "fault/fault.h"
 #include "json/parser.h"
 #include "telemetry/flight_recorder.h"
@@ -54,9 +56,13 @@ void RollbackObservers(const std::vector<TableObserver*>& observers,
 
 Table::Table(std::string name, std::vector<ColumnDef> columns)
     : name_(std::move(name)), columns_(std::move(columns)) {
+  std::vector<std::string> physical_names;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    if (!columns_[i].is_virtual()) physical_.push_back(i);
+    if (columns_[i].is_virtual()) continue;
+    physical_.push_back(i);
+    physical_names.push_back(columns_[i].name);
   }
+  physical_schema_ = Schema(std::move(physical_names));
 }
 
 size_t Table::ColumnIndex(const std::string& name) const {
@@ -247,13 +253,7 @@ Result<Row> Table::MaterializeRow(size_t row_id, bool include_hidden) const {
   if (row_id >= rows_.size() || !live_[row_id]) {
     return Status::NotFound("row " + std::to_string(row_id));
   }
-  // Virtual expressions see the physical columns by name.
-  std::vector<std::string> phys_names;
-  phys_names.reserve(physical_.size());
-  for (size_t idx : physical_) phys_names.push_back(columns_[idx].name);
-  Schema phys_schema(std::move(phys_names));
-  RowContext ctx{&phys_schema, &rows_[row_id]};
-
+  RowContext ctx{&physical_schema_, &rows_[row_id]};
   Row out;
   size_t phys_i = 0;
   for (const ColumnDef& def : columns_) {
@@ -262,13 +262,31 @@ Result<Row> Table::MaterializeRow(size_t row_id, bool include_hidden) const {
       FSDM_ASSIGN_OR_RETURN(Value v, def.virtual_expr->Eval(ctx));
       out.push_back(std::move(v));
     } else {
-      Value v = rows_[row_id][phys_i];
+      const Value& v = rows_[row_id][phys_i];
       ++phys_i;
       if (def.hidden && !include_hidden) continue;
-      out.push_back(std::move(v));
+      out.push_back(v);
     }
   }
   return out;
+}
+
+Result<Value> Table::MaterializeColumn(size_t row_id, size_t column) const {
+  if (row_id >= rows_.size() || !live_[row_id]) {
+    return Status::NotFound("row " + std::to_string(row_id));
+  }
+  if (column >= columns_.size()) {
+    return Status::InvalidArgument("column " + std::to_string(column) +
+                                   " of " + name_);
+  }
+  const ColumnDef& def = columns_[column];
+  if (def.is_virtual()) {
+    RowContext ctx{&physical_schema_, &rows_[row_id]};
+    return def.virtual_expr->Eval(ctx);
+  }
+  const size_t phys_i =
+      std::find(physical_.begin(), physical_.end(), column) - physical_.begin();
+  return rows_[row_id][phys_i];
 }
 
 void Table::RemoveObserver(TableObserver* observer) {

@@ -123,6 +123,10 @@ class Table {
   /// The matching schema comes from OutputSchema(include_hidden).
   Result<Row> MaterializeRow(size_t row_id, bool include_hidden = false) const;
   Schema OutputSchema(bool include_hidden = false) const;
+  /// Value of columns()[column] for a live row: the stored value, or the
+  /// virtual expression evaluated over the stored row. Lets the IMC
+  /// evaluate only the columns it holds.
+  Result<Value> MaterializeColumn(size_t row_id, size_t column) const;
 
   void AddObserver(TableObserver* observer) { observers_.push_back(observer); }
   void RemoveObserver(TableObserver* observer);
@@ -155,6 +159,9 @@ class Table {
   std::string name_;
   std::vector<ColumnDef> columns_;
   std::vector<size_t> physical_;  // indexes of stored columns
+  // Physical column names, which virtual expressions resolve against.
+  // Fixed at construction: AddVirtualColumn() only appends virtual ones.
+  Schema physical_schema_;
   std::vector<Row> rows_;        // stored values, physical order
   std::vector<bool> live_;       // tombstones for Delete
   // Incremental accounting over rows_. Atomic (relaxed) because DML

@@ -234,6 +234,35 @@ TEST_F(ColumnStoreTest, MemoryAccounting) {
   EXPECT_GT(store.MemoryBytes(), 50u * 8u);
 }
 
+TEST_F(ColumnStoreTest, RowIdsSkipDeletedRows) {
+  ASSERT_TRUE(table_->Delete(0).ok());
+  ASSERT_TRUE(table_->Delete(10).ok());
+  ColumnStore store = ColumnStore::Populate(*table_, {"id"}).MoveValue();
+  ASSERT_EQ(store.row_ids().size(), 48u);
+  EXPECT_EQ(store.row_ids()[0], 1u);
+  EXPECT_EQ(store.row_ids()[9], 11u);
+}
+
+TEST_F(ColumnStoreTest, PopulateFromPriorKeepsCleanRowsOnly) {
+  ColumnStore prior =
+      ColumnStore::Populate(*table_, {"id", "num_vc"}).MoveValue();
+  // Replace row 3 behind the store's back, then refresh with row 3 dirty:
+  // the new value shows up, and the clean rows keep theirs.
+  ASSERT_TRUE(
+      table_->Replace(3, {Value::Int64(3), Value::String(R"({"num":-1})")})
+          .ok());
+  std::vector<bool> dirty(4, false);
+  dirty[3] = true;
+  ColumnStore store =
+      ColumnStore::Populate(*table_, {"id", "num_vc"}, &prior, dirty)
+          .MoveValue();
+  EXPECT_EQ(store.row_ids(), prior.row_ids());
+  EXPECT_EQ(store.column("num_vc")->GetValue(3).AsInt64(), -1);
+  EXPECT_EQ(store.column("num_vc")->GetValue(4).AsInt64(), 40);
+  // A prior store over other columns cannot seed the refresh.
+  EXPECT_FALSE(ColumnStore::Populate(*table_, {"id"}, &prior, dirty).ok());
+}
+
 // Pins the MemoryBytes() accounting for every encoding Build() produces:
 // bitmaps at one bit per row rounded up, typed arrays at element width,
 // dictionary codes at 4 bytes plus the dictionary's own strings, string
@@ -296,6 +325,20 @@ TEST(ColumnVectorTest, MemoryBytesPinnedPerEncoding) {
   ASSERT_EQ(mixed.encoding(), ColumnEncoding::kMixed);
   EXPECT_EQ(mixed.MemoryBytes(),
             bitmap(2) + 2 * sizeof(Value) + StringHeapBytes(long_a));
+}
+
+// A store's footprint is its columns plus one table row id per position.
+TEST_F(ColumnStoreTest, StoreMemoryBytesPinned) {
+  ASSERT_TRUE(table_->Delete(5).ok());
+  ColumnStore store =
+      ColumnStore::Populate(*table_, {"id", "num_vc", "OSON_IMG"})
+          .MoveValue();
+  ASSERT_EQ(store.row_count(), 49u);
+  size_t columns = 0;
+  for (const std::string& name : store.column_names()) {
+    columns += store.column(name)->MemoryBytes();
+  }
+  EXPECT_EQ(store.MemoryBytes(), columns + 49 * sizeof(size_t));
 }
 
 }  // namespace
