@@ -74,6 +74,7 @@ BenchJson& BenchJson::Global() {
 void BenchJson::Init(const std::string& name) {
   if (!name_.empty()) return;
   name_ = name;
+  init_us_ = telemetry::MonotonicNowUs();
   // Benches run with the flight recorder armed: the per-run chrome trace
   // (TRACE_<name>.json) is part of the machine-readable output, and fig7
   // doubles as the armed-tracing overhead measurement (DESIGN.md).
@@ -93,11 +94,8 @@ void BenchJson::SetHeader(std::vector<std::string> cols) {
 }
 
 void BenchJson::AddRowCells(const std::vector<std::string>& cells) {
-  // One metrics-history tick per printed row: the snapshot ring then holds
-  // per-phase deltas (counter_rates_per_sec in the JSON output).
-  telemetry::MetricsRegistry::Global().TickHistory();
-  // And one workload-repository snapshot, labeled by the row's first cell,
-  // so ash_report.py can diff any two row boundaries.
+  // One workload-repository snapshot per printed row, labeled by the row's
+  // first cell, so ash_report.py can diff any two row boundaries.
   telemetry::WorkloadRepository::Global().TakeSnapshot(
       cells.empty() ? "row-" + std::to_string(rows_.size() + 1) : cells[0]);
   BeginRow();
@@ -154,6 +152,8 @@ void BenchJson::Write() const {
   // the sections below serialize it.
   telemetry::WorkloadRepository::Global().TakeSnapshot("bench-end");
   telemetry::ActivitySampler::Global().Stop();
+  std::vector<telemetry::WorkloadSnapshot> snaps =
+      telemetry::WorkloadRepository::Global().Snapshots();
   std::string path;
   const char* dir = getenv("FSDM_BENCH_JSON_DIR");
   if (dir != nullptr && dir[0] != '\0') {
@@ -175,24 +175,20 @@ void BenchJson::Write() const {
     out += ",\"" + telemetry::JsonEscape(key) + "\":" + json;
   }
 
-  // Whole-run counter rates from the snapshot history (one tick per row);
-  // absent when fewer than two ticks happened.
-  const telemetry::SnapshotHistory& hist =
-      telemetry::MetricsRegistry::Global().history();
-  if (hist.size() >= 2) {
-    const size_t span = hist.size() - 1;
-    out += ",\"history_ticks\":" + std::to_string(hist.size());
-    out += ",\"counter_rates_per_sec\":{";
-    bool first = true;
-    for (const auto& [cname, value] : hist.Newest(0).counters) {
-      (void)value;
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + telemetry::JsonEscape(cname) + "\":";
-      telemetry::AppendJsonNumber(&out, hist.CounterRatePerSec(cname, span));
-    }
-    out += "}";
+  // Whole-run counter rates: each counter's total at the "bench-end"
+  // workload snapshot over the time since Init().
+  const telemetry::WorkloadSnapshot& end = snaps.back();
+  const double run_s =
+      static_cast<double>(std::max<uint64_t>(end.ts_us - init_us_, 1)) / 1e6;
+  out += ",\"counter_rates_per_sec\":{";
+  bool first = true;
+  for (const auto& [cname, value] : end.metrics.counters) {
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + telemetry::JsonEscape(cname) + "\":";
+    telemetry::AppendJsonNumber(&out, static_cast<double>(value) / run_s);
   }
+  out += "}";
 
   // ASH time model over the whole run plus the AWR-style per-row workload
   // snapshots (ISSUE 7). Present — with zero samples — even when the
@@ -239,8 +235,6 @@ void BenchJson::Write() const {
          std::to_string(telemetry::IncidentManager::Global().total_raised());
   out += "}";
 
-  std::vector<telemetry::WorkloadSnapshot> snaps =
-      telemetry::WorkloadRepository::Global().Snapshots();
   out += ",\"workload_snapshots\":[";
   for (size_t i = 0; i < snaps.size(); ++i) {
     if (i > 0) out += ",";

@@ -49,7 +49,9 @@ std::string Fmt(double v, int decimals = 2);
 /// printed table row and, at exit, writes
 ///   BENCH_<name>.json = {"bench": <name>, "docs": N,
 ///                        "rows": [{<header col>: <cell>, ...}, ...],
-///                        "metrics": <MetricsRegistry::ToJson()>}
+///                        "metrics": <MetricsRegistry::ToJson()>,
+///                        "counter_rates_per_sec": {<counter>: total / s
+///                                                  since Init()}, ...}
 /// to the working directory (or $FSDM_BENCH_JSON_DIR when set). Cells that
 /// parse fully as numbers are emitted as JSON numbers, everything else as
 /// strings. Call Init() once near the top of main(); rows recorded through
@@ -82,6 +84,7 @@ class BenchJson {
 
  private:
   std::string name_;
+  uint64_t init_us_ = 0;  // MonotonicNowUs() at Init()
   size_t docs_ = 0;
   std::vector<std::string> header_;
   std::vector<std::string> rows_;  // encoded JSON object bodies

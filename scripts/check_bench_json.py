@@ -15,7 +15,8 @@ instrumented engine actually ran). Histogram dumps must carry "sum" and
 "mean" so mean latency is derivable from any exposure. The "ash" and
 "workload_snapshots" sections must be present (zeroed when the sampler is
 off) with the shapes scripts/ash_report.py consumes, and so must the
-"memory" and "log" sections (all zeros under -DFSDM_TELEMETRY=OFF).
+"memory" and "log" sections (all zeros under -DFSDM_TELEMETRY=OFF), and
+"counter_rates_per_sec" with a positive rate for every nonzero counter.
 Exits non-zero on the first violation.
 """
 
@@ -62,6 +63,7 @@ def check(path):
                 fail(path, f"metrics.histograms.{name} missing numeric "
                            f"'{key}'")
 
+    check_counter_rates(path, doc)
     check_ash(path, doc)
     check_wal(path, doc)
     check_memory(path, doc)
@@ -93,6 +95,23 @@ def check(path):
           f"{len(metrics['counters'])} counters, "
           f"{len(snaps)} snapshots, "
           f"{ash['window'].get('db_samples', 0)} ash samples)")
+
+
+def check_counter_rates(path, doc):
+    """"counter_rates_per_sec": each counter's whole-run rate, its total at
+    the "bench-end" snapshot over the time since BenchJson::Init().
+    Required on every bench. A counter with a nonzero total must have a
+    positive rate: a zero there means the rate was taken over a window
+    that missed the work (the bug of rating between two row ticks printed
+    microseconds apart)."""
+    rates = doc.get("counter_rates_per_sec")
+    if not isinstance(rates, dict):
+        fail(path, "missing 'counter_rates_per_sec' object")
+    for name, total in doc["metrics"]["counters"].items():
+        rate = rates.get(name)
+        if total > 0 and not (isinstance(rate, (int, float)) and rate > 0):
+            fail(path, f"counter_rates_per_sec.{name} is {rate!r} but the "
+                       f"counter's total is {total}")
 
 
 WAIT_CLASSES = {"idle", "cpu", "scheduler", "concurrency", "fault", "io"}

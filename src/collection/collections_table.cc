@@ -1,7 +1,6 @@
 #include "collection/collections_table.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 
 #include "collection/collection.h"
@@ -26,62 +25,39 @@ void CollectionRegistry::Unregister(const JsonCollection* coll) {
       collections_.end());
 }
 
-namespace {
-
-class CollectionsScanOp final : public rdbms::Operator {
- public:
-  CollectionsScanOp() {
-    schema_ = rdbms::Schema({"NAME", "HEALTH", "REASON", "DOC_COUNT",
-                             "INDEX_PATHS", "IMC_STATE", "LAST_REBUILD_TS",
-                             "SHARDS", "SHARDS_HEALTHY"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const JsonCollection* c : CollectionRegistry::Global().collections()) {
-      const char* imc_state = c->imc_valid()
-                                  ? "valid"
-                                  : (c->imc_populated() ? "stale"
-                                                        : "unpopulated");
-      // REASON: the live degradation cause while unhealthy, else the
-      // last health-transition cause (sticky across healing; ISSUE 10).
-      std::string reason = c->health_reason();
-      if (reason.empty()) reason = c->last_health_cause();
-      rows_.push_back(
-          {Value::String(c->name()),
-           Value::String(CollectionHealthName(c->health())),
-           reason.empty() ? Value::Null() : Value::String(reason),
-           Value::Int64(static_cast<int64_t>(c->document_count())),
-           Value::Int64(
-               static_cast<int64_t>(c->dataguide().distinct_path_count())),
-           Value::String(imc_state),
-           c->last_rebuild_ts_us() == 0
-               ? Value::Null()
-               : Value::Int64(static_cast<int64_t>(c->last_rebuild_ts_us())),
-           Value::Int64(static_cast<int64_t>(c->shard_count())),
-           Value::Int64(static_cast<int64_t>(c->healthy_shard_count()))});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
 rdbms::OperatorPtr CollectionsScan() {
-  return std::make_unique<CollectionsScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"NAME", "HEALTH", "REASON", "DOC_COUNT", "INDEX_PATHS",
+                     "IMC_STATE", "LAST_REBUILD_TS", "SHARDS",
+                     "SHARDS_HEALTHY"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const JsonCollection* c :
+             CollectionRegistry::Global().collections()) {
+          const char* imc_state =
+              c->imc_valid() ? "valid"
+                             : (c->imc_populated() ? "stale" : "unpopulated");
+          // REASON: the live degradation cause while unhealthy, else the
+          // last health-transition cause (sticky across healing).
+          std::string reason = c->health_reason();
+          if (reason.empty()) reason = c->last_health_cause();
+          rows.push_back(
+              {Value::String(c->name()),
+               Value::String(CollectionHealthName(c->health())),
+               reason.empty() ? Value::Null() : Value::String(reason),
+               Value::Int64(static_cast<int64_t>(c->document_count())),
+               Value::Int64(
+                   static_cast<int64_t>(c->dataguide().distinct_path_count())),
+               Value::String(imc_state),
+               c->last_rebuild_ts_us() == 0
+                   ? Value::Null()
+                   : Value::Int64(
+                         static_cast<int64_t>(c->last_rebuild_ts_us())),
+               Value::Int64(static_cast<int64_t>(c->shard_count())),
+               Value::Int64(static_cast<int64_t>(c->healthy_shard_count()))});
+        }
+        return rows;
+      });
 }
 
 }  // namespace fsdm::collection

@@ -1,9 +1,6 @@
 #include "collection/path_stats_table.h"
 
 #include <cmath>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "collection/collection.h"
@@ -12,71 +9,49 @@
 
 namespace fsdm::collection {
 
-namespace {
-
-class PathStatsScanOp final : public rdbms::Operator {
- public:
-  PathStatsScanOp() {
-    schema_ = rdbms::Schema({"COLLECTION", "SHARD", "PATH", "DOCS_SEEN",
-                             "DOC_FREQUENCY", "VALUE_COUNT", "NULL_COUNT",
-                             "NDV", "MIN", "MAX", "HIST_TOTAL", "HIST_LO",
-                             "HIST_HI"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const JsonCollection* c : CollectionRegistry::Global().collections()) {
-      // Sharded collections (ISSUE 6) keep one PathStatsRepository per
-      // shard — the router costs each shard against its own statistics —
-      // so emit one row-set per shard. Single-shard collections report
-      // SHARD = 0.
-      for (size_t shard = 0; shard < c->shard_count(); ++shard) {
-        const stats::PathStatsRepository& repo = c->shard(shard)->path_stats();
-        for (const auto& [path, s] : repo.paths()) {
-          rows_.push_back(
-              {Value::String(c->name()),
-               Value::Int64(static_cast<int64_t>(shard)), Value::String(path),
-               Value::Int64(static_cast<int64_t>(repo.docs_seen())),
-               Value::Int64(static_cast<int64_t>(s.doc_frequency)),
-               Value::Int64(static_cast<int64_t>(s.value_count)),
-               Value::Int64(static_cast<int64_t>(s.null_count)),
-               Value::Int64(
-                   static_cast<int64_t>(std::llround(s.ndv.Estimate()))),
-               s.min_value.has_value()
-                   ? Value::String(s.min_value->ToDisplayString())
-                   : Value::Null(),
-               s.max_value.has_value()
-                   ? Value::String(s.max_value->ToDisplayString())
-                   : Value::Null(),
-               Value::Int64(static_cast<int64_t>(s.histogram.total())),
-               s.histogram.frozen() ? Value::Double(s.histogram.lo())
-                                    : Value::Null(),
-               s.histogram.frozen() ? Value::Double(s.histogram.hi())
-                                    : Value::Null()});
-        }
-      }
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
 rdbms::OperatorPtr PathStatsScan() {
-  return std::make_unique<PathStatsScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"COLLECTION", "SHARD", "PATH", "DOCS_SEEN",
+                     "DOC_FREQUENCY", "VALUE_COUNT", "NULL_COUNT", "NDV", "MIN",
+                     "MAX", "HIST_TOTAL", "HIST_LO", "HIST_HI"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const JsonCollection* c :
+             CollectionRegistry::Global().collections()) {
+          // Sharded collections keep one PathStatsRepository per shard —
+          // the router costs each shard against its own statistics — so
+          // emit one row-set per shard. Single-shard collections report
+          // SHARD = 0.
+          for (size_t shard = 0; shard < c->shard_count(); ++shard) {
+            const stats::PathStatsRepository& repo =
+                c->shard(shard)->path_stats();
+            for (const auto& [path, s] : repo.paths()) {
+              rows.push_back(
+                  {Value::String(c->name()),
+                   Value::Int64(static_cast<int64_t>(shard)),
+                   Value::String(path),
+                   Value::Int64(static_cast<int64_t>(repo.docs_seen())),
+                   Value::Int64(static_cast<int64_t>(s.doc_frequency)),
+                   Value::Int64(static_cast<int64_t>(s.value_count)),
+                   Value::Int64(static_cast<int64_t>(s.null_count)),
+                   Value::Int64(
+                       static_cast<int64_t>(std::llround(s.ndv.Estimate()))),
+                   s.min_value.has_value()
+                       ? Value::String(s.min_value->ToDisplayString())
+                       : Value::Null(),
+                   s.max_value.has_value()
+                       ? Value::String(s.max_value->ToDisplayString())
+                       : Value::Null(),
+                   Value::Int64(static_cast<int64_t>(s.histogram.total())),
+                   s.histogram.frozen() ? Value::Double(s.histogram.lo())
+                                        : Value::Null(),
+                   s.histogram.frozen() ? Value::Double(s.histogram.hi())
+                                        : Value::Null()});
+            }
+          }
+        }
+        return rows;
+      });
 }
 
 }  // namespace fsdm::collection

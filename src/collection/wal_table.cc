@@ -1,7 +1,6 @@
 #include "collection/wal_table.h"
 
-#include <memory>
-#include <string>
+#include <vector>
 
 #include "collection/collection.h"
 #include "collection/collections_table.h"
@@ -9,57 +8,34 @@
 
 namespace fsdm::collection {
 
-namespace {
-
-class WalScanOp final : public rdbms::Operator {
- public:
-  WalScanOp() {
-    schema_ = rdbms::Schema({"NAME", "POLICY", "SEGMENTS", "LAST_LSN",
-                             "DURABLE_LSN", "APPENDS", "APPEND_BYTES",
-                             "FSYNCS", "CHECKPOINTS", "ABORTS",
-                             "RECOVERED_RECORDS", "TORN_TAIL"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const JsonCollection* c : CollectionRegistry::Global().collections()) {
-      const wal::Wal* w = c->wal();
-      if (w == nullptr) continue;
-      rows_.push_back(
-          {Value::String(c->name()),
-           Value::String(wal::FsyncPolicyName(w->options().fsync)),
-           Value::Int64(static_cast<int64_t>(w->segment_count())),
-           Value::Int64(static_cast<int64_t>(w->last_lsn())),
-           Value::Int64(static_cast<int64_t>(w->durable_lsn())),
-           Value::Int64(static_cast<int64_t>(w->appends())),
-           Value::Int64(static_cast<int64_t>(w->append_bytes())),
-           Value::Int64(static_cast<int64_t>(w->fsyncs())),
-           Value::Int64(static_cast<int64_t>(w->checkpoints())),
-           Value::Int64(static_cast<int64_t>(w->aborts())),
-           Value::Int64(static_cast<int64_t>(w->recovery().records_scanned)),
-           Value::Int64(w->recovery().torn_tail ? 1 : 0)});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
 rdbms::OperatorPtr WalScan() {
-  return std::make_unique<WalScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"NAME", "POLICY", "SEGMENTS", "LAST_LSN", "DURABLE_LSN",
+                     "APPENDS", "APPEND_BYTES", "FSYNCS", "CHECKPOINTS",
+                     "ABORTS", "RECOVERED_RECORDS", "TORN_TAIL"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const JsonCollection* c :
+             CollectionRegistry::Global().collections()) {
+          const wal::Wal* w = c->wal();
+          if (w == nullptr) continue;
+          rows.push_back(
+              {Value::String(c->name()),
+               Value::String(wal::FsyncPolicyName(w->options().fsync)),
+               Value::Int64(static_cast<int64_t>(w->segment_count())),
+               Value::Int64(static_cast<int64_t>(w->last_lsn())),
+               Value::Int64(static_cast<int64_t>(w->durable_lsn())),
+               Value::Int64(static_cast<int64_t>(w->appends())),
+               Value::Int64(static_cast<int64_t>(w->append_bytes())),
+               Value::Int64(static_cast<int64_t>(w->fsyncs())),
+               Value::Int64(static_cast<int64_t>(w->checkpoints())),
+               Value::Int64(static_cast<int64_t>(w->aborts())),
+               Value::Int64(
+                   static_cast<int64_t>(w->recovery().records_scanned)),
+               Value::Int64(w->recovery().torn_tail ? 1 : 0)});
+        }
+        return rows;
+      });
 }
 
 }  // namespace fsdm::collection

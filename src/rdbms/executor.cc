@@ -46,10 +46,12 @@ class ScanOp final : public Operator {
 
 class ValuesOp final : public Operator {
  public:
-  ValuesOp(Schema schema, std::vector<Row> rows) : rows_(std::move(rows)) {
+  ValuesOp(Schema schema, std::vector<Row> rows, RowProducer produce)
+      : rows_(std::move(rows)), produce_(std::move(produce)) {
     schema_ = std::move(schema);
   }
   Status Open() override {
+    if (produce_) rows_ = produce_();
     next_ = 0;
     return Status::Ok();
   }
@@ -58,10 +60,13 @@ class ValuesOp final : public Operator {
     *out = rows_[next_++];
     return true;
   }
-  void Close() override {}
+  void Close() override {
+    if (produce_) rows_.clear();
+  }
 
  private:
   std::vector<Row> rows_;
+  RowProducer produce_;  // empty for fixed rows
   size_t next_ = 0;
 };
 
@@ -732,7 +737,12 @@ OperatorPtr Scan(const Table* table, bool include_hidden) {
   return std::make_unique<ScanOp>(table, include_hidden);
 }
 OperatorPtr Values(Schema schema, std::vector<Row> rows) {
-  return std::make_unique<ValuesOp>(std::move(schema), std::move(rows));
+  return std::make_unique<ValuesOp>(std::move(schema), std::move(rows),
+                                    nullptr);
+}
+OperatorPtr ValuesFrom(Schema schema, RowProducer produce) {
+  return std::make_unique<ValuesOp>(std::move(schema), std::vector<Row>{},
+                                    std::move(produce));
 }
 OperatorPtr Filter(OperatorPtr child, ExprPtr predicate) {
   return std::make_unique<FilterOp>(std::move(child), std::move(predicate));

@@ -46,6 +46,12 @@ OperatorPtr Scan(const Table* table, bool include_hidden = false);
 /// Emits pre-materialized rows (for tests and VALUES-style input).
 OperatorPtr Values(Schema schema, std::vector<Row> rows);
 
+/// Emits the rows `produce` returns, calling it on every Open(): a plan
+/// prepared early and opened later (or re-opened) sees the rows as of that
+/// Open. The one row source behind every TELEMETRY$ relation.
+using RowProducer = std::function<std::vector<Row>()>;
+OperatorPtr ValuesFrom(Schema schema, RowProducer produce);
+
 // --- Transformers -----------------------------------------------------------
 
 /// Keeps rows where `predicate` evaluates to TRUE (UNKNOWN rejects).

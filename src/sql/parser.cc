@@ -168,6 +168,43 @@ class Lexer {
 };
 
 // ---------------------------------------------------------------------------
+// TELEMETRY$ virtual relations
+// ---------------------------------------------------------------------------
+
+using VirtualRelationFactory = rdbms::OperatorPtr (*)();
+
+/// Every virtual relation FROM can name, resolved case-insensitively when
+/// no base table has the name. A new relation is a factory returning its
+/// rdbms::ValuesFrom() row source plus one row here.
+struct VirtualRelation {
+  const char* name;
+  VirtualRelationFactory factory;
+};
+
+constexpr VirtualRelation kVirtualRelations[] = {
+    {telemetry::kMetricsTableName, telemetry::MetricsScan},
+    {telemetry::kEventsTableName, telemetry::EventsScan},
+    {telemetry::kSlowQueriesTableName, telemetry::SlowQueriesScan},
+    {telemetry::kQueryMonitorTableName, telemetry::QueryMonitorScan},
+    {telemetry::kMemoryTableName, telemetry::MemoryScan},
+    {telemetry::kAshTableName, telemetry::AshScan},
+    {telemetry::kSnapshotsTableName, telemetry::SnapshotsScan},
+    {telemetry::kLogTableName, telemetry::LogScan},
+    {telemetry::kIncidentsTableName, telemetry::IncidentsScan},
+    {collection::kCollectionsTableName, collection::CollectionsScan},
+    {collection::kPathStatsTableName, collection::PathStatsScan},
+    {collection::kWalTableName, collection::WalScan},
+    {stats::kOperatorCostsTableName, stats::OperatorCostsScan},
+};
+
+VirtualRelationFactory FindVirtualRelation(const std::string& name) {
+  for (const VirtualRelation& rel : kVirtualRelations) {
+    if (Lexer::EqualsIgnoreCase(name, rel.name)) return rel.factory;
+  }
+  return nullptr;
+}
+
+// ---------------------------------------------------------------------------
 // Parser / planner
 // ---------------------------------------------------------------------------
 
@@ -196,50 +233,11 @@ class Planner {
     Result<rdbms::Table*> table_or = session_->db()->GetTable(table_name_);
     if (table_or.ok()) {
       table_ = table_or.MoveValue();
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kMetricsTableName)) {
-      // TELEMETRY$ virtual relations: planned below as dedicated leaf
-      // operators over the process-wide registries instead of a
-      // base-table Scan.
-      virtual_table_ = VirtualTable::kMetrics;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kEventsTableName)) {
-      virtual_table_ = VirtualTable::kEvents;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kSlowQueriesTableName)) {
-      virtual_table_ = VirtualTable::kSlowQueries;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       collection::kCollectionsTableName)) {
-      virtual_table_ = VirtualTable::kCollections;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       collection::kPathStatsTableName)) {
-      virtual_table_ = VirtualTable::kPathStats;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       stats::kOperatorCostsTableName)) {
-      virtual_table_ = VirtualTable::kOperatorCosts;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kAshTableName)) {
-      virtual_table_ = VirtualTable::kAsh;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kSnapshotsTableName)) {
-      virtual_table_ = VirtualTable::kSnapshots;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       collection::kWalTableName)) {
-      virtual_table_ = VirtualTable::kWal;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kQueryMonitorTableName)) {
-      virtual_table_ = VirtualTable::kQueryMonitor;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kMemoryTableName)) {
-      virtual_table_ = VirtualTable::kMemory;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kLogTableName)) {
-      virtual_table_ = VirtualTable::kLog;
-    } else if (Lexer::EqualsIgnoreCase(table_name_,
-                                       telemetry::kIncidentsTableName)) {
-      virtual_table_ = VirtualTable::kIncidents;
     } else {
-      return table_or.status();
+      // TELEMETRY$ virtual relations: planned below as their row source
+      // over the process-wide registries instead of a base-table Scan.
+      virtual_scan_ = FindVirtualRelation(table_name_);
+      if (virtual_scan_ == nullptr) return table_or.status();
     }
 
     ExprPtr where;
@@ -314,51 +312,9 @@ class Planner {
 
     // --- Assemble the plan --------------------------------------------------
     bool include_hidden = session_->TableHasOsonRewrites(table_name_);
-    rdbms::OperatorPtr plan;
-    switch (virtual_table_) {
-      case VirtualTable::kNone:
-        plan = rdbms::Scan(table_, include_hidden);
-        break;
-      case VirtualTable::kMetrics:
-        plan = telemetry::MetricsScan();
-        break;
-      case VirtualTable::kEvents:
-        plan = telemetry::EventsScan();
-        break;
-      case VirtualTable::kSlowQueries:
-        plan = telemetry::SlowQueriesScan();
-        break;
-      case VirtualTable::kCollections:
-        plan = collection::CollectionsScan();
-        break;
-      case VirtualTable::kPathStats:
-        plan = collection::PathStatsScan();
-        break;
-      case VirtualTable::kOperatorCosts:
-        plan = stats::OperatorCostsScan();
-        break;
-      case VirtualTable::kAsh:
-        plan = telemetry::AshScan();
-        break;
-      case VirtualTable::kSnapshots:
-        plan = telemetry::SnapshotsScan();
-        break;
-      case VirtualTable::kWal:
-        plan = collection::WalScan();
-        break;
-      case VirtualTable::kQueryMonitor:
-        plan = telemetry::QueryMonitorScan();
-        break;
-      case VirtualTable::kMemory:
-        plan = telemetry::MemoryScan();
-        break;
-      case VirtualTable::kLog:
-        plan = telemetry::LogScan();
-        break;
-      case VirtualTable::kIncidents:
-        plan = telemetry::IncidentsScan();
-        break;
-    }
+    rdbms::OperatorPtr plan = virtual_scan_ != nullptr
+                                  ? virtual_scan_()
+                                  : rdbms::Scan(table_, include_hidden);
     if (where) plan = rdbms::Filter(std::move(plan), std::move(where));
 
     bool grouped = !pending_aggs_.empty() || !group_exprs.empty();
@@ -773,16 +729,10 @@ class Planner {
   SqlSession* session_;
   const std::string& sql_;
   Lexer lex_;
-  /// Which TELEMETRY$ relation the FROM clause named (kNone = a real
-  /// table; table_ is set).
-  enum class VirtualTable { kNone, kMetrics, kEvents, kSlowQueries,
-                            kCollections, kPathStats, kOperatorCosts,
-                            kAsh, kSnapshots, kWal, kQueryMonitor,
-                            kMemory, kLog, kIncidents };
-
   std::string table_name_;
   rdbms::Table* table_ = nullptr;
-  VirtualTable virtual_table_ = VirtualTable::kNone;
+  /// Set when the FROM clause named a TELEMETRY$ relation (table_ is not).
+  VirtualRelationFactory virtual_scan_ = nullptr;
   std::vector<SelectItem> select_items_;
   std::vector<AggSpec> pending_aggs_;
 };

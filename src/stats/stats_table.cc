@@ -1,53 +1,27 @@
 #include "stats/stats_table.h"
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "stats/operator_costs.h"
 
 namespace fsdm::stats {
 
-namespace {
-
-class OperatorCostsScanOp final : public rdbms::Operator {
- public:
-  OperatorCostsScanOp() {
-    schema_ = rdbms::Schema({"OPERATOR", "US_PER_ROW", "SEED_US_PER_ROW",
-                             "SAMPLES", "ROWS_OBSERVED", "LAST_US_PER_ROW"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const auto& [name, e] : OperatorCostModel::Global().Snapshot()) {
-      rows_.push_back(
-          {Value::String(name), Value::Double(e.us_per_row),
-           Value::Double(e.seed_us_per_row),
-           Value::Int64(static_cast<int64_t>(e.samples)),
-           Value::Int64(static_cast<int64_t>(e.rows_total)),
-           e.samples == 0 ? Value::Null() : Value::Double(e.last_us_per_row)});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
 rdbms::OperatorPtr OperatorCostsScan() {
-  return std::make_unique<OperatorCostsScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"OPERATOR", "US_PER_ROW", "SEED_US_PER_ROW", "SAMPLES",
+                     "ROWS_OBSERVED", "LAST_US_PER_ROW"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const auto& [name, e] : OperatorCostModel::Global().Snapshot()) {
+          rows.push_back({Value::String(name), Value::Double(e.us_per_row),
+                          Value::Double(e.seed_us_per_row),
+                          Value::Int64(static_cast<int64_t>(e.samples)),
+                          Value::Int64(static_cast<int64_t>(e.rows_total)),
+                          e.samples == 0 ? Value::Null()
+                                         : Value::Double(e.last_us_per_row)});
+        }
+        return rows;
+      });
 }
 
 }  // namespace fsdm::stats

@@ -20,26 +20,6 @@ ThreadRing* LocalRing() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ThreadRing
-// ---------------------------------------------------------------------------
-
-ThreadRing::ThreadRing(uint32_t tid, size_t capacity) : tid_(tid) {
-  slots_.resize(capacity == 0 ? 1 : capacity);
-}
-
-std::vector<TraceEvent> ThreadRing::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out;
-  const size_t cap = slots_.size();
-  const uint64_t live = next_ < cap ? next_ : cap;
-  out.reserve(live);
-  // Oldest live event first. When wrapped, that's slot next_ % cap.
-  const uint64_t first = next_ - live;
-  for (uint64_t i = first; i < next_; ++i) out.push_back(slots_[i % cap]);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // ScopedTraceSpan
 // ---------------------------------------------------------------------------
 
@@ -86,17 +66,6 @@ void ScopedTraceSpan::AddTextArg(const char* key, std::string_view v) {
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* recorder = new FlightRecorder();
   return *recorder;
-}
-
-ThreadRing* FlightRecorder::RingForThisThread() {
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<ThreadRing>(next_tid_++, ring_capacity_));
-  return rings_.back().get();
-}
-
-void FlightRecorder::SetRingCapacity(size_t events) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_capacity_ = events == 0 ? 1 : events;
 }
 
 void FlightRecorder::Emit(ThreadRing* ring, TracePhase phase,
@@ -147,17 +116,9 @@ std::vector<TraceEvent> FlightRecorder::Snapshot() const {
     // A snapshot walks every thread ring under the recorder mutex — a
     // query thread landing here (slow-query capture) is lock-waiting.
     ScopedWaitState wait(WaitState::kLockWait);
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ring : rings_) {
-      std::vector<TraceEvent> part = ring->Snapshot();
-      out.insert(out.end(), part.begin(), part.end());
-    }
+    out = rings_.Gather();
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-                     return a.tid < b.tid;
-                   });
+  SortByTime(&out);
   return out;
 }
 
@@ -169,18 +130,6 @@ std::vector<TraceEvent> FlightRecorder::SnapshotSince(uint64_t since_us) const {
     if (e.ts_us >= since_us) out.push_back(e);
   }
   return out;
-}
-
-uint64_t FlightRecorder::TotalDropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->dropped();
-  return total;
-}
-
-void FlightRecorder::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ring : rings_) ring->Clear();
 }
 
 namespace {
@@ -244,11 +193,7 @@ std::string FlightRecorder::ChromeTraceJson() const {
     std::vector<TraceEvent> balanced = BalanceThread(thread_events);
     repaired.insert(repaired.end(), balanced.begin(), balanced.end());
   }
-  std::stable_sort(repaired.begin(), repaired.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-                     return a.tid < b.tid;
-                   });
+  SortByTime(&repaired);
 
   std::string out = "{\"traceEvents\":[";
   bool first = true;

@@ -3,20 +3,20 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "telemetry/ring.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_event.h"
 
 /// Engine flight recorder (ISSUE 4 tentpole): always-on, bounded-memory
 /// recording of what the engine did and in what order. Each thread writes
-/// TraceEvents into its own fixed-capacity ring; when a ring fills, the
-/// oldest events are overwritten (dropped, never torn — a slot is either
-/// the old event or the new one). Instrumentation sites use the
+/// TraceEvents into its own fixed-capacity ring (ring.h, shared with the
+/// engine log and the ASH sampler); when a ring fills, the oldest events
+/// are overwritten (dropped, never torn — a slot is either the old event
+/// or the new one). Instrumentation sites use the
 /// FSDM_TRACE_* macros below, which cache the thread's ring pointer in a
 /// function-local thread_local so the armed steady-state cost is a branch,
 /// a clock read, and a struct store.
@@ -36,44 +36,10 @@
 
 namespace fsdm::telemetry {
 
-/// Fixed-capacity ring of TraceEvents for one thread. Owned by the
-/// FlightRecorder and never destroyed while the process lives, so the
-/// thread_local cached pointers in the macros stay valid across Reset().
-class ThreadRing {
- public:
-  ThreadRing(uint32_t tid, size_t capacity);
-
-  void Push(const TraceEvent& e) {
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_[next_ % slots_.size()] = e;
-    ++next_;
-  }
-
-  uint32_t tid() const { return tid_; }
-  size_t capacity() const { return slots_.size(); }
-  /// Total events ever pushed (monotonic; > capacity once wrapped).
-  uint64_t total_pushed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_;
-  }
-  uint64_t dropped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_ > slots_.size() ? next_ - slots_.size() : 0;
-  }
-
-  /// Live events, oldest first.
-  std::vector<TraceEvent> Snapshot() const;
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_ = 0;
-  }
-
- private:
-  uint32_t tid_;
-  mutable std::mutex mu_;  // push/snapshot handoff; uncontended per-thread
-  std::vector<TraceEvent> slots_;
-  uint64_t next_ = 0;
-};
+/// One thread's TraceEvent ring. Owned by the FlightRecorder and never
+/// destroyed while the process lives, so the thread_local cached pointers
+/// in the macros stay valid across Reset().
+using ThreadRing = Ring<TraceEvent>;
 
 /// RAII span: emits a kSpanBegin on construction and a kSpanEnd (with
 /// measured dur_us and any attached args) on destruction. Constructed
@@ -115,12 +81,12 @@ class FlightRecorder {
 
   /// The calling thread's ring, created (and registered) on first use.
   /// Macros cache the returned pointer in a thread_local.
-  ThreadRing* RingForThisThread();
+  ThreadRing* RingForThisThread() { return rings_.Register(); }
 
   /// Ring capacity for rings created after this call (existing rings keep
   /// theirs). Tests shrink it to exercise wrap-around.
-  void SetRingCapacity(size_t events);
-  size_t ring_capacity() const { return ring_capacity_; }
+  void SetRingCapacity(size_t events) { rings_.SetCapacity(events); }
+  size_t ring_capacity() const { return rings_.capacity(); }
 
   /// All live events across threads, merged and sorted by (ts_us, tid).
   std::vector<TraceEvent> Snapshot() const;
@@ -128,7 +94,7 @@ class FlightRecorder {
   std::vector<TraceEvent> SnapshotSince(uint64_t since_us) const;
 
   /// Sum of dropped() over all rings (events lost to wrap-around).
-  uint64_t TotalDropped() const;
+  uint64_t TotalDropped() const { return rings_.TotalDropped(); }
 
   /// Chrome trace-event JSON ({"traceEvents":[...]}), loadable in
   /// chrome://tracing or https://ui.perfetto.dev. Per thread, unmatched
@@ -140,7 +106,7 @@ class FlightRecorder {
   bool DumpChromeTrace(const std::string& path) const;
 
   /// Clears every ring's contents (rings and cached pointers stay valid).
-  void Reset();
+  void Reset() { rings_.Clear(); }
 
   /// Raw event push for a specific ring — the macro back end.
   static void Emit(ThreadRing* ring, TracePhase phase, const char* category,
@@ -149,11 +115,8 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 
-  mutable std::mutex mu_;  // guards rings_ registration and snapshots
-  std::vector<std::unique_ptr<ThreadRing>> rings_;
-  size_t ring_capacity_ = 16384;
+  PerThreadRings<TraceEvent> rings_{16384};
   std::atomic<bool> armed_{false};
-  uint32_t next_tid_ = 1;
 };
 
 /// Zero-size stand-in for ScopedTraceSpan under -DFSDM_TELEMETRY=OFF so

@@ -83,19 +83,6 @@ std::string LogRecord::ToJsonLine() const {
 
 #if !defined(FSDM_TELEMETRY_DISABLED)
 
-std::vector<LogRecord> LogRing::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LogRecord> out;
-  const size_t cap = slots_.size();
-  const size_t live = next_ < cap ? static_cast<size_t>(next_) : cap;
-  out.reserve(live);
-  const uint64_t first = next_ < cap ? 0 : next_ - cap;
-  for (uint64_t i = first; i < next_; ++i) {
-    out.push_back(slots_[i % cap]);
-  }
-  return out;
-}
-
 EngineLog& EngineLog::Global() {
   static EngineLog* log = new EngineLog();
   return *log;
@@ -104,23 +91,9 @@ EngineLog& EngineLog::Global() {
 EngineLog::EngineLog()
     : level_(static_cast<uint8_t>(LogLevelFromEnv(LogLevel::kInfo))) {}
 
-LogRing* EngineLog::RingForThisThread() {
-  thread_local LogRing* cached = nullptr;
-  if (cached != nullptr) return cached;
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<LogRing>(next_tid_++, ring_capacity_));
-  cached = rings_.back().get();
+Ring<LogRecord>* EngineLog::RingForThisThread() {
+  thread_local Ring<LogRecord>* cached = rings_.Register();
   return cached;
-}
-
-void EngineLog::SetRingCapacity(size_t records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_capacity_ = records > 0 ? records : 1;
-}
-
-size_t EngineLog::ring_capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_capacity_;
 }
 
 void EngineLog::SetRateLimit(double burst, double per_sec) {
@@ -165,7 +138,7 @@ void EngineLog::EmitImpl(LogLevel level, const char* component,
     FSDM_COUNT("fsdm_log_dropped_total", 1);
     return;
   }
-  LogRing* ring = RingForThisThread();
+  Ring<LogRecord>* ring = RingForThisThread();
   LogRecord rec;
   rec.ts_us = now;
   rec.tid = ring->tid();
@@ -199,23 +172,6 @@ void EngineLog::EmitImpl(LogLevel level, const char* component,
   }
 }
 
-std::vector<LogRecord> EngineLog::Snapshot() const {
-  std::vector<LogRecord> merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::unique_ptr<LogRing>& ring : rings_) {
-      std::vector<LogRecord> part = ring->Snapshot();
-      merged.insert(merged.end(), part.begin(), part.end());
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
-                     return a.tid < b.tid;
-                   });
-  return merged;
-}
-
 std::vector<LogRecord> EngineLog::SnapshotLast(size_t n) const {
   std::vector<LogRecord> all = Snapshot();
   if (all.size() > n) {
@@ -225,19 +181,11 @@ std::vector<LogRecord> EngineLog::SnapshotLast(size_t n) const {
 }
 
 uint64_t EngineLog::TotalDropped() const {
-  uint64_t total = rate_limited_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::unique_ptr<LogRing>& ring : rings_) {
-    total += ring->dropped();
-  }
-  return total;
+  return rate_limited_.load(std::memory_order_relaxed) + rings_.TotalDropped();
 }
 
 void EngineLog::Reset() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::unique_ptr<LogRing>& ring : rings_) ring->Clear();
-  }
+  rings_.Clear();
   {
     std::lock_guard<std::mutex> lock(bucket_mu_);
     buckets_.clear();

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "telemetry/ring.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_event.h"
 
@@ -21,9 +21,10 @@
 /// torn-tail truncation, degraded routing, fault fires) emits a
 /// fixed-size structured record through the FSDM_LOG macro family.
 ///
-/// Records land in per-thread rings modeled on the flight recorder's
-/// (fixed capacity, overwrite-oldest, per-ring mutex for the
-/// push/snapshot handoff, rings leak so cached pointers stay valid).
+/// Records land in per-thread rings of the same Ring<T> the flight
+/// recorder uses (ring.h: fixed capacity, overwrite-oldest, per-ring mutex
+/// for the push/snapshot handoff, rings leak so cached pointers stay
+/// valid).
 /// Unlike the recorder the log is ON by default: sites are rare (error
 /// and lifecycle paths, never per-row), and the steady-state cost of a
 /// suppressed site is one relaxed atomic load and a compare. The gate is
@@ -110,47 +111,6 @@ inline LogArg LogText(const char* key, std::string_view v) {
 
 #if !defined(FSDM_TELEMETRY_DISABLED)
 
-/// Fixed-capacity ring of LogRecords for one thread. Owned by EngineLog
-/// and never destroyed while the process lives (thread_local cached
-/// pointers must stay valid across Reset()).
-class LogRing {
- public:
-  LogRing(uint32_t tid, size_t capacity) : tid_(tid), slots_(capacity) {}
-
-  /// True when the push overwrote a live record (ring had wrapped).
-  bool Push(const LogRecord& r) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool overwrote = next_ >= slots_.size();
-    slots_[next_ % slots_.size()] = r;
-    ++next_;
-    return overwrote;
-  }
-
-  uint32_t tid() const { return tid_; }
-  size_t capacity() const { return slots_.size(); }
-  uint64_t total_pushed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_;
-  }
-  uint64_t dropped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_ > slots_.size() ? next_ - slots_.size() : 0;
-  }
-
-  /// Live records, oldest first.
-  std::vector<LogRecord> Snapshot() const;
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_ = 0;
-  }
-
- private:
-  uint32_t tid_;
-  mutable std::mutex mu_;  // push/snapshot handoff; uncontended per-thread
-  std::vector<LogRecord> slots_;
-  uint64_t next_ = 0;
-};
-
 class EngineLog {
  public:
   static EngineLog& Global();
@@ -184,12 +144,12 @@ class EngineLog {
   }
 
   /// The calling thread's ring, created (and registered) on first use.
-  LogRing* RingForThisThread();
+  Ring<LogRecord>* RingForThisThread();
 
   /// Ring capacity for rings created after this call. Tests shrink it to
   /// exercise wrap-around.
-  void SetRingCapacity(size_t records);
-  size_t ring_capacity() const;
+  void SetRingCapacity(size_t records) { rings_.SetCapacity(records); }
+  size_t ring_capacity() const { return rings_.capacity(); }
 
   /// Per-event-id token bucket: every id gets `burst` tokens refilled at
   /// `per_sec`; a site whose bucket is dry is counted dropped. Defaults:
@@ -202,7 +162,7 @@ class EngineLog {
   std::string jsonl_sink() const;
 
   /// All live records across threads, merged and sorted by (ts_us, tid).
-  std::vector<LogRecord> Snapshot() const;
+  std::vector<LogRecord> Snapshot() const { return rings_.Snapshot(); }
   /// The newest `n` of Snapshot() — the incident bundle's log slice.
   std::vector<LogRecord> SnapshotLast(size_t n) const;
 
@@ -227,10 +187,7 @@ class EngineLog {
                 std::string_view msg, const LogArg* a0, const LogArg* a1);
   bool Admit(uint16_t event_id, uint64_t now_us);
 
-  mutable std::mutex mu_;  // rings_ registration and snapshots
-  std::vector<std::unique_ptr<LogRing>> rings_;
-  size_t ring_capacity_ = 4096;
-  uint32_t next_tid_ = 1;
+  PerThreadRings<LogRecord> rings_{4096};
 
   std::atomic<uint8_t> level_;
   std::atomic<uint64_t> total_records_{0};

@@ -1,7 +1,5 @@
 #include "telemetry/log_table.h"
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "telemetry/incident.h"
@@ -9,86 +7,44 @@
 
 namespace fsdm::telemetry {
 
-namespace {
-
-class LogScanOp final : public rdbms::Operator {
- public:
-  LogScanOp() {
-    schema_ = rdbms::Schema({"TS_US", "THREAD", "LEVEL", "COMPONENT",
-                             "EVENT_ID", "MESSAGE", "ARGS"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const LogRecord& r : EngineLog::Global().Snapshot()) {
-      rows_.push_back(
-          {Value::Int64(static_cast<int64_t>(r.ts_us)),
-           Value::Int64(static_cast<int64_t>(r.tid)),
-           Value::String(LogLevelName(r.level)),
-           Value::String(r.component),
-           Value::Int64(static_cast<int64_t>(r.event_id)),
-           Value::String(r.message),
-           r.has_args() ? Value::String(r.ArgsJson()) : Value::Null()});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-class IncidentsScanOp final : public rdbms::Operator {
- public:
-  IncidentsScanOp() {
-    schema_ = rdbms::Schema({"ID", "TS_US", "TYPE", "SUBJECT", "REASON",
-                             "BUNDLE_PATH", "LOG_RECORDS"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const Incident& inc : IncidentManager::Global().Snapshot()) {
-      rows_.push_back(
-          {Value::Int64(static_cast<int64_t>(inc.id)),
-           Value::Int64(static_cast<int64_t>(inc.ts_us)),
-           Value::String(inc.type), Value::String(inc.subject),
-           Value::String(inc.reason),
-           inc.bundle_path.empty() ? Value::Null()
-                                   : Value::String(inc.bundle_path),
-           Value::Int64(static_cast<int64_t>(inc.log_records))});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
-rdbms::OperatorPtr LogScan() { return std::make_unique<LogScanOp>(); }
+rdbms::OperatorPtr LogScan() {
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"TS_US", "THREAD", "LEVEL", "COMPONENT", "EVENT_ID",
+                     "MESSAGE", "ARGS"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const LogRecord& r : EngineLog::Global().Snapshot()) {
+          rows.push_back(
+              {Value::Int64(static_cast<int64_t>(r.ts_us)),
+               Value::Int64(static_cast<int64_t>(r.tid)),
+               Value::String(LogLevelName(r.level)),
+               Value::String(r.component),
+               Value::Int64(static_cast<int64_t>(r.event_id)),
+               Value::String(r.message),
+               r.has_args() ? Value::String(r.ArgsJson()) : Value::Null()});
+        }
+        return rows;
+      });
+}
 
 rdbms::OperatorPtr IncidentsScan() {
-  return std::make_unique<IncidentsScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"ID", "TS_US", "TYPE", "SUBJECT", "REASON", "BUNDLE_PATH",
+                     "LOG_RECORDS"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const Incident& inc : IncidentManager::Global().Snapshot()) {
+          rows.push_back(
+              {Value::Int64(static_cast<int64_t>(inc.id)),
+               Value::Int64(static_cast<int64_t>(inc.ts_us)),
+               Value::String(inc.type), Value::String(inc.subject),
+               Value::String(inc.reason),
+               inc.bundle_path.empty() ? Value::Null()
+                                       : Value::String(inc.bundle_path),
+               Value::Int64(static_cast<int64_t>(inc.log_records))});
+        }
+        return rows;
+      });
 }
 
 }  // namespace fsdm::telemetry

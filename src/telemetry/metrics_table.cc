@@ -1,6 +1,5 @@
 #include "telemetry/metrics_table.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,236 +11,137 @@
 
 namespace fsdm::telemetry {
 
-namespace {
+rdbms::OperatorPtr MetricsScan() {
+  static const rdbms::Schema kSchema({"NAME", "KIND", "VALUE", "COUNT", "SUM",
+                                      "MIN", "MAX", "P50", "P95", "P99"});
+  return rdbms::ValuesFrom(kSchema, [] {
+    std::vector<rdbms::Row> rows;
+    auto scalar = [&](const std::string& name, const char* kind, Value v) {
+      rdbms::Row row = {Value::String(name), Value::String(kind),
+                        std::move(v)};
+      row.resize(kSchema.size(), Value::Null());
+      rows.push_back(std::move(row));
+    };
+    MetricsRegistry::Global().Visit(
+        [&](const std::string& name, const Counter& c) {
+          scalar(name, "counter",
+                 Value::Int64(static_cast<int64_t>(c.value())));
+        },
+        [&](const std::string& name, const Gauge& g) {
+          scalar(name, "gauge", Value::Double(g.value()));
+        },
+        [&](const std::string& name, const Histogram& h) {
+          rows.push_back({Value::String(name), Value::String("histogram"),
+                          Value::Null(),
+                          Value::Int64(static_cast<int64_t>(h.count())),
+                          Value::Double(h.sum()), Value::Double(h.min()),
+                          Value::Double(h.max()),
+                          Value::Double(h.Percentile(50)),
+                          Value::Double(h.Percentile(95)),
+                          Value::Double(h.Percentile(99))});
+        });
+    return rows;
+  });
+}
 
-class MetricsScanOp final : public rdbms::Operator {
- public:
-  MetricsScanOp() {
-    schema_ = rdbms::Schema({"NAME", "KIND", "VALUE", "COUNT", "SUM", "MIN",
-                             "MAX", "P50", "P95", "P99"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    const MetricsRegistry& reg = MetricsRegistry::Global();
-    for (const auto& [name, c] : reg.counters()) {
-      rdbms::Row row = {Value::String(name), Value::String("counter"),
-                        Value::Int64(static_cast<int64_t>(c->value()))};
-      row.resize(schema_.size(), Value::Null());
-      rows_.push_back(std::move(row));
-    }
-    for (const auto& [name, g] : reg.gauges()) {
-      rdbms::Row row = {Value::String(name), Value::String("gauge"),
-                        Value::Double(g->value())};
-      row.resize(schema_.size(), Value::Null());
-      rows_.push_back(std::move(row));
-    }
-    for (const auto& [name, h] : reg.histograms()) {
-      rows_.push_back({Value::String(name), Value::String("histogram"),
-                       Value::Null(),
-                       Value::Int64(static_cast<int64_t>(h->count())),
-                       Value::Double(h->sum()), Value::Double(h->min()),
-                       Value::Double(h->max()), Value::Double(h->Percentile(50)),
-                       Value::Double(h->Percentile(95)),
-                       Value::Double(h->Percentile(99))});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-class EventsScanOp final : public rdbms::Operator {
- public:
-  EventsScanOp() {
-    schema_ = rdbms::Schema(
-        {"TS_US", "THREAD", "CATEGORY", "NAME", "PHASE", "DUR_US", "ARGS"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const TraceEvent& e : FlightRecorder::Global().Snapshot()) {
-      const char phase = static_cast<char>(e.phase);
-      rows_.push_back(
-          {Value::Int64(static_cast<int64_t>(e.ts_us)),
-           Value::Int64(static_cast<int64_t>(e.tid)),
-           Value::String(e.category), Value::String(e.name),
-           Value::String(std::string(1, phase)),
-           e.phase == TracePhase::kSpanEnd
-               ? Value::Int64(static_cast<int64_t>(e.dur_us))
-               : Value::Null(),
-           e.has_args() ? Value::String(e.ArgsJson()) : Value::Null()});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-class SlowQueriesScanOp final : public rdbms::Operator {
- public:
-  SlowQueriesScanOp() {
-    schema_ = rdbms::Schema({"TS_US", "QUERY_ID", "QUERY", "ACCESS_PATH",
-                             "ELAPSED_US", "ROWS", "EST_ROWS",
-                             "PEAK_MEM_BYTES", "EVENT_COUNT", "TRACE"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const SlowQueryRecord& r : SlowQueryLog::Global().Snapshot()) {
-      rows_.push_back({Value::Int64(static_cast<int64_t>(r.ts_us)),
-                       r.query_id != 0
-                           ? Value::Int64(static_cast<int64_t>(r.query_id))
-                           : Value::Null(),
-                       Value::String(r.query), Value::String(r.access_path),
-                       Value::Int64(static_cast<int64_t>(r.elapsed_us)),
-                       Value::Int64(static_cast<int64_t>(r.rows)),
-                       r.est_rows >= 0 ? Value::Double(r.est_rows)
-                                       : Value::Null(),
-                       Value::Int64(static_cast<int64_t>(r.peak_mem_bytes)),
-                       Value::Int64(static_cast<int64_t>(r.event_count)),
-                       Value::String(r.trace_text)});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-class QueryMonitorScanOp final : public rdbms::Operator {
- public:
-  QueryMonitorScanOp() {
-    schema_ = rdbms::Schema({"QUERY_ID", "COLLECTION", "QUERY", "ACCESS_PATH",
-                             "OPERATOR", "DEPTH", "SHARD", "WORKER", "STATE",
-                             "ROWS_OUT", "EST_ROWS", "ELAPSED_US"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    for (const MonitoredQuery& q : QueryMonitor::Global().Snapshot()) {
-      // Query summary row: OPERATOR/DEPTH/SHARD/WORKER NULL.
-      rows_.push_back({Value::Int64(static_cast<int64_t>(q.query_id)),
-                       Value::String(q.collection), Value::String(q.query),
-                       Value::String(q.access_path), Value::Null(),
-                       Value::Null(), Value::Null(), Value::Null(),
-                       Value::String("open"),
-                       Value::Int64(static_cast<int64_t>(q.rows_out)),
-                       q.est_rows >= 0 ? Value::Double(q.est_rows)
-                                       : Value::Null(),
-                       Value::Int64(static_cast<int64_t>(q.elapsed_us))});
-      for (const OperatorProgress& op : q.operators) {
-        std::string name = op.name;
-        if (!op.detail.empty()) name += "(" + op.detail + ")";
-        rows_.push_back(
-            {Value::Int64(static_cast<int64_t>(q.query_id)),
-             Value::String(q.collection), Value::Null(), Value::Null(),
-             Value::String(std::move(name)), Value::Int64(op.depth),
-             op.shard >= 0 ? Value::Int64(op.shard) : Value::Null(),
-             op.worker >= 0 ? Value::Int64(op.worker) : Value::Null(),
-             Value::String(OperatorLiveStateName(op.state)),
-             Value::Int64(static_cast<int64_t>(op.rows_out)), Value::Null(),
-             Value::Int64(static_cast<int64_t>(op.elapsed_us))});
-      }
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-class MemoryScanOp final : public rdbms::Operator {
- public:
-  MemoryScanOp() {
-    schema_ =
-        rdbms::Schema({"SUBSYSTEM", "COLLECTION", "BYTES", "PEAK_BYTES"});
-  }
-
-  Status Open() override {
-    rows_.clear();
-    next_ = 0;
-    // Poll the reporters so BYTES reflects the moment of the scan, not the
-    // last incidental refresh.
-    MemoryTracker::Global().Refresh();
-    for (const MemoryTracker::Entry& e : MemoryTracker::Global().Entries()) {
-      rows_.push_back({Value::String(MemSubsystemName(e.subsystem)),
-                       Value::String(e.collection),
-                       Value::Int64(static_cast<int64_t>(e.bytes)),
-                       Value::Int64(static_cast<int64_t>(e.peak_bytes))});
-    }
-    return Status::Ok();
-  }
-
-  Result<bool> Next(rdbms::Row* out) override {
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-
- private:
-  std::vector<rdbms::Row> rows_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
-rdbms::OperatorPtr MetricsScan() { return std::make_unique<MetricsScanOp>(); }
-
-rdbms::OperatorPtr EventsScan() { return std::make_unique<EventsScanOp>(); }
+rdbms::OperatorPtr EventsScan() {
+  return rdbms::ValuesFrom(
+      rdbms::Schema(
+          {"TS_US", "THREAD", "CATEGORY", "NAME", "PHASE", "DUR_US", "ARGS"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const TraceEvent& e : FlightRecorder::Global().Snapshot()) {
+          const char phase = static_cast<char>(e.phase);
+          rows.push_back(
+              {Value::Int64(static_cast<int64_t>(e.ts_us)),
+               Value::Int64(static_cast<int64_t>(e.tid)),
+               Value::String(e.category), Value::String(e.name),
+               Value::String(std::string(1, phase)),
+               e.phase == TracePhase::kSpanEnd
+                   ? Value::Int64(static_cast<int64_t>(e.dur_us))
+                   : Value::Null(),
+               e.has_args() ? Value::String(e.ArgsJson()) : Value::Null()});
+        }
+        return rows;
+      });
+}
 
 rdbms::OperatorPtr SlowQueriesScan() {
-  return std::make_unique<SlowQueriesScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"TS_US", "QUERY_ID", "QUERY", "ACCESS_PATH", "ELAPSED_US",
+                     "ROWS", "EST_ROWS", "PEAK_MEM_BYTES", "EVENT_COUNT",
+                     "TRACE"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const SlowQueryRecord& r : SlowQueryLog::Global().Snapshot()) {
+          rows.push_back(
+              {Value::Int64(static_cast<int64_t>(r.ts_us)),
+               r.query_id != 0 ? Value::Int64(static_cast<int64_t>(r.query_id))
+                               : Value::Null(),
+               Value::String(r.query), Value::String(r.access_path),
+               Value::Int64(static_cast<int64_t>(r.elapsed_us)),
+               Value::Int64(static_cast<int64_t>(r.rows)),
+               r.est_rows >= 0 ? Value::Double(r.est_rows) : Value::Null(),
+               Value::Int64(static_cast<int64_t>(r.peak_mem_bytes)),
+               Value::Int64(static_cast<int64_t>(r.event_count)),
+               Value::String(r.trace_text)});
+        }
+        return rows;
+      });
 }
 
 rdbms::OperatorPtr QueryMonitorScan() {
-  return std::make_unique<QueryMonitorScanOp>();
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"QUERY_ID", "COLLECTION", "QUERY", "ACCESS_PATH",
+                     "OPERATOR", "DEPTH", "SHARD", "WORKER", "STATE",
+                     "ROWS_OUT", "EST_ROWS", "ELAPSED_US"}),
+      [] {
+        std::vector<rdbms::Row> rows;
+        for (const MonitoredQuery& q : QueryMonitor::Global().Snapshot()) {
+          // Query summary row: OPERATOR/DEPTH/SHARD/WORKER NULL.
+          rows.push_back(
+              {Value::Int64(static_cast<int64_t>(q.query_id)),
+               Value::String(q.collection), Value::String(q.query),
+               Value::String(q.access_path), Value::Null(), Value::Null(),
+               Value::Null(), Value::Null(), Value::String("open"),
+               Value::Int64(static_cast<int64_t>(q.rows_out)),
+               q.est_rows >= 0 ? Value::Double(q.est_rows) : Value::Null(),
+               Value::Int64(static_cast<int64_t>(q.elapsed_us))});
+          for (const OperatorProgress& op : q.operators) {
+            std::string name = op.name;
+            if (!op.detail.empty()) name += "(" + op.detail + ")";
+            rows.push_back(
+                {Value::Int64(static_cast<int64_t>(q.query_id)),
+                 Value::String(q.collection), Value::Null(), Value::Null(),
+                 Value::String(std::move(name)), Value::Int64(op.depth),
+                 op.shard >= 0 ? Value::Int64(op.shard) : Value::Null(),
+                 op.worker >= 0 ? Value::Int64(op.worker) : Value::Null(),
+                 Value::String(OperatorLiveStateName(op.state)),
+                 Value::Int64(static_cast<int64_t>(op.rows_out)),
+                 Value::Null(),
+                 Value::Int64(static_cast<int64_t>(op.elapsed_us))});
+          }
+        }
+        return rows;
+      });
 }
 
-rdbms::OperatorPtr MemoryScan() { return std::make_unique<MemoryScanOp>(); }
+rdbms::OperatorPtr MemoryScan() {
+  return rdbms::ValuesFrom(
+      rdbms::Schema({"SUBSYSTEM", "COLLECTION", "BYTES", "PEAK_BYTES"}), [] {
+        // Poll the reporters so BYTES reflects the moment of the scan, not
+        // the last incidental refresh.
+        MemoryTracker::Global().Refresh();
+        std::vector<rdbms::Row> rows;
+        for (const MemoryTracker::Entry& e :
+             MemoryTracker::Global().Entries()) {
+          rows.push_back({Value::String(MemSubsystemName(e.subsystem)),
+                          Value::String(e.collection),
+                          Value::Int64(static_cast<int64_t>(e.bytes)),
+                          Value::Int64(static_cast<int64_t>(e.peak_bytes))});
+        }
+        return rows;
+      });
+}
 
 }  // namespace fsdm::telemetry

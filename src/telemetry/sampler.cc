@@ -151,29 +151,24 @@ size_t ActivitySampler::SampleOnce() {
   scratch_.clear();
   ActivityRegistry::Global().AppendActiveSamples(&scratch_);
   const size_t active = scratch_.size();
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    ++ticks_;
-    for (ActivitySample& s : scratch_) {
-      ++db_samples_total_;
-      if (ring_.size() < ring_capacity_) ring_.resize(ring_capacity_);
-      AshSample& slot = ring_[ring_next_ % ring_capacity_];
-      ++ring_next_;
-      if (ring_size_ < ring_capacity_) ++ring_size_;
-      slot.ts_us = now;
-      slot.thread_slot = s.thread_slot;
-      slot.state = s.state;
-      slot.collection = std::move(s.collection);
-      slot.access_path = std::move(s.access_path);
-      slot.op = std::move(s.op);
-      slot.query = std::move(s.query);
-      slot.shard = s.shard;
-      slot.worker = s.worker;
-      slot.query_id = s.query_id;
-    }
+  ticks_.fetch_add(1, std::memory_order_relaxed);
+  db_samples_total_.fetch_add(active, std::memory_order_relaxed);
+  for (ActivitySample& s : scratch_) {
+    AshSample sample;
+    sample.ts_us = now;
+    sample.thread_slot = s.thread_slot;
+    sample.state = s.state;
+    sample.collection = std::move(s.collection);
+    sample.access_path = std::move(s.access_path);
+    sample.op = std::move(s.op);
+    sample.query = std::move(s.query);
+    sample.shard = s.shard;
+    sample.worker = s.worker;
+    sample.query_id = s.query_id;
+    ring_.Push(std::move(sample));
   }
-  // Counters after the ring unlock: a first-use GetCounter takes the
-  // registry map mutex, which itself flips this thread's wait state.
+  // Registry counters last: a first-use GetCounter takes the registry
+  // map mutex, which itself flips this thread's wait state.
   FSDM_COUNT("fsdm_ash_ticks_total", 1);
   if (active > 0) {
     FSDM_COUNT("fsdm_ash_db_samples_total", active);
@@ -189,56 +184,8 @@ size_t ActivitySampler::SampleOnce() {
   return active;
 }
 
-std::vector<AshSample> ActivitySampler::Snapshot() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  std::vector<AshSample> out;
-  out.reserve(ring_size_);
-  const size_t start = ring_next_ - ring_size_;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_capacity_]);
-  }
-  return out;
-}
-
 AshAggregate ActivitySampler::Aggregate() const {
   return AggregateAsh(Snapshot(), /*since_us=*/0, /*until_us=*/0);
-}
-
-uint64_t ActivitySampler::ticks() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  return ticks_;
-}
-
-uint64_t ActivitySampler::db_samples_total() const {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  return db_samples_total_;
-}
-
-void ActivitySampler::SetRingCapacity(size_t samples) {
-  if (samples == 0) samples = 1;
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  // Rebuild oldest-first so the new ring keeps the newest samples.
-  std::vector<AshSample> live;
-  live.reserve(ring_size_);
-  const size_t start = ring_next_ - ring_size_;
-  for (size_t i = 0; i < ring_size_; ++i) {
-    live.push_back(std::move(ring_[(start + i) % ring_capacity_]));
-  }
-  if (live.size() > samples) {
-    live.erase(live.begin(),
-               live.begin() + static_cast<ptrdiff_t>(live.size() - samples));
-  }
-  ring_capacity_ = samples;
-  ring_.assign(samples, AshSample{});
-  for (size_t i = 0; i < live.size(); ++i) ring_[i] = std::move(live[i]);
-  ring_size_ = live.size();
-  ring_next_ = live.size();
-}
-
-void ActivitySampler::ClearRing() {
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  ring_size_ = 0;
-  ring_next_ = 0;
 }
 
 #endif  // !FSDM_TELEMETRY_DISABLED

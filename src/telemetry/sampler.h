@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "telemetry/activity.h"
+#include "telemetry/ring.h"
 
 /// Active-session sampling (ISSUE 7 tentpole, part 2): a background thread
 /// that snapshots every ActivityRecord at ~1 kHz and keeps the *active*
 /// samples in a fixed-capacity ASH ring (Oracle's Active Session History
-/// shape). Sampling inverts the flight recorder's tracing bargain: tracing
+/// shape; the same Ring<T> as the flight recorder and the log, ring.h).
+/// Sampling inverts the flight recorder's tracing bargain: tracing
 /// records every event and costs per event; sampling costs a fixed, tiny
 /// amount per second no matter how hot the engine runs, and DB-time falls
 /// out as sample counts — a query sampled 50 times at 1 kHz spent ~50 ms
@@ -100,16 +102,18 @@ class ActivitySampler {
   size_t SampleOnce();
 
   /// Live ASH rows, oldest first.
-  std::vector<AshSample> Snapshot() const;
+  std::vector<AshSample> Snapshot() const { return ring_.Snapshot(); }
   /// Time model over everything currently in the ring.
   AshAggregate Aggregate() const;
 
-  uint64_t ticks() const;
-  uint64_t db_samples_total() const;
+  uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
+  uint64_t db_samples_total() const {
+    return db_samples_total_.load(std::memory_order_relaxed);
+  }
 
   /// Ring capacity (default 8192 samples); shrinking drops oldest.
-  void SetRingCapacity(size_t samples);
-  void ClearRing();
+  void SetRingCapacity(size_t samples) { ring_.SetCapacity(samples); }
+  void ClearRing() { ring_.Clear(); }
 
  private:
   ActivitySampler() = default;
@@ -124,13 +128,9 @@ class ActivitySampler {
   // == 0, the steady state on a quiet engine) skip the recorder entirely.
   size_t last_published_active_ = static_cast<size_t>(-1);
 
-  mutable std::mutex ring_mu_;
-  std::vector<AshSample> ring_;  // circular once full
-  size_t ring_capacity_ = 8192;
-  size_t ring_next_ = 0;
-  size_t ring_size_ = 0;
-  uint64_t ticks_ = 0;
-  uint64_t db_samples_total_ = 0;
+  Ring<AshSample> ring_{0, 8192};
+  std::atomic<uint64_t> ticks_{0};
+  std::atomic<uint64_t> db_samples_total_{0};
 
   mutable std::mutex ctl_mu_;  // Start/Stop handoff
   std::thread thread_;

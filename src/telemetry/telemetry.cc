@@ -110,61 +110,6 @@ const std::vector<double>& DefaultSizeBounds() {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotHistory
-// ---------------------------------------------------------------------------
-
-SnapshotHistory::SnapshotHistory(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-MetricsSnapshot TakeMetricsSnapshot(const MetricsRegistry& registry) {
-  MetricsSnapshot snap;
-  snap.ts_us = MonotonicNowUs();
-  std::lock_guard<std::mutex> lock(registry.mu_);
-  for (const auto& [name, c] : registry.counters()) {
-    snap.counters[name] = c->value();
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    snap.gauges[name] = g->value();
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    snap.histograms[name] = {h->count(), h->sum()};
-  }
-  return snap;
-}
-
-void SnapshotHistory::Tick(const MetricsRegistry& registry) {
-  ring_.push_back(TakeMetricsSnapshot(registry));
-  if (ring_.size() > capacity_) ring_.erase(ring_.begin());
-}
-
-const MetricsSnapshot& SnapshotHistory::Newest(size_t back) const {
-  static const MetricsSnapshot kEmpty;
-  if (back >= ring_.size()) return kEmpty;
-  return ring_[ring_.size() - 1 - back];
-}
-
-uint64_t SnapshotHistory::CounterDelta(const std::string& name,
-                                       size_t back) const {
-  if (ring_.size() < back + 1) return 0;
-  const MetricsSnapshot& now = Newest(0);
-  const MetricsSnapshot& then = Newest(back);
-  auto now_it = now.counters.find(name);
-  if (now_it == now.counters.end()) return 0;
-  auto then_it = then.counters.find(name);
-  const uint64_t old_v = then_it == then.counters.end() ? 0 : then_it->second;
-  return now_it->second >= old_v ? now_it->second - old_v : 0;
-}
-
-double SnapshotHistory::CounterRatePerSec(const std::string& name,
-                                          size_t back) const {
-  if (ring_.size() < back + 1) return 0;
-  const uint64_t elapsed_us = Newest(0).ts_us - Newest(back).ts_us;
-  if (elapsed_us == 0) return 0;
-  return static_cast<double>(CounterDelta(name, back)) * 1e6 /
-         static_cast<double>(elapsed_us);
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
@@ -225,6 +170,33 @@ const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();
+}
+
+void MetricsRegistry::Visit(
+    const std::function<void(const std::string&, const Counter&)>& counter,
+    const std::function<void(const std::string&, const Gauge&)>& gauge,
+    const std::function<void(const std::string&, const Histogram&)>&
+        histogram) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, c] : counters_) counter(name, *c);
+  for (const auto& [name, g] : gauges_) gauge(name, *g);
+  for (const auto& [name, h] : histograms_) histogram(name, *h);
+}
+
+MetricsSnapshot TakeMetricsSnapshot(const MetricsRegistry& registry) {
+  MetricsSnapshot snap;
+  snap.ts_us = MonotonicNowUs();
+  registry.Visit(
+      [&](const std::string& name, const Counter& c) {
+        snap.counters[name] = c.value();
+      },
+      [&](const std::string& name, const Gauge& g) {
+        snap.gauges[name] = g.value();
+      },
+      [&](const std::string& name, const Histogram& h) {
+        snap.histograms[name] = {h.count(), h.sum()};
+      });
+  return snap;
 }
 
 void MetricsRegistry::Reset() {

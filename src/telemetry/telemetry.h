@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -124,42 +125,9 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramPoint> histograms;
 };
 
-/// One full-registry snapshot, timestamped now — what SnapshotHistory
-/// ticks and the workload repository (workload_repo.h) embeds per
-/// snapshot.
+/// One full-registry snapshot, timestamped now — what the workload
+/// repository (workload_repo.h) embeds per snapshot.
 MetricsSnapshot TakeMetricsSnapshot(const MetricsRegistry& registry);
-
-/// Explicitly-ticked ring of metrics snapshots (ISSUE 4): callers (the
-/// bench harness, tests, a future maintenance thread) call Tick() at the
-/// cadence they care about; delta/rate queries then read change-over-time
-/// instead of lifetime totals — what the router cost model will consume.
-/// No background thread; see ROADMAP.
-class SnapshotHistory {
- public:
-  explicit SnapshotHistory(size_t capacity = 64);
-
-  /// Records a snapshot of `registry` now; evicts the oldest past capacity.
-  void Tick(const MetricsRegistry& registry);
-
-  size_t size() const { return ring_.size(); }
-  size_t capacity() const { return capacity_; }
-  /// i = 0 is the newest snapshot, size()-1 the oldest.
-  const MetricsSnapshot& Newest(size_t back = 0) const;
-
-  /// Counter increase between the newest snapshot and `back` snapshots
-  /// earlier (0 when either side is missing the counter or history is
-  /// too short).
-  uint64_t CounterDelta(const std::string& name, size_t back = 1) const;
-  /// CounterDelta over the elapsed wall time between those snapshots, in
-  /// events per second (0 when elapsed time is 0).
-  double CounterRatePerSec(const std::string& name, size_t back = 1) const;
-
-  void Clear() { ring_.clear(); }
-
- private:
-  size_t capacity_;
-  std::vector<MetricsSnapshot> ring_;  // oldest first
-};
 
 /// Name -> metric maps with stable handle pointers: Reset() zeroes values
 /// but never invalidates a pointer returned by a Get*() call, so the
@@ -185,21 +153,15 @@ class MetricsRegistry {
   double GaugeValue(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
 
-  /// Direct map access for iteration (exposition, SnapshotHistory::Tick,
-  /// TELEMETRY$METRICS). Callers must not race a first-use Get*() on
-  /// another thread; in practice iteration happens between queries, when
-  /// the worker pool is idle, and the background ASH sampler pre-registers
-  /// its own metrics before its thread starts (ToJson/ToPrometheusText/
-  /// TakeMetricsSnapshot additionally hold the registry mutex).
-  const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const {
-    return gauges_;
-  }
-  const std::map<std::string, std::unique_ptr<Histogram>>& histograms() const {
-    return histograms_;
-  }
+  /// Calls the matching visitor for every metric — counters, then gauges,
+  /// then histograms, each in name order — under the registry mutex, so the
+  /// walk never races a first-use Get*() on another thread. Visitors must
+  /// not call back into the registry.
+  void Visit(
+      const std::function<void(const std::string&, const Counter&)>& counter,
+      const std::function<void(const std::string&, const Gauge&)>& gauge,
+      const std::function<void(const std::string&, const Histogram&)>&
+          histogram) const;
 
   /// Zeroes every metric; handles stay valid.
   void Reset();
@@ -211,20 +173,11 @@ class MetricsRegistry {
   /// summaries with p50/p95/p99 quantiles).
   std::string ToPrometheusText() const;
 
-  /// The registry's snapshot history ring. Tick it explicitly:
-  /// `MetricsRegistry::Global().TickHistory()`.
-  SnapshotHistory& history() { return history_; }
-  const SnapshotHistory& history() const { return history_; }
-  void TickHistory() { history_.Tick(*this); }
-
  private:
-  friend MetricsSnapshot TakeMetricsSnapshot(const MetricsRegistry&);
-
   mutable std::mutex mu_;  // guards the three maps, not the metrics
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  SnapshotHistory history_;
 };
 
 /// Wall-clock stopwatch in microseconds (finer grained than the bench

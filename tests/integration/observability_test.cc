@@ -390,5 +390,48 @@ TEST_F(ObservabilityTest, SnapshotsRelationQueryableFromSql) {
   repo.Clear();
 }
 
+// Every TELEMETRY$ relation is one rdbms::ValuesFrom() row source whose
+// producer runs at Open(), not at Prepare(): a plan prepared before a
+// state change sees that change, and each re-open sees the next one. Not
+// a telemetry pillar, so it runs under -DFSDM_TELEMETRY=OFF too.
+TEST(VirtualRelationTest, RowsAreSnapshotAtOpenNotAtPrepare) {
+  rdbms::Database db;
+  sql::SqlSession session(&db);
+  const size_t before =
+      collection::CollectionRegistry::Global().collections().size();
+  auto plan = session.Prepare("SELECT COUNT(*) FROM telemetry$collections");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  auto first = collection::JsonCollection::Create(&db, "SNAP_OPEN_1");
+  ASSERT_TRUE(first.ok());
+  auto rows = rdbms::CollectStrings(plan.value().get());
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value(), std::vector<std::string>{std::to_string(before + 1)});
+
+  auto second = collection::JsonCollection::Create(&db, "SNAP_OPEN_2");
+  ASSERT_TRUE(second.ok());
+  rows = rdbms::CollectStrings(plan.value().get());
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value(), std::vector<std::string>{std::to_string(before + 2)});
+}
+
+// All thirteen relations resolve through the parser's one name table,
+// whatever the case of the FROM clause.
+TEST(VirtualRelationTest, EveryRelationResolvesCaseInsensitively) {
+  rdbms::Database db;
+  sql::SqlSession session(&db);
+  for (const char* name :
+       {"telemetry$metrics", "Telemetry$Events", "telemetry$slow_queries",
+        "telemetry$query_monitor", "telemetry$memory", "telemetry$ash",
+        "telemetry$snapshots", "telemetry$log", "telemetry$incidents",
+        "telemetry$collections", "telemetry$path_stats", "telemetry$wal",
+        "telemetry$operator_costs"}) {
+    auto plan = session.Prepare(std::string("SELECT * FROM ") + name);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+    EXPECT_GT(plan.value()->schema().size(), 0u) << name;
+  }
+  EXPECT_FALSE(session.Prepare("SELECT * FROM TELEMETRY$NOPE").ok());
+}
+
 }  // namespace
 }  // namespace fsdm

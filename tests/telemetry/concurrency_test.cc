@@ -10,9 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "rdbms/executor.h"
 #include "rdbms/parallel.h"
 #include "telemetry/activity.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/metrics_table.h"
 #include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/workload_repo.h"
@@ -154,6 +156,41 @@ TEST(TelemetryConcurrencyTest, SamplerReadsRaceLeaseChurnSafely) {
   EXPECT_EQ(ActivityRegistry::Global().ActiveCount(), 0u);
   sampler.ClearRing();
   WorkloadRepository::Global().Clear();
+}
+
+// TELEMETRY$METRICS builds its rows under the registry mutex, so a scan
+// drained while another thread registers metrics on first use never
+// walks a map mid-insertion (under TSan a race here is a hard failure).
+TEST(TelemetryConcurrencyTest, MetricsScanRacesFirstUseRegistration) {
+  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
+  constexpr int kCounters = 3000;
+  const std::string prefix = "fsdm_test_scan_race_";
+  std::thread registrar([&] {
+    for (int i = 0; i < kCounters; ++i) {
+      MetricsRegistry::Global().GetCounter(prefix + std::to_string(i))->Add(1);
+    }
+  });
+  size_t last_rows = 0;
+  for (int i = 0; i < 200; ++i) {
+    rdbms::OperatorPtr scan = MetricsScan();
+    Result<std::vector<rdbms::Row>> rows = rdbms::Collect(scan.get());
+    EXPECT_TRUE(rows.ok());
+    if (!rows.ok()) break;
+    // The registry only grows, so no scan sees fewer metrics than the
+    // one before it.
+    EXPECT_GE(rows.value().size(), last_rows);
+    last_rows = rows.value().size();
+  }
+  registrar.join();
+
+  rdbms::OperatorPtr scan = MetricsScan();
+  Result<std::vector<rdbms::Row>> rows = rdbms::Collect(scan.get());
+  ASSERT_TRUE(rows.ok());
+  int seen = 0;
+  for (const rdbms::Row& row : rows.value()) {
+    if (row[0].AsString().rfind(prefix, 0) == 0) ++seen;
+  }
+  EXPECT_EQ(seen, kCounters);
 }
 
 }  // namespace

@@ -188,40 +188,6 @@ TEST_F(ArmedRecorderTest, ChromeTraceRepairsUnclosedAndOrphanSpans) {
   CheckChromeDoc(*parsed.value(), 4);
 }
 
-// --- Metrics snapshot history -----------------------------------------------
-
-TEST(SnapshotHistoryTest, TickCapturesDeltasAndRates) {
-  if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
-  SnapshotHistory hist(4);
-  MetricsRegistry& reg = MetricsRegistry::Global();
-
-  FSDM_COUNT("fr_test_ops_total", 10);
-  hist.Tick(reg);
-  FSDM_COUNT("fr_test_ops_total", 25);
-  hist.Tick(reg);
-
-  ASSERT_EQ(hist.size(), 2u);
-  EXPECT_EQ(hist.CounterDelta("fr_test_ops_total"), 25u);
-  EXPECT_EQ(hist.CounterDelta("fr_test_never_seen_total"), 0u);
-  EXPECT_GE(hist.CounterRatePerSec("fr_test_ops_total"), 0.0);
-  EXPECT_GE(hist.Newest(0).ts_us, hist.Newest(1).ts_us);
-}
-
-TEST(SnapshotHistoryTest, RingEvictsOldestAndOutOfRangeIsEmpty) {
-  if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
-  SnapshotHistory hist(2);
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  hist.Tick(reg);
-  hist.Tick(reg);
-  hist.Tick(reg);
-  EXPECT_EQ(hist.size(), 2u);  // capacity held, oldest evicted
-  // back beyond the ring returns the static empty snapshot.
-  EXPECT_EQ(hist.Newest(5).ts_us, 0u);
-  EXPECT_TRUE(hist.Newest(5).counters.empty());
-  hist.Clear();
-  EXPECT_EQ(hist.size(), 0u);
-}
-
 // --- Slow-query log ---------------------------------------------------------
 
 SlowQueryRecord MakeRecord(uint64_t ts, const std::string& q) {
