@@ -295,9 +295,12 @@ def write_log_markdown(f, log):
 
 
 def write_markdown(path, table, threshold, scaling=None, wait_classes=None,
-                   wal=None, memory=None, log=None):
+                   wal=None, memory=None, log=None, unbaselined=()):
     with open(path, "w", encoding="utf-8") as f:
         f.write("### Bench comparison vs baseline\n\n")
+        if unbaselined:
+            f.write("No baseline (not compared): " +
+                    ", ".join(unbaselined) + "\n\n")
         if not table:
             f.write("No numeric change against the baseline.\n")
         else:
@@ -349,12 +352,16 @@ def main():
 
     regressions = []
     table = []
+    unbaselined = []
     for name in sorted(set(base) | set(cand)):
         if name not in cand:
             print(f"{name}\n  missing from candidate")
             continue
         if name not in base:
+            # A smoke bench with no committed baseline is reported, never
+            # compared or failed.
             print(f"{name}\n  new bench (no baseline)")
+            unbaselined.append(name)
             continue
         regressions += compare(name, base[name], cand[name],
                                args.fail_threshold, table)
@@ -365,7 +372,8 @@ def main():
                        wait_classes=collect_wait_classes(cand),
                        wal=collect_wal(base, cand),
                        memory=collect_memory(base, cand),
-                       log=collect_log(base, cand))
+                       log=collect_log(base, cand),
+                       unbaselined=unbaselined)
 
     if regressions:
         print(f"\n{len(regressions)} regression(s) above "

@@ -208,25 +208,43 @@ double Decimal::ToDouble() const {
   return strtod(ToString().c_str(), nullptr);
 }
 
+namespace {
+
+// The int64 with magnitude `mag` and the given sign, when it is in range.
+bool SignedInt64(bool negative, uint64_t mag, int64_t* out) {
+  if (!negative) {
+    if (mag > static_cast<uint64_t>(INT64_MAX)) return false;
+    *out = static_cast<int64_t>(mag);
+    return true;
+  }
+  if (mag > static_cast<uint64_t>(INT64_MAX) + 1) return false;
+  *out = static_cast<int64_t>(-static_cast<int64_t>(mag - 1) - 1);
+  return true;
+}
+
+}  // namespace
+
 Result<int64_t> Decimal::ToInt64() const {
-  if (is_zero()) return int64_t{0};
+  int64_t v = 0;
+  if (TryToInt64(&v)) return v;
   if (!IsInteger()) return Status::InvalidArgument("not an integer");
-  if (exponent_ > 19) return Status::OutOfRange("exceeds int64 range");
+  return Status::OutOfRange("exceeds int64 range");
+}
+
+bool Decimal::TryToInt64(int64_t* out) const {
+  if (is_zero()) {
+    *out = 0;
+    return true;
+  }
+  if (!IsInteger() || exponent_ > 19) return false;
   uint64_t mag = 0;
   long n = static_cast<long>(digits_.size());
   for (long i = 0; i < exponent_; ++i) {
     uint8_t d = i < n ? digits_[i] : 0;
-    if (mag > (UINT64_MAX - d) / 10) return Status::OutOfRange("int64 overflow");
+    if (mag > (UINT64_MAX - d) / 10) return false;
     mag = mag * 10 + d;
   }
-  if (sign_ > 0) {
-    if (mag > static_cast<uint64_t>(INT64_MAX))
-      return Status::OutOfRange("int64 overflow");
-    return static_cast<int64_t>(mag);
-  }
-  if (mag > static_cast<uint64_t>(INT64_MAX) + 1)
-    return Status::OutOfRange("int64 overflow");
-  return static_cast<int64_t>(-static_cast<int64_t>(mag - 1) - 1);
+  return SignedInt64(sign_ < 0, mag, out);
 }
 
 void Decimal::EncodeBinary(std::string* out) const {
@@ -300,6 +318,45 @@ Result<Decimal> Decimal::DecodeBinary(const uint8_t* data, size_t len) {
     digits.push_back(static_cast<uint8_t>(pair % 10));
   }
   return Make(negative ? -1 : 1, e100 * 2, std::move(digits));
+}
+
+bool Decimal::DecodeBinaryInt64(const uint8_t* data, size_t len,
+                                int64_t* out) {
+  if (len == 0) return false;
+  const uint8_t header = data[0];
+  if (header == 0x80) {
+    if (len != 1) return false;
+    *out = 0;
+    return true;
+  }
+  const bool negative = header < 0x80;
+  size_t pairs;
+  long e100;
+  if (negative) {
+    if (len < 3 || data[len - 1] != 0x66) return false;
+    pairs = len - 2;
+    e100 = 0x40 - static_cast<long>(header);
+  } else {
+    if (len < 2) return false;
+    pairs = len - 1;
+    e100 = static_cast<long>(header) - 0xC0;
+  }
+  // value = 0.P1 P2 ... Pn * 100^e100 with base-100 pairs P: an integer
+  // when every pair sits left of the point, and within int64 only below
+  // 100^10.
+  if (e100 < static_cast<long>(pairs) || e100 > 10) return false;
+  uint64_t mag = 0;
+  for (long i = 0; i < e100; ++i) {
+    uint64_t pair = 0;
+    if (static_cast<size_t>(i) < pairs) {
+      const uint8_t b = data[1 + i];
+      if (negative ? (b < 1 || b > 101) : (b < 1 || b > 100)) return false;
+      pair = negative ? 101u - b : b - 1u;
+    }
+    if (mag > (UINT64_MAX - pair) / 100) return false;
+    mag = mag * 100 + pair;
+  }
+  return SignedInt64(negative, mag, out);
 }
 
 int Decimal::CompareTo(const Decimal& other) const {

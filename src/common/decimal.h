@@ -41,6 +41,11 @@ class Decimal {
 
   /// Decodes an EncodeBinary() image; consumes exactly `len` bytes.
   static Result<Decimal> DecodeBinary(const uint8_t* data, size_t len);
+  /// Decodes an EncodeBinary() image straight to int64 when it holds an
+  /// integer that fits, building no Decimal. False (and *out untouched)
+  /// otherwise, malformed images included: DecodeBinary reports those.
+  static bool DecodeBinaryInt64(const uint8_t* data, size_t len,
+                                int64_t* out);
 
   bool is_zero() const { return sign_ == 0; }
   bool is_negative() const { return sign_ < 0; }
@@ -59,6 +64,9 @@ class Decimal {
 
   /// Exact conversion to int64; fails if fractional or out of range.
   Result<int64_t> ToInt64() const;
+  /// ToInt64 without a Status: false (and *out untouched) when fractional
+  /// or out of range. For hot paths where a miss is an ordinary outcome.
+  bool TryToInt64(int64_t* out) const;
 
   /// Appends the order-preserving binary image to *out.
   void EncodeBinary(std::string* out) const;

@@ -34,6 +34,9 @@ Value Value::Timestamp(int64_t micros) {
   return Value(Repr(TimestampRepr{micros}));
 }
 Value Value::Binary(std::string bytes) {
+  return Binary(std::make_shared<const std::string>(std::move(bytes)));
+}
+Value Value::Binary(std::shared_ptr<const std::string> bytes) {
   return Value(Repr(BinaryRepr{std::move(bytes)}));
 }
 
@@ -71,6 +74,9 @@ int64_t Value::AsTimestamp() const {
   return std::get<TimestampRepr>(repr_).micros;
 }
 const std::string& Value::AsBinary() const {
+  return *std::get<BinaryRepr>(repr_).bytes;
+}
+const std::shared_ptr<const std::string>& Value::BinaryPayload() const {
   return std::get<BinaryRepr>(repr_).bytes;
 }
 
@@ -102,6 +108,14 @@ Decimal Value::NumericAsDecimal() const {
   }
 }
 
+bool Value::ExactInt64(int64_t* out) const {
+  if (type() == ScalarType::kInt64) {
+    *out = AsInt64();
+    return true;
+  }
+  return type() == ScalarType::kDecimal && AsDecimal().TryToInt64(out);
+}
+
 namespace {
 
 int Spaceship(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
@@ -127,6 +141,9 @@ Result<int> Value::CompareTo(const Value& other) const {
       return Spaceship(AsInt64(), other.AsInt64());
     }
     if (ta != ScalarType::kDouble && tb != ScalarType::kDouble) {
+      // Integral decimals that fit compare as int64, building no Decimal.
+      int64_t a = 0, b = 0;
+      if (ExactInt64(&a) && other.ExactInt64(&b)) return Spaceship(a, b);
       return NumericAsDecimal().CompareTo(other.NumericAsDecimal());
     }
     return Spaceship(NumericAsDouble(), other.NumericAsDouble());

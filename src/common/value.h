@@ -2,6 +2,7 @@
 #define FSDM_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -32,7 +33,10 @@ enum class ScalarType : uint8_t {
 /// report "number".
 std::string_view ScalarTypeName(ScalarType type);
 
-/// A SQL scalar value. Small, copyable; strings are owned.
+/// A SQL scalar value. Small, copyable; strings are owned. Binary payloads
+/// are immutable and shared: copying a binary Value bumps a reference count
+/// instead of copying the bytes, so an OSON image can flow from the IMC or
+/// the table heap through scans, filters and result rows without a copy.
 class Value {
  public:
   /// SQL NULL.
@@ -47,6 +51,8 @@ class Value {
   static Value Date(int32_t days);
   static Value Timestamp(int64_t micros);
   static Value Binary(std::string bytes);
+  /// Shares an existing payload; `bytes` must not be null.
+  static Value Binary(std::shared_ptr<const std::string> bytes);
 
   ScalarType type() const;
   bool is_null() const { return type() == ScalarType::kNull; }
@@ -61,6 +67,8 @@ class Value {
   int32_t AsDate() const;
   int64_t AsTimestamp() const;
   const std::string& AsBinary() const;
+  /// The shared payload behind AsBinary(), for holders that keep it.
+  const std::shared_ptr<const std::string>& BinaryPayload() const;
 
   /// Any numeric kind to double (lossy for wide decimals).
   double NumericAsDouble() const;
@@ -93,12 +101,15 @@ class Value {
     int64_t micros;
   };
   struct BinaryRepr {
-    std::string bytes;
+    std::shared_ptr<const std::string> bytes;  // never null
   };
   using Repr = std::variant<std::monostate, bool, int64_t, double, Decimal,
                             std::string, DateRepr, TimestampRepr, BinaryRepr>;
 
   explicit Value(Repr repr) : repr_(std::move(repr)) {}
+
+  // Int64, or a Decimal that is integral and fits: the exact int64 value.
+  bool ExactInt64(int64_t* out) const;
 
   Repr repr_;
 };

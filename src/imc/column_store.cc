@@ -107,9 +107,9 @@ ColumnVector ColumnVector::Build(std::vector<Value> values) {
   }
   if (all_bin) {
     col.encoding_ = ColumnEncoding::kBinary;
-    col.strings_.resize(values.size());
+    col.payloads_.resize(values.size());
     for (size_t i = 0; i < values.size(); ++i) {
-      if (!col.nulls_[i]) col.strings_[i] = values[i].AsBinary();
+      if (!col.nulls_[i]) col.payloads_[i] = values[i].BinaryPayload();
     }
     return col;
   }
@@ -133,7 +133,7 @@ Value ColumnVector::GetValue(size_t row) const {
     case ColumnEncoding::kBool:
       return Value::Bool(bools_[row]);
     case ColumnEncoding::kBinary:
-      return Value::Binary(strings_[row]);
+      return Value::Binary(payloads_[row]);
     case ColumnEncoding::kMixed:
       return boxed_[row];
   }
@@ -263,6 +263,13 @@ size_t StringAllocBytes(const std::string& s) {
   return sizeof(std::string) + StringHeapBytes(s);
 }
 
+size_t SharedPayloadHeapBytes(const std::string& s) {
+  // libstdc++'s in-place control block: a vtable pointer and the use and
+  // weak counts, followed by the std::string object itself.
+  constexpr size_t kControlBlockBytes = sizeof(void*) + 2 * sizeof(int);
+  return kControlBlockBytes + StringAllocBytes(s);
+}
+
 namespace {
 
 // Heap block behind a boxed Value, beyond its inline variant storage.
@@ -271,7 +278,7 @@ size_t BoxedHeapBytes(const Value& v) {
     case ScalarType::kString:
       return StringHeapBytes(v.AsString());
     case ScalarType::kBinary:
-      return StringHeapBytes(v.AsBinary());
+      return SharedPayloadHeapBytes(v.AsBinary());
     default:
       return 0;
   }
@@ -284,9 +291,12 @@ size_t ColumnVector::MemoryBytes() const {
              ints_.size() * sizeof(int64_t) +
              doubles_.size() * sizeof(double) +
              codes_.size() * sizeof(uint32_t);
-  // strings_ is the value array for kString/kBinary and the dictionary for
+  // strings_ is the value array for kString and the dictionary for
   // kDictString; either way each element owns its allocated block.
   for (const std::string& s : strings_) n += StringAllocBytes(s);
+  for (const auto& p : payloads_) {
+    n += sizeof(p) + (p != nullptr ? SharedPayloadHeapBytes(*p) : 0);
+  }
   for (const Value& v : boxed_) n += sizeof(Value) + BoxedHeapBytes(v);
   return n;
 }

@@ -21,6 +21,10 @@ size_t StringHeapBytes(const std::string& s);
 /// sizeof(std::string) plus StringHeapBytes — the full footprint of one
 /// owned string element.
 size_t StringAllocBytes(const std::string& s);
+/// Heap footprint of one shared binary payload (Value::BinaryPayload()):
+/// the single std::make_shared block holding the reference counts and the
+/// std::string object, plus that string's own StringHeapBytes.
+size_t SharedPayloadHeapBytes(const std::string& s);
 
 /// Physical layout of one in-memory column.
 enum class ColumnEncoding : uint8_t {
@@ -30,7 +34,7 @@ enum class ColumnEncoding : uint8_t {
   kString,      ///< flat string array
   kDictString,  ///< dictionary-encoded strings (codes + sorted dictionary)
   kBool,
-  kBinary,      ///< raw byte strings (OSON/BSON images)
+  kBinary,      ///< shared immutable byte payloads (OSON/BSON images)
   kMixed,       ///< fallback: boxed Values
 };
 
@@ -63,8 +67,10 @@ class ColumnVector {
   /// Bytes of this column's payload: null/bool bitmaps at one bit per row
   /// (rounded up), typed arrays at element width times size(), dictionary
   /// codes at 4 bytes each plus the dictionary's strings, string payloads
-  /// at their allocated capacity (StringAllocBytes), boxed values at
-  /// sizeof(Value) plus any spilled string/binary heap block.
+  /// at their allocated capacity (StringAllocBytes), binary rows at one
+  /// shared_ptr each plus SharedPayloadHeapBytes per non-null payload, and
+  /// boxed values at sizeof(Value) plus any string/binary heap. A payload
+  /// counts in full in every column that holds it.
   size_t MemoryBytes() const;
 
  private:
@@ -76,6 +82,9 @@ class ColumnVector {
   std::vector<std::string> strings_;   // kString values / kDictString dict
   std::vector<uint32_t> codes_;        // kDictString
   std::vector<bool> bools_;
+  // kBinary: the Values' own payloads, shared rather than copied, so a scan
+  // hands out an image with a reference-count bump. Null rows hold nullptr.
+  std::vector<std::shared_ptr<const std::string>> payloads_;
   std::vector<Value> boxed_;           // kMixed
 };
 

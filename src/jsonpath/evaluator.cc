@@ -20,7 +20,7 @@ Status PathEvaluator::EvaluateFrom(const Dom& dom, Dom::NodeRef context,
   return EvalSteps(dom, context, path_->steps(), 0, visit, &stop);
 }
 
-Result<std::optional<Value>> PathEvaluator::FirstScalarFrom(
+Result<std::optional<Value>> PathEvaluator::FirstScalarGeneral(
     const Dom& dom, Dom::NodeRef context) const {
   std::optional<Value> out;
   Status st = EvaluateFrom(dom, context, [&](Dom::NodeRef node, bool* stop) {
@@ -262,7 +262,7 @@ bool PathEvaluator::EvalFilter(const Dom& dom, Dom::NodeRef node,
   return false;
 }
 
-Result<bool> PathEvaluator::Exists(const Dom& dom) const {
+Result<bool> PathEvaluator::ExistsGeneral(const Dom& dom) const {
   bool found = false;
   Status st = Evaluate(dom, [&](Dom::NodeRef, bool* stop) {
     found = true;
@@ -271,22 +271,6 @@ Result<bool> PathEvaluator::Exists(const Dom& dom) const {
   });
   FSDM_RETURN_NOT_OK(st);
   return found;
-}
-
-Result<std::optional<Value>> PathEvaluator::FirstScalar(const Dom& dom) const {
-  std::optional<Value> out;
-  Status inner = Status::Ok();
-  Status st = Evaluate(dom, [&](Dom::NodeRef node, bool* stop) {
-    *stop = true;
-    if (dom.GetNodeType(node) != NodeKind::kScalar) return Status::Ok();
-    Value v;
-    FSDM_RETURN_NOT_OK(dom.GetScalarValue(node, &v));
-    out = std::move(v);
-    return Status::Ok();
-  });
-  FSDM_RETURN_NOT_OK(st);
-  FSDM_RETURN_NOT_OK(inner);
-  return out;
 }
 
 Result<std::vector<Dom::NodeRef>> PathEvaluator::Select(const Dom& dom) const {

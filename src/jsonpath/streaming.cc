@@ -55,6 +55,11 @@ class Matcher final : public json::JsonEventHandler {
 
   Status OnStartArray() override {
     int p = TakeValueProgress();
+    // A selected element that is itself an array is a container result.
+    if (p == kEmitElement) return Emit(std::nullopt);
+    // Lax mode unwraps one level only: an array nested in an array the
+    // chain is unwrapping matches nothing.
+    if (!frames_.empty() && !frames_.back().is_object) p = kDead;
     bool emit_elements = false;
     if (p == k_) {
       if (trailing_star_) {

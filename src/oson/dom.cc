@@ -345,14 +345,17 @@ Status OsonDom::GetScalarValue(NodeRef scalar, Value* out) const {
       if (q == nullptr || q + len > limit) {
         return Status::Corruption("truncated decimal leaf");
       }
+      // Integral decimals surface on the int64 fast path, decoded without
+      // building a Decimal.
+      int64_t i = 0;
+      if (Decimal::DecodeBinaryInt64(q, len, &i)) {
+        *out = Value::Int64(i);
+        return Status::Ok();
+      }
       FSDM_ASSIGN_OR_RETURN(Decimal d, Decimal::DecodeBinary(q, len));
-      // Integral decimals surface on the int64 fast path.
-      if (d.IsInteger()) {
-        Result<int64_t> i = d.ToInt64();
-        if (i.ok()) {
-          *out = Value::Int64(i.value());
-          return Status::Ok();
-        }
+      if (d.TryToInt64(&i)) {
+        *out = Value::Int64(i);
+        return Status::Ok();
       }
       *out = Value::Dec(std::move(d));
       return Status::Ok();

@@ -101,8 +101,17 @@ class Encoder {
       }
     }
 
-    // 4. Assemble the image.
+    // 4. Assemble the image into an exactly sized buffer: one allocation,
+    //    and no spare capacity left resident in holders that keep the
+    //    image as returned (shared IMC payloads).
     out->clear();
+    size_t dict_bytes = 0;
+    if (ext_dict_ == nullptr) {
+      dict_bytes = dict_.size() * (4 + static_cast<size_t>(off_width_)) +
+                   name_blob_.size();
+    }
+    out->reserve(internal::kHeaderSize + dict_bytes + tree_.size() +
+                 values_.size());
     out->append(internal::kMagic, 4);
     out->push_back(static_cast<char>(internal::kVersion));
     uint8_t flags = 0;

@@ -1,5 +1,6 @@
 #include "sqljson/operators.h"
 
+#include <atomic>
 #include <cctype>
 
 #include "json/parser.h"
@@ -42,30 +43,73 @@ Result<const json::Dom*> DomSource::Open(const Value& column_value) {
 
 namespace {
 
+// The document column of the evaluation row, read in place. The SQL/JSON
+// callbacks are never bound to a schema, so a plain column expression
+// would hash the column name and copy the document on every row. The
+// position is resolved on the first row of a schema and re-checked by name
+// (no hashing) on the rows after it.
+class DocColumn {
+ public:
+  explicit DocColumn(std::string name) : name_(std::move(name)) {}
+
+  Result<const Value*> Read(const rdbms::RowContext& ctx) const {
+    size_t pos = pos_.load(std::memory_order_relaxed);
+    const std::vector<std::string>& names = ctx.schema->columns();
+    if (pos >= names.size() || names[pos] != name_) {
+      pos = ctx.schema->IndexOf(name_);
+      if (pos == rdbms::Schema::npos) {
+        return Status::NotFound("column '" + name_ + "' not in schema");
+      }
+      pos_.store(pos, std::memory_order_relaxed);
+    }
+    if (pos >= ctx.row->size()) {
+      return Status::Internal("row narrower than schema for '" + name_ + "'");
+    }
+    return &(*ctx.row)[pos];
+  }
+
+ private:
+  std::string name_;
+  // Atomic only so that concurrent evaluations of one expression stay
+  // well-defined; every thread stores the same position for one schema.
+  mutable std::atomic<size_t> pos_{rdbms::Schema::npos};
+};
+
 // Shared per-expression state: compiled path + evaluator + dom source.
 // Held by shared_ptr inside the Callback closure so one expression reused
 // across rows keeps its field-id caches warm. Text-mode evaluation of
 // streamable paths (member chains) bypasses DOM construction entirely via
 // the streaming engine (§5.1); complex paths fall back to parse + DOM.
 struct PathState {
+  DocColumn doc;
   jsonpath::PathExpression path;
   std::unique_ptr<jsonpath::PathEvaluator> eval;
   DomSource source;
   bool streamable = false;
 
-  PathState(jsonpath::PathExpression p, JsonStorage storage)
-      : path(std::move(p)), source(storage) {
+  PathState(std::string column, jsonpath::PathExpression p,
+            JsonStorage storage)
+      : doc(std::move(column)), path(std::move(p)), source(storage) {
     eval = std::make_unique<jsonpath::PathEvaluator>(&path);
     streamable = storage == JsonStorage::kText &&
                  jsonpath::StreamingPathEngine::CanStream(path);
   }
 };
 
-Result<std::shared_ptr<PathState>> MakeState(const std::string& path,
+Result<std::shared_ptr<PathState>> MakeState(std::string column,
+                                             const std::string& path,
                                              JsonStorage storage) {
   FSDM_ASSIGN_OR_RETURN(jsonpath::PathExpression compiled,
                         jsonpath::PathExpression::Parse(path));
-  return std::make_shared<PathState>(std::move(compiled), storage);
+  return std::make_shared<PathState>(std::move(column), std::move(compiled),
+                                     storage);
+}
+
+// A constructed image is kept as it is for as long as any row or IMC
+// column shares it, so it gives back the encoder's spare capacity first.
+Value TightBinary(std::string bytes) {
+  bytes.shrink_to_fit();
+  return Value::Binary(std::move(bytes));
 }
 
 Value CoerceReturning(Value v, Returning returning) {
@@ -99,24 +143,24 @@ Value CoerceReturning(Value v, Returning returning) {
 
 Result<rdbms::ExprPtr> JsonValue(std::string column, std::string path,
                                  JsonStorage storage, Returning returning) {
-  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
-                        MakeState(path, storage));
   std::string label = "JSON_VALUE(" + column + ", '" + path + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
+  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
+                        MakeState(std::move(column), path, storage));
   return rdbms::Callback(
       std::move(label),
-      [state, col, returning](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
-        if (doc.is_null()) return Value::Null();
+      [state, returning](const rdbms::RowContext& ctx) -> Result<Value> {
+        FSDM_ASSIGN_OR_RETURN(const Value* doc, state->doc.Read(ctx));
+        if (doc->is_null()) return Value::Null();
         std::optional<Value> v;
         if (state->streamable) {
           FSDM_ASSIGN_OR_RETURN(
-              v, jsonpath::StreamingPathEngine::FirstScalar(doc.AsString(),
+              v, jsonpath::StreamingPathEngine::FirstScalar(doc->AsString(),
                                                             state->path));
         } else {
-          FSDM_ASSIGN_OR_RETURN(const json::Dom* dom,
-                                state->source.Open(doc));
-          FSDM_ASSIGN_OR_RETURN(v, state->eval->FirstScalar(*dom));
+          FSDM_ASSIGN_OR_RETURN(
+              v, state->source.Apply(*doc, [&](const auto& dom) {
+                return state->eval->FirstScalar(dom);
+              }));
         }
         if (!v.has_value()) return Value::Null();
         return CoerceReturning(std::move(*v), returning);
@@ -125,24 +169,24 @@ Result<rdbms::ExprPtr> JsonValue(std::string column, std::string path,
 
 Result<rdbms::ExprPtr> JsonExists(std::string column, std::string path,
                                   JsonStorage storage) {
-  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
-                        MakeState(path, storage));
   std::string label = "JSON_EXISTS(" + column + ", '" + path + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
+  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
+                        MakeState(std::move(column), path, storage));
   return rdbms::Callback(
       std::move(label),
-      [state, col](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
-        if (doc.is_null()) return Value::Bool(false);
+      [state](const rdbms::RowContext& ctx) -> Result<Value> {
+        FSDM_ASSIGN_OR_RETURN(const Value* doc, state->doc.Read(ctx));
+        if (doc->is_null()) return Value::Bool(false);
         bool exists;
         if (state->streamable) {
           FSDM_ASSIGN_OR_RETURN(
-              exists, jsonpath::StreamingPathEngine::Exists(doc.AsString(),
+              exists, jsonpath::StreamingPathEngine::Exists(doc->AsString(),
                                                             state->path));
         } else {
-          FSDM_ASSIGN_OR_RETURN(const json::Dom* dom,
-                                state->source.Open(doc));
-          FSDM_ASSIGN_OR_RETURN(exists, state->eval->Exists(*dom));
+          FSDM_ASSIGN_OR_RETURN(
+              exists, state->source.Apply(*doc, [&](const auto& dom) {
+                return state->eval->Exists(dom);
+              }));
         }
         return Value::Bool(exists);
       });
@@ -150,16 +194,15 @@ Result<rdbms::ExprPtr> JsonExists(std::string column, std::string path,
 
 Result<rdbms::ExprPtr> JsonQuery(std::string column, std::string path,
                                  JsonStorage storage) {
-  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
-                        MakeState(path, storage));
   std::string label = "JSON_QUERY(" + column + ", '" + path + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
+  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
+                        MakeState(std::move(column), path, storage));
   return rdbms::Callback(
       std::move(label),
-      [state, col](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
-        if (doc.is_null()) return Value::Null();
-        FSDM_ASSIGN_OR_RETURN(const json::Dom* dom, state->source.Open(doc));
+      [state](const rdbms::RowContext& ctx) -> Result<Value> {
+        FSDM_ASSIGN_OR_RETURN(const Value* doc, state->doc.Read(ctx));
+        if (doc->is_null()) return Value::Null();
+        FSDM_ASSIGN_OR_RETURN(const json::Dom* dom, state->source.Open(*doc));
         std::optional<std::string> text;
         Status st = state->eval->Evaluate(
             *dom, [&](json::Dom::NodeRef node, bool* stop) {
@@ -220,21 +263,20 @@ Result<rdbms::ExprPtr> JsonQuery(std::string column, std::string path,
 Result<rdbms::ExprPtr> JsonTextContains(std::string column, std::string path,
                                         std::string keyword,
                                         JsonStorage storage) {
-  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
-                        MakeState(path, storage));
   std::string lowered = keyword;
   for (char& c : lowered) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   std::string label =
       "JSON_TEXTCONTAINS(" + column + ", '" + path + "', '" + keyword + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
+  FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
+                        MakeState(std::move(column), path, storage));
   return rdbms::Callback(
       std::move(label),
-      [state, col, lowered](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
-        if (doc.is_null()) return Value::Bool(false);
-        FSDM_ASSIGN_OR_RETURN(const json::Dom* dom, state->source.Open(doc));
+      [state, lowered](const rdbms::RowContext& ctx) -> Result<Value> {
+        FSDM_ASSIGN_OR_RETURN(const Value* doc, state->doc.Read(ctx));
+        if (doc->is_null()) return Value::Bool(false);
+        FSDM_ASSIGN_OR_RETURN(const json::Dom* dom, state->source.Open(*doc));
         bool found = false;
         Status st = state->eval->Evaluate(
             *dom, [&](json::Dom::NodeRef node, bool* stop) {
@@ -263,18 +305,18 @@ Result<rdbms::ExprPtr> JsonTextContains(std::string column, std::string path,
 rdbms::ExprPtr OsonConstructor(std::string column,
                                oson::EncodeOptions options) {
   std::string label = "OSON(" + column + ")";
-  rdbms::ExprPtr col = rdbms::Col(column);
+  auto text = std::make_shared<DocColumn>(std::move(column));
   return rdbms::Callback(
       std::move(label),
-      [col, options](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
-        if (doc.is_null()) return Value::Null();
-        if (doc.type() != ScalarType::kString) {
+      [text, options](const rdbms::RowContext& ctx) -> Result<Value> {
+        FSDM_ASSIGN_OR_RETURN(const Value* doc, text->Read(ctx));
+        if (doc->is_null()) return Value::Null();
+        if (doc->type() != ScalarType::kString) {
           return Status::InvalidArgument("OSON() expects a JSON text column");
         }
         FSDM_ASSIGN_OR_RETURN(std::string bytes,
-                              oson::EncodeFromText(doc.AsString(), options));
-        return Value::Binary(std::move(bytes));
+                              oson::EncodeFromText(doc->AsString(), options));
+        return TightBinary(std::move(bytes));
       });
 }
 
@@ -302,17 +344,17 @@ Result<std::string> EnsureHiddenOsonColumn(rdbms::Table* table,
 
 rdbms::ExprPtr BsonConstructor(std::string column) {
   std::string label = "BSON(" + column + ")";
-  rdbms::ExprPtr col = rdbms::Col(column);
+  auto text = std::make_shared<DocColumn>(std::move(column));
   return rdbms::Callback(
-      std::move(label), [col](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
-        if (doc.is_null()) return Value::Null();
-        if (doc.type() != ScalarType::kString) {
+      std::move(label), [text](const rdbms::RowContext& ctx) -> Result<Value> {
+        FSDM_ASSIGN_OR_RETURN(const Value* doc, text->Read(ctx));
+        if (doc->is_null()) return Value::Null();
+        if (doc->type() != ScalarType::kString) {
           return Status::InvalidArgument("BSON() expects a JSON text column");
         }
         FSDM_ASSIGN_OR_RETURN(std::string bytes,
-                              bson::EncodeFromText(doc.AsString()));
-        return Value::Binary(std::move(bytes));
+                              bson::EncodeFromText(doc->AsString()));
+        return TightBinary(std::move(bytes));
       });
 }
 

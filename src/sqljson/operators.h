@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "bson/bson.h"
 #include "common/status.h"
@@ -32,6 +33,24 @@ class DomSource {
   /// The returned Dom is valid until the next Open call. `column_value`
   /// must stay alive while the Dom is used (binary Doms alias its bytes).
   Result<const json::Dom*> Open(const Value& column_value);
+
+  /// Opens `column_value` and calls `fn` with the Dom as its own final
+  /// class (TreeDom, BsonDom or OsonDom), so path evaluation inside `fn`
+  /// makes direct navigation calls. Returns fn's result, or Open's error.
+  template <typename Fn>
+  auto Apply(const Value& column_value, Fn&& fn)
+      -> decltype(fn(std::declval<const oson::OsonDom&>())) {
+    FSDM_RETURN_NOT_OK(Open(column_value).status());
+    switch (storage_) {
+      case JsonStorage::kText:
+        return fn(*tree_dom_);
+      case JsonStorage::kBson:
+        return fn(*bson_dom_);
+      case JsonStorage::kOson:
+        break;
+    }
+    return fn(*oson_dom_);
+  }
 
   JsonStorage storage() const { return storage_; }
 

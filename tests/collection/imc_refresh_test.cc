@@ -16,6 +16,8 @@
 #include "collection/collection.h"
 #include "common/rng.h"
 #include "fault/fault.h"
+#include "oson/oson.h"
+#include "rdbms/executor.h"
 #include "telemetry/telemetry.h"
 
 namespace fsdm::collection {
@@ -244,6 +246,93 @@ TEST_P(ImcRefreshOracleTest, CleanRefreshEvaluatesNothing) {
   dirty_.insert(keys_.begin()->first);
   ASSERT_EQ(DirtyLiveRows(), 1u);
   Refresh("one replace");
+}
+
+std::string PaddedDoc(int n, char pad) {
+  return "{\"n\":" + std::to_string(n) + ",\"pad\":\"" +
+         std::string(40, pad) + "\"}";
+}
+
+// Binary payloads are shared, not copied: rows drained from an IMC scan
+// (Scan and FilterScan) keep their OSON images alive on their own, after
+// EnsureImc() has replaced the store that served them and after their
+// source rows were replaced or deleted.
+TEST(SharedPayloadTest, ImcRowsOutliveTheStoreAndTheirSource) {
+  rdbms::Database db;
+  auto created = JsonCollection::Create(&db, "SHARED", CollectionOptions{});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<JsonCollection> coll = created.MoveValue();
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(coll->Insert(Value::Int64(i), PaddedDoc(i, 'x')).ok());
+  }
+  Result<const imc::ColumnStore*> store = coll->EnsureImc();
+  ASSERT_TRUE(store.ok() && store.value() != nullptr);
+  rdbms::OperatorPtr scan =
+      store.value()->Scan({coll->key_column(), coll->oson_column()});
+  Result<std::vector<rdbms::Row>> drained = rdbms::Collect(scan.get());
+  ASSERT_TRUE(drained.ok());
+  scan.reset();
+  Result<std::vector<rdbms::Row>> filtered =
+      store.value()->FilterScan({}, {coll->oson_column()});
+  ASSERT_TRUE(filtered.ok());
+  ASSERT_EQ(drained.value().size(), 6u);
+  ASSERT_EQ(filtered.value().size(), 6u);
+  std::vector<std::string> copies;
+  for (const rdbms::Row& row : drained.value()) {
+    ASSERT_EQ(row[1].type(), ScalarType::kBinary);
+    copies.push_back(row[1].AsBinary());  // deep copies, for comparison
+    // A scan hands out the store's payload, not a copy of it.
+    EXPECT_GE(row[1].BinaryPayload().use_count(), 2);
+  }
+
+  ASSERT_TRUE(coll->Replace(2, Value::Int64(2), PaddedDoc(20, 'y')).ok());
+  ASSERT_TRUE(coll->Delete(4).ok());
+  ASSERT_TRUE(coll->EnsureImc().ok());    // refresh replaces the store
+  ASSERT_TRUE(coll->PopulateImc().ok());  // and so does a full population
+
+  for (size_t i = 0; i < copies.size(); ++i) {
+    EXPECT_EQ(drained.value()[i][1].AsBinary(), copies[i]) << i;
+    EXPECT_EQ(filtered.value()[i][0].AsBinary(), copies[i]) << i;
+  }
+}
+
+// The same for a table scan over a stored OSON column: drained rows share
+// the heap's payloads and keep them after the source row changes.
+TEST(SharedPayloadTest, TableScanRowsOutliveTheirSource) {
+  rdbms::Table table(
+      "RAW", std::vector<rdbms::ColumnDef>{
+                 {.name = "ID", .type = rdbms::ColumnType::kNumber},
+                 {.name = "IMG", .type = rdbms::ColumnType::kRaw},
+             });
+  for (int i = 0; i < 4; ++i) {
+    Result<std::string> image = oson::EncodeFromText(PaddedDoc(i, 'x'));
+    ASSERT_TRUE(image.ok());
+    ASSERT_TRUE(
+        table.Insert({Value::Int64(i), Value::Binary(image.MoveValue())})
+            .ok());
+  }
+  rdbms::OperatorPtr scan = rdbms::Scan(&table);
+  Result<std::vector<rdbms::Row>> drained = rdbms::Collect(scan.get());
+  ASSERT_TRUE(drained.ok());
+  ASSERT_EQ(drained.value().size(), 4u);
+  std::vector<std::string> copies;
+  for (size_t i = 0; i < 4; ++i) {
+    const Value& img = drained.value()[i][1];
+    copies.push_back(img.AsBinary());
+    EXPECT_EQ(&img.AsBinary(), &table.StoredRow(i)[1].AsBinary()) << i;
+  }
+
+  Result<std::string> replacement = oson::EncodeFromText(PaddedDoc(9, 'z'));
+  ASSERT_TRUE(replacement.ok());
+  ASSERT_TRUE(table
+                  .Replace(1, {Value::Int64(1),
+                               Value::Binary(replacement.MoveValue())})
+                  .ok());
+  ASSERT_TRUE(table.Delete(2).ok());
+
+  for (size_t i = 0; i < copies.size(); ++i) {
+    EXPECT_EQ(drained.value()[i][1].AsBinary(), copies[i]) << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ImcRefreshOracleTest,

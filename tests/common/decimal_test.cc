@@ -76,6 +76,23 @@ TEST(DecimalTest, ToInt64RejectsFractionAndOverflow) {
   EXPECT_FALSE(Dec("-9223372036854775809").ToInt64().ok());
 }
 
+TEST(DecimalTest, TryToInt64AgreesWithToInt64) {
+  for (const char* text :
+       {"0", "-0", "1", "-1", "1.5", "-1.5", "100.00", "1e40", "1E+19",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "18446744073709551616"}) {
+    const Decimal d = Dec(text);
+    Result<int64_t> checked = d.ToInt64();
+    int64_t got = 12345;
+    EXPECT_EQ(d.TryToInt64(&got), checked.ok()) << text;
+    if (checked.ok()) {
+      EXPECT_EQ(got, checked.value()) << text;
+    } else {
+      EXPECT_EQ(got, 12345) << text;  // untouched on a miss
+    }
+  }
+}
+
 TEST(DecimalTest, DoubleRoundTrip) {
   for (double v : {0.0, 1.0, -1.0, 3.14159, 1e-300, 2.2250738585072014e-308,
                    1.7976931348623157e308, 100.25}) {
@@ -183,6 +200,46 @@ TEST(DecimalTest, DecodeRejectsCorruptImages) {
   EXPECT_FALSE(Decimal::DecodeBinary(pos_no_mantissa, 1).ok());
 }
 
+TEST(DecimalTest, DecodeBinaryInt64MatchesDecodeThenConvert) {
+  std::vector<Decimal> cases;
+  for (const char* text :
+       {"0", "1", "-1", "5", "50", "-50", "99", "100", "-100", "0.5", "-0.5",
+        "1.5", "12345678901234567", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "1E+19", "-1E+19", "1E+18", "1e40", "-1e40",
+        "1e-5"}) {
+    cases.push_back(Dec(text));
+  }
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t v = static_cast<int64_t>(rng.Next()) >>
+                      static_cast<int>(rng.Uniform(63));
+    cases.push_back(Decimal::FromInt64(v));
+  }
+  for (const Decimal& d : cases) {
+    std::string enc;
+    d.EncodeBinary(&enc);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(enc.data());
+    int64_t want = 0, got = 0;
+    const bool fits = d.TryToInt64(&want);
+    ASSERT_EQ(Decimal::DecodeBinaryInt64(bytes, enc.size(), &got), fits)
+        << d.ToString();
+    if (fits) EXPECT_EQ(got, want) << d.ToString();
+  }
+  // Malformed images are left to DecodeBinary, which reports them.
+  uint8_t zero_with_tail[] = {0x80, 0x01};
+  uint8_t neg_no_term[] = {0x3F, 0x50};
+  uint8_t bad_pair[] = {0xC1, 0x00};
+  uint8_t pos_no_mantissa[] = {0xC1};
+  int64_t out = 7;
+  EXPECT_FALSE(Decimal::DecodeBinaryInt64(nullptr, 0, &out));
+  EXPECT_FALSE(Decimal::DecodeBinaryInt64(zero_with_tail, 2, &out));
+  EXPECT_FALSE(Decimal::DecodeBinaryInt64(neg_no_term, 2, &out));
+  EXPECT_FALSE(Decimal::DecodeBinaryInt64(bad_pair, 2, &out));
+  EXPECT_FALSE(Decimal::DecodeBinaryInt64(pos_no_mantissa, 1, &out));
+  EXPECT_EQ(out, 7);
+}
+
 TEST(DecimalTest, RoundsBeyondMaxDigits) {
   std::string fifty_nines(50, '9');
   Decimal d = Dec(fifty_nines);
@@ -224,6 +281,17 @@ TEST_P(DecimalPropertyTest, RandomizedRoundTripAndOrder) {
     int byte_cmp = ea < eb ? -1 : (ea > eb ? 1 : 0);
     EXPECT_EQ(byte_cmp, a.CompareTo(b)) << a.ToString() << " vs "
                                         << b.ToString();
+
+    // The direct int64 decode agrees with decode-then-convert.
+    for (const std::string* enc : {&ea, &eb}) {
+      const auto* bytes = reinterpret_cast<const uint8_t*>(enc->data());
+      const Decimal d = Decimal::DecodeBinary(bytes, enc->size()).MoveValue();
+      int64_t want = 0, got = 0;
+      const bool fits = d.TryToInt64(&want);
+      EXPECT_EQ(Decimal::DecodeBinaryInt64(bytes, enc->size(), &got), fits)
+          << d.ToString();
+      if (fits) EXPECT_EQ(got, want) << d.ToString();
+    }
 
     // Round-trip through text.
     EXPECT_EQ(Dec(a.ToString()).CompareTo(a), 0) << a.ToString();

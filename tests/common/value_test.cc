@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace fsdm {
 namespace {
 
@@ -47,6 +49,53 @@ TEST(ValueTest, ExactInt64Compare) {
   EXPECT_EQ(a.CompareTo(b).value(), 1);
 }
 
+Decimal Dec(const char* text) { return Decimal::FromString(text).MoveValue(); }
+
+// Integral decimals that fit compare with int64 values on an int64 path
+// that builds no Decimal; every answer must equal the Decimal path's.
+TEST(ValueTest, DecimalVersusIntCompareMatchesDecimalPath) {
+  const char* decimals[] = {
+      "-9223372036854775808", "-9223372036854775809", "9223372036854775807",
+      "9223372036854775808",  "1E+19",  "-1E+19",  "1.5",  "-1.5",
+      "0",  "-0",  "-7",  "100.00",  "-2",  "12345678901234567890123.5"};
+  const int64_t ints[] = {INT64_MIN, INT64_MIN + 1, INT64_MAX, INT64_MAX - 1,
+                          -7, -2, -1, 0, 1, 2, 100};
+  for (const char* text : decimals) {
+    const Decimal d = Dec(text);
+    for (int64_t n : ints) {
+      const int expected = d.CompareTo(Decimal::FromInt64(n));
+      EXPECT_EQ(Value::Dec(d).CompareTo(Value::Int64(n)).value(), expected)
+          << text << " vs " << n;
+      EXPECT_EQ(Value::Int64(n).CompareTo(Value::Dec(d)).value(), -expected)
+          << n << " vs " << text;
+    }
+    for (const char* other : decimals) {
+      EXPECT_EQ(Value::Dec(d).CompareTo(Value::Dec(Dec(other))).value(),
+                d.CompareTo(Dec(other)))
+          << text << " vs " << other;
+    }
+  }
+  // The boundary answers, spelled out.
+  EXPECT_EQ(Value::Dec(Dec("-9223372036854775808"))
+                .CompareTo(Value::Int64(INT64_MIN))
+                .value(),
+            0);
+  EXPECT_EQ(Value::Dec(Dec("9223372036854775807"))
+                .CompareTo(Value::Int64(INT64_MAX))
+                .value(),
+            0);
+  EXPECT_EQ(Value::Dec(Dec("9223372036854775808"))
+                .CompareTo(Value::Int64(INT64_MAX))
+                .value(),
+            1);
+  EXPECT_EQ(Value::Dec(Dec("1E+19")).CompareTo(Value::Int64(INT64_MAX)).value(),
+            1);
+  EXPECT_EQ(Value::Dec(Dec("1.5")).CompareTo(Value::Int64(1)).value(), 1);
+  EXPECT_EQ(Value::Dec(Dec("1.5")).CompareTo(Value::Int64(2)).value(), -1);
+  EXPECT_EQ(Value::Dec(Dec("-1.5")).CompareTo(Value::Int64(-1)).value(), -1);
+  EXPECT_EQ(Value::Dec(Dec("-0")).CompareTo(Value::Int64(0)).value(), 0);
+}
+
 TEST(ValueTest, IncomparableTypesError) {
   EXPECT_FALSE(Value::String("a").CompareTo(Value::Int64(1)).ok());
   EXPECT_FALSE(Value::Bool(true).CompareTo(Value::String("true")).ok());
@@ -79,6 +128,30 @@ TEST(ValueTest, GroupingHashDistinguishesValues) {
             Value::Int64(2).HashForGrouping());
   EXPECT_NE(Value::String("a").HashForGrouping(),
             Value::String("b").HashForGrouping());
+}
+
+// Copying a binary Value shares its payload; comparison, grouping
+// equality and hashing read the bytes, so they do not depend on whether
+// two values share one payload or hold equal copies.
+TEST(ValueTest, CopiedBinarySharesItsPayload) {
+  const Value a = Value::Binary(std::string(100, 'x'));
+  const Value shared = a;
+  EXPECT_EQ(&shared.AsBinary(), &a.AsBinary());
+  EXPECT_EQ(a.BinaryPayload().use_count(), 2);
+
+  const Value equal = Value::Binary(std::string(100, 'x'));
+  const Value other = Value::Binary(std::string(100, 'y'));
+  EXPECT_NE(&equal.AsBinary(), &a.AsBinary());
+  for (const Value* v : {&shared, &equal}) {
+    EXPECT_EQ(a.CompareTo(*v).value(), 0);
+    EXPECT_TRUE(a.EqualsForGrouping(*v));
+    EXPECT_EQ(a.HashForGrouping(), v->HashForGrouping());
+  }
+  EXPECT_EQ(a.CompareTo(other).value(), -1);
+  EXPECT_EQ(other.CompareTo(a).value(), 1);
+  EXPECT_FALSE(a.EqualsForGrouping(other));
+  EXPECT_NE(a.HashForGrouping(), other.HashForGrouping());
+  EXPECT_EQ(a.ToDisplayString(), "<binary:100B>");
 }
 
 TEST(ValueTest, DisplayStrings) {

@@ -266,8 +266,8 @@ TEST_F(ColumnStoreTest, PopulateFromPriorKeepsCleanRowsOnly) {
 // Pins the MemoryBytes() accounting for every encoding Build() produces:
 // bitmaps at one bit per row rounded up, typed arrays at element width,
 // dictionary codes at 4 bytes plus the dictionary's own strings, string
-// payloads through StringAllocBytes, boxed values at sizeof(Value) plus
-// spilled heap.
+// payloads through StringAllocBytes, shared binary payloads through
+// SharedPayloadHeapBytes, boxed values at sizeof(Value) plus spilled heap.
 TEST(ColumnVectorTest, MemoryBytesPinnedPerEncoding) {
   auto bitmap = [](size_t rows) { return (rows + 7) / 8; };
 
@@ -314,10 +314,19 @@ TEST(ColumnVectorTest, MemoryBytesPinnedPerEncoding) {
   EXPECT_EQ(dict.MemoryBytes(), bitmap(30) + 30 * sizeof(uint32_t) +
                                     2 * StringAllocBytes("xx"));
 
-  // kBinary behaves like kString.
-  ColumnVector bin = ColumnVector::Build({Value::Binary("raw")});
+  // kBinary: one shared_ptr per row, plus per non-null payload the
+  // make_shared block (control block: vtable pointer and two counts; then
+  // the std::string object) and the string's own heap block.
+  const size_t control_block = sizeof(void*) + 2 * sizeof(int);
+  EXPECT_EQ(SharedPayloadHeapBytes(long_a),
+            control_block + sizeof(std::string) + StringHeapBytes(long_a));
+  ColumnVector bin = ColumnVector::Build(
+      {Value::Binary("raw"), Value::Null(), Value::Binary(long_b)});
   ASSERT_EQ(bin.encoding(), ColumnEncoding::kBinary);
-  EXPECT_EQ(bin.MemoryBytes(), bitmap(1) + StringAllocBytes("raw"));
+  const size_t slot = sizeof(std::shared_ptr<const std::string>);
+  EXPECT_EQ(bin.MemoryBytes(),
+            bitmap(3) + 3 * slot + 2 * (control_block + sizeof(std::string)) +
+                StringHeapBytes(long_b));
 
   // kMixed: boxed Values; only string/binary payloads add heap.
   ColumnVector mixed =

@@ -89,6 +89,39 @@ TEST(StreamingTest, TrailingStar) {
   EXPECT_EQ(v.value()->AsInt64(), 7);
 }
 
+TEST(StreamingTest, LaxUnwrapIsOneLevelDeep) {
+  // Member steps unwrap one array level; an array nested inside it matches
+  // nothing. A [*]-selected element that is itself an array is a container
+  // result. The DOM engine agrees on each case.
+  struct Case {
+    const char* doc;
+    const char* path;
+    std::optional<int64_t> value;
+    bool exists;
+  };
+  for (const Case& c : {Case{R"({"a":[[{"b":1}],{"b":2}]})", "$.a.b", 2, true},
+                        Case{R"([[{"b":1}]])", "$.b", std::nullopt, false},
+                        Case{R"([7,[{"b":1}],{"b":3}])", "$.b", 3, true},
+                        Case{R"({"a":[[1,2],3]})", "$.a[*]", std::nullopt,
+                             true}}) {
+    PathExpression path = P(c.path);
+    auto v = StreamingPathEngine::FirstScalar(c.doc, path);
+    ASSERT_TRUE(v.ok()) << c.doc;
+    ASSERT_EQ(v.value().has_value(), c.value.has_value()) << c.doc;
+    if (c.value.has_value()) EXPECT_EQ(v.value()->AsInt64(), *c.value);
+    EXPECT_EQ(StreamingPathEngine::Exists(c.doc, path).value(), c.exists)
+        << c.doc;
+
+    auto tree = json::Parse(c.doc).MoveValue();
+    json::TreeDom dom(tree.get());
+    PathEvaluator eval(&path);
+    auto via_dom = eval.FirstScalar(dom);
+    ASSERT_TRUE(via_dom.ok());
+    EXPECT_EQ(via_dom.value().has_value(), c.value.has_value()) << c.doc;
+    EXPECT_EQ(eval.Exists(dom).value(), c.exists) << c.doc;
+  }
+}
+
 TEST(StreamingTest, UnsupportedPathsReportUnsupported) {
   auto v = StreamingPathEngine::FirstScalar(kDoc, P("$.a[0]"));
   EXPECT_EQ(v.status().code(), StatusCode::kUnsupported);
