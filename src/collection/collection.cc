@@ -320,11 +320,7 @@ size_t JsonCollection::document_count() const {
     }
     return n;
   }
-  size_t n = 0;
-  for (size_t r = 0; r < table_->row_count(); ++r) {
-    if (table_->IsLive(r)) ++n;
-  }
-  return n;
+  return table_->live_row_count();
 }
 
 size_t JsonCollection::ShardForKey(const Value& key) const {

@@ -5,67 +5,48 @@
 #include <map>
 #include <utility>
 
+#include "common/hash.h"
 #include "fault/fault.h"
 #include "json/parser.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/log.h"
-#include "telemetry/memory_tracker.h"
 #include "telemetry/telemetry.h"
 
 namespace fsdm::index {
 
 namespace {
 
-/// Accounting constant for one posting-map entry: red-black node overhead
-/// plus the inline vector header. An approximation, but the same one on
-/// the incremental and recompute sides, so reconciliation is exact.
-constexpr uint64_t kPostingEntryBytes =
-    4 * sizeof(void*) + sizeof(std::vector<size_t>);
-
-uint64_t PostingKeyBytes(const std::string& key) {
-  return telemetry::OwnedStringBytes(key);
+/// Accounting footprint of one hash node: the next pointer, the cached
+/// hash and the stored key/value pair. The same constants on the
+/// incremental and recompute sides make reconciliation exact.
+template <typename Map>
+constexpr uint64_t HashNodeBytes() {
+  return sizeof(void*) + sizeof(size_t) + sizeof(typename Map::value_type);
 }
 
-uint64_t PostingKeyBytes(const std::pair<std::string, std::string>& key) {
-  return telemetry::OwnedStringBytes(key.first) +
-         telemetry::OwnedStringBytes(key.second);
-}
-
-/// Looks up (creating if absent) the posting list for `key`, charging new
-/// entries to the incremental byte counter. Both the insert and the erase
-/// paths create entries — operator[] semantics predate the accounting.
-template <typename Map, typename Key>
-std::vector<size_t>* PostingSlot(Map* map, const Key& key,
-                                 std::atomic<uint64_t>* bytes) {
-  auto [it, inserted] = map->try_emplace(key);
-  if (inserted) {
-    bytes->fetch_add(kPostingEntryBytes + PostingKeyBytes(it->first),
-                     std::memory_order_relaxed);
-  }
-  return &it->second;
-}
-
-void InsertPosting(std::vector<size_t>* postings, size_t row_id,
-                   std::atomic<uint64_t>* bytes) {
+/// Sorted-unique insert; true when `row_id` was added.
+bool AddRowId(std::vector<size_t>* postings, size_t row_id) {
   auto it = std::lower_bound(postings->begin(), postings->end(), row_id);
-  if (it == postings->end() || *it != row_id) {
-    postings->insert(it, row_id);
-    bytes->fetch_add(sizeof(size_t), std::memory_order_relaxed);
-    FSDM_COUNT("fsdm_index_postings_appended_total", 1);
-  }
+  if (it != postings->end() && *it == row_id) return false;
+  postings->insert(it, row_id);
+  return true;
 }
 
-void ErasePosting(std::vector<size_t>* postings, size_t row_id,
-                  std::atomic<uint64_t>* bytes) {
+/// True when `row_id` was present and removed.
+bool RemoveRowId(std::vector<size_t>* postings, size_t row_id) {
   auto it = std::lower_bound(postings->begin(), postings->end(), row_id);
-  if (it != postings->end() && *it == row_id) {
-    postings->erase(it);
-    bytes->fetch_sub(sizeof(size_t), std::memory_order_relaxed);
-    FSDM_COUNT("fsdm_index_postings_erased_total", 1);
-  }
+  if (it == postings->end() || *it != row_id) return false;
+  postings->erase(it);
+  return true;
 }
 
 }  // namespace
+
+size_t JsonSearchIndex::PostingKeyHash::operator()(
+    const PostingProbe& k) const {
+  return static_cast<size_t>(
+      Hash64(k.text, uint64_t{k.path} * 0x9e3779b97f4a7c15ull));
+}
 
 std::vector<std::string> TokenizeKeywords(std::string_view text) {
   std::vector<std::string> tokens;
@@ -106,6 +87,7 @@ Result<std::unique_ptr<JsonSearchIndex>> JsonSearchIndex::Create(
 
   std::unique_ptr<JsonSearchIndex> idx(
       new JsonSearchIndex(table, pos, options));
+  idx->SyncBucketBytes();
   idx->dg_table_ = std::make_unique<rdbms::Table>(
       table->name() + "$DG",
       std::vector<rdbms::ColumnDef>{
@@ -189,6 +171,34 @@ Status WalkPaths(const json::Dom& dom, json::Dom::NodeRef node,
   return Status::Internal("unreachable");
 }
 
+enum class PostingKind { kPath, kValue, kKeyword };
+
+/// Every posting key of one document, in walk order: for each node its
+/// path, then (non-null scalars) its display value and (strings) its
+/// keyword tokens. Staging and the VerifyPostings shadow share this walk.
+template <typename Emit>
+Status VisitPostingKeys(const json::Dom& dom, const Emit& emit) {
+  std::string path = "$";
+  return WalkPaths(
+      dom, dom.root(), &path,
+      [&](const std::string& p, json::Dom::NodeRef node) -> Status {
+        emit(PostingKind::kPath, p, std::string());
+        if (dom.GetNodeType(node) != json::NodeKind::kScalar) {
+          return Status::Ok();
+        }
+        Value v;
+        FSDM_RETURN_NOT_OK(dom.GetScalarValue(node, &v));
+        if (v.is_null()) return Status::Ok();
+        emit(PostingKind::kValue, p, v.ToDisplayString());
+        if (v.type() == ScalarType::kString) {
+          for (std::string& tok : TokenizeKeywords(v.AsString())) {
+            emit(PostingKind::kKeyword, p, std::move(tok));
+          }
+        }
+        return Status::Ok();
+      });
+}
+
 }  // namespace
 
 Result<JsonSearchIndex::ParsedDoc> JsonSearchIndex::ParseDoc(
@@ -206,63 +216,158 @@ Result<JsonSearchIndex::ParsedDoc> JsonSearchIndex::ParseDoc(
 }
 
 Result<JsonSearchIndex::DocPostings> JsonSearchIndex::StagePostings(
-    const json::Dom& dom) const {
+    const json::Dom& dom) {
   DocPostings staged;
-  std::string path = "$";
-  Status st = WalkPaths(
-      dom, dom.root(), &path,
-      [&](const std::string& p, json::Dom::NodeRef node) -> Status {
-        staged.paths.push_back(p);
-        if (dom.GetNodeType(node) == json::NodeKind::kScalar) {
-          Value v;
-          FSDM_RETURN_NOT_OK(dom.GetScalarValue(node, &v));
-          if (!v.is_null()) {
-            staged.values.emplace_back(p, v.ToDisplayString());
-            if (v.type() == ScalarType::kString) {
-              for (const std::string& tok : TokenizeKeywords(v.AsString())) {
-                staged.keywords.emplace_back(p, tok);
-              }
-            }
-          }
+  PathId node_path = kNoPath;
+  FSDM_RETURN_NOT_OK(VisitPostingKeys(
+      dom, [&](PostingKind kind, std::string_view path, std::string text) {
+        switch (kind) {
+          case PostingKind::kPath:
+            node_path = InternPath(path);
+            staged.paths.push_back(node_path);
+            break;
+          case PostingKind::kValue:
+            staged.values.emplace_back(node_path, std::move(text));
+            break;
+          case PostingKind::kKeyword:
+            staged.keywords.emplace_back(node_path, std::move(text));
+            break;
         }
-        return Status::Ok();
-      });
-  FSDM_RETURN_NOT_OK(st);
+      }));
+  // Array elements share their array's paths; one entry per path is
+  // enough, and sorted ids make a replace's shared paths easy to find.
+  std::sort(staged.paths.begin(), staged.paths.end());
+  staged.paths.erase(std::unique(staged.paths.begin(), staged.paths.end()),
+                     staged.paths.end());
   return staged;
 }
 
-void JsonSearchIndex::ApplyPostings(const DocPostings& staged, size_t row_id) {
-  for (const std::string& p : staged.paths) {
-    InsertPosting(PostingSlot(&path_postings_, p, &postings_bytes_), row_id,
-                  &postings_bytes_);
-  }
-  for (const auto& [p, display] : staged.values) {
-    InsertPosting(PostingSlot(&value_postings_, std::make_pair(p, display),
-                              &postings_bytes_),
-                  row_id, &postings_bytes_);
-  }
-  for (const auto& [p, tok] : staged.keywords) {
-    InsertPosting(PostingSlot(&keyword_postings_, std::make_pair(p, tok),
-                              &postings_bytes_),
-                  row_id, &postings_bytes_);
-  }
+uint64_t JsonSearchIndex::PathEntryBytes(std::string_view path) {
+  // Dictionary node, id -> name pointer, path-postings vector header.
+  return HashNodeBytes<decltype(path_ids_)>() + sizeof(const std::string*) +
+         sizeof(std::vector<size_t>) + path.size();
 }
 
-void JsonSearchIndex::ErasePostings(const DocPostings& staged, size_t row_id) {
-  for (const std::string& p : staged.paths) {
-    ErasePosting(PostingSlot(&path_postings_, p, &postings_bytes_), row_id,
-                 &postings_bytes_);
+uint64_t JsonSearchIndex::PostingNodeBytes(std::string_view text) {
+  return HashNodeBytes<PostingMap>() + text.size();
+}
+
+JsonSearchIndex::PathId JsonSearchIndex::InternPath(std::string_view path) {
+  auto it = path_ids_.find(path);
+  if (it != path_ids_.end()) return it->second;
+  const PathId id = static_cast<PathId>(path_names_.size());
+  it = path_ids_.emplace(std::string(path), id).first;
+  path_names_.push_back(&it->first);
+  path_postings_.emplace_back();
+  postings_bytes_.fetch_add(PathEntryBytes(path), std::memory_order_relaxed);
+  SyncBucketBytes();
+  return id;
+}
+
+JsonSearchIndex::PathId JsonSearchIndex::FindPath(
+    std::string_view path) const {
+  auto it = path_ids_.find(path);
+  return it == path_ids_.end() ? kNoPath : it->second;
+}
+
+void JsonSearchIndex::SyncBucketBytes() {
+  const size_t buckets = path_ids_.bucket_count() +
+                         value_postings_.bucket_count() +
+                         keyword_postings_.bucket_count();
+  if (buckets == charged_buckets_) return;
+  if (buckets > charged_buckets_) {
+    postings_bytes_.fetch_add((buckets - charged_buckets_) * sizeof(void*),
+                              std::memory_order_relaxed);
+  } else {
+    postings_bytes_.fetch_sub((charged_buckets_ - buckets) * sizeof(void*),
+                              std::memory_order_relaxed);
   }
-  for (const auto& [p, display] : staged.values) {
-    ErasePosting(PostingSlot(&value_postings_, std::make_pair(p, display),
-                             &postings_bytes_),
-                 row_id, &postings_bytes_);
+  charged_buckets_ = buckets;
+}
+
+void JsonSearchIndex::ApplyPathPosting(PathId path, size_t row_id) {
+  if (!AddRowId(&path_postings_[path], row_id)) return;
+  postings_bytes_.fetch_add(sizeof(size_t), std::memory_order_relaxed);
+  FSDM_COUNT("fsdm_index_postings_appended_total", 1);
+}
+
+void JsonSearchIndex::ErasePathPosting(PathId path, size_t row_id) {
+  std::vector<size_t>* postings = &path_postings_[path];
+  if (!RemoveRowId(postings, row_id)) return;
+  // The path's last document is gone: release the list's heap.
+  if (postings->empty()) std::vector<size_t>().swap(*postings);
+  postings_bytes_.fetch_sub(sizeof(size_t), std::memory_order_relaxed);
+  FSDM_COUNT("fsdm_index_postings_erased_total", 1);
+}
+
+const std::vector<size_t>* JsonSearchIndex::ApplyPosting(
+    PostingMap* map, PathId path, const std::string& text, size_t row_id) {
+  auto it = map->find(PostingProbe{path, text});
+  if (it == map->end()) {
+    it = map->emplace(PostingKey{path, text}, std::vector<size_t>{row_id})
+             .first;
+    postings_bytes_.fetch_add(PostingNodeBytes(text) + sizeof(size_t),
+                              std::memory_order_relaxed);
+    SyncBucketBytes();
+  } else if (AddRowId(&it->second, row_id)) {
+    postings_bytes_.fetch_add(sizeof(size_t), std::memory_order_relaxed);
+  } else {
+    return &it->second;
   }
-  for (const auto& [p, tok] : staged.keywords) {
-    ErasePosting(PostingSlot(&keyword_postings_, std::make_pair(p, tok),
-                             &postings_bytes_),
-                 row_id, &postings_bytes_);
+  FSDM_COUNT("fsdm_index_postings_appended_total", 1);
+  return &it->second;
+}
+
+void JsonSearchIndex::ErasePosting(PostingMap* map, PostingMap::iterator it,
+                                   size_t row_id) {
+  if (!RemoveRowId(&it->second, row_id)) return;
+  if (it->second.empty()) {
+    postings_bytes_.fetch_sub(PostingNodeBytes(it->first.text),
+                              std::memory_order_relaxed);
+    map->erase(it);
   }
+  postings_bytes_.fetch_sub(sizeof(size_t), std::memory_order_relaxed);
+  FSDM_COUNT("fsdm_index_postings_erased_total", 1);
+}
+
+void JsonSearchIndex::SwapPostings(const DocPostings& from,
+                                   const DocPostings& to, size_t row_id) {
+  // Path ids are sorted and unique, so one merge finds the shared ones.
+  auto f = from.paths.begin();
+  auto t = to.paths.begin();
+  while (f != from.paths.end() || t != to.paths.end()) {
+    if (t == to.paths.end() || (f != from.paths.end() && *f < *t)) {
+      ErasePathPosting(*f++, row_id);
+    } else if (f == from.paths.end() || *t < *f) {
+      ApplyPathPosting(*t++, row_id);
+    } else {
+      ++f;
+      ++t;
+    }
+  }
+  // Values and keywords: apply `to` first and remember the lists it
+  // touched (node addresses are stable across rehashes); a key of `from`
+  // whose list is among them is shared and stays as it is. An erase never
+  // creates a key.
+  std::vector<const std::vector<size_t>*> kept;
+  auto swap = [&](PostingMap* map, const auto& from_keys,
+                  const auto& to_keys) {
+    kept.clear();
+    for (const auto& [p, text] : to_keys) {
+      kept.push_back(ApplyPosting(map, p, text, row_id));
+    }
+    if (from_keys.empty()) return;
+    std::sort(kept.begin(), kept.end());
+    for (const auto& [p, text] : from_keys) {
+      auto it = map->find(PostingProbe{p, text});
+      if (it != map->end() &&
+          !std::binary_search(kept.begin(), kept.end(), &it->second)) {
+        ErasePosting(map, it, row_id);
+      }
+    }
+  };
+  swap(&value_postings_, from.values, to.values);
+  swap(&keyword_postings_, from.keywords, to.keywords);
 }
 
 Status JsonSearchIndex::MaintainDataGuide(const json::Dom& dom) {
@@ -323,7 +428,7 @@ Status JsonSearchIndex::IndexDocumentImpl(size_t row_id, const Value& doc) {
   if (options_.maintain_postings) {
     FSDM_FAULT_POINT("index.insert.postings");
     FSDM_ASSIGN_OR_RETURN(staged, StagePostings(dom));
-    ApplyPostings(staged, row_id);
+    SwapPostings(DocPostings(), staged, row_id);
   }
   Status dg = MaintainDataGuide(dom);
   if (!dg.ok()) {
@@ -333,7 +438,7 @@ Status JsonSearchIndex::IndexDocumentImpl(size_t row_id, const Value& doc) {
     if (options_.maintain_postings) {
       Status undone = FSDM_FAULT_STATUS("index.undo.postings");
       if (undone.ok()) {
-        ErasePostings(staged, row_id);
+        SwapPostings(staged, DocPostings(), row_id);
       } else {
         MarkDegraded("insert rollback failed on row " +
                      std::to_string(row_id) + ": " + undone.message());
@@ -352,7 +457,7 @@ Status JsonSearchIndex::UnindexDocumentImpl(size_t row_id, const Value& doc) {
     FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, false));
     json::TreeDom dom(parsed.tree);
     FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-    ErasePostings(staged, row_id);
+    SwapPostings(staged, DocPostings(), row_id);
   }
   // The DataGuide is additive: no path removal on delete (§3.4).
   if (indexed_docs_ > 0) --indexed_docs_;
@@ -362,9 +467,9 @@ Status JsonSearchIndex::UnindexDocumentImpl(size_t row_id, const Value& doc) {
 Status JsonSearchIndex::ReplaceDocumentImpl(size_t row_id,
                                             const Value& old_doc,
                                             const Value& new_doc) {
-  // Stage both documents before mutating anything: a failure here (parse
-  // error, injected fault) leaves the index byte-identical, where the old
-  // unindex-then-reindex flow would have lost the old document's postings.
+  // Stage both documents before mutating any posting list: a failure here
+  // (parse error, injected fault) leaves the postings as they were, where
+  // the old unindex-then-reindex flow would have lost the old document's.
   FSDM_FAULT_POINT("index.replace.stage");
   ParsedDoc new_parsed;
   if (!new_doc.is_null()) {
@@ -382,8 +487,7 @@ Status JsonSearchIndex::ReplaceDocumentImpl(size_t row_id,
       json::TreeDom new_dom(new_parsed.tree);
       FSDM_ASSIGN_OR_RETURN(new_staged, StagePostings(new_dom));
     }
-    ErasePostings(old_staged, row_id);
-    ApplyPostings(new_staged, row_id);
+    SwapPostings(old_staged, new_staged, row_id);
   }
   Status dg = Status::Ok();
   if (!new_doc.is_null()) {
@@ -394,8 +498,7 @@ Status JsonSearchIndex::ReplaceDocumentImpl(size_t row_id,
     if (options_.maintain_postings) {
       Status undone = FSDM_FAULT_STATUS("index.undo.postings");
       if (undone.ok()) {
-        ErasePostings(new_staged, row_id);
-        ApplyPostings(old_staged, row_id);
+        SwapPostings(new_staged, old_staged, row_id);
       } else {
         MarkDegraded("replace rollback failed on row " +
                      std::to_string(row_id) + ": " + undone.message());
@@ -421,7 +524,7 @@ Status JsonSearchIndex::UndoInsert(size_t row_id, const rdbms::Row& row) {
       FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, true));
       json::TreeDom dom(parsed.tree);
       FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-      ErasePostings(staged, row_id);
+      SwapPostings(staged, DocPostings(), row_id);
       return Status::Ok();
     }();
   }
@@ -445,7 +548,7 @@ Status JsonSearchIndex::UndoDelete(size_t row_id, const rdbms::Row& row) {
       FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, false));
       json::TreeDom dom(parsed.tree);
       FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-      ApplyPostings(staged, row_id);
+      SwapPostings(DocPostings(), staged, row_id);
       return Status::Ok();
     }();
   }
@@ -478,8 +581,7 @@ Status JsonSearchIndex::UndoReplace(size_t row_id, const rdbms::Row& old_row,
         json::TreeDom dom(parsed.tree);
         FSDM_ASSIGN_OR_RETURN(old_staged, StagePostings(dom));
       }
-      ErasePostings(new_staged, row_id);
-      ApplyPostings(old_staged, row_id);
+      SwapPostings(new_staged, old_staged, row_id);
       return Status::Ok();
     }();
   }
@@ -514,10 +616,7 @@ Status JsonSearchIndex::Rebuild() {
   FSDM_COUNT("fsdm_index_rebuilds_total", 1);
   FSDM_TIME_SCOPE_US("fsdm_index_rebuild_us");
   FSDM_TRACE_SPAN(span, "index", "postings.rebuild");
-  path_postings_.clear();
-  value_postings_.clear();
-  keyword_postings_.clear();
-  postings_bytes_.store(0, std::memory_order_relaxed);
+  ClearPostings();
   indexed_docs_ = 0;
   Status failure;
   for (size_t r = 0; r < table_->row_count() && failure.ok(); ++r) {
@@ -529,7 +628,7 @@ Status JsonSearchIndex::Rebuild() {
       json::TreeDom dom(parsed.tree);
       if (options_.maintain_postings) {
         FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-        ApplyPostings(staged, r);
+        SwapPostings(DocPostings(), staged, r);
       }
       // Re-run DataGuide maintenance too: documents inserted while the
       // index was degraded never had their structure guided. Frequencies
@@ -558,10 +657,7 @@ Status JsonSearchIndex::Rebuild() {
     if (failure.ok()) dg_table_ = std::move(fresh_dg);
   }
   if (!failure.ok()) {
-    path_postings_.clear();
-    value_postings_.clear();
-    keyword_postings_.clear();
-    postings_bytes_.store(0, std::memory_order_relaxed);
+    ClearPostings();
     indexed_docs_ = 0;
     if (!degraded_) FSDM_COUNT("fsdm_index_degraded_total", 1);
     degraded_ = true;
@@ -573,13 +669,23 @@ Status JsonSearchIndex::Rebuild() {
   return Status::Ok();
 }
 
+void JsonSearchIndex::ClearPostings() {
+  for (std::vector<size_t>& postings : path_postings_) {
+    std::vector<size_t>().swap(postings);
+  }
+  value_postings_.clear();
+  keyword_postings_.clear();
+  SyncBucketBytes();
+  postings_bytes_.store(RecomputeMemoryBytes(), std::memory_order_relaxed);
+}
+
 void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
   if (!options_.maintain_postings) return;
+  // The shadow is keyed by path text, so the check never interns.
+  using TextKey = std::pair<std::string, std::string>;
   std::map<std::string, std::vector<size_t>> shadow_paths;
-  std::map<std::pair<std::string, std::string>, std::vector<size_t>>
-      shadow_values;
-  std::map<std::pair<std::string, std::string>, std::vector<size_t>>
-      shadow_keywords;
+  std::map<TextKey, std::vector<size_t>> shadow_values;
+  std::map<TextKey, std::vector<size_t>> shadow_keywords;
   for (size_t r = 0; r < table_->row_count(); ++r) {
     if (!table_->IsLive(r)) continue;
     const Value& doc = table_->StoredRow(r)[json_col_pos_];
@@ -591,70 +697,95 @@ void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
       continue;
     }
     json::TreeDom dom(parsed.value().tree);
-    Result<DocPostings> staged = StagePostings(dom);
-    if (!staged.ok()) {
-      problems->push_back("row " + std::to_string(r) + " unstageable: " +
-                          staged.status().message());
-      continue;
-    }
     // Sorted-unique insert without the maintenance telemetry counters (a
     // consistency check must not look like index activity).
-    auto add = [](std::vector<size_t>* postings, size_t row_id) {
-      auto it = std::lower_bound(postings->begin(), postings->end(), row_id);
-      if (it == postings->end() || *it != row_id) postings->insert(it, row_id);
-    };
-    for (const std::string& p : staged.value().paths) {
-      add(&shadow_paths[p], r);
-    }
-    for (const auto& [p, display] : staged.value().values) {
-      add(&shadow_values[{p, display}], r);
-    }
-    for (const auto& [p, tok] : staged.value().keywords) {
-      add(&shadow_keywords[{p, tok}], r);
+    Status st = VisitPostingKeys(
+        dom, [&](PostingKind kind, std::string_view path, std::string text) {
+          switch (kind) {
+            case PostingKind::kPath:
+              AddRowId(&shadow_paths[std::string(path)], r);
+              break;
+            case PostingKind::kValue:
+              AddRowId(&shadow_values[{std::string(path), std::move(text)}],
+                       r);
+              break;
+            case PostingKind::kKeyword:
+              AddRowId(
+                  &shadow_keywords[{std::string(path), std::move(text)}], r);
+              break;
+          }
+        });
+    if (!st.ok()) {
+      problems->push_back("row " + std::to_string(r) + " unstageable: " +
+                          st.message());
     }
   }
-  // Compare shadow vs live, ignoring keys whose posting list is empty (the
-  // live maps accumulate empty vectors through operator[] on erase paths).
-  auto compare = [&](const auto& live, const auto& shadow,
-                     const auto& render) {
+  auto mismatch = [&](const std::string& key, const std::vector<size_t>* have,
+                      size_t implied) {
+    problems->push_back("posting " + key + ": index has " +
+                        std::to_string(have ? have->size() : 0) +
+                        " docs, table implies " + std::to_string(implied) +
+                        (implied == 0 ? " (spurious)" : ""));
+  };
+  // Shadow -> live: every implied posting list is present and exact.
+  for (const auto& [path, docs] : shadow_paths) {
+    const PathId id = FindPath(path);
+    const std::vector<size_t>* have =
+        id == kNoPath ? nullptr : &path_postings_[id];
+    if (have == nullptr || *have != docs) mismatch(path, have, docs.size());
+  }
+  auto check_implied = [&](const PostingMap& live,
+                           const std::map<TextKey, std::vector<size_t>>& shadow,
+                           const char* sep) {
     for (const auto& [key, docs] : shadow) {
-      auto it = live.find(key);
+      const PathId id = FindPath(key.first);
+      auto it = id == kNoPath ? live.end()
+                              : live.find(PostingProbe{id, key.second});
       const std::vector<size_t>* have =
           it == live.end() ? nullptr : &it->second;
       if (have == nullptr || *have != docs) {
-        problems->push_back("posting " + render(key) + ": index has " +
-                            std::to_string(have ? have->size() : 0) +
-                            " docs, table implies " +
-                            std::to_string(docs.size()));
-      }
-    }
-    for (const auto& [key, docs] : live) {
-      if (docs.empty()) continue;
-      if (!shadow.count(key)) {
-        problems->push_back("posting " + render(key) + ": index has " +
-                            std::to_string(docs.size()) +
-                            " docs, table implies 0 (spurious)");
+        mismatch(key.first + sep + key.second, have, docs.size());
       }
     }
   };
-  compare(path_postings_, shadow_paths,
-          [](const std::string& k) { return k; });
-  compare(value_postings_, shadow_values,
-          [](const std::pair<std::string, std::string>& k) {
-            return k.first + "=" + k.second;
-          });
-  compare(keyword_postings_, shadow_keywords,
-          [](const std::pair<std::string, std::string>& k) {
-            return k.first + "~" + k.second;
-          });
+  check_implied(value_postings_, shadow_values, "=");
+  check_implied(keyword_postings_, shadow_keywords, "~");
+  // Live -> shadow: nothing spurious, and no empty value/keyword list (an
+  // empty path list is an interned path no live document has).
+  for (PathId id = 0; id < path_postings_.size(); ++id) {
+    const std::vector<size_t>& docs = path_postings_[id];
+    if (docs.empty()) {
+      if (docs.capacity() != 0) {
+        problems->push_back("posting " + *path_names_[id] +
+                            ": empty list still holds heap");
+      }
+    } else if (!shadow_paths.count(*path_names_[id])) {
+      mismatch(*path_names_[id], &docs, 0);
+    }
+  }
+  auto check_spurious = [&](const PostingMap& live,
+                            const std::map<TextKey, std::vector<size_t>>& shadow,
+                            const char* sep) {
+    for (const auto& [key, docs] : live) {
+      const std::string& path = *path_names_[key.path];
+      if (docs.empty()) {
+        problems->push_back("posting " + path + sep + key.text +
+                            ": empty list (an emptied key must be removed)");
+      } else if (!shadow.count({path, key.text})) {
+        mismatch(path + sep + key.text, &docs, 0);
+      }
+    }
+  };
+  check_spurious(value_postings_, shadow_values, "=");
+  check_spurious(keyword_postings_, shadow_keywords, "~");
 }
 
 std::vector<size_t> JsonSearchIndex::DocsWithPath(
     const std::string& path) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
-  auto it = path_postings_.find(path);
+  const PathId id = FindPath(path);
   std::vector<size_t> docs =
-      it == path_postings_.end() ? std::vector<size_t>{} : it->second;
+      id == kNoPath ? std::vector<size_t>{} : path_postings_[id];
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
 }
@@ -662,9 +793,13 @@ std::vector<size_t> JsonSearchIndex::DocsWithPath(
 std::vector<size_t> JsonSearchIndex::DocsWithValue(const std::string& path,
                                                    const Value& value) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
-  auto it = value_postings_.find({path, value.ToDisplayString()});
-  std::vector<size_t> docs =
-      it == value_postings_.end() ? std::vector<size_t>{} : it->second;
+  const PathId id = FindPath(path);
+  std::vector<size_t> docs;
+  if (id != kNoPath) {
+    const std::string display = value.ToDisplayString();
+    auto it = value_postings_.find(PostingProbe{id, display});
+    if (it != value_postings_.end()) docs = it->second;
+  }
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
 }
@@ -673,11 +808,12 @@ std::vector<size_t> JsonSearchIndex::DocsWithKeyword(
     const std::string& path, const std::string& keyword) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
   std::vector<std::string> tokens = TokenizeKeywords(keyword);
-  if (tokens.empty()) return {};
+  const PathId id = FindPath(path);
+  if (tokens.empty() || id == kNoPath) return {};
   // Conjunction over the keyword's tokens.
   std::vector<size_t> acc;
   for (size_t i = 0; i < tokens.size(); ++i) {
-    auto it = keyword_postings_.find({path, tokens[i]});
+    auto it = keyword_postings_.find(PostingProbe{id, tokens[i]});
     if (it == keyword_postings_.end()) return {};
     if (i == 0) {
       acc = it->second;
@@ -809,22 +945,24 @@ rdbms::OperatorPtr IndexedIntersectionScan(const rdbms::Table* table,
 
 size_t JsonSearchIndex::posting_count() const {
   size_t n = 0;
-  for (const auto& [k, v] : path_postings_) n += v.size();
+  for (const std::vector<size_t>& v : path_postings_) n += v.size();
   for (const auto& [k, v] : value_postings_) n += v.size();
   for (const auto& [k, v] : keyword_postings_) n += v.size();
   return n;
 }
 
 uint64_t JsonSearchIndex::RecomputeMemoryBytes() const {
-  uint64_t total = 0;
-  for (const auto& [k, v] : path_postings_) {
-    total += kPostingEntryBytes + PostingKeyBytes(k) + v.size() * sizeof(size_t);
+  uint64_t total = (path_ids_.bucket_count() + value_postings_.bucket_count() +
+                    keyword_postings_.bucket_count()) *
+                   sizeof(void*);
+  for (PathId id = 0; id < path_postings_.size(); ++id) {
+    total += PathEntryBytes(*path_names_[id]) +
+             path_postings_[id].size() * sizeof(size_t);
   }
-  for (const auto& [k, v] : value_postings_) {
-    total += kPostingEntryBytes + PostingKeyBytes(k) + v.size() * sizeof(size_t);
-  }
-  for (const auto& [k, v] : keyword_postings_) {
-    total += kPostingEntryBytes + PostingKeyBytes(k) + v.size() * sizeof(size_t);
+  for (const PostingMap* map : {&value_postings_, &keyword_postings_}) {
+    for (const auto& [k, v] : *map) {
+      total += PostingNodeBytes(k.text) + v.size() * sizeof(size_t);
+    }
   }
   return total;
 }

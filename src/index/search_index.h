@@ -2,10 +2,12 @@
 #define FSDM_INDEX_SEARCH_INDEX_H_
 
 #include <atomic>
-#include <map>
+#include <cstdint>
+#include <functional>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dataguide/dataguide.h"
@@ -29,10 +31,11 @@ namespace fsdm::index {
 /// remove $DG rows (§3.4).
 ///
 /// Failure semantics (ISSUE 3): every maintenance operation stages its
-/// posting keys from the document *before* mutating the maps, so a failure
-/// during staging (parse error, injected fault) leaves the index
-/// byte-identical — in particular a replace is stage-then-swap, never
-/// unindex-then-reindex. When a failure strikes after the postings were
+/// posting keys from the document *before* mutating the posting lists, so
+/// a failure during staging (parse error, injected fault) leaves every
+/// posting list as it was (staging may only have interned paths into the
+/// additive path dictionary) — in particular a replace is stage-then-swap,
+/// never unindex-then-reindex. When a failure strikes after the postings were
 /// applied (DataGuide persistence) or during a compensation callback from
 /// the table, the index first tries to undo its own partial work; if that
 /// undo itself fails it enters a *degraded* state: all maintenance and
@@ -133,10 +136,12 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   size_t indexed_document_count() const { return indexed_docs_; }
   size_t posting_count() const;
 
-  /// In-memory footprint of the posting maps (ISSUE 9 memory attribution):
-  /// per-entry node overhead + owned key strings (by size()) + row-id
-  /// payloads. Maintained incrementally on every posting mutation, O(1) to
-  /// read — the collection's index-postings memory reporter polls this.
+  /// In-memory footprint of the postings (ISSUE 9 memory attribution):
+  /// per hash node the key, the row-id vector header, the next pointer and
+  /// the cached hash; the key text and row-id payload by size(); each
+  /// interned path once; and the bucket arrays of the three hash maps.
+  /// Maintained incrementally on every posting mutation, O(1) to read —
+  /// the collection's index-postings memory reporter polls this.
   uint64_t MemoryBytes() const {
     return postings_bytes_.load(std::memory_order_relaxed);
   }
@@ -152,14 +157,55 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   JsonSearchIndex(rdbms::Table* table, size_t json_col_pos, Options options)
       : table_(table), json_col_pos_(json_col_pos), options_(options) {}
 
+  /// Dense id of an interned path (see path_ids_).
+  using PathId = uint32_t;
+  static constexpr PathId kNoPath = UINT32_MAX;
+
+  /// Exact key of a value or keyword posting list: the interned path and
+  /// the canonical scalar display (values) or lowercased token (keywords).
+  struct PostingKey {
+    PathId path;
+    std::string text;
+  };
+  /// Allocation-free probe for the same key.
+  struct PostingProbe {
+    PathId path;
+    std::string_view text;
+  };
+  /// Heterogeneous hash/equality, so probes never build a PostingKey. The
+  /// hash is deliberately not noexcept: libstdc++ then caches it in every
+  /// node, and rehashes and collisions never re-read the key text.
+  struct PostingKeyHash {
+    using is_transparent = void;
+    size_t operator()(const PostingKey& k) const {
+      return (*this)(PostingProbe{k.path, k.text});
+    }
+    size_t operator()(const PostingProbe& k) const;
+  };
+  struct PostingKeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.path == b.path && std::string_view(a.text) == b.text;
+    }
+  };
+  using PostingMap = std::unordered_map<PostingKey, std::vector<size_t>,
+                                        PostingKeyHash, PostingKeyEq>;
+  struct PathHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view path) const {
+      return std::hash<std::string_view>{}(path);
+    }
+  };
+
   /// Staged posting keys of one document (the row id is supplied at apply
-  /// time). Staging walks the document without touching the maps; the
-  /// apply/erase phases are then pure in-memory map mutations that cannot
-  /// fail, which is what makes stage-then-swap atomic.
+  /// time). Staging walks the document without touching the posting lists;
+  /// SwapPostings() is then a pure in-memory mutation that cannot fail,
+  /// which is what makes stage-then-swap atomic.
   struct DocPostings {
-    std::vector<std::string> paths;
-    std::vector<std::pair<std::string, std::string>> values;    // path, display
-    std::vector<std::pair<std::string, std::string>> keywords;  // path, token
+    std::vector<PathId> paths;  // sorted, unique
+    std::vector<std::pair<PathId, std::string>> values;    // display
+    std::vector<std::pair<PathId, std::string>> keywords;  // token
   };
 
   /// Owns the parse when the IS JSON constraint's DOM was unavailable.
@@ -171,9 +217,38 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   /// JSON check already built for the in-flight DML (§3.2.1) if present.
   Result<ParsedDoc> ParseDoc(const Value& doc, bool use_dml_parse) const;
 
-  Result<DocPostings> StagePostings(const json::Dom& dom) const;
-  void ApplyPostings(const DocPostings& staged, size_t row_id);
-  void ErasePostings(const DocPostings& staged, size_t row_id);
+  /// Interns every path it meets, so it is a maintenance-only step;
+  /// lookups and VerifyPostings() only ever call FindPath().
+  Result<DocPostings> StagePostings(const json::Dom& dom);
+  /// Moves `row_id` from the keys of `from` to the keys of `to`: an insert
+  /// swaps from no keys, a delete to no keys, a replace from the old
+  /// document's keys to the new one's. A key both documents have keeps its
+  /// list untouched rather than being erased and re-added, which would
+  /// shift the long lists of common paths, values and tokens twice.
+  void SwapPostings(const DocPostings& from, const DocPostings& to,
+                    size_t row_id);
+  void ApplyPathPosting(PathId path, size_t row_id);
+  void ErasePathPosting(PathId path, size_t row_id);
+  /// Adds `row_id` under the key, creating the key if needed; returns its
+  /// posting list.
+  const std::vector<size_t>* ApplyPosting(PostingMap* map, PathId path,
+                                          const std::string& text,
+                                          size_t row_id);
+  /// Removes `row_id` from the list at `it`, and the key with it when the
+  /// list empties.
+  void ErasePosting(PostingMap* map, PostingMap::iterator it, size_t row_id);
+
+  PathId InternPath(std::string_view path);
+  /// kNoPath when the path was never interned (no document has it).
+  PathId FindPath(std::string_view path) const;
+  /// Accounting footprint of an interned path / a value or keyword key,
+  /// excluding row-id payloads (see MemoryBytes()).
+  static uint64_t PathEntryBytes(std::string_view path);
+  static uint64_t PostingNodeBytes(std::string_view text);
+  /// Charges or refunds the bucket arrays after a map may have rehashed.
+  void SyncBucketBytes();
+  /// Drops every posting list; the path dictionary stays.
+  void ClearPostings();
 
   /// DataGuide + $DG side-table maintenance for one document.
   Status MaintainDataGuide(const json::Dom& dom);
@@ -192,21 +267,29 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   size_t json_col_pos_;  // position within the physical row
   Options options_;
 
-  // (path, canonical scalar display) -> sorted row ids.
-  std::map<std::pair<std::string, std::string>, std::vector<size_t>>
-      value_postings_;
-  // path -> sorted row ids.
-  std::map<std::string, std::vector<size_t>> path_postings_;
-  // (path, lowercased token) -> sorted row ids.
-  std::map<std::pair<std::string, std::string>, std::vector<size_t>>
-      keyword_postings_;
+  // Path dictionary (§4.2.1's field ids applied to index paths): each
+  // distinct path string once, named by a dense id. Additive like the
+  // DataGuide (§3.4): ids are never reclaimed, so Rebuild() keeps them.
+  std::unordered_map<std::string, PathId, PathHash, std::equal_to<>>
+      path_ids_;
+  std::vector<const std::string*> path_names_;  // id -> key in path_ids_
+  // Path id -> sorted row ids. An empty list holds no heap.
+  std::vector<std::vector<size_t>> path_postings_;
+  // (path id, canonical scalar display) -> sorted row ids.
+  PostingMap value_postings_;
+  // (path id, lowercased token) -> sorted row ids.
+  PostingMap keyword_postings_;
+  // No value or keyword list is ever empty: an erase never creates a key,
+  // and removing the last row id removes the key.
 
   dataguide::DataGuide dataguide_;
-  // Incremental accounting over the three posting maps; reset with them.
+  // Incremental accounting over the postings and the path dictionary.
   // Atomic (relaxed) because DML mutates it while MemoryTracker reporter
   // callbacks read it from other threads (workload-snapshot tick,
   // TELEMETRY$MEMORY refresh).
   std::atomic<uint64_t> postings_bytes_{0};
+  // Total bucket count of the three hash maps as last charged.
+  size_t charged_buckets_ = 0;
   // The persistent $DG side table (§3.2.1): one row per distinct path,
   // appended when a document introduces new structure.
   std::unique_ptr<rdbms::Table> dg_table_;

@@ -153,6 +153,7 @@ Result<size_t> Table::Insert(Row physical_values) {
   size_t row_id = rows_.size();
   rows_.push_back(std::move(physical_values));
   live_.push_back(true);
+  live_rows_.fetch_add(1, std::memory_order_relaxed);
   heap_bytes_.fetch_add(RowHeapBytes(rows_.back()),
                         std::memory_order_relaxed);
   Status failure;
@@ -171,6 +172,7 @@ Result<size_t> Table::Insert(Row physical_values) {
                           std::memory_order_relaxed);
     rows_.pop_back();
     live_.pop_back();
+    live_rows_.fetch_sub(1, std::memory_order_relaxed);
     dml_parsed_.clear();
     return failure;
   }
@@ -206,6 +208,7 @@ Status Table::Delete(size_t row_id) {
     return failure;
   }
   live_[row_id] = false;
+  live_rows_.fetch_sub(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 

@@ -117,6 +117,12 @@ class Table {
   /// Stored values of a row (physical columns only).
   const Row& StoredRow(size_t row_id) const { return rows_[row_id]; }
   bool IsLive(size_t row_id) const { return live_[row_id]; }
+  /// Number of live rows, O(1). Atomic (relaxed), so a concurrent session
+  /// (TELEMETRY$COLLECTIONS) can read it without walking live_ while DML
+  /// resizes it.
+  size_t live_row_count() const {
+    return live_rows_.load(std::memory_order_relaxed);
+  }
 
   /// Materializes a full output row: physical values plus evaluated
   /// virtual columns (hidden ones included only when `include_hidden`).
@@ -164,6 +170,9 @@ class Table {
   Schema physical_schema_;
   std::vector<Row> rows_;        // stored values, physical order
   std::vector<bool> live_;       // tombstones for Delete
+  // Count of true entries in live_: +1 on insert, -1 on insert rollback
+  // and on delete.
+  std::atomic<size_t> live_rows_{0};
   // Incremental accounting over rows_. Atomic (relaxed) because DML
   // mutates it while MemoryTracker reporter callbacks read it from other
   // threads (workload-snapshot tick, TELEMETRY$MEMORY refresh).

@@ -20,6 +20,19 @@ uint64_t Mix(uint64_t h) {
   return h;
 }
 
+// 2^-r for every register value r (0..64-p+1). Each entry is exact, so
+// summing the table is bit-identical to summing std::ldexp(1.0, -r).
+constexpr int kMaxRank = 64 - Hll::kPrecision + 1;
+constexpr std::array<double, kMaxRank + 1> kInversePowers = [] {
+  std::array<double, kMaxRank + 1> powers{};
+  double p = 1.0;
+  for (double& entry : powers) {
+    entry = p;
+    p /= 2.0;
+  }
+  return powers;
+}();
+
 }  // namespace
 
 void Hll::Add(std::string_view canonical) { AddHash(Hash64(canonical)); }
@@ -45,7 +58,7 @@ double Hll::Estimate() const {
   double inverse_sum = 0.0;
   size_t zeros = 0;
   for (uint8_t r : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    inverse_sum += kInversePowers[r];
     if (r == 0) ++zeros;
   }
   const double raw = alpha * m * m / inverse_sum;

@@ -41,6 +41,11 @@ class Hll {
 
   void Clear() { registers_.fill(0); }
 
+  /// Register values (exposed for tests).
+  const std::array<uint8_t, kRegisters>& registers() const {
+    return registers_;
+  }
+
  private:
   std::array<uint8_t, kRegisters> registers_{};
 };

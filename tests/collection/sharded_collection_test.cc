@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "collection/collections_table.h"
 #include "collection/path_stats_table.h"
 #include "common/hash.h"
+#include "fault/fault.h"
 #include "rdbms/executor.h"
 #include "stats/operator_costs.h"
 
@@ -104,6 +107,80 @@ TEST_F(ShardedCollectionTest, RowIdsEncodeShardAndRoundTrip) {
   EXPECT_EQ(coll->document_count(), 8u);
   ASSERT_TRUE(coll->Delete(row_ids[3]).ok());
   EXPECT_EQ(coll->document_count(), 7u);
+}
+
+/// Live rows counted by walking every shard's tombstone vector.
+size_t WalkLiveRows(const JsonCollection& coll) {
+  size_t n = 0;
+  for (size_t s = 0; s < coll.shard_count(); ++s) {
+    const rdbms::Table* table = coll.shard(s)->table();
+    for (size_t r = 0; r < table->row_count(); ++r) n += table->IsLive(r);
+  }
+  return n;
+}
+
+// document_count() reads each table's live-row counter instead of walking
+// live_; the counter must follow inserts, deletes and rolled-back inserts.
+TEST_F(ShardedCollectionTest, DocumentCountMatchesLiveWalk) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto coll = JsonCollection::Create(
+                    &db_, "DC" + std::to_string(shards), Sharded(shards))
+                    .MoveValue();
+    std::vector<size_t> rows;
+    for (int i = 1; i <= 30; ++i) {
+      auto rid = coll->Insert(Value::Int64(i), Doc(i));
+      ASSERT_TRUE(rid.ok());
+      rows.push_back(rid.value());
+    }
+    EXPECT_EQ(coll->document_count(), 30u);
+    for (size_t i = 0; i < rows.size(); i += 3) {
+      ASSERT_TRUE(coll->Delete(rows[i]).ok());
+    }
+    EXPECT_EQ(coll->document_count(), 20u);
+    EXPECT_EQ(coll->document_count(), WalkLiveRows(*coll));
+    if (fault::kEnabled) {
+      // The row is appended, the index observer fails, and the table
+      // rolls the append back.
+      fault::FaultRegistry::Global().Arm("index.insert.dataguide",
+                                         fault::FaultSpec::Once());
+      EXPECT_FALSE(coll->Insert(Value::Int64(100), Doc(100)).ok());
+      fault::FaultRegistry::Global().DisarmAll();
+      EXPECT_EQ(coll->document_count(), 20u);
+    }
+    EXPECT_FALSE(coll->Insert(Value::Int64(101), "{not json").ok());
+    EXPECT_EQ(coll->document_count(), WalkLiveRows(*coll));
+    ASSERT_TRUE(coll->Insert(Value::Int64(102), Doc(102)).ok());
+    EXPECT_EQ(coll->document_count(), 21u);
+    EXPECT_EQ(coll->document_count(), WalkLiveRows(*coll));
+  }
+}
+
+// A concurrent session may poll document_count() (TELEMETRY$COLLECTIONS)
+// while DML runs; the TSan build checks that this is race-free.
+TEST_F(ShardedCollectionTest, DocumentCountIsSafeToPollDuringInserts) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    auto coll = JsonCollection::Create(
+                    &db_, "DP" + std::to_string(shards), Sharded(shards))
+                    .MoveValue();
+    std::atomic<bool> done{false};
+    size_t last_seen = 0;
+    bool monotonic = true;
+    std::thread poller([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t n = coll->document_count();
+        if (n < last_seen) monotonic = false;
+        last_seen = n;
+      }
+    });
+    for (int i = 1; i <= 300; ++i) {
+      EXPECT_TRUE(coll->Insert(Value::Int64(i), Doc(i)).ok());
+    }
+    done.store(true, std::memory_order_release);
+    poller.join();
+    EXPECT_TRUE(monotonic);
+    EXPECT_EQ(coll->document_count(), 300u);
+  }
 }
 
 TEST_F(ShardedCollectionTest, CrossShardReplaceIsRejected) {

@@ -95,11 +95,12 @@ TEST(IndexAccountingTest, RolledBackDmlStaysReconciled) {
   EXPECT_FALSE(table->Delete(5).ok());
   table->RemoveObserver(&veto);
 
-  // Undo prunes the row ids back out but may leave empty posting shells
-  // for keys the vetoed DML introduced — the footprint can grow a little,
-  // yet the incremental counter must still match the recompute walk
-  // exactly, and the index must keep answering from the pre-DML state.
-  EXPECT_GE(idx->MemoryBytes(), steady);
+  // Undo removes the keys the vetoed DML introduced (an emptied posting
+  // list is dropped), and the vetoed documents add no new path, so the
+  // footprint returns exactly to its pre-DML value; the incremental counter
+  // must match the recompute walk, and the index must keep answering from
+  // the pre-DML state.
+  EXPECT_EQ(idx->MemoryBytes(), steady);
   EXPECT_EQ(idx->MemoryBytes(), idx->RecomputeMemoryBytes());
   EXPECT_EQ(idx->indexed_document_count(), 10u);
   EXPECT_EQ(idx->DocsWithValue("$.id", Value::Int64(50)),
@@ -118,10 +119,11 @@ TEST(IndexAccountingTest, RebuildStaysReconciled) {
   ASSERT_TRUE(table->Delete(2).ok());
   const uint64_t before = idx->MemoryBytes();
   ASSERT_TRUE(idx->Rebuild().ok());
-  // A rebuild indexes only live rows and creates no empty posting shells,
-  // so it can only shrink the footprint — and the incremental counter must
-  // land exactly on the recompute walk over the fresh postings.
-  EXPECT_LE(idx->MemoryBytes(), before);
+  // Deletes already dropped their emptied posting lists and a rebuild
+  // keeps the path dictionary, so the footprint is unchanged — and the
+  // incremental counter must land exactly on the recompute walk over the
+  // fresh postings.
+  EXPECT_EQ(idx->MemoryBytes(), before);
   EXPECT_GT(idx->MemoryBytes(), 0u);
   EXPECT_EQ(idx->MemoryBytes(), idx->RecomputeMemoryBytes());
 }

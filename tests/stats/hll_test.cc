@@ -1,5 +1,6 @@
 #include "stats/hll.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -32,6 +33,40 @@ TEST(HllTest, SmallCardinalitiesAreNearExact) {
                 std::max(1.0, 0.02 * static_cast<double>(n)))
         << "n=" << n;
   }
+}
+
+// The estimator as first written: one std::ldexp per register.
+double LdexpEstimate(const Hll& hll) {
+  constexpr double m = static_cast<double>(Hll::kRegisters);
+  constexpr double alpha = 0.7213 / (1.0 + 1.079 / m);
+  double inverse_sum = 0.0;
+  size_t zeros = 0;
+  for (uint8_t r : hll.registers()) {
+    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    if (r == 0) ++zeros;
+  }
+  const double raw = alpha * m * m / inverse_sum;
+  if (raw <= 2.5 * m && zeros > 0) {
+    return m * std::log(m / static_cast<double>(zeros));
+  }
+  return raw;
+}
+
+TEST(HllTest, EstimateIsBitIdenticalToLdexpFormula) {
+  // Empty, small-range (linear counting) and large (raw HLL) sketches, plus
+  // one with registers at the maximum rank.
+  for (size_t n : {0u, 3u, 40u, 700u, 5000u, 60000u}) {
+    Hll hll;
+    Feed(&hll, 11 + n, n);
+    EXPECT_EQ(std::bit_cast<uint64_t>(hll.Estimate()),
+              std::bit_cast<uint64_t>(LdexpEstimate(hll)))
+        << "n=" << n;
+  }
+  Hll extreme;
+  extreme.AddHash(0);
+  for (uint64_t i = 1; i < 4000; ++i) extreme.AddHash(i * 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(extreme.Estimate()),
+            std::bit_cast<uint64_t>(LdexpEstimate(extreme)));
 }
 
 TEST(HllTest, DuplicatesDoNotInflateTheEstimate) {
