@@ -578,11 +578,12 @@ ConsistencyReport JsonCollection::CheckConsistency() const {
     const dataguide::PathEntry* have =
         live_guide.Find(e->path, e->kind, e->under_array);
     if (have == nullptr) {
-      report.problems.push_back("DataGuide missing path " + e->path + " (" +
+      report.problems.push_back("DataGuide missing path " +
+                                std::string(e->path) + " (" +
                                 e->TypeString() + ")");
     } else if (have->frequency < e->frequency) {
       report.problems.push_back(
-          "DataGuide path " + e->path + " frequency " +
+          "DataGuide path " + std::string(e->path) + " frequency " +
           std::to_string(have->frequency) + " < observed " +
           std::to_string(e->frequency));
     }
@@ -1174,12 +1175,12 @@ Result<std::vector<dataguide::DmdvView>> JsonCollection::CreateViews(
   // master-detail views of §3.3.2).
   for (const dataguide::PathEntry* e : dataguide().SortedEntries()) {
     if (e->kind != json::NodeKind::kArray || e->under_array) continue;
-    size_t dot = e->path.rfind('.');
-    std::string leaf =
-        dot == std::string::npos ? e->path : e->path.substr(dot + 1);
+    const std::string path(e->path);
+    size_t dot = path.rfind('.');
+    std::string leaf = dot == std::string::npos ? path : path.substr(dot + 1);
     FSDM_ASSIGN_OR_RETURN(
         dataguide::DmdvView v,
-        CreateView(e->path, name_ + "_" + leaf + "_RV", options));
+        CreateView(path, name_ + "_" + leaf + "_RV", options));
     views.push_back(std::move(v));
   }
   return views;

@@ -25,11 +25,13 @@ rdbms::OperatorPtr PathStatsScan() {
           for (size_t shard = 0; shard < c->shard_count(); ++shard) {
             const stats::PathStatsRepository& repo =
                 c->shard(shard)->path_stats();
-            for (const auto& [path, s] : repo.paths()) {
+            for (const auto& [path, found] :
+                 repo.Sorted(c->shard(shard)->dataguide().paths())) {
+              const stats::PathStats& s = *found;
               rows.push_back(
                   {Value::String(c->name()),
                    Value::Int64(static_cast<int64_t>(shard)),
-                   Value::String(path),
+                   Value::String(std::string(path)),
                    Value::Int64(static_cast<int64_t>(repo.docs_seen())),
                    Value::Int64(static_cast<int64_t>(s.doc_frequency)),
                    Value::Int64(static_cast<int64_t>(s.value_count)),

@@ -46,17 +46,18 @@ namespace {
 /// array) variant; nullptr when the guide has never seen a scalar there.
 const dataguide::PathEntry* FindScalarEntry(const dataguide::DataGuide& guide,
                                             const std::string& path) {
+  const dataguide::PathId id = guide.paths().Find(path);
   const dataguide::PathEntry* e =
-      guide.Find(path, json::NodeKind::kScalar, /*under_array=*/false);
+      guide.Find(id, json::NodeKind::kScalar, /*under_array=*/false);
   if (e == nullptr) {
-    e = guide.Find(path, json::NodeKind::kScalar, /*under_array=*/true);
+    e = guide.Find(id, json::NodeKind::kScalar, /*under_array=*/true);
   }
   return e;
 }
 
-/// Documents containing `path` in any node kind (0 when unknown).
+/// Documents containing the path in any node kind (0 when unknown).
 uint64_t PathFrequency(const dataguide::DataGuide& guide,
-                       const std::string& path) {
+                       dataguide::PathId path) {
   uint64_t freq = 0;
   for (json::NodeKind kind : {json::NodeKind::kScalar, json::NodeKind::kObject,
                               json::NodeKind::kArray}) {
@@ -128,8 +129,9 @@ class SelEstimator {
                const dataguide::DataGuide& guide, double docs)
       : repo_(repo), guide_(guide), docs_(docs) {}
 
-  /// Fraction of documents containing `path`, in [0, 1].
-  double ExistsSel(const std::string& path) const {
+  /// Fraction of documents containing the path, in [0, 1]. Paths are ids
+  /// of the guide's dictionary, which also names the repository's paths.
+  double ExistsSel(dataguide::PathId path) const {
     if (repo_.docs_seen() > 0 && repo_.Find(path) != nullptr) {
       return *repo_.ExistenceSelectivity(path);
     }
@@ -143,7 +145,7 @@ class SelEstimator {
 
   /// NDV of the path's non-null values, clamped to >= 1. Falls back to a
   /// default of 10 distinct values when no sketch exists.
-  double Ndv(const std::string& path) const {
+  double Ndv(dataguide::PathId path) const {
     if (repo_.Find(path) != nullptr) {
       return std::max(1.0, repo_.NdvEstimate(path));
     }
@@ -152,15 +154,16 @@ class SelEstimator {
 
   /// Selectivity of one conjunct.
   double PredSel(const PathPredicate& p) const {
-    const double exists = ExistsSel(p.path);
+    const dataguide::PathId path = guide_.paths().Find(p.path);
+    const double exists = ExistsSel(path);
     if (p.is_existence()) return exists;
-    if (p.op == rdbms::CompareOp::kEq) return exists / Ndv(p.path);
+    if (p.op == rdbms::CompareOp::kEq) return exists / Ndv(path);
     if (p.op == rdbms::CompareOp::kNe) {
-      return exists * (1.0 - 1.0 / Ndv(p.path));
+      return exists * (1.0 - 1.0 / Ndv(path));
     }
     // Range comparison: histogram fraction when a numeric histogram
     // exists, else the textbook 1/3 default.
-    const stats::PathStats* s = repo_.Find(p.path);
+    const stats::PathStats* s = repo_.Find(path);
     if (s != nullptr && p.literal->IsNumeric() && s->histogram.total() > 0) {
       const double x = p.literal->NumericAsDouble();
       double frac;
@@ -517,7 +520,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
           "equality on " + best_eq->path + " (DataGuide frequency " +
           std::to_string(FindScalarEntry(guide, best_eq->path)->frequency) +
           "/" + std::to_string(guide_docs) + ", ndv ~" +
-          Fmt1(est.Ndv(best_eq->path)) + ")";
+          Fmt1(est.Ndv(guide.paths().Find(best_eq->path))) + ")";
     } else {
       value_cand.detail = "no equality on a DataGuide-known scalar path";
     }
@@ -588,9 +591,10 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
           best_exists_rows * costs.UsPerRow("IndexedPathScan") +
           best_exists_rows * static_cast<double>(n_preds - 1) *
               costs.UsPerRow("Filter");
+      const uint64_t freq =
+          PathFrequency(guide, guide.paths().Find(best_exists->path));
       path_cand.detail = "existence of " + best_exists->path +
-                         " (DataGuide frequency " +
-                         std::to_string(PathFrequency(guide, best_exists->path)) +
+                         " (DataGuide frequency " + std::to_string(freq) +
                          "/" + std::to_string(guide_docs) + ")";
     } else {
       path_cand.detail = "no existence predicate to probe";

@@ -1,11 +1,11 @@
 #include "dataguide/dataguide.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "json/parser.h"
 #include "json/serializer.h"
-#include "telemetry/memory_tracker.h"
 
 namespace fsdm::dataguide {
 
@@ -67,24 +67,53 @@ LeafType Generalize(LeafType a, LeafType b) {
 
 }  // namespace
 
-/// Walks one instance, updating the owning guide. Per-document frequency
-/// is counted once per distinct key (doc-stamped on the entries).
-class InstanceWalker {
- public:
-  InstanceWalker(DataGuide* guide,
-                 std::vector<const PathEntry*>* new_entries,
-                 ScalarSink* scalar_sink)
-      : guide_(guide),
-        new_sink_(new_entries),
-        scalar_sink_(scalar_sink),
-        doc_stamp_(guide->doc_count_ + 1) {}
+PathDictionary::PathDictionary(const PathDictionary& other)
+    : ids_(other.ids_), names_(other.names_.size()) {
+  for (const auto& [name, id] : ids_) names_[id] = &name;
+}
 
-  Status Walk(const json::Dom& dom, json::Dom::NodeRef node,
-              std::string* path, bool under_array) {
+PathId PathDictionary::Intern(std::string_view path) {
+  auto it = ids_.find(path);
+  if (it != ids_.end()) return it->second;
+  const PathId id = static_cast<PathId>(names_.size());
+  it = ids_.emplace(std::string(path), id).first;
+  names_.push_back(&it->first);
+  return id;
+}
+
+PathId PathDictionary::Find(std::string_view path) const {
+  auto it = ids_.find(path);
+  return it == ids_.end() ? kNoPath : it->second;
+}
+
+uint64_t PathDictionary::MemoryBytes() const {
+  constexpr uint64_t kPathBytes =
+      sizeof(void*) + sizeof(size_t) + sizeof(decltype(ids_)::value_type) +
+      sizeof(const std::string*);
+  if (names_.empty()) return 0;
+  uint64_t total = ids_.bucket_count() * sizeof(void*);
+  for (const std::string* name : names_) total += kPathBytes + name->size();
+  return total;
+}
+
+namespace {
+
+/// The one recursive instance walk (see StageDocument). `text` is the path
+/// of the node being walked.
+struct Stager {
+  const json::Dom& dom;
+  PathDictionary* paths;
+  bool with_display;
+  std::string text;
+  StagedDoc doc;
+
+  Status Walk(json::Dom::NodeRef node, PathId path, bool under_array) {
     using json::NodeKind;
-    NodeKind kind = dom.GetNodeType(node);
-    PathEntry* entry = Touch(*path, kind, under_array);
-
+    const NodeKind kind = dom.GetNodeType(node);
+    StagedNode& staged = doc.nodes.emplace_back();
+    staged.path = path;
+    staged.kind = kind;
+    staged.under_array = under_array;
     switch (kind) {
       case NodeKind::kObject: {
         size_t n = dom.GetFieldCount(node);
@@ -92,126 +121,137 @@ class InstanceWalker {
           std::string_view name;
           json::Dom::NodeRef child;
           dom.GetFieldAt(node, i, &name, &child);
-          size_t mark = path->size();
-          path->push_back('.');
-          path->append(name);
-          FSDM_RETURN_NOT_OK(Walk(dom, child, path, under_array));
-          path->resize(mark);
+          size_t mark = text.size();
+          text.push_back('.');
+          text.append(name);
+          FSDM_RETURN_NOT_OK(Walk(child, paths->Intern(text), under_array));
+          text.resize(mark);
         }
         return Status::Ok();
       }
       case NodeKind::kArray: {
-        // Array elements keep the array's path; descendants are marked as
+        // Elements keep the array's path; descendants are marked as
         // under_array so their type strings carry the "array of" prefix.
         size_t n = dom.GetArrayLength(node);
         for (size_t i = 0; i < n; ++i) {
-          FSDM_RETURN_NOT_OK(
-              Walk(dom, dom.GetArrayElement(node, i), path, true));
+          FSDM_RETURN_NOT_OK(Walk(dom.GetArrayElement(node, i), path, true));
         }
         return Status::Ok();
       }
       case NodeKind::kScalar: {
-        Value v;
-        FSDM_RETURN_NOT_OK(dom.GetScalarValue(node, &v));
-        LeafType lt = Categorize(v);
-        entry->leaf_type = Generalize(entry->leaf_type, lt);
-        if (v.is_null()) {
-          ++entry->null_count;
-        } else {
-          entry->max_length = std::max(entry->max_length, CheapLength(v));
-          UpdateMinMax(entry, v);
-        }
-        if (scalar_sink_ != nullptr) {
-          scalar_sink_->OnScalar(*path, under_array, v);
+        // `staged` is still valid: scalars stage no further node.
+        FSDM_RETURN_NOT_OK(dom.GetScalarValue(node, &staged.value));
+        if (with_display && !staged.value.is_null() &&
+            staged.value.type() != ScalarType::kString) {
+          staged.display = staged.value.ToDisplayString();
         }
         return Status::Ok();
       }
     }
     return Status::Internal("unreachable");
   }
-
-  int new_entries() const { return new_entries_; }
-
- private:
-  // Display-length without allocating (the DataGuide length column only
-  // needs byte counts).
-  static size_t CheapLength(const Value& v) {
-    switch (v.type()) {
-      case ScalarType::kString:
-        return v.AsString().size();
-      case ScalarType::kBool:
-        return v.AsBool() ? 4 : 5;
-      case ScalarType::kInt64: {
-        int64_t x = v.AsInt64();
-        size_t n = x < 0 ? 2 : 1;
-        uint64_t mag = x < 0 ? static_cast<uint64_t>(-(x + 1)) + 1
-                             : static_cast<uint64_t>(x);
-        while (mag >= 10) {
-          mag /= 10;
-          ++n;
-        }
-        return n;
-      }
-      case ScalarType::kDecimal:
-        // digits + sign + point bound; exact length is not worth a
-        // formatting pass on the hot DML path.
-        return static_cast<size_t>(v.AsDecimal().digit_count()) + 2;
-      default:
-        return 8;
-    }
-  }
-
-  PathEntry* Touch(const std::string& path, json::NodeKind kind,
-                   bool under_array) {
-    // Fast path: existing entry found without materializing a Key.
-    DataGuide::KeyView view{path, kind, under_array};
-    auto it = guide_->entries_.find(view);
-    if (it == guide_->entries_.end()) {
-      ++new_entries_;
-      it = guide_->entries_
-               .try_emplace(DataGuide::Key{path, kind, under_array})
-               .first;
-      it->second.path = path;
-      it->second.kind = kind;
-      it->second.under_array = under_array;
-      if (new_sink_ != nullptr) new_sink_->push_back(&it->second);
-    }
-    // Per-document frequency via doc stamping (no per-doc set).
-    if (it->second.last_doc_stamp != doc_stamp_) {
-      it->second.last_doc_stamp = doc_stamp_;
-      ++it->second.frequency;
-    }
-    return &it->second;
-  }
-
-  void UpdateMinMax(PathEntry* entry, const Value& v) {
-    if (!entry->min_value.has_value()) {
-      entry->min_value = v;
-      entry->max_value = v;
-      return;
-    }
-    Result<int> lo = v.CompareTo(*entry->min_value);
-    if (lo.ok() && lo.value() < 0) entry->min_value = v;
-    Result<int> hi = v.CompareTo(*entry->max_value);
-    if (hi.ok() && hi.value() > 0) entry->max_value = v;
-  }
-
-  DataGuide* guide_;
-  std::vector<const PathEntry*>* new_sink_;
-  ScalarSink* scalar_sink_;
-  uint64_t doc_stamp_;
-  int new_entries_ = 0;
 };
+
+// Display-length without allocating (the DataGuide length column only
+// needs byte counts).
+size_t CheapLength(const Value& v) {
+  switch (v.type()) {
+    case ScalarType::kString:
+      return v.AsString().size();
+    case ScalarType::kBool:
+      return v.AsBool() ? 4 : 5;
+    case ScalarType::kInt64: {
+      int64_t x = v.AsInt64();
+      size_t n = x < 0 ? 2 : 1;
+      uint64_t mag = x < 0 ? static_cast<uint64_t>(-(x + 1)) + 1
+                           : static_cast<uint64_t>(x);
+      while (mag >= 10) {
+        mag /= 10;
+        ++n;
+      }
+      return n;
+    }
+    case ScalarType::kDecimal:
+      // digits + sign + point bound; exact length is not worth a
+      // formatting pass on the hot DML path.
+      return static_cast<size_t>(v.AsDecimal().digit_count()) + 2;
+    default:
+      return 8;
+  }
+}
+
+void UpdateMinMax(PathEntry* entry, const Value& v) {
+  if (!entry->min_value.has_value()) {
+    entry->min_value = v;
+    entry->max_value = v;
+    return;
+  }
+  Result<int> lo = v.CompareTo(*entry->min_value);
+  if (lo.ok() && lo.value() < 0) entry->min_value = v;
+  Result<int> hi = v.CompareTo(*entry->max_value);
+  if (hi.ok() && hi.value() > 0) entry->max_value = v;
+}
+
+}  // namespace
+
+DataGuide::DataGuide(const DataGuide& other)
+    : paths_(other.paths_),
+      entries_(other.entries_),
+      doc_count_(other.doc_count_) {
+  for (auto& [key, entry] : entries_) entry.path = paths_.Name(KeyPath(key));
+}
+
+Result<StagedDoc> StageDocument(const json::Dom& dom, PathDictionary* paths,
+                                bool with_display) {
+  Stager stager{dom, paths, with_display, "$", {}};
+  FSDM_RETURN_NOT_OK(stager.Walk(dom.root(), paths->Intern("$"), false));
+  return std::move(stager.doc);
+}
+
+int DataGuide::Apply(const StagedDoc& doc,
+                     std::vector<const PathEntry*>* new_entries,
+                     ScalarSink* sink) {
+  // Per-document frequency is counted once per distinct key by stamping
+  // the entries with this document's ordinal (no per-document set).
+  const uint64_t stamp = doc_count_ + 1;
+  int added = 0;
+  for (const StagedNode& node : doc.nodes) {
+    auto [it, inserted] = entries_.try_emplace(
+        EntryKey(node.path, node.kind, node.under_array));
+    PathEntry* entry = &it->second;
+    if (inserted) {
+      ++added;
+      entry->path = paths_.Name(node.path);
+      entry->kind = node.kind;
+      entry->under_array = node.under_array;
+      if (new_entries != nullptr) new_entries->push_back(entry);
+    }
+    if (entry->last_doc_stamp != stamp) {
+      entry->last_doc_stamp = stamp;
+      ++entry->frequency;
+    }
+    if (node.kind != json::NodeKind::kScalar) continue;
+    const Value& v = node.value;
+    entry->leaf_type = Generalize(entry->leaf_type, Categorize(v));
+    if (v.is_null()) {
+      ++entry->null_count;
+    } else {
+      entry->max_length = std::max(entry->max_length, CheapLength(v));
+      UpdateMinMax(entry, v);
+    }
+    if (sink != nullptr) sink->OnScalar(node);
+  }
+  ++doc_count_;
+  if (sink != nullptr) sink->OnDocumentEnd();
+  return added;
+}
 
 Result<int> DataGuide::AddDocument(const json::Dom& dom,
                                    std::vector<const PathEntry*>* new_entries,
                                    ScalarSink* sink) {
-  InstanceWalker walker(this, new_entries, sink);
-  std::string path = "$";
-  FSDM_RETURN_NOT_OK(walker.Walk(dom, dom.root(), &path, false));
-  ++doc_count_;
-  if (sink != nullptr) sink->OnDocumentEnd();
-  return walker.new_entries();
+  FSDM_ASSIGN_OR_RETURN(StagedDoc doc,
+                        StageDocument(dom, &paths_, sink != nullptr));
+  return Apply(doc, new_entries, sink);
 }
 
 Result<int> DataGuide::AddJsonText(std::string_view text) {
@@ -223,8 +263,13 @@ Result<int> DataGuide::AddJsonText(std::string_view text) {
 
 void DataGuide::Merge(const DataGuide& other) {
   for (const auto& [key, theirs] : other.entries_) {
-    auto [it, inserted] = entries_.try_emplace(key, theirs);
-    if (inserted) continue;
+    const PathId id = paths_.Intern(theirs.path);
+    auto [it, inserted] = entries_.try_emplace(
+        EntryKey(id, theirs.kind, theirs.under_array), theirs);
+    if (inserted) {
+      it->second.path = paths_.Name(id);
+      continue;
+    }
     PathEntry& ours = it->second;
     ours.leaf_type = Generalize(ours.leaf_type, theirs.leaf_type);
     ours.max_length = std::max(ours.max_length, theirs.max_length);
@@ -264,19 +309,19 @@ std::vector<const PathEntry*> DataGuide::SortedEntries() const {
 }
 
 uint64_t DataGuide::MemoryBytes() const {
-  // Hash node overhead (bucket pointer + node header) plus the entry
-  // payload; the path string is owned twice, by the Key and the PathEntry.
-  constexpr uint64_t kEntryBytes = 2 * sizeof(void*) + sizeof(PathEntry);
-  uint64_t total = 0;
-  for (const auto& [key, entry] : entries_) {
-    total += kEntryBytes + 2 * telemetry::OwnedStringBytes(entry.path);
-  }
-  return total;
+  // Hash node overhead (next pointer + cached-hash slot) plus the key and
+  // the entry payload; the path text is the dictionary's.
+  constexpr uint64_t kEntryBytes =
+      2 * sizeof(void*) + sizeof(decltype(entries_)::value_type);
+  return paths_.MemoryBytes() +
+         (entries_.empty() ? 0 : entries_.bucket_count() * sizeof(void*)) +
+         entries_.size() * kEntryBytes;
 }
 
-const PathEntry* DataGuide::Find(std::string_view path, json::NodeKind kind,
+const PathEntry* DataGuide::Find(PathId path, json::NodeKind kind,
                                  bool under_array) const {
-  auto it = entries_.find(Key{std::string(path), kind, under_array});
+  if (path == kNoPath) return nullptr;
+  auto it = entries_.find(EntryKey(path, kind, under_array));
   return it == entries_.end() ? nullptr : &it->second;
 }
 

@@ -36,7 +36,7 @@ struct TrieNode {
 
 // Splits "$.a.b" into steps after the root prefix; returns false when the
 // path is not under `root`.
-bool RelativeSteps(const std::string& path, const std::string& root,
+bool RelativeSteps(std::string_view path, const std::string& root,
                    std::vector<std::string>* steps) {
   if (path.compare(0, root.size(), root) != 0) return false;
   std::string_view rest(path);
@@ -185,22 +185,23 @@ Result<std::vector<std::string>> AddVc(rdbms::Table* table,
                     static_cast<double>(guide.document_count());
       if (frac < options.min_frequency_fraction) continue;
     }
-    size_t dot = e->path.rfind('.');
+    const std::string path(e->path);
+    size_t dot = path.rfind('.');
     std::string leaf =
-        dot == std::string::npos ? e->path : e->path.substr(dot + 1);
+        dot == std::string::npos ? path : path.substr(dot + 1);
     rdbms::ColumnDef def;
     names.renames = &options.column_renames;
-    def.name = names.AllocateFor(e->path, leaf);
+    def.name = names.AllocateFor(path, leaf);
     def.type = e->leaf_type == LeafType::kNumber ? rdbms::ColumnType::kNumber
                                                  : rdbms::ColumnType::kString;
     def.max_length = e->max_length;
     FSDM_ASSIGN_OR_RETURN(
         def.virtual_expr,
-        sqljson::JsonValue(json_column, e->path, storage,
+        sqljson::JsonValue(json_column, path, storage,
                            ReturningFor(e->leaf_type)));
     std::string added_name = def.name;
     FSDM_RETURN_NOT_OK(table->AddVirtualColumn(std::move(def)));
-    if (added_paths != nullptr) added_paths->push_back(e->path);
+    if (added_paths != nullptr) added_paths->push_back(path);
     added.push_back(std::move(added_name));
   }
   return added;

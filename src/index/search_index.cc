@@ -135,145 +135,60 @@ Status JsonSearchIndex::OnReplace(size_t row_id, const rdbms::Row& old_row,
 
 namespace {
 
-/// Shared walk for index/unindex: visits every node with its path.
-template <typename Visit>
-Status WalkPaths(const json::Dom& dom, json::Dom::NodeRef node,
-                 std::string* path, const Visit& visit) {
-  FSDM_RETURN_NOT_OK(visit(*path, node));
-  switch (dom.GetNodeType(node)) {
-    case json::NodeKind::kObject: {
-      size_t n = dom.GetFieldCount(node);
-      for (size_t i = 0; i < n; ++i) {
-        std::string_view name;
-        json::Dom::NodeRef child;
-        dom.GetFieldAt(node, i, &name, &child);
-        size_t mark = path->size();
-        path->push_back('.');
-        path->append(name);
-        FSDM_RETURN_NOT_OK(WalkPaths(dom, child, path, visit));
-        path->resize(mark);
-      }
-      return Status::Ok();
+/// Calls `emit(is_keyword, path id, text)` for every value and keyword
+/// posting key of a staged document: each non-null scalar's display, and
+/// each string's keyword tokens.
+template <typename Emit>
+void ForEachTextKey(const dataguide::StagedDoc& doc, const Emit& emit) {
+  for (const dataguide::StagedNode& n : doc.nodes) {
+    if (n.kind != json::NodeKind::kScalar || n.value.is_null()) continue;
+    emit(false, n.path, n.Display());
+    if (n.value.type() != ScalarType::kString) continue;
+    for (const std::string& tok : TokenizeKeywords(n.value.AsString())) {
+      emit(true, n.path, std::string_view(tok));
     }
-    case json::NodeKind::kArray: {
-      size_t n = dom.GetArrayLength(node);
-      for (size_t i = 0; i < n; ++i) {
-        // Elements share the array's path (the index is positional-blind,
-        // like the paper's path postings).
-        FSDM_RETURN_NOT_OK(
-            WalkPaths(dom, dom.GetArrayElement(node, i), path, visit));
-      }
-      return Status::Ok();
-    }
-    case json::NodeKind::kScalar:
-      return Status::Ok();
   }
-  return Status::Internal("unreachable");
 }
 
-enum class PostingKind { kPath, kValue, kKeyword };
-
-/// Every posting key of one document, in walk order: for each node its
-/// path, then (non-null scalars) its display value and (strings) its
-/// keyword tokens. Staging and the VerifyPostings shadow share this walk.
-template <typename Emit>
-Status VisitPostingKeys(const json::Dom& dom, const Emit& emit) {
-  std::string path = "$";
-  return WalkPaths(
-      dom, dom.root(), &path,
-      [&](const std::string& p, json::Dom::NodeRef node) -> Status {
-        emit(PostingKind::kPath, p, std::string());
-        if (dom.GetNodeType(node) != json::NodeKind::kScalar) {
-          return Status::Ok();
-        }
-        Value v;
-        FSDM_RETURN_NOT_OK(dom.GetScalarValue(node, &v));
-        if (v.is_null()) return Status::Ok();
-        emit(PostingKind::kValue, p, v.ToDisplayString());
-        if (v.type() == ScalarType::kString) {
-          for (std::string& tok : TokenizeKeywords(v.AsString())) {
-            emit(PostingKind::kKeyword, p, std::move(tok));
-          }
-        }
-        return Status::Ok();
-      });
+/// The document's path ids, sorted and unique (array elements share their
+/// array's path).
+std::vector<dataguide::PathId> SortedPaths(const dataguide::StagedDoc& doc) {
+  std::vector<dataguide::PathId> paths;
+  paths.reserve(doc.nodes.size());
+  for (const dataguide::StagedNode& n : doc.nodes) paths.push_back(n.path);
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  return paths;
 }
 
 }  // namespace
 
-Result<JsonSearchIndex::ParsedDoc> JsonSearchIndex::ParseDoc(
-    const Value& doc, bool use_dml_parse) const {
-  ParsedDoc parsed;
-  if (use_dml_parse) {
-    // Reuse the DOM the IS JSON constraint parsed on this DML when
-    // available (§3.2.1); otherwise (back-fill path) parse here.
-    parsed.tree = table_->ParsedJsonForObserver(json_col_pos_);
-    if (parsed.tree != nullptr) return parsed;
+Result<dataguide::StagedDoc> JsonSearchIndex::StageDoc(
+    const Value& doc, bool use_dml_parse,
+    dataguide::PathDictionary* paths) const {
+  if (doc.is_null()) return StagedDoc();
+  // Reuse the DOM the IS JSON constraint parsed on this DML when
+  // available (§3.2.1); otherwise (back-fill, undo, rebuild) parse here.
+  const json::JsonNode* tree =
+      use_dml_parse ? table_->ParsedJsonForObserver(json_col_pos_) : nullptr;
+  std::unique_ptr<json::JsonNode> owned;
+  if (tree == nullptr) {
+    FSDM_ASSIGN_OR_RETURN(owned, json::Parse(doc.AsString()));
+    tree = owned.get();
   }
-  FSDM_ASSIGN_OR_RETURN(parsed.owned, json::Parse(doc.AsString()));
-  parsed.tree = parsed.owned.get();
-  return parsed;
-}
-
-Result<JsonSearchIndex::DocPostings> JsonSearchIndex::StagePostings(
-    const json::Dom& dom) {
-  DocPostings staged;
-  PathId node_path = kNoPath;
-  FSDM_RETURN_NOT_OK(VisitPostingKeys(
-      dom, [&](PostingKind kind, std::string_view path, std::string text) {
-        switch (kind) {
-          case PostingKind::kPath:
-            node_path = InternPath(path);
-            staged.paths.push_back(node_path);
-            break;
-          case PostingKind::kValue:
-            staged.values.emplace_back(node_path, std::move(text));
-            break;
-          case PostingKind::kKeyword:
-            staged.keywords.emplace_back(node_path, std::move(text));
-            break;
-        }
-      }));
-  // Array elements share their array's paths; one entry per path is
-  // enough, and sorted ids make a replace's shared paths easy to find.
-  std::sort(staged.paths.begin(), staged.paths.end());
-  staged.paths.erase(std::unique(staged.paths.begin(), staged.paths.end()),
-                     staged.paths.end());
-  return staged;
-}
-
-uint64_t JsonSearchIndex::PathEntryBytes(std::string_view path) {
-  // Dictionary node, id -> name pointer, path-postings vector header.
-  return HashNodeBytes<decltype(path_ids_)>() + sizeof(const std::string*) +
-         sizeof(std::vector<size_t>) + path.size();
+  // Displays feed the value postings and the statistics sink.
+  const bool with_display =
+      options_.maintain_postings || options_.scalar_sink != nullptr;
+  return dataguide::StageDocument(json::TreeDom(tree), paths, with_display);
 }
 
 uint64_t JsonSearchIndex::PostingNodeBytes(std::string_view text) {
   return HashNodeBytes<PostingMap>() + text.size();
 }
 
-JsonSearchIndex::PathId JsonSearchIndex::InternPath(std::string_view path) {
-  auto it = path_ids_.find(path);
-  if (it != path_ids_.end()) return it->second;
-  const PathId id = static_cast<PathId>(path_names_.size());
-  it = path_ids_.emplace(std::string(path), id).first;
-  path_names_.push_back(&it->first);
-  path_postings_.emplace_back();
-  postings_bytes_.fetch_add(PathEntryBytes(path), std::memory_order_relaxed);
-  SyncBucketBytes();
-  return id;
-}
-
-JsonSearchIndex::PathId JsonSearchIndex::FindPath(
-    std::string_view path) const {
-  auto it = path_ids_.find(path);
-  return it == path_ids_.end() ? kNoPath : it->second;
-}
-
 void JsonSearchIndex::SyncBucketBytes() {
-  const size_t buckets = path_ids_.bucket_count() +
-                         value_postings_.bucket_count() +
-                         keyword_postings_.bucket_count();
+  const size_t buckets =
+      value_postings_.bucket_count() + keyword_postings_.bucket_count();
   if (buckets == charged_buckets_) return;
   if (buckets > charged_buckets_) {
     postings_bytes_.fetch_add((buckets - charged_buckets_) * sizeof(void*),
@@ -286,12 +201,19 @@ void JsonSearchIndex::SyncBucketBytes() {
 }
 
 void JsonSearchIndex::ApplyPathPosting(PathId path, size_t row_id) {
+  if (path >= path_postings_.size()) {
+    postings_bytes_.fetch_add(
+        (path + 1 - path_postings_.size()) * sizeof(std::vector<size_t>),
+        std::memory_order_relaxed);
+    path_postings_.resize(path + 1);
+  }
   if (!AddRowId(&path_postings_[path], row_id)) return;
   postings_bytes_.fetch_add(sizeof(size_t), std::memory_order_relaxed);
   FSDM_COUNT("fsdm_index_postings_appended_total", 1);
 }
 
 void JsonSearchIndex::ErasePathPosting(PathId path, size_t row_id) {
+  if (path >= path_postings_.size()) return;
   std::vector<size_t>* postings = &path_postings_[path];
   if (!RemoveRowId(postings, row_id)) return;
   // The path's last document is gone: release the list's heap.
@@ -301,10 +223,11 @@ void JsonSearchIndex::ErasePathPosting(PathId path, size_t row_id) {
 }
 
 const std::vector<size_t>* JsonSearchIndex::ApplyPosting(
-    PostingMap* map, PathId path, const std::string& text, size_t row_id) {
+    PostingMap* map, PathId path, std::string_view text, size_t row_id) {
   auto it = map->find(PostingProbe{path, text});
   if (it == map->end()) {
-    it = map->emplace(PostingKey{path, text}, std::vector<size_t>{row_id})
+    it = map->emplace(PostingKey{path, std::string(text)},
+                      std::vector<size_t>{row_id})
              .first;
     postings_bytes_.fetch_add(PostingNodeBytes(text) + sizeof(size_t),
                               std::memory_order_relaxed);
@@ -330,15 +253,17 @@ void JsonSearchIndex::ErasePosting(PostingMap* map, PostingMap::iterator it,
   FSDM_COUNT("fsdm_index_postings_erased_total", 1);
 }
 
-void JsonSearchIndex::SwapPostings(const DocPostings& from,
-                                   const DocPostings& to, size_t row_id) {
-  // Path ids are sorted and unique, so one merge finds the shared ones.
-  auto f = from.paths.begin();
-  auto t = to.paths.begin();
-  while (f != from.paths.end() || t != to.paths.end()) {
-    if (t == to.paths.end() || (f != from.paths.end() && *f < *t)) {
+void JsonSearchIndex::SwapPostings(const StagedDoc& from, const StagedDoc& to,
+                                   size_t row_id) {
+  // Sorted, unique path ids, so one merge finds the shared ones.
+  const std::vector<PathId> from_paths = SortedPaths(from);
+  const std::vector<PathId> to_paths = SortedPaths(to);
+  auto f = from_paths.begin();
+  auto t = to_paths.begin();
+  while (f != from_paths.end() || t != to_paths.end()) {
+    if (t == to_paths.end() || (f != from_paths.end() && *f < *t)) {
       ErasePathPosting(*f++, row_id);
-    } else if (f == from.paths.end() || *t < *f) {
+    } else if (f == from_paths.end() || *t < *f) {
       ApplyPathPosting(*t++, row_id);
     } else {
       ++f;
@@ -350,35 +275,30 @@ void JsonSearchIndex::SwapPostings(const DocPostings& from,
   // whose list is among them is shared and stays as it is. An erase never
   // creates a key.
   std::vector<const std::vector<size_t>*> kept;
-  auto swap = [&](PostingMap* map, const auto& from_keys,
-                  const auto& to_keys) {
-    kept.clear();
-    for (const auto& [p, text] : to_keys) {
-      kept.push_back(ApplyPosting(map, p, text, row_id));
+  ForEachTextKey(to, [&](bool keyword, PathId p, std::string_view text) {
+    PostingMap* map = keyword ? &keyword_postings_ : &value_postings_;
+    kept.push_back(ApplyPosting(map, p, text, row_id));
+  });
+  if (from.nodes.empty()) return;
+  std::sort(kept.begin(), kept.end());
+  ForEachTextKey(from, [&](bool keyword, PathId p, std::string_view text) {
+    PostingMap* map = keyword ? &keyword_postings_ : &value_postings_;
+    auto it = map->find(PostingProbe{p, text});
+    if (it != map->end() &&
+        !std::binary_search(kept.begin(), kept.end(), &it->second)) {
+      ErasePosting(map, it, row_id);
     }
-    if (from_keys.empty()) return;
-    std::sort(kept.begin(), kept.end());
-    for (const auto& [p, text] : from_keys) {
-      auto it = map->find(PostingProbe{p, text});
-      if (it != map->end() &&
-          !std::binary_search(kept.begin(), kept.end(), &it->second)) {
-        ErasePosting(map, it, row_id);
-      }
-    }
-  };
-  swap(&value_postings_, from.values, to.values);
-  swap(&keyword_postings_, from.keywords, to.keywords);
+  });
 }
 
-Status JsonSearchIndex::MaintainDataGuide(const json::Dom& dom) {
+Status JsonSearchIndex::MaintainDataGuide(const StagedDoc& doc) {
   if (!options_.maintain_dataguide) return Status::Ok();
-  // Fires *before* AddDocument so the in-memory guide and the $DG side
-  // table always move together (their counts are a consistency invariant).
+  // Fires *before* Apply so the in-memory guide and the $DG side table
+  // always move together (their counts are a consistency invariant).
   FSDM_FAULT_POINT("index.insert.dataguide");
   std::vector<const dataguide::PathEntry*> new_entries;
-  FSDM_ASSIGN_OR_RETURN(
-      int new_paths,
-      dataguide_.AddDocument(dom, &new_entries, options_.scalar_sink));
+  const int new_paths =
+      dataguide_.Apply(doc, &new_entries, options_.scalar_sink);
   // Persisting to $DG only happens when structure actually changed —
   // the common case terminates after the in-memory structural check.
   if (new_paths > 0) {
@@ -387,13 +307,12 @@ Status JsonSearchIndex::MaintainDataGuide(const json::Dom& dom) {
     FSDM_TRACE_SPAN(span, "index", "dg.persist");
     span.AddNumberArg("new_paths", static_cast<double>(new_paths));
     for (const dataguide::PathEntry* e : new_entries) {
-      Status persisted =
-          dg_table_
-              ->Insert(
-                  {Value::String(e->path), Value::String(e->TypeString())})
-              .status();
+      Status persisted = dg_table_
+                             ->Insert({Value::String(std::string(e->path)),
+                                       Value::String(e->TypeString())})
+                             .status();
       if (!persisted.ok()) {
-        // AddDocument already taught the in-memory guide these paths, so a
+        // Apply already taught the in-memory guide these paths, so a
         // retry sees new_paths == 0 and never re-attempts this write: the
         // $DG side table is permanently behind unless Rebuild() re-derives
         // it from the guide. Degrade so that healing path runs.
@@ -421,29 +340,15 @@ Status JsonSearchIndex::UnindexDocument(size_t row_id, const Value& doc) {
 
 Status JsonSearchIndex::IndexDocumentImpl(size_t row_id, const Value& doc) {
   if (doc.is_null()) return Status::Ok();
-  FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, true));
-  json::TreeDom dom(parsed.tree);
-
-  DocPostings staged;
-  if (options_.maintain_postings) {
-    FSDM_FAULT_POINT("index.insert.postings");
-    FSDM_ASSIGN_OR_RETURN(staged, StagePostings(dom));
-    SwapPostings(DocPostings(), staged, row_id);
-  }
-  Status dg = MaintainDataGuide(dom);
+  if (options_.maintain_postings) FSDM_FAULT_POINT("index.insert.postings");
+  FSDM_ASSIGN_OR_RETURN(StagedDoc staged,
+                        StageDoc(doc, true, dataguide_.mutable_paths()));
+  if (options_.maintain_postings) SwapPostings(StagedDoc(), staged, row_id);
+  Status dg = MaintainDataGuide(staged);
   if (!dg.ok()) {
     // The postings already landed; take them back out so the failed insert
-    // leaves no trace. If even that compensation fails the postings are
-    // untrustworthy and the index degrades.
-    if (options_.maintain_postings) {
-      Status undone = FSDM_FAULT_STATUS("index.undo.postings");
-      if (undone.ok()) {
-        SwapPostings(staged, DocPostings(), row_id);
-      } else {
-        MarkDegraded("insert rollback failed on row " +
-                     std::to_string(row_id) + ": " + undone.message());
-      }
-    }
+    // leaves no trace.
+    RollBackPostings(staged, StagedDoc(), row_id, "insert");
     return dg;
   }
   ++indexed_docs_;
@@ -454,10 +359,9 @@ Status JsonSearchIndex::UnindexDocumentImpl(size_t row_id, const Value& doc) {
   if (doc.is_null()) return Status::Ok();
   if (options_.maintain_postings) {
     FSDM_FAULT_POINT("index.remove.postings");
-    FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, false));
-    json::TreeDom dom(parsed.tree);
-    FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-    SwapPostings(staged, DocPostings(), row_id);
+    FSDM_ASSIGN_OR_RETURN(StagedDoc staged,
+                          StageDoc(doc, false, dataguide_.mutable_paths()));
+    SwapPostings(staged, StagedDoc(), row_id);
   }
   // The DataGuide is additive: no path removal on delete (§3.4).
   if (indexed_docs_ > 0) --indexed_docs_;
@@ -471,39 +375,19 @@ Status JsonSearchIndex::ReplaceDocumentImpl(size_t row_id,
   // (parse error, injected fault) leaves the postings as they were, where
   // the old unindex-then-reindex flow would have lost the old document's.
   FSDM_FAULT_POINT("index.replace.stage");
-  ParsedDoc new_parsed;
-  if (!new_doc.is_null()) {
-    FSDM_ASSIGN_OR_RETURN(new_parsed, ParseDoc(new_doc, true));
-  }
-  DocPostings old_staged;
-  DocPostings new_staged;
+  StagedDoc old_staged;
   if (options_.maintain_postings) {
-    if (!old_doc.is_null()) {
-      FSDM_ASSIGN_OR_RETURN(ParsedDoc old_parsed, ParseDoc(old_doc, false));
-      json::TreeDom old_dom(old_parsed.tree);
-      FSDM_ASSIGN_OR_RETURN(old_staged, StagePostings(old_dom));
-    }
-    if (!new_doc.is_null()) {
-      json::TreeDom new_dom(new_parsed.tree);
-      FSDM_ASSIGN_OR_RETURN(new_staged, StagePostings(new_dom));
-    }
+    FSDM_ASSIGN_OR_RETURN(old_staged,
+                          StageDoc(old_doc, false, dataguide_.mutable_paths()));
+  }
+  FSDM_ASSIGN_OR_RETURN(StagedDoc new_staged,
+                        StageDoc(new_doc, true, dataguide_.mutable_paths()));
+  if (options_.maintain_postings) {
     SwapPostings(old_staged, new_staged, row_id);
   }
-  Status dg = Status::Ok();
-  if (!new_doc.is_null()) {
-    json::TreeDom new_dom(new_parsed.tree);
-    dg = MaintainDataGuide(new_dom);
-  }
+  Status dg = new_doc.is_null() ? Status::Ok() : MaintainDataGuide(new_staged);
   if (!dg.ok()) {
-    if (options_.maintain_postings) {
-      Status undone = FSDM_FAULT_STATUS("index.undo.postings");
-      if (undone.ok()) {
-        SwapPostings(new_staged, old_staged, row_id);
-      } else {
-        MarkDegraded("replace rollback failed on row " +
-                     std::to_string(row_id) + ": " + undone.message());
-      }
-    }
+    RollBackPostings(new_staged, old_staged, row_id, "replace");
     return dg;
   }
   if (!old_doc.is_null() && new_doc.is_null()) {
@@ -514,25 +398,44 @@ Status JsonSearchIndex::ReplaceDocumentImpl(size_t row_id,
   return Status::Ok();
 }
 
-Status JsonSearchIndex::UndoInsert(size_t row_id, const rdbms::Row& row) {
-  if (degraded_) return Status::Ok();
-  const Value& doc = row[json_col_pos_];
-  if (doc.is_null()) return Status::Ok();
+void JsonSearchIndex::RollBackPostings(const StagedDoc& applied,
+                                       const StagedDoc& prior, size_t row_id,
+                                       const char* dml) {
+  if (!options_.maintain_postings) return;
+  Status undone = FSDM_FAULT_STATUS("index.undo.postings");
+  if (undone.ok()) {
+    SwapPostings(applied, prior, row_id);
+  } else {
+    MarkDegraded(std::string(dml) + " rollback failed on row " +
+                 std::to_string(row_id) + ": " + undone.message());
+  }
+}
+
+Status JsonSearchIndex::UndoPostings(size_t row_id, const Value& from,
+                                     const Value& to, const char* dml) {
   Status undone = FSDM_FAULT_STATUS("index.undo.postings");
   if (undone.ok() && options_.maintain_postings) {
     undone = [&]() -> Status {
-      FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, true));
-      json::TreeDom dom(parsed.tree);
-      FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-      SwapPostings(staged, DocPostings(), row_id);
+      FSDM_ASSIGN_OR_RETURN(StagedDoc applied,
+                            StageDoc(from, true, dataguide_.mutable_paths()));
+      FSDM_ASSIGN_OR_RETURN(StagedDoc prior,
+                            StageDoc(to, false, dataguide_.mutable_paths()));
+      SwapPostings(applied, prior, row_id);
       return Status::Ok();
     }();
   }
   if (!undone.ok()) {
-    MarkDegraded("undo of insert failed on row " + std::to_string(row_id) +
-                 ": " + undone.message());
-    return undone;
+    MarkDegraded(std::string("undo of ") + dml + " failed on row " +
+                 std::to_string(row_id) + ": " + undone.message());
   }
+  return undone;
+}
+
+Status JsonSearchIndex::UndoInsert(size_t row_id, const rdbms::Row& row) {
+  if (degraded_) return Status::Ok();
+  const Value& doc = row[json_col_pos_];
+  if (doc.is_null()) return Status::Ok();
+  FSDM_RETURN_NOT_OK(UndoPostings(row_id, doc, Value::Null(), "insert"));
   if (indexed_docs_ > 0) --indexed_docs_;
   // DataGuide additions stay (additive semantics, §3.4).
   return Status::Ok();
@@ -542,21 +445,7 @@ Status JsonSearchIndex::UndoDelete(size_t row_id, const rdbms::Row& row) {
   if (degraded_) return Status::Ok();
   const Value& doc = row[json_col_pos_];
   if (doc.is_null()) return Status::Ok();
-  Status undone = FSDM_FAULT_STATUS("index.undo.postings");
-  if (undone.ok() && options_.maintain_postings) {
-    undone = [&]() -> Status {
-      FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, false));
-      json::TreeDom dom(parsed.tree);
-      FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-      SwapPostings(DocPostings(), staged, row_id);
-      return Status::Ok();
-    }();
-  }
-  if (!undone.ok()) {
-    MarkDegraded("undo of delete failed on row " + std::to_string(row_id) +
-                 ": " + undone.message());
-    return undone;
-  }
+  FSDM_RETURN_NOT_OK(UndoPostings(row_id, Value::Null(), doc, "delete"));
   ++indexed_docs_;
   return Status::Ok();
 }
@@ -566,30 +455,7 @@ Status JsonSearchIndex::UndoReplace(size_t row_id, const rdbms::Row& old_row,
   if (degraded_) return Status::Ok();
   const Value& old_doc = old_row[json_col_pos_];
   const Value& new_doc = new_row[json_col_pos_];
-  Status undone = FSDM_FAULT_STATUS("index.undo.postings");
-  if (undone.ok() && options_.maintain_postings) {
-    undone = [&]() -> Status {
-      DocPostings old_staged;
-      DocPostings new_staged;
-      if (!new_doc.is_null()) {
-        FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(new_doc, true));
-        json::TreeDom dom(parsed.tree);
-        FSDM_ASSIGN_OR_RETURN(new_staged, StagePostings(dom));
-      }
-      if (!old_doc.is_null()) {
-        FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(old_doc, false));
-        json::TreeDom dom(parsed.tree);
-        FSDM_ASSIGN_OR_RETURN(old_staged, StagePostings(dom));
-      }
-      SwapPostings(new_staged, old_staged, row_id);
-      return Status::Ok();
-    }();
-  }
-  if (!undone.ok()) {
-    MarkDegraded("undo of replace failed on row " + std::to_string(row_id) +
-                 ": " + undone.message());
-    return undone;
-  }
+  FSDM_RETURN_NOT_OK(UndoPostings(row_id, new_doc, old_doc, "replace"));
   if (!old_doc.is_null() && new_doc.is_null()) {
     ++indexed_docs_;
   } else if (old_doc.is_null() && !new_doc.is_null()) {
@@ -623,20 +489,17 @@ Status JsonSearchIndex::Rebuild() {
     if (!table_->IsLive(r)) continue;
     const Value& doc = table_->StoredRow(r)[json_col_pos_];
     if (doc.is_null()) continue;
-    failure = [&]() -> Status {
-      FSDM_ASSIGN_OR_RETURN(ParsedDoc parsed, ParseDoc(doc, false));
-      json::TreeDom dom(parsed.tree);
-      if (options_.maintain_postings) {
-        FSDM_ASSIGN_OR_RETURN(DocPostings staged, StagePostings(dom));
-        SwapPostings(DocPostings(), staged, r);
-      }
-      // Re-run DataGuide maintenance too: documents inserted while the
-      // index was degraded never had their structure guided. Frequencies
-      // may over-count (additive semantics tolerate that).
-      FSDM_RETURN_NOT_OK(MaintainDataGuide(dom));
-      ++indexed_docs_;
-      return Status::Ok();
-    }();
+    Result<StagedDoc> staged = StageDoc(doc, false, dataguide_.mutable_paths());
+    failure = staged.status();
+    if (!failure.ok()) break;
+    if (options_.maintain_postings) {
+      SwapPostings(StagedDoc(), staged.value(), r);
+    }
+    // Re-run DataGuide maintenance too: documents inserted while the
+    // index was degraded never had their structure guided. Frequencies
+    // may over-count (additive semantics tolerate that).
+    failure = MaintainDataGuide(staged.value());
+    if (failure.ok()) ++indexed_docs_;
   }
   if (failure.ok() && dg_table_ != nullptr) {
     // Re-derive the $DG side table from the in-memory guide. A failed
@@ -649,7 +512,7 @@ Status JsonSearchIndex::Rebuild() {
             {.name = "TYPE", .type = rdbms::ColumnType::kString}});
     for (const dataguide::PathEntry* e : dataguide_.SortedEntries()) {
       failure = fresh_dg
-                    ->Insert({Value::String(e->path),
+                    ->Insert({Value::String(std::string(e->path)),
                               Value::String(e->TypeString())})
                     .status();
       if (!failure.ok()) break;
@@ -681,7 +544,10 @@ void JsonSearchIndex::ClearPostings() {
 
 void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
   if (!options_.maintain_postings) return;
-  // The shadow is keyed by path text, so the check never interns.
+  // The shadow stages against a dictionary of its own and is keyed by path
+  // text, so the check never interns into the live dictionary.
+  const dataguide::PathDictionary& live_paths = dataguide_.paths();
+  dataguide::PathDictionary shadow_dict;
   using TextKey = std::pair<std::string, std::string>;
   std::map<std::string, std::vector<size_t>> shadow_paths;
   std::map<TextKey, std::vector<size_t>> shadow_values;
@@ -690,35 +556,24 @@ void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
     if (!table_->IsLive(r)) continue;
     const Value& doc = table_->StoredRow(r)[json_col_pos_];
     if (doc.is_null()) continue;
-    Result<ParsedDoc> parsed = ParseDoc(doc, false);
-    if (!parsed.ok()) {
+    Result<StagedDoc> staged = StageDoc(doc, false, &shadow_dict);
+    if (!staged.ok()) {
       problems->push_back("row " + std::to_string(r) + " unparseable: " +
-                          parsed.status().message());
+                          staged.status().message());
       continue;
     }
-    json::TreeDom dom(parsed.value().tree);
     // Sorted-unique insert without the maintenance telemetry counters (a
     // consistency check must not look like index activity).
-    Status st = VisitPostingKeys(
-        dom, [&](PostingKind kind, std::string_view path, std::string text) {
-          switch (kind) {
-            case PostingKind::kPath:
-              AddRowId(&shadow_paths[std::string(path)], r);
-              break;
-            case PostingKind::kValue:
-              AddRowId(&shadow_values[{std::string(path), std::move(text)}],
-                       r);
-              break;
-            case PostingKind::kKeyword:
-              AddRowId(
-                  &shadow_keywords[{std::string(path), std::move(text)}], r);
-              break;
-          }
-        });
-    if (!st.ok()) {
-      problems->push_back("row " + std::to_string(r) + " unstageable: " +
-                          st.message());
+    for (PathId p : SortedPaths(staged.value())) {
+      AddRowId(&shadow_paths[std::string(shadow_dict.Name(p))], r);
     }
+    ForEachTextKey(staged.value(),
+                   [&](bool keyword, PathId p, std::string_view text) {
+                     auto& shadow = keyword ? shadow_keywords : shadow_values;
+                     AddRowId(&shadow[{std::string(shadow_dict.Name(p)),
+                                       std::string(text)}],
+                              r);
+                   });
   }
   auto mismatch = [&](const std::string& key, const std::vector<size_t>* have,
                       size_t implied) {
@@ -729,18 +584,19 @@ void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
   };
   // Shadow -> live: every implied posting list is present and exact.
   for (const auto& [path, docs] : shadow_paths) {
-    const PathId id = FindPath(path);
+    const PathId id = live_paths.Find(path);
     const std::vector<size_t>* have =
-        id == kNoPath ? nullptr : &path_postings_[id];
+        id < path_postings_.size() ? &path_postings_[id] : nullptr;
     if (have == nullptr || *have != docs) mismatch(path, have, docs.size());
   }
   auto check_implied = [&](const PostingMap& live,
                            const std::map<TextKey, std::vector<size_t>>& shadow,
                            const char* sep) {
     for (const auto& [key, docs] : shadow) {
-      const PathId id = FindPath(key.first);
-      auto it = id == kNoPath ? live.end()
-                              : live.find(PostingProbe{id, key.second});
+      const PathId id = live_paths.Find(key.first);
+      auto it = id == dataguide::kNoPath
+                    ? live.end()
+                    : live.find(PostingProbe{id, key.second});
       const std::vector<size_t>* have =
           it == live.end() ? nullptr : &it->second;
       if (have == nullptr || *have != docs) {
@@ -751,23 +607,24 @@ void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
   check_implied(value_postings_, shadow_values, "=");
   check_implied(keyword_postings_, shadow_keywords, "~");
   // Live -> shadow: nothing spurious, and no empty value/keyword list (an
-  // empty path list is an interned path no live document has).
+  // empty path list is a path no live document has).
   for (PathId id = 0; id < path_postings_.size(); ++id) {
     const std::vector<size_t>& docs = path_postings_[id];
+    const std::string path(live_paths.Name(id));
     if (docs.empty()) {
       if (docs.capacity() != 0) {
-        problems->push_back("posting " + *path_names_[id] +
+        problems->push_back("posting " + path +
                             ": empty list still holds heap");
       }
-    } else if (!shadow_paths.count(*path_names_[id])) {
-      mismatch(*path_names_[id], &docs, 0);
+    } else if (!shadow_paths.count(path)) {
+      mismatch(path, &docs, 0);
     }
   }
   auto check_spurious = [&](const PostingMap& live,
                             const std::map<TextKey, std::vector<size_t>>& shadow,
                             const char* sep) {
     for (const auto& [key, docs] : live) {
-      const std::string& path = *path_names_[key.path];
+      const std::string path(live_paths.Name(key.path));
       if (docs.empty()) {
         problems->push_back("posting " + path + sep + key.text +
                             ": empty list (an emptied key must be removed)");
@@ -783,9 +640,10 @@ void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
 std::vector<size_t> JsonSearchIndex::DocsWithPath(
     const std::string& path) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
-  const PathId id = FindPath(path);
-  std::vector<size_t> docs =
-      id == kNoPath ? std::vector<size_t>{} : path_postings_[id];
+  const PathId id = dataguide_.paths().Find(path);
+  std::vector<size_t> docs = id < path_postings_.size()
+                                 ? path_postings_[id]
+                                 : std::vector<size_t>{};
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
 }
@@ -793,9 +651,9 @@ std::vector<size_t> JsonSearchIndex::DocsWithPath(
 std::vector<size_t> JsonSearchIndex::DocsWithValue(const std::string& path,
                                                    const Value& value) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
-  const PathId id = FindPath(path);
+  const PathId id = dataguide_.paths().Find(path);
   std::vector<size_t> docs;
-  if (id != kNoPath) {
+  if (id != dataguide::kNoPath) {
     const std::string display = value.ToDisplayString();
     auto it = value_postings_.find(PostingProbe{id, display});
     if (it != value_postings_.end()) docs = it->second;
@@ -808,8 +666,8 @@ std::vector<size_t> JsonSearchIndex::DocsWithKeyword(
     const std::string& path, const std::string& keyword) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
   std::vector<std::string> tokens = TokenizeKeywords(keyword);
-  const PathId id = FindPath(path);
-  if (tokens.empty() || id == kNoPath) return {};
+  const PathId id = dataguide_.paths().Find(path);
+  if (tokens.empty() || id == dataguide::kNoPath) return {};
   // Conjunction over the keyword's tokens.
   std::vector<size_t> acc;
   for (size_t i = 0; i < tokens.size(); ++i) {
@@ -837,7 +695,7 @@ std::vector<rdbms::Row> JsonSearchIndex::DgRows() const {
   std::vector<rdbms::Row> rows;
   for (const dataguide::PathEntry* e : dataguide_.SortedEntries()) {
     rdbms::Row row;
-    row.push_back(Value::String(e->path));
+    row.push_back(Value::String(std::string(e->path)));
     row.push_back(Value::String(e->TypeString()));
     row.push_back(e->kind == json::NodeKind::kScalar
                       ? Value::Int64(static_cast<int64_t>(e->max_length))
@@ -952,12 +810,12 @@ size_t JsonSearchIndex::posting_count() const {
 }
 
 uint64_t JsonSearchIndex::RecomputeMemoryBytes() const {
-  uint64_t total = (path_ids_.bucket_count() + value_postings_.bucket_count() +
-                    keyword_postings_.bucket_count()) *
-                   sizeof(void*);
-  for (PathId id = 0; id < path_postings_.size(); ++id) {
-    total += PathEntryBytes(*path_names_[id]) +
-             path_postings_[id].size() * sizeof(size_t);
+  uint64_t total =
+      (value_postings_.bucket_count() + keyword_postings_.bucket_count()) *
+          sizeof(void*) +
+      path_postings_.size() * sizeof(std::vector<size_t>);
+  for (const std::vector<size_t>& rows : path_postings_) {
+    total += rows.size() * sizeof(size_t);
   }
   for (const PostingMap* map : {&value_postings_, &keyword_postings_}) {
     for (const auto& [k, v] : *map) {

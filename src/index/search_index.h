@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,21 +29,22 @@ namespace fsdm::index {
 /// The persistent DataGuide is additive: deletes remove postings but never
 /// remove $DG rows (§3.4).
 ///
-/// Failure semantics (ISSUE 3): every maintenance operation stages its
-/// posting keys from the document *before* mutating the posting lists, so
-/// a failure during staging (parse error, injected fault) leaves every
-/// posting list as it was (staging may only have interned paths into the
-/// additive path dictionary) — in particular a replace is stage-then-swap,
-/// never unindex-then-reindex. When a failure strikes after the postings were
-/// applied (DataGuide persistence) or during a compensation callback from
-/// the table, the index first tries to undo its own partial work; if that
-/// undo itself fails it enters a *degraded* state: all maintenance and
-/// undo callbacks become no-ops (so errors don't cascade), degraded()
-/// turns true, and the router stops trusting the postings until Rebuild()
-/// reconstructs them from the live table rows. DataGuide additions are
-/// never rolled back (additive semantics, §3.4): after a rollback the
-/// guide's frequencies may over-count, which consistency checks must
-/// tolerate as `guide frequency >= observed frequency`.
+/// Failure semantics: every maintenance operation stages the
+/// document (the DataGuide's instance walk) *before* mutating the posting
+/// lists, so a failure during staging (parse error, injected fault) leaves
+/// every posting list as it was (staging may only have interned paths into
+/// the guide's additive path dictionary) — in particular a replace is
+/// stage-then-swap, never unindex-then-reindex. When a failure strikes
+/// after the postings were applied (DataGuide persistence) or during a
+/// compensation callback from the table, the index first tries to undo its
+/// own partial work; if that undo itself fails it enters a *degraded*
+/// state: all maintenance and undo callbacks become no-ops (so errors don't
+/// cascade), degraded() turns true, and the router stops trusting the
+/// postings until Rebuild() reconstructs them from the live table rows.
+/// DataGuide additions are never rolled back (additive semantics, §3.4):
+/// after a rollback the guide's frequencies may over-count, which
+/// consistency checks must tolerate as `guide frequency >= observed
+/// frequency`.
 class JsonSearchIndex final : public rdbms::TableObserver {
  public:
   struct Options {
@@ -53,7 +53,7 @@ class JsonSearchIndex final : public rdbms::TableObserver {
     /// Maintain inverted postings (paths/values/keywords). Disable to
     /// isolate DataGuide maintenance cost in benchmarks.
     bool maintain_postings = true;
-    /// Optional observer fed every scalar leaf the DataGuide walk visits
+    /// Optional observer fed every scalar node of each staged document
     /// (ISSUE 5: the collection's PathStatsRepository rides here, so
     /// value-level statistics cost no extra parse or walk). Not owned;
     /// must outlive the index. Only fires when maintain_dataguide is on.
@@ -138,8 +138,9 @@ class JsonSearchIndex final : public rdbms::TableObserver {
 
   /// In-memory footprint of the postings (ISSUE 9 memory attribution):
   /// per hash node the key, the row-id vector header, the next pointer and
-  /// the cached hash; the key text and row-id payload by size(); each
-  /// interned path once; and the bucket arrays of the three hash maps.
+  /// the cached hash; the key text and row-id payload by size(); one
+  /// vector header per path slot; and the bucket arrays of the two hash
+  /// maps. Path text is the DataGuide's dictionary, charged there.
   /// Maintained incrementally on every posting mutation, O(1) to read —
   /// the collection's index-postings memory reporter polls this.
   uint64_t MemoryBytes() const {
@@ -157,12 +158,11 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   JsonSearchIndex(rdbms::Table* table, size_t json_col_pos, Options options)
       : table_(table), json_col_pos_(json_col_pos), options_(options) {}
 
-  /// Dense id of an interned path (see path_ids_).
-  using PathId = uint32_t;
-  static constexpr PathId kNoPath = UINT32_MAX;
+  using PathId = dataguide::PathId;
+  using StagedDoc = dataguide::StagedDoc;
 
-  /// Exact key of a value or keyword posting list: the interned path and
-  /// the canonical scalar display (values) or lowercased token (keywords).
+  /// Exact key of a value or keyword posting list: the path id and the
+  /// canonical scalar display (values) or lowercased token (keywords).
   struct PostingKey {
     PathId path;
     std::string text;
@@ -191,67 +191,56 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   };
   using PostingMap = std::unordered_map<PostingKey, std::vector<size_t>,
                                         PostingKeyHash, PostingKeyEq>;
-  struct PathHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view path) const {
-      return std::hash<std::string_view>{}(path);
-    }
-  };
 
-  /// Staged posting keys of one document (the row id is supplied at apply
-  /// time). Staging walks the document without touching the posting lists;
-  /// SwapPostings() is then a pure in-memory mutation that cannot fail,
-  /// which is what makes stage-then-swap atomic.
-  struct DocPostings {
-    std::vector<PathId> paths;  // sorted, unique
-    std::vector<std::pair<PathId, std::string>> values;    // display
-    std::vector<std::pair<PathId, std::string>> keywords;  // token
-  };
+  /// doc -> staged nodes: the one parse-and-walk that every maintenance
+  /// step and VerifyPostings() share. A null document stages no node. When
+  /// `use_dml_parse`, borrows the DOM the IS JSON check already built for
+  /// the in-flight DML (§3.2.1) if present. Interning into `paths` is its
+  /// only effect, so a failure here leaves every posting list as it was.
+  Result<StagedDoc> StageDoc(const Value& doc, bool use_dml_parse,
+                             dataguide::PathDictionary* paths) const;
 
-  /// Owns the parse when the IS JSON constraint's DOM was unavailable.
-  struct ParsedDoc {
-    std::unique_ptr<json::JsonNode> owned;
-    const json::JsonNode* tree = nullptr;
-  };
-  /// `doc` must be non-null. When `use_dml_parse`, borrows the DOM the IS
-  /// JSON check already built for the in-flight DML (§3.2.1) if present.
-  Result<ParsedDoc> ParseDoc(const Value& doc, bool use_dml_parse) const;
-
-  /// Interns every path it meets, so it is a maintenance-only step;
-  /// lookups and VerifyPostings() only ever call FindPath().
-  Result<DocPostings> StagePostings(const json::Dom& dom);
-  /// Moves `row_id` from the keys of `from` to the keys of `to`: an insert
-  /// swaps from no keys, a delete to no keys, a replace from the old
-  /// document's keys to the new one's. A key both documents have keeps its
-  /// list untouched rather than being erased and re-added, which would
-  /// shift the long lists of common paths, values and tokens twice.
-  void SwapPostings(const DocPostings& from, const DocPostings& to,
+  /// Moves `row_id` from the posting keys of `from` to those of `to`: an
+  /// insert swaps from no document, a delete to none, a replace from the
+  /// old document to the new one. A key both documents have keeps its list
+  /// untouched rather than being erased and re-added, which would shift
+  /// the long lists of common paths, values and tokens twice. A pure
+  /// in-memory mutation that cannot fail, which is what makes
+  /// stage-then-swap atomic.
+  void SwapPostings(const StagedDoc& from, const StagedDoc& to,
                     size_t row_id);
   void ApplyPathPosting(PathId path, size_t row_id);
   void ErasePathPosting(PathId path, size_t row_id);
   /// Adds `row_id` under the key, creating the key if needed; returns its
   /// posting list.
   const std::vector<size_t>* ApplyPosting(PostingMap* map, PathId path,
-                                          const std::string& text,
+                                          std::string_view text,
                                           size_t row_id);
   /// Removes `row_id` from the list at `it`, and the key with it when the
   /// list empties.
   void ErasePosting(PostingMap* map, PostingMap::iterator it, size_t row_id);
 
-  PathId InternPath(std::string_view path);
-  /// kNoPath when the path was never interned (no document has it).
-  PathId FindPath(std::string_view path) const;
-  /// Accounting footprint of an interned path / a value or keyword key,
-  /// excluding row-id payloads (see MemoryBytes()).
-  static uint64_t PathEntryBytes(std::string_view path);
+  /// Accounting footprint of a value or keyword key, excluding its row-id
+  /// payload (see MemoryBytes()).
   static uint64_t PostingNodeBytes(std::string_view text);
   /// Charges or refunds the bucket arrays after a map may have rehashed.
   void SyncBucketBytes();
-  /// Drops every posting list; the path dictionary stays.
+  /// Drops every posting list; the path slots stay.
   void ClearPostings();
 
-  /// DataGuide + $DG side-table maintenance for one document.
-  Status MaintainDataGuide(const json::Dom& dom);
+  /// DataGuide + $DG side-table maintenance for one staged document.
+  Status MaintainDataGuide(const StagedDoc& doc);
+
+  /// Takes a failed `dml`'s postings back out (moves `row_id` from the keys
+  /// of `applied` to those of `prior`); degrades the index when even that
+  /// compensation fails.
+  void RollBackPostings(const StagedDoc& applied, const StagedDoc& prior,
+                        size_t row_id, const char* dml);
+  /// The Undo* callbacks: stages `from` (the in-flight document, whose DML
+  /// parse it may borrow) and `to`, then moves `row_id` from the keys of
+  /// one to the other. Degrades the index on failure.
+  Status UndoPostings(size_t row_id, const Value& from, const Value& to,
+                      const char* dml);
 
   /// Telemetry wrappers around the *Impl workers: count one document and
   /// record one maintenance-latency observation per DML event (a replace
@@ -267,13 +256,8 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   size_t json_col_pos_;  // position within the physical row
   Options options_;
 
-  // Path dictionary (§4.2.1's field ids applied to index paths): each
-  // distinct path string once, named by a dense id. Additive like the
-  // DataGuide (§3.4): ids are never reclaimed, so Rebuild() keeps them.
-  std::unordered_map<std::string, PathId, PathHash, std::equal_to<>>
-      path_ids_;
-  std::vector<const std::string*> path_names_;  // id -> key in path_ids_
-  // Path id -> sorted row ids. An empty list holds no heap.
+  // Path id -> sorted row ids, over the guide's path dictionary (grown on
+  // the first posting of a new id). An empty list holds no heap.
   std::vector<std::vector<size_t>> path_postings_;
   // (path id, canonical scalar display) -> sorted row ids.
   PostingMap value_postings_;
@@ -282,13 +266,16 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   // No value or keyword list is ever empty: an erase never creates a key,
   // and removing the last row id removes the key.
 
+  // Owns the path dictionary the postings key on, whether or not the guide
+  // itself is maintained.
   dataguide::DataGuide dataguide_;
-  // Incremental accounting over the postings and the path dictionary.
+  // Incremental accounting over the postings (the dictionary is charged
+  // with the DataGuide).
   // Atomic (relaxed) because DML mutates it while MemoryTracker reporter
   // callbacks read it from other threads (workload-snapshot tick,
   // TELEMETRY$MEMORY refresh).
   std::atomic<uint64_t> postings_bytes_{0};
-  // Total bucket count of the three hash maps as last charged.
+  // Total bucket count of the two posting maps as last charged.
   size_t charged_buckets_ = 0;
   // The persistent $DG side table (§3.2.1): one row per distinct path,
   // appended when a document introduces new structure.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/memory_tracker.h"
 
 namespace fsdm::stats {
 
@@ -72,9 +71,11 @@ void ValueHistogram::Clear() {
 
 // --- PathStatsRepository ----------------------------------------------------
 
-void PathStatsRepository::OnScalar(const std::string& path, bool /*under_array*/,
-                                   const Value& v) {
-  PathStats& s = paths_[path];
+void PathStatsRepository::OnScalar(const dataguide::StagedNode& node) {
+  if (node.path >= by_id_.size()) by_id_.resize(node.path + 1);
+  std::unique_ptr<PathStats>& slot = by_id_[node.path];
+  if (slot == nullptr) slot = std::make_unique<PathStats>();
+  PathStats& s = *slot;
   // Per-document frequency via the stamp trick: the current document's
   // stamp is docs_seen_ + 1 (OnDocumentEnd increments docs_seen_ after the
   // walk).
@@ -83,12 +84,13 @@ void PathStatsRepository::OnScalar(const std::string& path, bool /*under_array*/
     s.last_doc_stamp = stamp;
     ++s.doc_frequency;
   }
+  const Value& v = node.value;
   if (v.is_null()) {
     ++s.null_count;
     return;
   }
   ++s.value_count;
-  s.ndv.Add(v.ToDisplayString());
+  s.ndv.Add(node.Display());
   // Min/max keep the first comparable extremes; a heterogeneous path
   // (string vs number) simply stops updating across the incomparable pair.
   if (!s.min_value.has_value()) {
@@ -105,13 +107,21 @@ void PathStatsRepository::OnScalar(const std::string& path, bool /*under_array*/
 
 void PathStatsRepository::OnDocumentEnd() { ++docs_seen_; }
 
-const PathStats* PathStatsRepository::Find(const std::string& path) const {
-  auto it = paths_.find(path);
-  return it == paths_.end() ? nullptr : &it->second;
+std::vector<std::pair<std::string_view, const PathStats*>>
+PathStatsRepository::Sorted(const dataguide::PathDictionary& paths) const {
+  std::vector<std::pair<std::string_view, const PathStats*>> out;
+  for (dataguide::PathId id = 0; id < by_id_.size(); ++id) {
+    if (by_id_[id] != nullptr) {
+      out.emplace_back(paths.Name(id), by_id_[id].get());
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
 }
 
 std::optional<double> PathStatsRepository::ExistenceSelectivity(
-    const std::string& path) const {
+    dataguide::PathId path) const {
   if (docs_seen_ == 0) return std::nullopt;
   const PathStats* s = Find(path);
   if (s == nullptr) return 0.0;
@@ -119,24 +129,21 @@ std::optional<double> PathStatsRepository::ExistenceSelectivity(
                            static_cast<double>(docs_seen_));
 }
 
-double PathStatsRepository::NdvEstimate(const std::string& path) const {
+double PathStatsRepository::NdvEstimate(dataguide::PathId path) const {
   const PathStats* s = Find(path);
   return s == nullptr ? 0.0 : s->ndv.Estimate();
 }
 
 uint64_t PathStatsRepository::MemoryBytes() const {
-  // Map node overhead (parent/child pointers + color) per entry.
-  constexpr uint64_t kNodeBytes = 4 * sizeof(void*);
-  uint64_t total = 0;
-  for (const auto& [path, stats] : paths_) {
-    total += kNodeBytes + telemetry::OwnedStringBytes(path) +
-             sizeof(PathStats) + stats.histogram.HeapBytes();
+  uint64_t total = by_id_.size() * sizeof(std::unique_ptr<PathStats>);
+  for (const std::unique_ptr<PathStats>& s : by_id_) {
+    if (s != nullptr) total += sizeof(PathStats) + s->histogram.HeapBytes();
   }
   return total;
 }
 
 void PathStatsRepository::Clear() {
-  paths_.clear();
+  by_id_.clear();
   docs_seen_ = 0;
 }
 

@@ -2,9 +2,10 @@
 #define FSDM_STATS_PATH_STATS_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/value.h"
@@ -81,42 +82,52 @@ struct PathStats {
 };
 
 /// The repository: one PathStats per scalar path, fed by the DataGuide's
-/// instance walk. Like the guide itself the statistics are *additive*
-/// (§3.4): deletes and rollbacks never retract them, so absolute counts
-/// drift high over a churning workload while the ratios the router
-/// consumes (frequency / docs_seen, histogram fractions) stay
-/// approximately right. RebuildIndex() clears and re-feeds it.
+/// staged nodes and indexed by the feeding guide's path ids (its
+/// dictionary names the paths; the repository holds no path text). Like
+/// the guide itself the statistics are *additive* (§3.4): deletes and
+/// rollbacks never retract them, so absolute counts drift high over a
+/// churning workload while the ratios the router consumes (frequency /
+/// docs_seen, histogram fractions) stay approximately right.
+/// RebuildIndex() clears and re-feeds it.
 class PathStatsRepository final : public dataguide::ScalarSink {
  public:
   // --- dataguide::ScalarSink -------------------------------------------
-  void OnScalar(const std::string& path, bool under_array,
-                const Value& v) override;
+  void OnScalar(const dataguide::StagedNode& node) override;
   void OnDocumentEnd() override;
 
   /// Documents whose scalars this repository has observed.
   uint64_t docs_seen() const { return docs_seen_; }
 
-  const PathStats* Find(const std::string& path) const;
-  const std::map<std::string, PathStats>& paths() const { return paths_; }
+  /// nullptr when no observed document had a scalar at `path` (or for
+  /// dataguide::kNoPath).
+  const PathStats* Find(dataguide::PathId path) const {
+    return path < by_id_.size() ? by_id_[path].get() : nullptr;
+  }
+
+  /// Every path with statistics as (name, stats), sorted by name. `paths`
+  /// is the dictionary of the guide that feeds this repository.
+  std::vector<std::pair<std::string_view, const PathStats*>> Sorted(
+      const dataguide::PathDictionary& paths) const;
 
   /// Estimated fraction of documents containing `path` in [0, 1]. Empty
   /// when the repository has seen no documents at all (caller falls back
   /// to DataGuide frequencies); 0 for a path no observed document had.
-  std::optional<double> ExistenceSelectivity(const std::string& path) const;
+  std::optional<double> ExistenceSelectivity(dataguide::PathId path) const;
 
   /// NDV estimate for the path's non-null values; 0 when unknown.
-  double NdvEstimate(const std::string& path) const;
+  double NdvEstimate(dataguide::PathId path) const;
 
-  /// In-memory footprint (ISSUE 9 memory attribution): per-path map node
-  /// overhead + owned path string (by size()) + the PathStats payload
-  /// (the Hll registers are an inline array) + histogram heap bytes.
+  /// In-memory footprint, for memory attribution: the id-indexed slot
+  /// vector by size(), plus per observed path the PathStats payload
+  /// (the Hll registers are an inline array) and its histogram heap
+  /// bytes. Path text is the dictionary's, charged with the DataGuide.
   /// Min/max sample Values excluded, as in DataGuide::MemoryBytes().
   uint64_t MemoryBytes() const;
 
   void Clear();
 
  private:
-  std::map<std::string, PathStats> paths_;
+  std::vector<std::unique_ptr<PathStats>> by_id_;  // path id -> stats
   uint64_t docs_seen_ = 0;
 };
 

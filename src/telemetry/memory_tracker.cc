@@ -67,6 +67,18 @@ void MemoryTracker::UnregisterReporter(uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < reporters_.size(); ++i) {
     if (reporters_[i].id != id) continue;
+    // Poll one last time so the bytes the structure held reach the
+    // subsystem and total peaks, even if no Refresh() ran in its lifetime.
+    // Swap its last report for this poll in the current figures; those
+    // can lag last_bytes while a concurrent Refresh() publishes, so clamp.
+    const Reporter& r = reporters_[i];
+    const uint64_t now = r.fn ? r.fn() : 0;
+    auto replaced = [&r, now](uint64_t current) {
+      return (current > r.last_bytes ? current - r.last_bytes : 0) + now;
+    };
+    RatchetSubsystemPeak(static_cast<size_t>(r.subsystem),
+                         replaced(SubsystemBytes(r.subsystem)));
+    RatchetTotals(replaced(CurrentBytes()));
     // Zero the gauge so a dropped collection doesn't linger in exports.
     if (reporters_[i].gauge != nullptr) reporters_[i].gauge->Set(0);
     reporters_.erase(reporters_.begin() + static_cast<ptrdiff_t>(i));

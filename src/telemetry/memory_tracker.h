@@ -84,6 +84,9 @@ class MemoryTracker {
   /// RAII MemoryScope over calling this directly.
   uint64_t RegisterReporter(MemSubsystem subsystem, std::string collection,
                             std::function<uint64_t()> fn);
+  /// Polls the reporter once more, ratchets the subsystem and total peaks
+  /// with what it reports, then drops it. The polled structure must still
+  /// be alive.
   void UnregisterReporter(uint64_t id);
 
   /// Transient charge/release for push-model subsystems. Charge ratchets

@@ -42,7 +42,7 @@ std::map<std::string, std::string> TypeMap(const DataGuide& guide) {
   for (const PathEntry* e : guide.SortedEntries()) {
     // A path can appear once per node kind; last-in wins is fine for the
     // homogeneous fixtures, heterogeneity is tested separately.
-    out[e->path] = e->TypeString();
+    out[std::string(e->path)] = e->TypeString();
   }
   return out;
 }
@@ -253,7 +253,7 @@ TEST(DataGuideTest, SingletonScalarPaths) {
   MustAdd(&guide, kDoc3);
   std::vector<std::string> singles;
   for (const PathEntry* e : guide.SingletonScalarPaths()) {
-    singles.push_back(e->path);
+    singles.emplace_back(e->path);
   }
   EXPECT_EQ(singles, (std::vector<std::string>{
                          "$.purchaseOrder.foreign_id", "$.purchaseOrder.id",

@@ -99,6 +99,30 @@ TEST_F(MemoryTrackerTest, ReporterRefreshRatchetsPeaksAndUnregisters) {
   }
 }
 
+TEST_F(MemoryTrackerTest, UnregisterRatchetsPeaksWithTheLastPoll) {
+  // A structure that grew after the last Refresh() and then went away
+  // (a bench's collection dropped before its report) must still show in
+  // the subsystem and total peaks.
+  MemoryTracker& t = MemoryTracker::Global();
+  uint64_t bytes = 100;
+  {
+    MemoryScope scope(MemSubsystem::kPathStats, "MT_GONE",
+                      [&bytes]() { return bytes; });
+    t.Refresh();
+    bytes = 70000;  // grows, never refreshed again
+  }
+  EXPECT_GE(t.SubsystemPeakBytes(MemSubsystem::kPathStats), 70000u);
+  EXPECT_GE(t.PeakBytes(), 70000u);
+
+  // Never refreshed at all: the unregister poll is the only observation.
+  {
+    MemoryScope scope(MemSubsystem::kWalBuffers, "MT_UNSEEN",
+                      []() { return uint64_t{90000}; });
+  }
+  EXPECT_GE(t.SubsystemPeakBytes(MemSubsystem::kWalBuffers), 90000u);
+  EXPECT_GE(t.PeakBytes(), 90000u);
+}
+
 TEST_F(MemoryTrackerTest, ChargesRatchetPeakWithoutRefresh) {
   MemoryTracker& t = MemoryTracker::Global();
   const uint64_t base = t.CurrentBytes();
