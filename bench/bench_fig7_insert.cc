@@ -6,6 +6,7 @@
 
 #include "bench/harness.h"
 #include "index/search_index.h"
+#include "telemetry/memory_tracker.h"
 
 namespace fsdm {
 namespace {
@@ -25,6 +26,17 @@ double InsertAll(const std::vector<std::string>& docs, bool is_json,
     index::JsonSearchIndex::Options opts;
     opts.maintain_postings = false;  // isolate the DataGuide cost
     idx = index::JsonSearchIndex::Create(&table, "JDOC", opts).MoveValue();
+  }
+  // Report the run's resident structures to the memory tracker; dropping
+  // the scopes on return polls them once more and ratchets the peaks.
+  telemetry::MemoryScope table_mem(telemetry::MemSubsystem::kTableHeap, "NB",
+                                   [&table] { return table.HeapBytes(); });
+  telemetry::MemoryScope guide_mem;
+  if (idx != nullptr) {
+    guide_mem = telemetry::MemoryScope(
+        telemetry::MemSubsystem::kDataGuide, "NB", [&idx]() -> uint64_t {
+          return idx->dataguide().MemoryBytes() + idx->dg_table()->HeapBytes();
+        });
   }
   benchutil::Timer t;
   for (size_t i = 0; i < docs.size(); ++i) {

@@ -236,6 +236,12 @@ def check_memory(path, doc):
     if split > mem["total_bytes"]:
         fail(path, f"memory.subsystems sum to {split} bytes, more than "
                    f"total_bytes {mem['total_bytes']}")
+    # fig7 registers reporters for its table heap and DataGuide, so with
+    # telemetry compiled in (some counter moved) its peak cannot be zero.
+    telemetry_live = any(v > 0 for v in doc["metrics"]["counters"].values())
+    if (path.endswith("BENCH_fig7_insert.json") and telemetry_live
+            and mem["peak_bytes"] <= 0):
+        fail(path, "memory.peak_bytes is 0: fig7 registered no reporter")
 
 
 LOG_COUNTERS = ("fsdm_log_records_total", "fsdm_log_dropped_total",

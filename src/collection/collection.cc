@@ -8,8 +8,6 @@
 #include "collection/collections_table.h"
 #include "common/hash.h"
 #include "fault/fault.h"
-#include "json/dom.h"
-#include "json/parser.h"
 #include "json/serializer.h"
 #include "oson/oson.h"
 #include "telemetry/activity.h"
@@ -109,130 +107,45 @@ Result<std::unique_ptr<JsonCollection>> JsonCollection::Create(
   if (db == nullptr) return Status::InvalidArgument("null database");
   EnsureIncidentStateProviders();
 
-  if (options.shard_count > 1) {
-    // Sharded facade (ISSUE 6): N full single-shard stacks behind one
-    // object. The children are ordinary collections named "<name>$s<i>"
-    // but stay out of the CollectionRegistry — TELEMETRY$COLLECTIONS
-    // shows one row for the facade with a per-shard health rollup.
-    std::unique_ptr<JsonCollection> facade(
-        new JsonCollection(db, name, options));
-    CollectionOptions shard_options = options;
-    shard_options.shard_count = 1;
-    // The facade owns the write-ahead log for every shard (one LSN
-    // sequence makes cross-shard replay ordering trivial); the children
-    // must not open their own.
-    shard_options.wal_dir.clear();
-    for (size_t i = 0; i < options.shard_count; ++i) {
-      Result<std::unique_ptr<JsonCollection>> shard = Create(
-          db, name + "$s" + std::to_string(i), shard_options);
-      if (!shard.ok()) {
-        // Unwind every shard already built; each child drops its own
-        // table through the same path a failed single-shard Create uses.
-        for (std::unique_ptr<JsonCollection>& built : facade->shards_) {
-          built->Detach();
-          (void)db->DropTable(built->name());
-        }
-        return shard.status();
-      }
-      CollectionRegistry::Global().Unregister(shard.value().get());
-      shard.value()->is_shard_ = true;
-      // The facade's reporters sum over the shards; the children's own
-      // registrations (made by the recursive Create) would double-count
-      // every byte in the tracker.
-      shard.value()->mem_scopes_.clear();
-      facade->shards_.push_back(std::move(shard).value());
+  const size_t n = std::max<size_t>(options.shard_count, 1);
+  std::unique_ptr<JsonCollection> coll(new JsonCollection(name, options));
+  // A failure past the first table drops every table built so far.
+  auto unwind = [&](Status status) {
+    coll->Detach();
+    for (const std::unique_ptr<Shard>& built : coll->shards_) {
+      (void)db->DropTable(built->name());
     }
-    if (options.install_oson_column) facade->oson_column_ = kOsonColumnName;
-    if (!options.wal_dir.empty()) {
-      Status walled = facade->InitWal();
-      if (!walled.ok()) {
-        for (std::unique_ptr<JsonCollection>& built : facade->shards_) {
-          built->Detach();
-          (void)db->DropTable(built->name());
-        }
-        return walled;
-      }
-    }
-    facade->health();  // publish the initial health gauge
-    facade->RegisterMemoryReporters();
-    CollectionRegistry::Global().Register(facade.get());
-    FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1001,
-             "collection created (sharded facade): " + name,
-             telemetry::LogNum("shards", options.shard_count),
-             telemetry::LogNum("durable", options.wal_dir.empty() ? 0 : 1));
-    return facade;
-  }
-
-  std::vector<rdbms::ColumnDef> columns = {
-      {.name = options.key_column, .type = rdbms::ColumnType::kNumber},
-      {.name = options.json_column,
-       .type = rdbms::ColumnType::kJson,
-       .max_length = options.max_document_length,
-       .check_is_json = true}};
-  FSDM_ASSIGN_OR_RETURN(rdbms::Table * table,
-                        db->CreateTable(name, std::move(columns)));
-
-  std::unique_ptr<JsonCollection> coll(new JsonCollection(db, name, options));
-  coll->table_ = table;
-  const std::vector<size_t>& physical = table->physical_columns();
-  for (size_t i = 0; i < physical.size(); ++i) {
-    if (table->columns()[physical[i]].name == options.json_column) {
-      coll->json_physical_pos_ = i;
-      break;
-    }
-  }
-
-  // Wire the rest of the stack. A failure past CreateTable must unwind
-  // completely — detach the half-built collection and drop the table — or
-  // the database is left holding a table with dangling observers.
-  Status wired = [&]() -> Status {
-    if (options.install_oson_column) {
-      FSDM_FAULT_POINT("collection.create.oson_column");
-      rdbms::ColumnDef oson;
-      oson.name = kOsonColumnName;
-      oson.type = rdbms::ColumnType::kRaw;
-      oson.hidden = true;
-      oson.virtual_expr = sqljson::OsonConstructor(options.json_column);
-      FSDM_RETURN_NOT_OK(table->AddVirtualColumn(std::move(oson)));
-      coll->oson_column_ = kOsonColumnName;
-    }
-    if (options.attach_search_index) {
-      FSDM_FAULT_POINT("collection.create.search_index");
-      // The statistics repository rides the index's DataGuide walk as the
-      // scalar sink (ISSUE 5) — stats cost no extra parse.
-      coll->options_.index_options.scalar_sink = &coll->path_stats_;
-      FSDM_ASSIGN_OR_RETURN(
-          coll->index_,
-          index::JsonSearchIndex::Create(table, options.json_column,
-                                         coll->options_.index_options));
-    }
-    coll->dml_observer_ = std::make_unique<DmlObserver>(coll.get());
-    table->AddObserver(coll->dml_observer_.get());
-    return Status::Ok();
-  }();
-  if (!wired.ok()) {
-    coll->Detach();  // before the table goes away
-    (void)db->DropTable(name);
-    return wired;
+    return status;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    // One shard keeps the collection's own name, so a single-shard
+    // collection is indistinguishable from a plain table stack.
+    Result<std::unique_ptr<Shard>> shard = Shard::Create(
+        db, n == 1 ? name : name + "$s" + std::to_string(i), options);
+    if (!shard.ok()) return unwind(shard.status());
+    coll->shards_.push_back(std::move(shard).value());
   }
   if (!options.wal_dir.empty()) {
-    // Open (and, on an existing log, replay) the WAL only once the whole
-    // stack is wired: replay drives the ordinary DML paths so the index,
+    // Open (and, on an existing log, replay) the WAL only once every shard
+    // is wired: replay drives the ordinary DML paths so the index,
     // DataGuide, IMC state and path statistics rebuild as a side effect.
     Status walled = coll->InitWal();
-    if (!walled.ok()) {
-      coll->Detach();
-      (void)db->DropTable(name);
-      return walled;
-    }
+    if (!walled.ok()) return unwind(walled);
   }
   coll->health();  // publish the initial health gauge
   coll->RegisterMemoryReporters();
   CollectionRegistry::Global().Register(coll.get());
-  FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1002,
-           "collection created: " + name,
-           telemetry::LogNum("indexed", options.attach_search_index ? 1 : 0),
-           telemetry::LogNum("durable", options.wal_dir.empty() ? 0 : 1));
+  if (n == 1) {
+    FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1002,
+             "collection created: " + name,
+             telemetry::LogNum("indexed", options.attach_search_index ? 1 : 0),
+             telemetry::LogNum("durable", options.wal_dir.empty() ? 0 : 1));
+  } else {
+    FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1001,
+             "collection created (sharded facade): " + name,
+             telemetry::LogNum("shards", n),
+             telemetry::LogNum("durable", options.wal_dir.empty() ? 0 : 1));
+  }
   return coll;
 }
 
@@ -245,121 +158,92 @@ void JsonCollection::Detach() {
   mem_scopes_.clear();
   if (wal_ != nullptr && !wal_->failed()) (void)wal_->Flush();
   CollectionRegistry::Global().Unregister(this);
-  for (std::unique_ptr<JsonCollection>& shard : shards_) shard->Detach();
-  if (table_ != nullptr && dml_observer_ != nullptr) {
-    table_->RemoveObserver(dml_observer_.get());
-  }
-  if (index_ != nullptr) index_->Detach();
+  for (const std::unique_ptr<Shard>& shard : shards_) shard->Detach();
   detached_ = true;
 }
 
 void JsonCollection::RegisterMemoryReporters() {
 #if !defined(FSDM_TELEMETRY_DISABLED)
   using telemetry::MemSubsystem;
-  using telemetry::MemoryScope;
-  // Every reporter sums over shard(i), which is `this` on a single-shard
-  // collection — one code path for both shapes. The scopes capture `this`;
-  // Detach() clears them before any polled structure goes away.
-  auto sum = [this](uint64_t (*per_shard)(const JsonCollection&)) {
+  // The scopes capture `this`; Detach() clears them before any polled
+  // structure goes away.
+  auto sum = [this](uint64_t (*per_shard)(const Shard&)) {
     return [this, per_shard]() {
       uint64_t total = 0;
-      for (size_t s = 0; s < shard_count(); ++s) {
-        total += per_shard(*shard(s));
-      }
+      for (const std::unique_ptr<Shard>& s : shards_) total += per_shard(*s);
       return total;
     };
   };
   mem_scopes_.emplace_back(
       MemSubsystem::kTableHeap, name_,
-      sum(+[](const JsonCollection& c) {
-        return c.table_ != nullptr ? c.table_->HeapBytes() : uint64_t{0};
+      sum(+[](const Shard& s) { return s.table()->HeapBytes(); }));
+  mem_scopes_.emplace_back(
+      MemSubsystem::kIndexPostings, name_, sum(+[](const Shard& s) {
+        return s.search_index() != nullptr ? s.search_index()->MemoryBytes()
+                                           : uint64_t{0};
       }));
   mem_scopes_.emplace_back(
-      MemSubsystem::kIndexPostings, name_,
-      sum(+[](const JsonCollection& c) {
-        return c.index_ != nullptr ? c.index_->MemoryBytes() : uint64_t{0};
-      }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kDataGuide, name_,
-      sum(+[](const JsonCollection& c) -> uint64_t {
+      MemSubsystem::kDataGuide, name_, sum(+[](const Shard& s) {
         // The live guide plus, when the index persists it, the $DG side
         // table's heap (the guide's durable image).
-        if (c.index_ != nullptr) {
-          uint64_t bytes = c.index_->dataguide().MemoryBytes();
-          if (c.index_->dg_table() != nullptr) {
-            bytes += c.index_->dg_table()->HeapBytes();
-          }
-          return bytes;
+        uint64_t bytes = s.dataguide().MemoryBytes();
+        const index::JsonSearchIndex* index = s.search_index();
+        if (index != nullptr && index->dg_table() != nullptr) {
+          bytes += index->dg_table()->HeapBytes();
         }
-        return c.own_guide_.MemoryBytes();
+        return bytes;
       }));
   mem_scopes_.emplace_back(
-      MemSubsystem::kImc, name_,
-      sum(+[](const JsonCollection& c) -> uint64_t {
-        return c.imc_valid_ && c.imc_.has_value() ? c.imc_->MemoryBytes()
-                                                  : uint64_t{0};
+      MemSubsystem::kImc, name_, sum(+[](const Shard& s) -> uint64_t {
+        return s.imc() != nullptr ? s.imc()->MemoryBytes() : 0;
       }));
   mem_scopes_.emplace_back(
       MemSubsystem::kPathStats, name_,
-      sum(+[](const JsonCollection& c) {
-        return c.path_stats_.MemoryBytes();
-      }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kWalBuffers, name_,
-      sum(+[](const JsonCollection& c) {
-        return c.wal_ != nullptr ? c.wal_->MemoryBytes() : uint64_t{0};
-      }));
+      sum(+[](const Shard& s) { return s.path_stats().MemoryBytes(); }));
+  mem_scopes_.emplace_back(MemSubsystem::kWalBuffers, name_, [this] {
+    return wal_ != nullptr ? wal_->MemoryBytes() : uint64_t{0};
+  });
 #endif  // !FSDM_TELEMETRY_DISABLED
 }
 
 size_t JsonCollection::document_count() const {
-  if (sharded()) {
-    size_t n = 0;
-    for (const std::unique_ptr<JsonCollection>& s : shards_) {
-      n += s->document_count();
-    }
-    return n;
-  }
-  return table_->live_row_count();
+  size_t n = 0;
+  for (const std::unique_ptr<Shard>& s : shards_) n += s->document_count();
+  return n;
 }
 
 size_t JsonCollection::ShardForKey(const Value& key) const {
-  if (!sharded()) return 0;
+  // No key display string is hashed on the single-shard hot path.
+  if (shards_.size() == 1) return 0;
   return static_cast<size_t>(ShardPlacementHash(key.ToDisplayString()) %
                              shards_.size());
 }
 
 // --- Health & crash consistency ---------------------------------------------
 
+namespace {
+
+/// What a shard's problem strings are prefixed with in the collection's:
+/// nothing when the shard is the whole collection.
+std::string ShardPrefix(size_t shard, size_t shard_count) {
+  return shard_count == 1 ? "" : "shard " + std::to_string(shard) + ": ";
+}
+
+}  // namespace
+
 CollectionHealth JsonCollection::health() const {
+  // One bad shard degrades the collection instead of killing it.
+  size_t quarantined = 0;
+  size_t healthy = 0;
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    const CollectionHealth shard_health = s->health();
+    quarantined += shard_health == CollectionHealth::kQuarantined;
+    healthy += shard_health == CollectionHealth::kHealthy;
+  }
   CollectionHealth h = CollectionHealth::kHealthy;
-  if (sharded()) {
-    // Per-shard degradation: ONE bad shard degrades the collection
-    // instead of killing it. All healthy -> healthy; all quarantined ->
-    // quarantined; anything in between -> index-degraded (the router then
-    // falls back per shard, so healthy shards keep their fast paths).
-    size_t quarantined = 0;
-    size_t healthy = 0;
-    for (const std::unique_ptr<JsonCollection>& s : shards_) {
-      switch (s->health()) {
-        case CollectionHealth::kHealthy:
-          ++healthy;
-          break;
-        case CollectionHealth::kQuarantined:
-          ++quarantined;
-          break;
-        case CollectionHealth::kIndexDegraded:
-          break;
-      }
-    }
-    if (quarantined == shards_.size()) {
-      h = CollectionHealth::kQuarantined;
-    } else if (healthy < shards_.size()) {
-      h = CollectionHealth::kIndexDegraded;
-    }
-  } else if (quarantined_) {
+  if (quarantined == shards_.size()) {
     h = CollectionHealth::kQuarantined;
-  } else if (index_ != nullptr && index_->degraded()) {
+  } else if (healthy < shards_.size()) {
     h = CollectionHealth::kIndexDegraded;
   }
   FSDM_GAUGE_SET("fsdm_collection_health", static_cast<int64_t>(h));
@@ -367,127 +251,65 @@ CollectionHealth JsonCollection::health() const {
 }
 
 size_t JsonCollection::healthy_shard_count() const {
-  if (!sharded()) {
-    return health() == CollectionHealth::kHealthy ? 1 : 0;
-  }
-  size_t healthy = 0;
-  for (const std::unique_ptr<JsonCollection>& s : shards_) {
-    if (s->health() == CollectionHealth::kHealthy) ++healthy;
-  }
-  return healthy;
+  return static_cast<size_t>(
+      std::count_if(shards_.begin(), shards_.end(), [](const auto& s) {
+        return s->health() == CollectionHealth::kHealthy;
+      }));
 }
 
 std::string JsonCollection::health_reason() const {
-  if (sharded()) {
-    std::string reason;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      std::string shard_reason = shards_[i]->health_reason();
-      if (shard_reason.empty()) continue;
-      if (!reason.empty()) reason += "; ";
-      reason += "shard " + std::to_string(i) + ": " + shard_reason;
-    }
-    return reason;
+  std::string reason;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    std::string shard_reason = shards_[i]->health_reason();
+    if (shard_reason.empty()) continue;
+    if (!reason.empty()) reason += "; ";
+    reason += ShardPrefix(i, shards_.size()) + shard_reason;
   }
-  if (quarantined_) return quarantine_reason_;
-  if (index_ != nullptr && index_->degraded()) {
-    return index_->degraded_reason();
-  }
-  return "";
+  return reason;
 }
 
 void JsonCollection::Quarantine(std::string reason) {
-  for (std::unique_ptr<JsonCollection>& s : shards_) s->Quarantine(reason);
-  quarantined_ = true;
-  quarantine_reason_ = std::move(reason);
-  last_health_cause_ = quarantine_reason_;
-  FSDM_TRACE_INSTANT_TEXT("collection", "collection.quarantine", "name",
-                          name_);
-  // The facade speaks for its shards: the cascade above already marked
-  // them, and one incident per quarantine is the useful granularity.
-  if (!is_shard_) {
-    FSDM_LOG(telemetry::LogLevel::kError, "collection", 1005,
-             "collection " + name_ + " quarantined: " + quarantine_reason_,
-             telemetry::LogText("name", name_));
-    telemetry::IncidentManager::Global().Raise("quarantine", name_,
-                                               quarantine_reason_);
-  }
+  for (const std::unique_ptr<Shard>& s : shards_) s->Quarantine(reason);
+  last_health_cause_ = std::move(reason);
+  // The collection speaks for its shards: one log record and one incident
+  // per quarantine is the useful granularity.
+  FSDM_LOG(telemetry::LogLevel::kError, "collection", 1005,
+           "collection " + name_ + " quarantined: " + last_health_cause_,
+           telemetry::LogText("name", name_));
+  telemetry::IncidentManager::Global().Raise("quarantine", name_,
+                                             last_health_cause_);
   health();
 }
 
 Status JsonCollection::RebuildIndex() {
-  FSDM_TRACE_SPAN(span, "collection", "index.rebuild");
-  span.AddTextArg("name", name_);
   // Snapshot the degradation being healed: after a successful rebuild
   // health_reason() goes empty, but REASON should still be able to say
   // what the rebuild was for.
-  if (!quarantined_ && index_ != nullptr && index_->degraded()) {
-    last_health_cause_ = index_->degraded_reason();
+  if (health() == CollectionHealth::kIndexDegraded) {
+    last_health_cause_ = health_reason();
   }
-  if (sharded()) {
-    // Per-shard rebuild with collection-level aggregation: every shard
-    // rebuilds (a failure on shard i must not leave shard i+1 degraded),
-    // and the first failure is reported.
-    Status first_error = Status::Ok();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Status rebuilt = shards_[i]->RebuildIndex();
-      if (!rebuilt.ok() && first_error.ok()) first_error = rebuilt;
-    }
-    if (first_error.ok()) {
-      last_rebuild_ts_us_ = telemetry::MonotonicNowUs();
-      quarantined_ = false;
-      quarantine_reason_.clear();
-      FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1006,
-               "index rebuilt on all shards of " + name_,
-               telemetry::LogNum("shards", shards_.size()));
-    } else {
-      FSDM_LOG(telemetry::LogLevel::kError, "collection", 1007,
-               "index rebuild failed on sharded " + name_ + ": " +
-                   first_error.message());
-    }
-    health();
-    return first_error;
+  // Every shard rebuilds (a failure on shard i must not leave shard i+1
+  // degraded), and the first failure is reported.
+  Status first_error = Status::Ok();
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    Status rebuilt = s->RebuildIndex();
+    if (!rebuilt.ok() && first_error.ok()) first_error = rebuilt;
   }
-  if (index_ != nullptr) {
-    // Rebuild() re-feeds every live document through the DataGuide walk —
-    // and therefore through the statistics sink. Reset the repository
-    // first or every path would double-count; this is also the one point
-    // where additive statistics shed their dead-document skew.
-    path_stats_.Clear();
-    Status rebuilt = index_->Rebuild();
-    if (!rebuilt.ok()) {
-      quarantined_ = true;
-      quarantine_reason_ = "index rebuild failed: " + rebuilt.message();
-      last_health_cause_ = quarantine_reason_;
-      FSDM_LOG(telemetry::LogLevel::kError, "collection", 1009,
-               "index rebuild failed on " + name_ + ": " + rebuilt.message(),
-               telemetry::LogText("name", name_));
-      health();
-      return rebuilt;
-    }
+  if (first_error.ok()) {
+    last_rebuild_ts_us_ = telemetry::MonotonicNowUs();
+  } else {
+    last_health_cause_ = health_reason();
   }
-  last_rebuild_ts_us_ = telemetry::MonotonicNowUs();
-  quarantined_ = false;
-  quarantine_reason_.clear();
-  FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1008,
-           "index rebuilt: " + name_,
-           telemetry::LogNum("docs", document_count()));
-  // The postings were reconstructed from the table the IMC also reads, so
-  // a populated store stays valid; nothing else to heal.
   health();
-  return Status::Ok();
-}
-
-Status JsonCollection::CheckWritable() const {
-  if (!quarantined_) return Status::Ok();
-  return Status::Unavailable("collection " + name_ +
-                             " quarantined: " + quarantine_reason_);
+  return first_error;
 }
 
 Status JsonCollection::WalAppendFailed(const Status& append_status) {
   FSDM_LOG(telemetry::LogLevel::kError, "collection", 1010,
            "WAL append failed on " + name_ + ": " + append_status.message(),
            telemetry::LogText("name", name_));
-  if (wal_ != nullptr && wal_->failed() && !quarantined_) {
+  if (wal_ != nullptr && wal_->failed() &&
+      health() != CollectionHealth::kQuarantined) {
     // The writer poisoned itself (short write, failed fsync): nothing
     // further will reach the log, so nothing further may reach the table.
     Quarantine("WAL poisoned: " + append_status.message());
@@ -498,122 +320,42 @@ Status JsonCollection::WalAppendFailed(const Status& append_status) {
 ConsistencyReport JsonCollection::CheckConsistency() const {
   FSDM_TIME_SCOPE_US("fsdm_collection_check_consistency_us");
   ConsistencyReport report;
-  if (sharded()) {
-    // Per-shard checks with collection-level aggregation, plus the one
-    // cross-shard invariant: every live document must sit on the shard
-    // its key hashes to.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const JsonCollection& s = *shards_[i];
-      ConsistencyReport sub = s.CheckConsistency();
-      report.live_rows += sub.live_rows;
-      report.indexed_docs += sub.indexed_docs;
-      for (std::string& p : sub.problems) {
-        report.problems.push_back("shard " + std::to_string(i) + ": " +
-                                  std::move(p));
-      }
-      const rdbms::Table* t = s.table();
-      size_t key_pos = 0;
-      for (size_t c = 0; c < t->physical_columns().size(); ++c) {
-        if (t->columns()[t->physical_columns()[c]].name ==
-            options_.key_column) {
-          key_pos = c;
-          break;
-        }
-      }
-      for (size_t r = 0; r < t->row_count(); ++r) {
-        if (!t->IsLive(r)) continue;
-        const Value& key = t->StoredRow(r)[key_pos];
-        const size_t expected = ShardForKey(key);
-        if (expected != i) {
-          report.problems.push_back(
-              "shard " + std::to_string(i) + ": document with key " +
-              key.ToDisplayString() + " belongs on shard " +
-              std::to_string(expected) + " by placement hash");
-        }
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& s = *shards_[i];
+    const std::string prefix = ShardPrefix(i, shards_.size());
+    ConsistencyReport sub = s.CheckConsistency();
+    report.live_rows += sub.live_rows;
+    report.indexed_docs += sub.indexed_docs;
+    for (std::string& p : sub.problems) {
+      report.problems.push_back(prefix + std::move(p));
+    }
+    const rdbms::Table* t = s.table();
+    for (size_t r = 0; r < t->row_count(); ++r) {
+      if (!t->IsLive(r)) continue;
+      const Value& key = t->StoredRow(r)[s.key_pos()];
+      const size_t expected = ShardForKey(key);
+      if (expected != i) {
+        report.problems.push_back(
+            prefix + "document with key " + key.ToDisplayString() +
+            " belongs on shard " + std::to_string(expected) +
+            " by placement hash");
       }
     }
-    report.consistent = report.problems.empty();
-    return report;
   }
-  size_t non_null = 0;
-  dataguide::DataGuide shadow;
-  for (size_t r = 0; r < table_->row_count(); ++r) {
-    if (!table_->IsLive(r)) continue;
-    ++report.live_rows;
-    const Value& doc = table_->StoredRow(r)[json_physical_pos_];
-    if (doc.is_null()) continue;
-    ++non_null;
-    Result<int> added = shadow.AddJsonText(doc.AsString());
-    if (!added.ok()) {
-      report.problems.push_back("row " + std::to_string(r) +
-                                " violates IS JSON: " +
-                                added.status().message());
-    }
-  }
-
-  if (index_ != nullptr) {
-    report.indexed_docs = index_->indexed_document_count();
-    if (report.indexed_docs != non_null) {
-      report.problems.push_back(
-          "index reports " + std::to_string(report.indexed_docs) +
-          " indexed documents, table holds " + std::to_string(non_null));
-    }
-    index_->VerifyPostings(&report.problems);
-    const rdbms::Table* dg = index_->dg_table();
-    if (dg != nullptr &&
-        dg->row_count() != index_->dataguide().distinct_path_count()) {
-      report.problems.push_back(
-          "$DG side table has " + std::to_string(dg->row_count()) +
-          " rows, in-memory guide has " +
-          std::to_string(index_->dataguide().distinct_path_count()) +
-          " entries");
-    }
-  }
-
-  // The live guide must cover every observed path. Frequencies may
-  // over-count (rolled-back DML never retracts guide statistics — additive
-  // semantics, §3.4) but never under-count.
-  const dataguide::DataGuide& live_guide = dataguide();
-  for (const dataguide::PathEntry* e : shadow.SortedEntries()) {
-    const dataguide::PathEntry* have =
-        live_guide.Find(e->path, e->kind, e->under_array);
-    if (have == nullptr) {
-      report.problems.push_back("DataGuide missing path " +
-                                std::string(e->path) + " (" +
-                                e->TypeString() + ")");
-    } else if (have->frequency < e->frequency) {
-      report.problems.push_back(
-          "DataGuide path " + std::string(e->path) + " frequency " +
-          std::to_string(have->frequency) + " < observed " +
-          std::to_string(e->frequency));
-    }
-  }
-
-  if (imc_valid()) {
-    if (imc_->row_count() != report.live_rows) {
-      report.problems.push_back(
-          "IMC holds " + std::to_string(imc_->row_count()) +
-          " rows but table holds " + std::to_string(report.live_rows) +
-          " live rows (missed invalidation)");
-    }
-  }
-
   report.consistent = report.problems.empty();
   return report;
 }
 
 // --- DML --------------------------------------------------------------------
 
-// The public Insert/Delete/Replace are thin wrappers since ISSUE 8: they
-// publish the operation as leased activity (so write-heavy workloads show
-// up in the ASH time model — the PR 7 follow-up) and, on a durable
-// collection, append the operation to the WAL *before* applying it. Shard
-// children skip both — the facade already logged and leased — and go
-// straight to the Apply* bodies, which are the pre-ISSUE-8 DML paths.
+// The public Insert/Delete/Replace publish the operation as leased activity
+// (so write-heavy workloads show up in the ASH time model), place it on its
+// shard, and, on a durable collection, append it to the WAL *before* the
+// shard applies it.
 //
 // Append-then-apply protocol: the OSON image is encoded first (an encode
 // failure logs nothing), the record is appended (under fsync=always the
-// ack implies durability), and only then does the engine apply. An apply
+// ack implies durability), and only then does the shard apply. An apply
 // failure appends a best-effort kAbort compensation so replay will not
 // resurrect an operation the client saw fail. Between append and apply
 // sits the "wal.apply.crash" fault point: it returns an error WITHOUT
@@ -622,9 +364,10 @@ ConsistencyReport JsonCollection::CheckConsistency() const {
 // assert.
 
 Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
-  if (is_shard_) return ApplyInsert(std::move(key), std::move(json_text));
   telemetry::ActivityLease lease =
       telemetry::ActivityLease::Begin(name_, "dml", "collection.insert", "");
+  // Row-id encoding: global = local * N + shard, the identity at N = 1.
+  const size_t s = ShardForKey(key);
   uint64_t lsn = 0;
   const bool logged = wal_ != nullptr && !wal_replaying_;
   if (logged) {
@@ -634,124 +377,76 @@ Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
     // transiently, here and at the other encode choke points.
     telemetry::MemoryCharge oson_charge(telemetry::MemSubsystem::kOsonVc,
                                         oson_image.size());
-    Result<uint64_t> appended = wal_->AppendInsert(
-        static_cast<uint32_t>(ShardForKey(key)), key, oson_image);
+    Result<uint64_t> appended =
+        wal_->AppendInsert(static_cast<uint32_t>(s), key, oson_image);
     if (!appended.ok()) return WalAppendFailed(appended.status());
     lsn = appended.value();
     FSDM_FAULT_POINT("wal.apply.crash");
   }
-  Result<size_t> row = ApplyInsert(std::move(key), std::move(json_text));
-  if (logged && !row.ok()) wal_->AppendAbort(lsn);
-  return row;
-}
-
-Result<size_t> JsonCollection::ApplyInsert(Value key, std::string json_text) {
-  if (sharded()) {
-    // Hash placement + row-id encoding: global = local * N + shard, the
-    // identity mapping at N = 1. The child carries telemetry and its own
-    // writability check.
-    const size_t s = ShardForKey(key);
-    FSDM_ASSIGN_OR_RETURN(
-        size_t local, shards_[s]->Insert(std::move(key),
-                                         std::move(json_text)));
-    return local * shards_.size() + s;
+  Result<size_t> local = shards_[s]->Insert(std::move(key),
+                                            std::move(json_text));
+  if (!local.ok()) {
+    if (logged) wal_->AppendAbort(lsn);
+    return local.status();
   }
-  FSDM_RETURN_NOT_OK(CheckWritable());
-  FSDM_COUNT("fsdm_collection_inserts_total", 1);
-  FSDM_TIME_SCOPE_US("fsdm_collection_insert_us");
-  FSDM_TRACE_SPAN(span, "collection", "collection.insert");
-  span.AddTextArg("name", name_);
-  span.AddNumberArg("bytes", static_cast<double>(json_text.size()));
-  return table_->Insert({std::move(key), Value::String(std::move(json_text))});
+  return local.value() * shards_.size() + s;
 }
 
 Result<size_t> JsonCollection::Insert(std::string json_text) {
-  // Delegates to the keyed overload, which carries the telemetry, the WAL
-  // append, and the shard placement when sharded. The facade owns the
-  // auto-key sequence so keys stay collection-unique across shards.
+  // The collection owns the auto-key sequence so keys stay unique across
+  // shards.
   return Insert(Value::Int64(next_auto_key_++), std::move(json_text));
 }
 
 Status JsonCollection::Delete(size_t row_id) {
-  if (is_shard_) return ApplyDelete(row_id);
   telemetry::ActivityLease lease =
       telemetry::ActivityLease::Begin(name_, "dml", "collection.delete", "");
+  const size_t s = row_id % shards_.size();
   uint64_t lsn = 0;
   const bool logged = wal_ != nullptr && !wal_replaying_;
   if (logged) {
-    const uint32_t s =
-        sharded() ? static_cast<uint32_t>(row_id % shards_.size()) : 0;
-    Result<uint64_t> appended = wal_->AppendDelete(s, row_id);
+    Result<uint64_t> appended =
+        wal_->AppendDelete(static_cast<uint32_t>(s), row_id);
     if (!appended.ok()) return WalAppendFailed(appended.status());
     lsn = appended.value();
     FSDM_FAULT_POINT("wal.apply.crash");
   }
-  Status applied = ApplyDelete(row_id);
+  Status applied = shards_[s]->Delete(row_id / shards_.size());
   if (logged && !applied.ok()) wal_->AppendAbort(lsn);
   return applied;
-}
-
-Status JsonCollection::ApplyDelete(size_t row_id) {
-  if (sharded()) {
-    return shards_[row_id % shards_.size()]->Delete(row_id / shards_.size());
-  }
-  FSDM_RETURN_NOT_OK(CheckWritable());
-  FSDM_COUNT("fsdm_collection_deletes_total", 1);
-  FSDM_TIME_SCOPE_US("fsdm_collection_delete_us");
-  FSDM_TRACE_SPAN(span, "collection", "collection.delete");
-  span.AddTextArg("name", name_);
-  return table_->Delete(row_id);
 }
 
 Status JsonCollection::Replace(size_t row_id, Value key,
                                std::string json_text) {
-  if (is_shard_) {
-    return ApplyReplace(row_id, std::move(key), std::move(json_text));
-  }
   telemetry::ActivityLease lease =
       telemetry::ActivityLease::Begin(name_, "dml", "collection.replace", "");
+  const size_t s = row_id % shards_.size();
+  if (ShardForKey(key) != s) {
+    // A key change that re-hashes to another shard would need a
+    // cross-shard delete+insert; refuse instead of silently breaking the
+    // placement invariant CheckConsistency() verifies.
+    return Status::InvalidArgument(
+        "replace would move document to shard " +
+        std::to_string(ShardForKey(key)) + " (row lives on shard " +
+        std::to_string(s) + "); delete and re-insert instead");
+  }
   uint64_t lsn = 0;
   const bool logged = wal_ != nullptr && !wal_replaying_;
   if (logged) {
-    const uint32_t s =
-        sharded() ? static_cast<uint32_t>(row_id % shards_.size()) : 0;
     FSDM_ASSIGN_OR_RETURN(std::string oson_image,
                           oson::EncodeFromText(json_text));
     telemetry::MemoryCharge oson_charge(telemetry::MemSubsystem::kOsonVc,
                                         oson_image.size());
-    Result<uint64_t> appended = wal_->AppendReplace(s, row_id, key, oson_image);
+    Result<uint64_t> appended = wal_->AppendReplace(
+        static_cast<uint32_t>(s), row_id, key, oson_image);
     if (!appended.ok()) return WalAppendFailed(appended.status());
     lsn = appended.value();
     FSDM_FAULT_POINT("wal.apply.crash");
   }
-  Status applied = ApplyReplace(row_id, std::move(key), std::move(json_text));
+  Status applied = shards_[s]->Replace(row_id / shards_.size(), std::move(key),
+                                       std::move(json_text));
   if (logged && !applied.ok()) wal_->AppendAbort(lsn);
   return applied;
-}
-
-Status JsonCollection::ApplyReplace(size_t row_id, Value key,
-                                    std::string json_text) {
-  if (sharded()) {
-    const size_t s = row_id % shards_.size();
-    if (ShardForKey(key) != s) {
-      // A key change that re-hashes to another shard would need a
-      // cross-shard delete+insert; refuse instead of silently breaking
-      // the placement invariant CheckConsistency() verifies.
-      return Status::InvalidArgument(
-          "replace would move document to shard " +
-          std::to_string(ShardForKey(key)) + " (row lives on shard " +
-          std::to_string(s) + "); delete and re-insert instead");
-    }
-    return shards_[s]->Replace(row_id / shards_.size(), std::move(key),
-                               std::move(json_text));
-  }
-  FSDM_RETURN_NOT_OK(CheckWritable());
-  FSDM_COUNT("fsdm_collection_replaces_total", 1);
-  FSDM_TIME_SCOPE_US("fsdm_collection_replace_us");
-  FSDM_TRACE_SPAN(span, "collection", "collection.replace");
-  span.AddTextArg("name", name_);
-  return table_->Replace(
-      row_id, {std::move(key), Value::String(std::move(json_text))});
 }
 
 // --- Durability (ISSUE 8) ---------------------------------------------------
@@ -890,8 +585,7 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
           if (from_checkpoint) {
             const size_t s = r.shard < nshards ? r.shard : 0;
             const uint64_t orig_local = highwater[s] + ck_inserts[s]++;
-            idmap[nshards > 1 ? orig_local * nshards + s : orig_local] =
-                actual.value();
+            idmap[orig_local * nshards + s] = actual.value();
           }
           ++info->records_applied;
           continue;
@@ -961,33 +655,23 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
   return Checkpoint();
 }
 
-size_t JsonCollection::KeyPhysicalPos(const rdbms::Table* t) const {
-  for (size_t c = 0; c < t->physical_columns().size(); ++c) {
-    if (t->columns()[t->physical_columns()[c]].name == options_.key_column) {
-      return c;
-    }
-  }
-  return 0;
-}
-
 Status JsonCollection::AppendCheckpointDocs(uint64_t* doc_count) {
-  const size_t nshards = shard_count();
+  const size_t nshards = shards_.size();
   for (size_t s = 0; s < nshards; ++s) {
-    const rdbms::Table* t = shard(s)->table();
-    const size_t key_pos = KeyPhysicalPos(t);
-    const size_t json_pos = shard(s)->json_physical_pos_;
+    const Shard& shard = *shards_[s];
+    const rdbms::Table* t = shard.table();
     for (size_t r = 0; r < t->row_count(); ++r) {
       if (!t->IsLive(r)) continue;
-      const Value& key = t->StoredRow(r)[key_pos];
-      const Value& doc = t->StoredRow(r)[json_pos];
+      const Value& key = t->StoredRow(r)[shard.key_pos()];
+      const Value& doc = t->StoredRow(r)[shard.json_pos()];
       FSDM_ASSIGN_OR_RETURN(
           std::string oson_image,
           oson::EncodeFromText(doc.is_null() ? "null" : doc.AsString()));
       telemetry::MemoryCharge oson_charge(telemetry::MemSubsystem::kOsonVc,
                                           oson_image.size());
-      const uint64_t global = nshards > 1 ? r * nshards + s : r;
-      FSDM_RETURN_NOT_OK(wal_->CheckpointDoc(static_cast<uint32_t>(s), global,
-                                             key, oson_image));
+      FSDM_RETURN_NOT_OK(wal_->CheckpointDoc(static_cast<uint32_t>(s),
+                                             r * nshards + s, key,
+                                             oson_image));
       ++*doc_count;
     }
   }
@@ -1002,13 +686,12 @@ Status JsonCollection::Checkpoint() {
   FSDM_TRACE_SPAN(span, "wal", "wal.checkpoint");
   span.AddTextArg("name", name_);
   FSDM_TIME_SCOPE_US("fsdm_wal_checkpoint_us");
-  const size_t nshards = shard_count();
-  std::vector<uint64_t> highwater(nshards, 0);
-  for (size_t s = 0; s < nshards; ++s) {
+  std::vector<uint64_t> highwater;
+  for (const std::unique_ptr<Shard>& s : shards_) {
     // row_count() counts tombstones too: the high-water mark is the next
     // local row id the shard will assign, which is what the replay-side
     // insert matching needs.
-    highwater[s] = shard(s)->table()->row_count();
+    highwater.push_back(s->table()->row_count());
   }
   FSDM_RETURN_NOT_OK(wal_->CheckpointBegin(
       static_cast<uint64_t>(next_auto_key_), highwater));
@@ -1017,275 +700,117 @@ Status JsonCollection::Checkpoint() {
   return wal_->CheckpointEnd(docs);
 }
 
-// --- Observer ---------------------------------------------------------------
-
-// The DmlObserver keeps the default (no-op) Undo* hooks: marking a row IMC
-// dirty is conservative under rollback — a row a rolled-back DML marked
-// only costs re-evaluating that one row at the next EnsureImc() — and the
-// own-guide is additive like the index's DataGuide (§3.4).
-
-Status JsonCollection::DmlObserver::OnInsert(size_t row_id,
-                                             const rdbms::Row& row) {
-  FSDM_TRACE_SPAN(span, "collection", "observer.insert");
-  FSDM_FAULT_POINT("collection.observer.insert");
-  owner_->InvalidateImc(row_id);
-  if (owner_->index_ == nullptr) {
-    return owner_->MaintainOwnGuide(row[owner_->json_physical_pos_]);
-  }
-  return Status::Ok();
-}
-
-Status JsonCollection::DmlObserver::OnDelete(size_t row_id,
-                                             const rdbms::Row&) {
-  // The DataGuide is additive (§3.4): deletes never remove entries.
-  FSDM_TRACE_SPAN(span, "collection", "observer.delete");
-  FSDM_FAULT_POINT("collection.observer.delete");
-  owner_->InvalidateImc(row_id);
-  return Status::Ok();
-}
-
-Status JsonCollection::DmlObserver::OnReplace(size_t row_id,
-                                              const rdbms::Row&,
-                                              const rdbms::Row& new_row) {
-  FSDM_TRACE_SPAN(span, "collection", "observer.replace");
-  FSDM_FAULT_POINT("collection.observer.replace");
-  owner_->InvalidateImc(row_id);
-  if (owner_->index_ == nullptr) {
-    return owner_->MaintainOwnGuide(new_row[owner_->json_physical_pos_]);
-  }
-  return Status::Ok();
-}
-
-void JsonCollection::InvalidateImc(size_t row_id) {
-  if (!imc_.has_value()) return;
-  if (row_id >= imc_dirty_.size()) imc_dirty_.resize(row_id + 1);
-  imc_dirty_[row_id] = true;
-  if (imc_valid_) {
-    imc_valid_ = false;
-    imc_invalidations_.Add(1);
-    FSDM_COUNT("fsdm_collection_imc_invalidations_total", 1);
-    FSDM_TRACE_INSTANT("imc", "imc.invalidate");
-  }
-}
-
-Status JsonCollection::MaintainOwnGuide(const Value& doc_value) {
-  // Reuse the parse the IS JSON constraint already paid for (§3.2.1). The
-  // path-statistics repository rides the same walk as the scalar sink.
-  const json::JsonNode* parsed =
-      table_->ParsedJsonForObserver(json_physical_pos_);
-  if (parsed != nullptr) {
-    json::TreeDom dom(parsed);
-    return own_guide_.AddDocument(dom, nullptr, &path_stats_).status();
-  }
-  FSDM_ASSIGN_OR_RETURN(std::unique_ptr<json::JsonNode> doc,
-                        json::Parse(doc_value.AsString()));
-  json::TreeDom dom(doc.get());
-  return own_guide_.AddDocument(dom, nullptr, &path_stats_).status();
-}
-
 // --- Derived schema ---------------------------------------------------------
+
+namespace {
+
+constexpr const char* kViewsRefused =
+    "views are not supported on sharded collections (a DMDV is bound to one "
+    "backing table); create per-shard views via shard(i)";
+
+}  // namespace
 
 Result<std::string> JsonCollection::AddVirtualColumn(
     std::string column_name, const std::string& path,
     sqljson::Returning returning, bool hidden) {
-  if (sharded()) {
-    // Schema changes fan out so every shard stays structurally identical
-    // (the parallel union requires one shared schema).
-    for (std::unique_ptr<JsonCollection>& s : shards_) {
-      FSDM_RETURN_NOT_OK(
-          s->AddVirtualColumn(column_name, path, returning, hidden).status());
-    }
-    vc_for_path_[path] = column_name;
-    return column_name;
+  // Schema changes fan out so every shard stays structurally identical
+  // (the parallel union requires one shared schema).
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    FSDM_RETURN_NOT_OK(
+        s->AddVirtualColumn(column_name, path, returning, hidden).status());
   }
-  rdbms::ColumnDef def;
-  def.name = column_name;
-  def.type = returning == sqljson::Returning::kNumber
-                 ? rdbms::ColumnType::kNumber
-                 : rdbms::ColumnType::kString;
-  def.hidden = hidden;
-  FSDM_ASSIGN_OR_RETURN(
-      def.virtual_expr,
-      sqljson::JsonValue(options_.json_column, path,
-                         sqljson::JsonStorage::kText, returning));
-  FSDM_RETURN_NOT_OK(table_->AddVirtualColumn(std::move(def)));
-  vc_for_path_[path] = column_name;
   return column_name;
 }
 
 Result<std::vector<std::string>> JsonCollection::AddInferredVirtualColumns(
     const dataguide::GenerateOptions& options) {
-  if (sharded()) {
-    // Each shard infers from its own DataGuide; skewed shards may add
-    // different sets. The union (first-seen order, deduplicated) is what
-    // the facade reports and records for VirtualColumnFor().
-    std::vector<std::string> added_union;
-    for (std::unique_ptr<JsonCollection>& s : shards_) {
-      FSDM_ASSIGN_OR_RETURN(std::vector<std::string> added,
-                            s->AddInferredVirtualColumns(options));
-      for (std::string& name : added) {
-        if (std::find(added_union.begin(), added_union.end(), name) ==
-            added_union.end()) {
-          added_union.push_back(std::move(name));
-        }
-      }
-      for (const auto& [path, vc] : s->vc_for_path_) {
-        vc_for_path_.emplace(path, vc);
+  // Skewed shards may add different sets; report the union.
+  std::vector<std::string> added_union;
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    FSDM_ASSIGN_OR_RETURN(std::vector<std::string> added,
+                          s->AddInferredVirtualColumns(options));
+    for (std::string& name : added) {
+      if (std::find(added_union.begin(), added_union.end(), name) ==
+          added_union.end()) {
+        added_union.push_back(std::move(name));
       }
     }
-    return added_union;
   }
-  std::vector<std::string> paths;
-  FSDM_ASSIGN_OR_RETURN(
-      std::vector<std::string> added,
-      dataguide::AddVc(table_, options_.json_column,
-                       sqljson::JsonStorage::kText, dataguide(), options,
-                       &paths));
-  for (size_t i = 0; i < added.size(); ++i) {
-    vc_for_path_[paths[i]] = added[i];
-  }
-  return added;
+  return added_union;
 }
 
 Result<dataguide::DmdvView> JsonCollection::CreateView(
     const std::string& root_path, const std::string& view_name,
     const dataguide::GenerateOptions& options) const {
-  if (sharded()) {
-    return Status::InvalidArgument(
-        "views are not supported on sharded collections (a DMDV is bound "
-        "to one backing table); create per-shard views via shard(i)");
-  }
-  return dataguide::CreateViewOnPath(table_, options_.json_column,
-                                     sqljson::JsonStorage::kText, dataguide(),
-                                     root_path, view_name, options);
+  if (shards_.size() > 1) return Status::InvalidArgument(kViewsRefused);
+  return shards_[0]->CreateView(root_path, view_name, options);
 }
 
 Result<std::vector<dataguide::DmdvView>> JsonCollection::CreateViews(
     const dataguide::GenerateOptions& options) const {
-  if (sharded()) {
-    return Status::InvalidArgument(
-        "views are not supported on sharded collections (a DMDV is bound "
-        "to one backing table); create per-shard views via shard(i)");
-  }
-  std::vector<dataguide::DmdvView> views;
-  FSDM_ASSIGN_OR_RETURN(dataguide::DmdvView root,
-                        CreateView("$", name_ + "_RV", options));
-  views.push_back(std::move(root));
-  // One sub-view per top-level array hierarchy (the per-nested-collection
-  // master-detail views of §3.3.2).
-  for (const dataguide::PathEntry* e : dataguide().SortedEntries()) {
-    if (e->kind != json::NodeKind::kArray || e->under_array) continue;
-    const std::string path(e->path);
-    size_t dot = path.rfind('.');
-    std::string leaf = dot == std::string::npos ? path : path.substr(dot + 1);
-    FSDM_ASSIGN_OR_RETURN(
-        dataguide::DmdvView v,
-        CreateView(path, name_ + "_" + leaf + "_RV", options));
-    views.push_back(std::move(v));
-  }
-  return views;
+  if (shards_.size() > 1) return Status::InvalidArgument(kViewsRefused);
+  return shards_[0]->CreateViews(options);
 }
 
 const std::string* JsonCollection::VirtualColumnFor(
     const std::string& path) const {
-  auto it = vc_for_path_.find(path);
-  return it == vc_for_path_.end() ? nullptr : &it->second;
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    if (const std::string* vc = s->VirtualColumnFor(path)) return vc;
+  }
+  return nullptr;
 }
 
 // --- IMC --------------------------------------------------------------------
 
-std::vector<std::string> JsonCollection::DefaultImcColumns() const {
-  std::vector<std::string> cols = {options_.key_column};
-  if (!oson_column_.empty()) cols.push_back(oson_column_);
-  for (const auto& [path, name] : vc_for_path_) cols.push_back(name);
-  return cols;
-}
-
 Status JsonCollection::PopulateImc(std::vector<std::string> columns) {
-  if (sharded()) {
-    for (std::unique_ptr<JsonCollection>& s : shards_) {
-      FSDM_RETURN_NOT_OK(s->PopulateImc(columns));
-    }
-    return Status::Ok();
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    FSDM_RETURN_NOT_OK(s->PopulateImc(columns));
   }
-  if (columns.empty()) columns = DefaultImcColumns();
-  FSDM_ASSIGN_OR_RETURN(imc::ColumnStore store,
-                        imc::ColumnStore::Populate(*table_, columns));
-  imc_ = std::move(store);
-  imc_columns_ = std::move(columns);
-  imc_dirty_.clear();
-  imc_valid_ = true;
   return Status::Ok();
 }
 
 bool JsonCollection::imc_valid() const {
-  if (!sharded()) return imc_valid_ && imc_.has_value();
-  for (const std::unique_ptr<JsonCollection>& s : shards_) {
-    if (!s->imc_valid()) return false;
-  }
-  return true;
+  return std::all_of(shards_.begin(), shards_.end(),
+                     [](const auto& s) { return s->imc() != nullptr; });
 }
 
 bool JsonCollection::imc_populated() const {
-  if (!sharded()) return imc_.has_value();
-  for (const std::unique_ptr<JsonCollection>& s : shards_) {
-    if (!s->imc_populated()) return false;
-  }
-  return true;
+  return std::all_of(shards_.begin(), shards_.end(),
+                     [](const auto& s) { return s->imc_populated(); });
 }
 
 size_t JsonCollection::imc_invalidations() const {
-  if (!sharded()) return static_cast<size_t>(imc_invalidations_.value());
   size_t n = 0;
-  for (const std::unique_ptr<JsonCollection>& s : shards_) {
-    n += s->imc_invalidations();
-  }
+  for (const std::unique_ptr<Shard>& s : shards_) n += s->imc_invalidations();
   return n;
 }
 
 Result<const imc::ColumnStore*> JsonCollection::EnsureImc() {
-  if (sharded()) {
-    for (std::unique_ptr<JsonCollection>& s : shards_) {
-      FSDM_RETURN_NOT_OK(s->EnsureImc().status());
-    }
-    return shards_[0]->imc();
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    FSDM_RETURN_NOT_OK(s->EnsureImc().status());
   }
-  if (imc_valid()) return &*imc_;
-  if (!imc_.has_value()) {
-    FSDM_RETURN_NOT_OK(PopulateImc(imc_columns_));
-    return &*imc_;
-  }
-  FSDM_ASSIGN_OR_RETURN(
-      imc::ColumnStore store,
-      imc::ColumnStore::Populate(*table_, imc_columns_, &*imc_, imc_dirty_));
-  imc_ = std::move(store);
-  imc_dirty_.clear();
-  imc_valid_ = true;
-  return &*imc_;
+  return shards_[0]->imc();
 }
 
 Result<imc::ColumnStore> JsonCollection::MaterializeColumns(
     const std::vector<std::string>& columns) const {
-  if (sharded()) {
+  if (shards_.size() > 1) {
     return Status::InvalidArgument(
         "MaterializeColumns spans one backing table; materialize per shard "
         "via shard(i)");
   }
-  return imc::ColumnStore::Populate(*table_, columns);
+  return shards_[0]->MaterializeColumns(columns);
 }
 
 // --- Query ------------------------------------------------------------------
 
 rdbms::OperatorPtr JsonCollection::Scan(bool include_hidden) const {
-  if (sharded()) {
-    std::vector<rdbms::OperatorPtr> children;
-    children.reserve(shards_.size());
-    for (const std::unique_ptr<JsonCollection>& s : shards_) {
-      children.push_back(s->Scan(include_hidden));
-    }
-    return rdbms::UnionAll(std::move(children));
+  std::vector<rdbms::OperatorPtr> children;
+  children.reserve(shards_.size());
+  for (const std::unique_ptr<Shard>& s : shards_) {
+    children.push_back(s->Scan(include_hidden));
   }
-  return rdbms::Scan(table_, include_hidden);
+  return rdbms::UnionAll(std::move(children));
 }
 
 Result<rdbms::ExprPtr> JsonCollection::JsonValueExpr(

@@ -78,13 +78,14 @@ struct CollectionOptions {
   bool attach_search_index = true;
   index::JsonSearchIndex::Options index_options;
 
-  /// Number of backing shards (ISSUE 6). 1 (the default) builds the
-  /// classic single-table stack with behavior identical to every earlier
-  /// release. N > 1 builds a sharded facade: N full per-shard stacks
-  /// (table "<name>$s<i>" + OSON VC + search index/DataGuide + IMC + path
-  /// statistics + health state), documents hash-placed by key via
-  /// fsdm::ShardPlacementHash, and Route() fanning out one costed
-  /// sub-plan per shard, drained morsel-parallel on the worker pool.
+  /// Number of backing shards. The collection is always a
+  /// facade over N >= 1 Shards, each a full per-shard stack (table + OSON
+  /// VC + search index/DataGuide + IMC + path statistics + health state).
+  /// At N = 1 the one shard's table is named "<name>", so the classic
+  /// single-table outputs are unchanged; at N > 1 the tables are
+  /// "<name>$s<i>", documents are hash-placed by key via
+  /// fsdm::ShardPlacementHash, and Route() fans out one costed sub-plan
+  /// per shard, drained morsel-parallel on the worker pool.
   size_t shard_count = 1;
 
   /// Directory for the collection's write-ahead log (ISSUE 8). Empty (the
@@ -104,296 +105,142 @@ struct CollectionOptions {
   size_t wal_group_ops = 32;
 };
 
-/// The per-collection document stack of the paper (§3, §5.2) behind one
-/// facade: a backing rdbms::Table with the IS JSON check constraint, the
-/// hidden OSON virtual column, the JSON search index with its persistent
-/// DataGuide, a lazily populated in-memory column store that DML
-/// *invalidates* through the table's observer hooks, and one-call
-/// generation of DMDV views and JSON_VALUE virtual columns from the live
-/// DataGuide. The access-path router (router.h) sits on top.
+/// One per-shard document stack of the paper (§3, §5.2): a backing
+/// rdbms::Table with the IS JSON check constraint, the hidden OSON virtual
+/// column, the JSON search index with its persistent DataGuide (or a
+/// shard-maintained guide when no index is attached), per-path value
+/// statistics, a lazily populated in-memory column store that DML
+/// *invalidates* through the table's observer hooks, and DMDV views and
+/// JSON_VALUE virtual columns generated from the live DataGuide. Row ids
+/// are local to the shard's table.
 ///
-/// Lifetime: the Database (and with it the backing table) must outlive the
-/// collection; destroying the collection detaches every observer it
-/// registered. DML is single-threaded, like the engine underneath; routed
-/// query plans of a sharded collection drain on the worker pool.
-///
-/// Sharding (ISSUE 6): with CollectionOptions::shard_count = N > 1 this
-/// object becomes a facade over N single-shard JsonCollections. Document
-/// placement is ShardPlacementHash(key display string) % N; row ids
-/// returned by Insert encode (local_row * N + shard), which is the
-/// identity mapping at N = 1. Per-shard accessors are shard()/shard_count();
-/// table() and imc() return nullptr on a facade (there is no single
-/// backing table — go through the shards).
-class JsonCollection {
+/// Built and owned by a JsonCollection, which places, logs and leases
+/// every operation; a Shard holds no WAL, auto key, registry entry or
+/// memory reporter. The Database must outlive it; destruction detaches
+/// every observer it registered.
+class Shard {
  public:
-  /// Creates the backing table `name` inside `db` and wires the stack
-  /// according to `options`.
-  static Result<std::unique_ptr<JsonCollection>> Create(
-      rdbms::Database* db, const std::string& name,
-      const CollectionOptions& options = {});
+  /// Creates the backing table `table_name` inside `db` and wires the
+  /// stack according to `options`. A failure drops the table again.
+  static Result<std::unique_ptr<Shard>> Create(
+      rdbms::Database* db, const std::string& table_name,
+      const CollectionOptions& options);
 
-  ~JsonCollection();
-  /// Unregisters all observers from the backing table. Idempotent; called
-  /// by the destructor. After Detach the collection is read-only
-  /// (further table DML no longer maintains the index or IMC state).
+  ~Shard();
+  /// The DML observer holds `this`.
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+  /// Unregisters all observers from the backing table. Idempotent; after
+  /// it, table DML no longer maintains the index or IMC state.
   void Detach();
 
   // --- Components -------------------------------------------------------
-  /// The backing table; nullptr on a sharded facade (use shard(i)->table()).
   rdbms::Table* table() const { return table_; }
+  /// The backing table's name.
   const std::string& name() const { return name_; }
-  const std::string& key_column() const { return options_.key_column; }
-  const std::string& json_column() const { return options_.json_column; }
-  const CollectionOptions& options() const { return options_; }
+  const std::string& json_column() const { return json_column_; }
+  /// Positions of the key and document columns in stored rows.
+  size_t key_pos() const { return key_pos_; }
+  size_t json_pos() const { return json_pos_; }
   /// Hidden OSON virtual column name; empty when not installed.
   const std::string& oson_column() const { return oson_column_; }
-  /// nullptr when the collection was created without a search index. On a
-  /// sharded facade: shard 0's index, as a representative.
-  const index::JsonSearchIndex* search_index() const {
-    return sharded() ? shards_[0]->search_index() : index_.get();
-  }
-  /// The live DataGuide: the search index's persistent guide, or the
-  /// collection-maintained guide when no index is attached. On a sharded
-  /// facade: shard 0's guide, as a representative (shards see disjoint
-  /// document subsets; per-shard guides via shard(i)->dataguide()).
+  /// nullptr when created without a search index.
+  const index::JsonSearchIndex* search_index() const { return index_.get(); }
+  /// The search index's persistent guide, or the shard-maintained one.
   const dataguide::DataGuide& dataguide() const {
-    if (sharded()) return shards_[0]->dataguide();
     return index_ != nullptr ? index_->dataguide() : own_guide_;
   }
-
-  // --- Sharding (ISSUE 6) -----------------------------------------------
-  /// True when this collection is a facade over multiple backing shards.
-  bool sharded() const { return !shards_.empty(); }
-  size_t shard_count() const { return sharded() ? shards_.size() : 1; }
-  /// The i-th backing shard; `this` on a single-shard collection (i must
-  /// be 0 then). Each shard is a full single-shard JsonCollection.
-  const JsonCollection* shard(size_t i) const {
-    return sharded() ? shards_[i].get() : this;
-  }
-  JsonCollection* shard(size_t i) {
-    return sharded() ? shards_[i].get() : this;
-  }
-  /// Shard a document key places on: ShardPlacementHash over the key's
-  /// canonical display string, modulo shard_count(). Stable across
-  /// platforms and runs (see common/hash.h).
-  size_t ShardForKey(const Value& key) const;
-  /// Per-path value statistics (ISSUE 5): document frequency, NDV sketch,
-  /// min/max, and a bounded histogram per scalar path, fed from the same
-  /// DataGuide walk the DML path already pays for. The router's
-  /// selectivity estimates read from here. Additive like the DataGuide
-  /// (§3.4): deletes and rollbacks never retract counts, so ratios stay
-  /// approximately right; RebuildIndex() resets and re-feeds them. On a
-  /// sharded facade: shard 0's repository (per-shard via shard(i)).
-  const stats::PathStatsRepository& path_stats() const {
-    return sharded() ? shards_[0]->path_stats_ : path_stats_;
-  }
-  size_t document_count() const;
+  /// Per-path value statistics: document frequency, NDV sketch, min/max
+  /// and a bounded histogram per scalar path, fed from the DataGuide walk
+  /// the DML path already pays for; the router's selectivity estimates
+  /// read from here. Additive like the DataGuide (§3.4); RebuildIndex()
+  /// resets and re-feeds them.
+  const stats::PathStatsRepository& path_stats() const { return path_stats_; }
+  size_t document_count() const { return table_->live_row_count(); }
 
   // --- Health & crash consistency ---------------------------------------
-  /// Current health, derived from the quarantine flag and the index's
-  /// degraded state. Also refreshes the fsdm_collection_health gauge.
+  /// From the quarantine flag and the index's degraded state. Also
+  /// refreshes the fsdm_collection_health gauge.
   CollectionHealth health() const;
-  /// Why the collection is not healthy; empty when healthy.
+  /// Why the shard is not healthy; empty when healthy.
   std::string health_reason() const;
-
-  /// Rebuilds the search index's postings (and DataGuide coverage) from
-  /// the live table rows, healing kIndexDegraded. Failure quarantines the
-  /// collection; a later successful call lifts the quarantine. No-op
-  /// success when no index is attached.
-  Status RebuildIndex();
-
-  /// Ops/test hook: refuse further DML until RebuildIndex() succeeds.
+  /// Refuse further DML until RebuildIndex() succeeds.
   void Quarantine(std::string reason);
-
-  /// MonotonicNowUs() timestamp of the last successful RebuildIndex();
-  /// 0 until one happens (NULL in TELEMETRY$COLLECTIONS).
-  uint64_t last_rebuild_ts_us() const { return last_rebuild_ts_us_; }
-
-  /// Cause of the most recent health *transition* (quarantine, index
-  /// degradation, rebuild failure). Unlike health_reason() this survives
-  /// healing, so TELEMETRY$COLLECTIONS' REASON column can still say why a
-  /// now-healthy collection was degraded. Empty until the first
-  /// transition.
-  const std::string& last_health_cause() const { return last_health_cause_; }
-
-  /// Number of shards currently healthy (== shard_count() when healthy;
-  /// rendered into TELEMETRY$COLLECTIONS' per-shard rollup).
-  size_t healthy_shard_count() const;
-
-  /// Cross-checks the base table against every maintained side structure:
-  /// posting lists, indexed-document count, DataGuide (additive semantics:
-  /// guide frequency >= observed frequency), $DG side table, and the IMC
-  /// when populated and valid.
+  /// Rebuilds the index's postings, DataGuide coverage and the path
+  /// statistics from the live rows, healing kIndexDegraded. Failure
+  /// quarantines the shard; success lifts any quarantine.
+  Status RebuildIndex();
+  /// Cross-checks the table against every maintained side structure:
+  /// posting lists, indexed-document count, DataGuide (additive: guide
+  /// frequency >= observed frequency), $DG side table, and a valid IMC.
   ConsistencyReport CheckConsistency() const;
 
-  // --- Durability (ISSUE 8) ---------------------------------------------
-  /// The collection's write-ahead log; nullptr when created without
-  /// wal_dir (and on the shards of a durable facade — the facade logs).
-  const wal::Wal* wal() const { return wal_.get(); }
-  /// Writes a full-snapshot checkpoint into the log and truncates every
-  /// older segment, bounding both log size and replay time. Replay after
-  /// a checkpoint starts from the snapshot, so recovered row ids compact
-  /// to the live documents (keys are the stable identity, as everywhere).
-  /// InvalidArgument on a collection without a WAL.
-  Status Checkpoint();
-
-  // --- DML --------------------------------------------------------------
-  /// Inserts one document; returns the new row id. Runs the IS JSON check,
-  /// index/DataGuide maintenance, and IMC invalidation in the DML path.
+  // --- DML (IS JSON check, index/DataGuide maintenance, IMC invalidation;
+  // Unavailable while quarantined) ----------------------------------------
   Result<size_t> Insert(Value key, std::string json_text);
-  /// Auto-assigns a monotonically increasing integer key.
-  Result<size_t> Insert(std::string json_text);
   Status Delete(size_t row_id);
   Status Replace(size_t row_id, Value key, std::string json_text);
 
-  // --- Derived schema (read with schema, §3.3) --------------------------
-  /// Declares one JSON_VALUE virtual column over the document column and
-  /// records its path so the router and IMC can use it. Returns the column
-  /// name. Hidden columns stay out of plain scans (TEXT-MODE must not pay
-  /// for them) and are materialized by name at IMC population (§5.2.1).
+  // --- Derived schema and IMC: see the JsonCollection methods -----------
   Result<std::string> AddVirtualColumn(std::string column_name,
                                        const std::string& path,
                                        sqljson::Returning returning,
-                                       bool hidden = true);
-
-  /// AddVC() (§3.3.1) driven by the live DataGuide: one visible JSON_VALUE
-  /// virtual column per singleton scalar path. Returns the added names.
+                                       bool hidden);
   Result<std::vector<std::string>> AddInferredVirtualColumns(
-      const dataguide::GenerateOptions& options = {});
-
-  /// CreateViewOnPath() (§3.3.2) from the live DataGuide.
+      const dataguide::GenerateOptions& options);
   Result<dataguide::DmdvView> CreateView(
       const std::string& root_path, const std::string& view_name,
-      const dataguide::GenerateOptions& options = {}) const;
-
-  /// One-call view generation: the root DMDV ("<name>_RV") plus one sub
-  /// view per top-level array hierarchy in the DataGuide, mirroring how
-  /// the paper derives master-detail views per nested collection.
+      const dataguide::GenerateOptions& options) const;
   Result<std::vector<dataguide::DmdvView>> CreateViews(
-      const dataguide::GenerateOptions& options = {}) const;
-
-  /// Virtual-column name materializing JSON_VALUE(`path`), or nullptr.
+      const dataguide::GenerateOptions& options) const;
   const std::string* VirtualColumnFor(const std::string& path) const;
-
-  // --- In-memory column store (§5.2) ------------------------------------
-  /// Populates the managed IMC store from every live row. Empty `columns`
-  /// selects the default set: key column, the hidden OSON column (when
-  /// installed), and every declared JSON_VALUE virtual column. Subsequent
-  /// DML invalidates the store and marks the rows it touched dirty through
-  /// the observer hook; EnsureImc() then re-evaluates only those rows.
-  Status PopulateImc(std::vector<std::string> columns = {});
+  Status PopulateImc(std::vector<std::string> columns);
   /// The managed store when populated AND still valid, else nullptr.
-  /// Always nullptr on a sharded facade (each shard manages its own store;
-  /// shard(i)->imc()).
   const imc::ColumnStore* imc() const {
-    if (sharded()) return nullptr;
     return imc_valid_ && imc_.has_value() ? &*imc_ : nullptr;
   }
-  /// Facade: true when EVERY shard's store is valid.
-  bool imc_valid() const;
-  /// Populated at least once (possibly since invalidated — "stale" in
-  /// TELEMETRY$COLLECTIONS terms). Facade: every shard populated.
-  bool imc_populated() const;
-  /// Lazily brings the managed store up to date and returns it: the first
-  /// call populates in full, later ones refresh from the previous store,
-  /// evaluating only the rows DML marked dirty (ColumnStore::Populate with
-  /// a prior store). On a sharded facade, ensures every shard's store and
-  /// returns shard 0's as a representative.
+  bool imc_populated() const { return imc_.has_value(); }
   Result<const imc::ColumnStore*> EnsureImc();
-  /// Number of times DML invalidated a populated store. Backed by a
-  /// telemetry::Counter; the engine-wide registry additionally aggregates
-  /// the same events under fsdm_collection_imc_invalidations_total.
-  /// Facade: sum over shards.
-  size_t imc_invalidations() const;
-  /// Ad-hoc unmanaged store over arbitrary columns (benchmarks comparing
-  /// several population sets side by side); not invalidation-tracked.
+  size_t imc_invalidations() const {
+    return static_cast<size_t>(imc_invalidations_.value());
+  }
   Result<imc::ColumnStore> MaterializeColumns(
       const std::vector<std::string>& columns) const;
-
-  // --- Query ------------------------------------------------------------
-  /// Row source over the backing table; on a sharded facade, a sequential
-  /// UnionAll over every shard's scan in shard order.
   rdbms::OperatorPtr Scan(bool include_hidden = false) const;
-  /// JSON_VALUE / JSON_EXISTS expressions over the text document column.
-  Result<rdbms::ExprPtr> JsonValueExpr(
-      const std::string& path,
-      sqljson::Returning returning = sqljson::Returning::kAny) const;
-  Result<rdbms::ExprPtr> JsonExistsExpr(const std::string& path) const;
-  /// Access-path routed execution of a predicate conjunction (router.h).
-  /// On a sharded facade this fans out one costed sub-plan per shard,
-  /// merged through an order-preserving morsel-parallel union.
-  Result<RoutedPlan> Route(const std::vector<PathPredicate>& predicates) const {
-    return RoutePredicates(*this, predicates);
-  }
 
  private:
-  friend Result<RoutedPlan> RoutePredicates(
-      const JsonCollection& coll, const std::vector<PathPredicate>& preds);
-
   /// Table observer wired at creation: invalidates the populated IMC and
-  /// marks the touched row dirty on every insert/delete/replace (the
-  /// stale-read hazard the facade closes), and maintains the
-  /// collection-local DataGuide when no search index is attached (reusing
-  /// the IS JSON constraint's parse).
+  /// marks the touched row dirty on every insert/delete/replace, and
+  /// maintains the shard-local DataGuide when no search index is attached
+  /// (reusing the IS JSON constraint's parse).
   class DmlObserver final : public rdbms::TableObserver {
    public:
-    explicit DmlObserver(JsonCollection* owner) : owner_(owner) {}
+    explicit DmlObserver(Shard* owner) : owner_(owner) {}
     Status OnInsert(size_t row_id, const rdbms::Row& row) override;
     Status OnDelete(size_t row_id, const rdbms::Row& row) override;
     Status OnReplace(size_t row_id, const rdbms::Row& old_row,
                      const rdbms::Row& new_row) override;
 
    private:
-    JsonCollection* owner_;
+    Shard* owner_;
   };
 
-  JsonCollection(rdbms::Database* db, std::string name,
-                 CollectionOptions options)
-      : db_(db), name_(std::move(name)), options_(std::move(options)) {}
+  Shard(rdbms::Table* table, std::string name,
+        const CollectionOptions& options);
 
   void InvalidateImc(size_t row_id);
   Status MaintainOwnGuide(const Value& doc_value);
   std::vector<std::string> DefaultImcColumns() const;
   /// DML guard: Unavailable while quarantined, OK otherwise.
   Status CheckWritable() const;
-  /// Shared failure path for the public DML wrappers' WAL appends: logs
-  /// the failure and, when the append poisoned the writer, quarantines the
-  /// collection (the reason carries the append error, errno text and all)
-  /// so the health transition is attributable through SQL.
-  Status WalAppendFailed(const Status& append_status);
 
-  /// The pre-ISSUE-8 DML bodies: shard dispatch + the single-shard apply.
-  /// The public Insert/Delete/Replace wrap them with the activity lease
-  /// and the WAL append (top-level only — shard children apply directly).
-  Result<size_t> ApplyInsert(Value key, std::string json_text);
-  Status ApplyDelete(size_t row_id);
-  Status ApplyReplace(size_t row_id, Value key, std::string json_text);
-
-  /// Opens (or replays) the WAL configured in options_.wal_dir. Called by
-  /// Create() after the stack is fully wired; failure unwinds creation.
-  Status InitWal();
-  /// Redo pass over the durable prefix Open() returned: applies every
-  /// non-aborted record from the last complete checkpoint, translating
-  /// logged row ids to live ones, then verifies with CheckConsistency()
-  /// and writes a fresh checkpoint.
-  Status ReplayWal(const std::vector<wal::Record>& records);
-  /// Row-id -> (shard, key, OSON image) for every live document, shared
-  /// by Checkpoint() and consistency-oblivious callers.
-  Status AppendCheckpointDocs(uint64_t* doc_count);
-  size_t KeyPhysicalPos(const rdbms::Table* t) const;
-  /// Registers the ISSUE 9 memory reporters (table heap, index postings,
-  /// DataGuide, IMC, path statistics, WAL writer) with the global
-  /// MemoryTracker, labeled with the collection name. Called at the end of
-  /// Create() on the top-level object only — facade reporters sum over the
-  /// shards, which stay unregistered to avoid double counting.
-  void RegisterMemoryReporters();
-
-  rdbms::Database* db_;
+  rdbms::Table* table_;
   std::string name_;
-  CollectionOptions options_;
-  rdbms::Table* table_ = nullptr;
+  std::string key_column_;
+  std::string json_column_;
+  size_t key_pos_ = 0;
+  size_t json_pos_ = 0;
   std::string oson_column_;
-  size_t json_physical_pos_ = 0;  // position within physical rows
   std::unique_ptr<index::JsonSearchIndex> index_;
   std::unique_ptr<DmlObserver> dml_observer_;
   dataguide::DataGuide own_guide_;  // used when no index is attached
@@ -403,27 +250,227 @@ class JsonCollection {
   std::optional<imc::ColumnStore> imc_;
   std::vector<std::string> imc_columns_;  // last requested population set
   bool imc_valid_ = false;
-  // Shard-local row ids DML touched since the store was last populated,
-  // as a bitmap indexed by row id; kept only while a store exists.
+  // Row ids DML touched since the store was last populated, as a bitmap
+  // indexed by row id; kept only while a store exists.
   std::vector<bool> imc_dirty_;
   telemetry::Counter imc_invalidations_;
-  int64_t next_auto_key_ = 1;
-  uint64_t last_rebuild_ts_us_ = 0;
-  bool detached_ = false;
   bool quarantined_ = false;
   std::string quarantine_reason_;
+};
+
+/// A JSON collection: the facade over N >= 1 Shards
+/// (CollectionOptions::shard_count). It owns what spans the shards — the
+/// write-ahead log and its replay, the auto-key sequence and hash
+/// placement, the CollectionRegistry entry (one TELEMETRY$COLLECTIONS row
+/// with a per-shard health rollup), the memory reporters (each sums over
+/// the shards), the activity leases of the public DML — and delegates the
+/// per-document work to the shards. The router (router.h) sits on top.
+///
+/// Placement is ShardPlacementHash(key display string) % N; row ids
+/// returned by Insert encode (local_row * N + shard), the identity at
+/// N = 1. At N = 1 the shard's table is named like the collection and
+/// problem strings carry no "shard i: " prefix, so a one-shard collection
+/// renders exactly like a plain table stack; table() and imc() are the
+/// shard's there and nullptr at N > 1 (use shard(i)).
+///
+/// The Database must outlive the collection; destruction detaches every
+/// observer. DML is single-threaded, like the engine underneath; routed
+/// plans of a sharded collection drain on the worker pool.
+class JsonCollection {
+ public:
+  /// Creates one Shard (table "<name>", or "<name>$s<i>" when N > 1) per
+  /// placement slot inside `db`, then opens or replays the WAL.
+  static Result<std::unique_ptr<JsonCollection>> Create(
+      rdbms::Database* db, const std::string& name,
+      const CollectionOptions& options = {});
+
+  ~JsonCollection();
+  /// Unregisters the collection and detaches every shard. Idempotent;
+  /// called by the destructor. Afterwards the collection is read-only.
+  void Detach();
+
+  // --- Components -------------------------------------------------------
+  /// The backing table; nullptr when sharded (use shard(i)->table()).
+  rdbms::Table* table() const {
+    return shards_.size() == 1 ? shards_[0]->table() : nullptr;
+  }
+  const std::string& name() const { return name_; }
+  const std::string& key_column() const { return options_.key_column; }
+  const std::string& json_column() const { return options_.json_column; }
+  const CollectionOptions& options() const { return options_; }
+  /// Hidden OSON virtual column name; empty when not installed.
+  const std::string& oson_column() const { return shards_[0]->oson_column(); }
+  /// Shard 0's index and live DataGuide: the only ones at N = 1, a
+  /// representative when sharded (shards see disjoint document subsets).
+  const index::JsonSearchIndex* search_index() const {
+    return shards_[0]->search_index();
+  }
+  const dataguide::DataGuide& dataguide() const {
+    return shards_[0]->dataguide();
+  }
+  size_t document_count() const;
+
+  // --- Sharding ---------------------------------------------------------
+  size_t shard_count() const { return shards_.size(); }
+  const Shard* shard(size_t i) const { return shards_[i].get(); }
+  Shard* shard(size_t i) { return shards_[i].get(); }
+  /// ShardPlacementHash over the key's canonical display string, modulo
+  /// shard_count(). Stable across platforms and runs (common/hash.h).
+  size_t ShardForKey(const Value& key) const;
+
+  // --- Health & crash consistency ---------------------------------------
+  /// All shards healthy -> healthy; all quarantined -> quarantined;
+  /// anything in between -> index-degraded (the router then falls back
+  /// per shard). Also refreshes the fsdm_collection_health gauge.
+  CollectionHealth health() const;
+  /// Every unhealthy shard's reason ("shard i: "-prefixed when sharded);
+  /// empty when healthy.
+  std::string health_reason() const;
+  /// Rebuilds every shard (a failure on one does not stop the next) and
+  /// returns the first failure; see Shard::RebuildIndex.
+  Status RebuildIndex();
+  /// Ops/test hook: every shard refuses DML until RebuildIndex()
+  /// succeeds. Logs once and raises one "quarantine" incident.
+  void Quarantine(std::string reason);
+  /// MonotonicNowUs() of the last successful RebuildIndex(); 0 until one
+  /// happens (NULL in TELEMETRY$COLLECTIONS).
+  uint64_t last_rebuild_ts_us() const { return last_rebuild_ts_us_; }
+  /// Cause of the most recent health *transition* the collection drove
+  /// (quarantine, the degradation a rebuild healed, a failed rebuild).
+  /// Unlike health_reason() it survives healing, so TELEMETRY$COLLECTIONS'
+  /// REASON can still say why a now-healthy collection was degraded.
+  const std::string& last_health_cause() const { return last_health_cause_; }
+  /// Shards currently healthy (TELEMETRY$COLLECTIONS' rollup).
+  size_t healthy_shard_count() const;
+  /// Every Shard::CheckConsistency() plus the cross-shard invariant: each
+  /// live document sits on the shard its key hashes to.
+  ConsistencyReport CheckConsistency() const;
+
+  // --- Durability -------------------------------------------------------
+  /// The write-ahead log covering every shard; nullptr without wal_dir.
+  const wal::Wal* wal() const { return wal_.get(); }
+  /// Writes a full-snapshot checkpoint into the log and truncates every
+  /// older segment, bounding both log size and replay time. Replay after
+  /// a checkpoint starts from the snapshot, so recovered row ids compact
+  /// to the live documents (keys are the stable identity, as everywhere).
+  /// InvalidArgument on a collection without a WAL.
+  Status Checkpoint();
+
+  // --- DML --------------------------------------------------------------
+  /// Inserts one document on the shard its key places on; returns the
+  /// encoded row id.
+  Result<size_t> Insert(Value key, std::string json_text);
+  /// Auto-assigns a monotonically increasing integer key.
+  Result<size_t> Insert(std::string json_text);
+  Status Delete(size_t row_id);
+  /// InvalidArgument when the key would place the document on another
+  /// shard (delete and re-insert instead).
+  Status Replace(size_t row_id, Value key, std::string json_text);
+
+  // --- Derived schema (read with schema, §3.3) --------------------------
+  /// Declares one JSON_VALUE virtual column over the document column on
+  /// every shard and records its path for the router and IMC. Hidden
+  /// columns stay out of plain scans (TEXT-MODE must not pay for them)
+  /// and are materialized by name at IMC population (§5.2.1).
+  Result<std::string> AddVirtualColumn(std::string column_name,
+                                       const std::string& path,
+                                       sqljson::Returning returning,
+                                       bool hidden = true);
+  /// AddVC() (§3.3.1): one visible JSON_VALUE virtual column per singleton
+  /// scalar path of each shard's DataGuide. Returns the union of added
+  /// names in first-seen order.
+  Result<std::vector<std::string>> AddInferredVirtualColumns(
+      const dataguide::GenerateOptions& options = {});
+  /// CreateViewOnPath() (§3.3.2) from the live DataGuide. A view binds to
+  /// one table: InvalidArgument when sharded (use shard(i)).
+  Result<dataguide::DmdvView> CreateView(
+      const std::string& root_path, const std::string& view_name,
+      const dataguide::GenerateOptions& options = {}) const;
+  /// The root DMDV ("<name>_RV") plus one sub view per top-level array
+  /// hierarchy, mirroring the paper's master-detail views per nested
+  /// collection. InvalidArgument when sharded.
+  Result<std::vector<dataguide::DmdvView>> CreateViews(
+      const dataguide::GenerateOptions& options = {}) const;
+  /// Virtual column materializing JSON_VALUE(`path`) on the first shard
+  /// that declares one, or nullptr.
+  const std::string* VirtualColumnFor(const std::string& path) const;
+
+  // --- In-memory column store (§5.2) ------------------------------------
+  /// Populates every shard's managed store from its live rows. Empty
+  /// `columns` selects the key column, the hidden OSON column (when
+  /// installed) and every declared JSON_VALUE virtual column. DML then
+  /// invalidates a store and marks the rows it touched dirty.
+  Status PopulateImc(std::vector<std::string> columns = {});
+  /// The managed store when populated AND still valid, else nullptr.
+  /// Always nullptr when sharded (shard(i)->imc()).
+  const imc::ColumnStore* imc() const {
+    return shards_.size() == 1 ? shards_[0]->imc() : nullptr;
+  }
+  /// Every shard's store valid / populated at least once (possibly since
+  /// invalidated — "stale" in TELEMETRY$COLLECTIONS terms).
+  bool imc_valid() const;
+  bool imc_populated() const;
+  /// Brings every shard's store up to date — a full population the first
+  /// time, later only the rows DML marked dirty (ColumnStore::Populate
+  /// with a prior store) — and returns shard 0's.
+  Result<const imc::ColumnStore*> EnsureImc();
+  /// DML invalidations of populated stores, summed over shards (also
+  /// counted engine-wide as fsdm_collection_imc_invalidations_total).
+  size_t imc_invalidations() const;
+  /// Ad-hoc unmanaged store over arbitrary columns (benchmarks comparing
+  /// population sets side by side). InvalidArgument when sharded.
+  Result<imc::ColumnStore> MaterializeColumns(
+      const std::vector<std::string>& columns) const;
+
+  // --- Query ------------------------------------------------------------
+  /// UnionAll over every shard's scan in shard order (the bare table scan
+  /// at N = 1).
+  rdbms::OperatorPtr Scan(bool include_hidden = false) const;
+  /// JSON_VALUE / JSON_EXISTS expressions over the text document column.
+  Result<rdbms::ExprPtr> JsonValueExpr(
+      const std::string& path,
+      sqljson::Returning returning = sqljson::Returning::kAny) const;
+  Result<rdbms::ExprPtr> JsonExistsExpr(const std::string& path) const;
+  /// Access-path routed execution of a predicate conjunction (router.h);
+  /// fans out one costed sub-plan per shard when sharded.
+  Result<RoutedPlan> Route(const std::vector<PathPredicate>& predicates) const {
+    return RoutePredicates(*this, predicates);
+  }
+
+ private:
+  JsonCollection(std::string name, CollectionOptions options)
+      : name_(std::move(name)), options_(std::move(options)) {}
+
+  /// Failure path of the DML WAL appends: logs, and quarantines the
+  /// collection when the append poisoned the writer (the reason carries
+  /// the append error) so the transition is attributable through SQL.
+  Status WalAppendFailed(const Status& append_status);
+  /// Opens (or replays) the WAL in options_.wal_dir once every shard is
+  /// wired; failure unwinds creation.
+  Status InitWal();
+  /// Redo pass over the durable prefix Open() returned: applies every
+  /// non-aborted record from the last complete checkpoint, translating
+  /// logged row ids to live ones, then verifies with CheckConsistency()
+  /// and writes a fresh checkpoint.
+  Status ReplayWal(const std::vector<wal::Record>& records);
+  /// Row-id -> (shard, key, OSON image) for every live document.
+  Status AppendCheckpointDocs(uint64_t* doc_count);
+  /// Registers the memory reporters (table heap, index postings,
+  /// DataGuide, IMC, path statistics — each summed over the shards — and
+  /// the WAL writer), labeled with the collection name.
+  void RegisterMemoryReporters();
+
+  std::string name_;
+  CollectionOptions options_;
+  std::vector<std::unique_ptr<Shard>> shards_;  // never empty after Create
+  int64_t next_auto_key_ = 1;
+  uint64_t last_rebuild_ts_us_ = 0;
   std::string last_health_cause_;  // sticky; see last_health_cause()
-  /// This collection is a shard child of a durable facade: DML arrives
-  /// pre-logged and pre-leased, so the public wrappers pass through.
-  bool is_shard_ = false;
+  bool detached_ = false;
   std::unique_ptr<wal::Wal> wal_;
   /// Set while ReplayWal drives the DML paths: suppresses re-appending
   /// the operations being replayed.
   bool wal_replaying_ = false;
-  /// Backing shards when this is a sharded facade (empty otherwise). Each
-  /// is a full single-shard collection named "<name>$s<i>", kept out of
-  /// the CollectionRegistry — only the facade is registered.
-  std::vector<std::unique_ptr<JsonCollection>> shards_;
   /// Live memory-reporter registrations (RAII — Detach()/destruction
   /// unregisters them before the structures they poll go away).
   std::vector<telemetry::MemoryScope> mem_scopes_;

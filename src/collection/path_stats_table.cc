@@ -18,10 +18,8 @@ rdbms::OperatorPtr PathStatsScan() {
         std::vector<rdbms::Row> rows;
         for (const JsonCollection* c :
              CollectionRegistry::Global().collections()) {
-          // Sharded collections keep one PathStatsRepository per shard —
-          // the router costs each shard against its own statistics — so
-          // emit one row-set per shard. Single-shard collections report
-          // SHARD = 0.
+          // One row-set per shard: the router costs each shard against
+          // its own statistics.
           for (size_t shard = 0; shard < c->shard_count(); ++shard) {
             const stats::PathStatsRepository& repo =
                 c->shard(shard)->path_stats();

@@ -75,12 +75,17 @@ sqljson::Returning ReturningForLiteral(const Value& literal) {
   return sqljson::Returning::kAny;
 }
 
-Result<rdbms::ExprPtr> PredicateExpr(const JsonCollection& coll,
+Result<rdbms::ExprPtr> PredicateExpr(const Shard& shard,
                                      const PathPredicate& pred) {
-  if (pred.is_existence()) return coll.JsonExistsExpr(pred.path);
+  if (pred.is_existence()) {
+    return sqljson::JsonExists(shard.json_column(), pred.path,
+                               sqljson::JsonStorage::kText);
+  }
   FSDM_ASSIGN_OR_RETURN(
       rdbms::ExprPtr value,
-      coll.JsonValueExpr(pred.path, ReturningForLiteral(*pred.literal)));
+      sqljson::JsonValue(shard.json_column(), pred.path,
+                         sqljson::JsonStorage::kText,
+                         ReturningForLiteral(*pred.literal)));
   return rdbms::Cmp(pred.op, std::move(value), rdbms::Lit(*pred.literal));
 }
 
@@ -144,12 +149,18 @@ class SelEstimator {
   }
 
   /// NDV of the path's non-null values, clamped to >= 1. Falls back to a
-  /// default of 10 distinct values when no sketch exists.
+  /// default of 10 distinct values when no sketch exists. Each path's
+  /// estimate is computed once per estimator — one route — because
+  /// NdvEstimate() sums every HLL register.
   double Ndv(dataguide::PathId path) const {
-    if (repo_.Find(path) != nullptr) {
-      return std::max(1.0, repo_.NdvEstimate(path));
+    for (const auto& [id, ndv] : ndv_cache_) {
+      if (id == path) return ndv;
     }
-    return 10.0;
+    const double ndv = repo_.Find(path) != nullptr
+                           ? std::max(1.0, repo_.NdvEstimate(path))
+                           : 10.0;
+    ndv_cache_.emplace_back(path, ndv);
+    return ndv;
   }
 
   /// Selectivity of one conjunct.
@@ -205,19 +216,20 @@ class SelEstimator {
   const stats::PathStatsRepository& repo_;
   const dataguide::DataGuide& guide_;
   double docs_;
+  mutable std::vector<std::pair<dataguide::PathId, double>> ndv_cache_;
 };
 
 /// Applies every predicate except those in `skip` as a Filter over `plan`.
 /// Each residual Filter gets its own instrumented span stacked on top of
 /// *root, which on return points at the new tree root.
 Result<rdbms::OperatorPtr> ApplyResiduals(
-    const JsonCollection& coll, rdbms::OperatorPtr plan,
+    const Shard& shard, rdbms::OperatorPtr plan,
     const std::vector<PathPredicate>& predicates,
     const std::vector<const PathPredicate*>& skip,
     std::unique_ptr<telemetry::OperatorSpan>* root) {
   for (const PathPredicate& p : predicates) {
     if (std::find(skip.begin(), skip.end(), &p) != skip.end()) continue;
-    FSDM_ASSIGN_OR_RETURN(rdbms::ExprPtr expr, PredicateExpr(coll, p));
+    FSDM_ASSIGN_OR_RETURN(rdbms::ExprPtr expr, PredicateExpr(shard, p));
     std::unique_ptr<telemetry::OperatorSpan> span =
         telemetry::MakeSpan("Filter", PredicateText(p));
     plan = rdbms::Instrument(rdbms::Filter(std::move(plan), std::move(expr)),
@@ -395,11 +407,11 @@ std::string BuildQueryText(const std::vector<PathPredicate>& predicates) {
   return query_text;
 }
 
-/// Routes one single-shard collection. `wrap_probe` = false is the
-/// sharded fan-out asking for a bare sub-plan: the facade stacks ONE
-/// probe over the stitched tree, so shard plans must not feed the cost
-/// model or the slow-query log on their own.
-Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
+/// Routes one shard. `wrap_probe` = false is the sharded fan-out asking
+/// for a bare sub-plan: the facade stacks ONE probe over the stitched
+/// tree, so shard plans must not feed the cost model or the slow-query
+/// log on their own.
+Result<RoutedPlan> RouteSingle(const Shard& shard,
                                const std::vector<PathPredicate>& predicates,
                                bool wrap_probe) {
   FSDM_TRACE_SPAN(route_span, "router", "router.route");
@@ -407,11 +419,11 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
   route_span.AddNumberArg("predicates",
                           static_cast<double>(predicates.size()));
 
-  const dataguide::DataGuide& guide = coll.dataguide();
+  const dataguide::DataGuide& guide = shard.dataguide();
   const uint64_t guide_docs = guide.document_count();
-  const double live_docs = static_cast<double>(coll.document_count());
+  const double live_docs = static_cast<double>(shard.document_count());
   const stats::OperatorCostModel& costs = stats::OperatorCostModel::Global();
-  SelEstimator est(coll.path_stats(), guide, live_docs);
+  SelEstimator est(shard.path_stats(), guide, live_docs);
   const size_t n_preds = predicates.size();
 
   RoutedPlan routed;
@@ -441,7 +453,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
   // JSON_VALUE virtual column sits in a *valid* (not DML-invalidated)
   // managed store. Population state is a routing input, so a stale store
   // silently falls through to the document-based paths.
-  const imc::ColumnStore* store = coll.imc();
+  const imc::ColumnStore* store = shard.imc();
   std::vector<imc::ColumnStore::Predicate> column_preds;
   if (store == nullptr) {
     imc_cand.detail = "no valid IMC store";
@@ -451,7 +463,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
     bool all_materialized = true;
     for (const PathPredicate& p : predicates) {
       const std::string* vc =
-          p.is_existence() ? nullptr : coll.VirtualColumnFor(p.path);
+          p.is_existence() ? nullptr : shard.VirtualColumnFor(p.path);
       if (vc == nullptr || store->column(*vc) == nullptr) {
         all_materialized = false;
         imc_cand.detail =
@@ -471,14 +483,14 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
     }
   }
 
-  const index::JsonSearchIndex* index = coll.search_index();
+  const index::JsonSearchIndex* index = shard.search_index();
   const bool postings_maintained =
-      index != nullptr && coll.options().index_options.maintain_postings;
+      index != nullptr && index->options().maintain_postings;
   // Health is a routing input (ISSUE 3): a degraded index's postings may
   // be missing rows, so every posting-backed candidate drops out and the
   // conjunction falls through to the always-correct full scan until
   // RebuildIndex().
-  const CollectionHealth health = coll.health();
+  const CollectionHealth health = shard.health();
   const bool postings =
       postings_maintained && health == CollectionHealth::kHealthy;
   if (!postings_maintained) {
@@ -487,12 +499,12 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
   } else if (!postings) {
     value_cand.detail = isect_cand.detail = path_cand.detail =
         std::string(CollectionHealthName(health)) + ": " +
-        coll.health_reason();
+        shard.health_reason();
     FSDM_COUNT("fsdm_router_degraded_fallbacks_total", 1);
     FSDM_LOG(telemetry::LogLevel::kWarn, "router", 1201,
-             "degraded routing fallback on " + coll.name() + " (" +
-                 CollectionHealthName(health) + "): " + coll.health_reason(),
-             telemetry::LogText("collection", coll.name()));
+             "degraded routing fallback on " + shard.name() + " (" +
+                 CollectionHealthName(health) + "): " + shard.health_reason(),
+             telemetry::LogText("collection", shard.name()));
   }
 
   // [1] Value postings: the most selective equality on a path the guide
@@ -647,7 +659,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
                             decision.winner);
     if (wrap_probe) {
       routed.plan = std::make_unique<RoutedQueryProbe>(
-          std::move(routed.plan), coll.name(), query_text, decision,
+          std::move(routed.plan), shard.name(), query_text, decision,
           routed.trace.root.get(),
           telemetry::QueryMonitor::Global().AllocateQueryId());
     }
@@ -682,12 +694,12 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
       std::unique_ptr<telemetry::OperatorSpan> root = telemetry::MakeSpan(
           "IndexedValueScan", PredicateText(*best_eq));
       rdbms::OperatorPtr scan = rdbms::Instrument(
-          index::IndexedValueScan(coll.table(), index, best_eq->path,
+          index::IndexedValueScan(shard.table(), index, best_eq->path,
                                   *best_eq->literal),
           root.get());
       FSDM_ASSIGN_OR_RETURN(
           rdbms::OperatorPtr plan,
-          ApplyResiduals(coll, std::move(scan), predicates, {best_eq}, &root));
+          ApplyResiduals(shard, std::move(scan), predicates, {best_eq}, &root));
       routed.plan = std::move(plan);
       routed.trace.root = std::move(root);
       finish(1, AccessPath::kIndexedValueScan,
@@ -705,7 +717,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
       telemetry::Stopwatch build;
       index::IntersectionInfo info;
       rdbms::OperatorPtr scan_op = index::IndexedIntersectionScan(
-          coll.table(), index, isect_terms, &info);
+          shard.table(), index, isect_terms, &info);
       // The sorted-list merge happened at plan-build time; feed it with
       // the summed posting-length basis the estimate uses.
       stats::OperatorCostModel::Global().Record(
@@ -718,7 +730,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
           rdbms::Instrument(std::move(scan_op), root.get());
       FSDM_ASSIGN_OR_RETURN(
           rdbms::OperatorPtr plan,
-          ApplyResiduals(coll, std::move(scan), predicates, isect_covered,
+          ApplyResiduals(shard, std::move(scan), predicates, isect_covered,
                          &root));
       routed.plan = std::move(plan);
       routed.trace.root = std::move(root);
@@ -733,11 +745,11 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
       std::unique_ptr<telemetry::OperatorSpan> root = telemetry::MakeSpan(
           "IndexedPathScan", PredicateText(*best_exists));
       rdbms::OperatorPtr scan = rdbms::Instrument(
-          index::IndexedPathScan(coll.table(), index, best_exists->path),
+          index::IndexedPathScan(shard.table(), index, best_exists->path),
           root.get());
       FSDM_ASSIGN_OR_RETURN(
           rdbms::OperatorPtr plan,
-          ApplyResiduals(coll, std::move(scan), predicates, {best_exists},
+          ApplyResiduals(shard, std::move(scan), predicates, {best_exists},
                          &root));
       routed.plan = std::move(plan);
       routed.trace.root = std::move(root);
@@ -749,11 +761,11 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
     }
     default: {  // full-scan
       std::unique_ptr<telemetry::OperatorSpan> root =
-          telemetry::MakeSpan("Scan", coll.name());
-      rdbms::OperatorPtr scan = rdbms::Instrument(coll.Scan(), root.get());
+          telemetry::MakeSpan("Scan", shard.name());
+      rdbms::OperatorPtr scan = rdbms::Instrument(shard.Scan(), root.get());
       FSDM_ASSIGN_OR_RETURN(
           rdbms::OperatorPtr plan,
-          ApplyResiduals(coll, std::move(scan), predicates, {}, &root));
+          ApplyResiduals(shard, std::move(scan), predicates, {}, &root));
       routed.plan = std::move(plan);
       routed.trace.root = std::move(root);
       std::string reason;
@@ -766,7 +778,7 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
       } else if (postings_maintained && !postings) {
         reason = "posting paths unavailable (" +
                  std::string(CollectionHealthName(health)) + ": " +
-                 coll.health_reason() + "); full scan";
+                 shard.health_reason() + "); full scan";
       } else if (other_eligible) {
         reason = "full scan estimated cheapest (est cost " +
                  Fmt2(full_cand.est_cost_us) + " us)";
@@ -903,8 +915,10 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
 
 Result<RoutedPlan> RoutePredicates(
     const JsonCollection& coll, const std::vector<PathPredicate>& predicates) {
-  if (coll.sharded()) return RouteSharded(coll, predicates);
-  return RouteSingle(coll, predicates, /*wrap_probe=*/true);
+  if (coll.shard_count() == 1) {
+    return RouteSingle(*coll.shard(0), predicates, /*wrap_probe=*/true);
+  }
+  return RouteSharded(coll, predicates);
 }
 
 }  // namespace fsdm::collection

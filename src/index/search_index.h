@@ -73,6 +73,7 @@ class JsonSearchIndex final : public rdbms::TableObserver {
 
   ~JsonSearchIndex() override;
   void Detach();
+  const Options& options() const { return options_; }
 
   // --- TableObserver --------------------------------------------------------
   Status OnInsert(size_t row_id, const rdbms::Row& row) override;

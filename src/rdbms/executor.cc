@@ -768,6 +768,7 @@ OperatorPtr HashJoin(OperatorPtr left, OperatorPtr right,
                                       std::move(right_keys), type);
 }
 OperatorPtr UnionAll(std::vector<OperatorPtr> children) {
+  if (children.size() == 1) return std::move(children[0]);
   return std::make_unique<UnionAllOp>(std::move(children));
 }
 OperatorPtr GroupBy(OperatorPtr child, std::vector<ExprPtr> group_by,

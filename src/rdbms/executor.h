@@ -82,7 +82,8 @@ OperatorPtr HashJoin(OperatorPtr left, OperatorPtr right,
                      std::vector<ExprPtr> left_keys,
                      std::vector<ExprPtr> right_keys, JoinType type);
 
-/// Concatenation of children with identical schemas (UNION ALL).
+/// Concatenation of children with identical schemas (UNION ALL). A union
+/// of one child is that child.
 OperatorPtr UnionAll(std::vector<OperatorPtr> children);
 
 // --- Aggregation ------------------------------------------------------------

@@ -71,11 +71,7 @@ void IncidentManager::SetRetention(size_t max_files) {
   retention_ = max_files > 0 ? max_files : 1;
 }
 
-void IncidentManager::SetRingCapacity(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_capacity_ = n > 0 ? n : 1;
-  while (ring_.size() > ring_capacity_) ring_.pop_front();
-}
+void IncidentManager::SetRingCapacity(size_t n) { ring_.SetCapacity(n); }
 
 void IncidentManager::SetFloodIntervalUs(uint64_t us) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -173,8 +169,7 @@ uint64_t IncidentManager::Raise(std::string type, std::string subject,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ring_.push_back(inc);
-    while (ring_.size() > ring_capacity_) ring_.pop_front();
+    ring_.Push(inc);
     ++total_raised_;
   }
   FSDM_COUNT("fsdm_incidents_total", 1);
@@ -326,8 +321,7 @@ void IncidentManager::ApplyRetention() {
 }
 
 std::vector<Incident> IncidentManager::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<Incident>(ring_.begin(), ring_.end());
+  return ring_.Snapshot();
 }
 
 uint64_t IncidentManager::total_raised() const {
@@ -388,7 +382,7 @@ void IncidentManager::InstallFatalSignalHandler() {
 
 void IncidentManager::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
+  ring_.Clear();
   total_raised_ = 0;
   total_suppressed_ = 0;
   last_by_type_.clear();

@@ -2,7 +2,6 @@
 #define FSDM_TELEMETRY_INCIDENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "telemetry/log.h"
+#include "telemetry/ring.h"
 
 /// Automatic incident capture (ISSUE 10 tentpole): an ADR-style
 /// diagnostic repository in the spirit of Oracle's Automatic Diagnostic
@@ -117,8 +117,7 @@ class IncidentManager {
   void ApplyRetention();
 
   mutable std::mutex mu_;
-  std::deque<Incident> ring_;
-  size_t ring_capacity_ = 64;
+  Ring<Incident> ring_{0, 64};
   std::string dir_;
   size_t retention_ = 32;
   uint64_t flood_interval_us_ = 100 * 1000;

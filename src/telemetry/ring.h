@@ -11,9 +11,10 @@
 #include <vector>
 
 /// The one bounded ring under the telemetry pillars: the flight recorder's
-/// and the engine log's per-thread rings and the ASH sampler's ring are all
-/// a Ring<T>. Fixed capacity, overwrite-oldest (a slot holds either the
-/// old value or the new one, never a torn mix), and one mutex per ring for
+/// and the engine log's per-thread rings, the ASH sampler's ring, and the
+/// incident, slow-query and workload-snapshot logs are all a Ring<T>.
+/// Fixed capacity, overwrite-oldest (a slot holds either the old value or
+/// the new one, never a torn mix), and one mutex per ring for
 /// the push/snapshot handoff — uncontended in steady state, since each
 /// writer thread owns its ring. Slots are allocated on the first push, so
 /// a ring that is created but never written costs no slot memory.
@@ -46,6 +47,11 @@ class Ring {
   uint64_t total_pushed() const {
     std::lock_guard<std::mutex> lock(mu_);
     return next_;
+  }
+  /// Live values currently held.
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<size_t>(std::min<uint64_t>(next_, capacity_));
   }
   uint64_t dropped() const {
     std::lock_guard<std::mutex> lock(mu_);

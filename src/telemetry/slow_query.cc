@@ -50,11 +50,7 @@ SlowQueryLog::SlowQueryLog() {
   }
 }
 
-void SlowQueryLog::SetCapacity(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = n == 0 ? 1 : n;
-  while (records_.size() > capacity_) records_.pop_front();
-}
+void SlowQueryLog::SetCapacity(size_t n) { records_.SetCapacity(n); }
 
 void SlowQueryLog::Record(SlowQueryRecord rec) {
   FSDM_COUNT("fsdm_slow_queries_total", 1);
@@ -64,20 +60,18 @@ void SlowQueryLog::Record(SlowQueryRecord rec) {
     std::ofstream f(jsonl_path_, std::ios::app);
     if (f.is_open()) f << rec.ToJsonLine() << "\n";
   }
-  records_.push_back(std::move(rec));
+  records_.Push(std::move(rec));
   ++total_captured_;
-  while (records_.size() > capacity_) records_.pop_front();
 }
 
 std::vector<SlowQueryRecord> SlowQueryLog::Snapshot() const {
   ScopedWaitState wait(WaitState::kLockWait);
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<SlowQueryRecord>(records_.begin(), records_.end());
+  return records_.Snapshot();
 }
 
 void SlowQueryLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
+  records_.Clear();
   total_captured_ = 0;
 }
 

@@ -2,10 +2,11 @@
 #define FSDM_TELEMETRY_SLOW_QUERY_H_
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "telemetry/ring.h"
 
 /// Slow-query log (ISSUE 4): when a routed query exceeds a threshold, the
 /// router captures its rendered QueryTrace (EXPLAIN ANALYZE tree + router
@@ -56,10 +57,7 @@ class SlowQueryLog {
     threshold_us_ = us;
   }
 
-  size_t capacity() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
-  }
+  size_t capacity() const { return records_.capacity(); }
   void SetCapacity(size_t n);
 
   /// Path for the optional JSONL sink; empty disables it. Records are
@@ -85,9 +83,8 @@ class SlowQueryLog {
  private:
   SlowQueryLog();
 
-  mutable std::mutex mu_;
-  std::deque<SlowQueryRecord> records_;
-  size_t capacity_ = 32;
+  mutable std::mutex mu_;  // guards the sink, threshold and counter
+  Ring<SlowQueryRecord> records_{0, 32};
   uint64_t threshold_us_ = 10000;
   uint64_t total_captured_ = 0;
   std::string jsonl_path_;

@@ -125,19 +125,14 @@ uint64_t WorkloadRepository::TakeSnapshot(std::string label) {
   snap.ash = AggregateAsh(samples, last_ts_us_, snap.ts_us);
   last_ts_us_ = snap.ts_us;
   const uint64_t id = snap.id;
-  ring_.push_back(std::move(snap));
-  if (ring_.size() > capacity_) ring_.pop_front();
+  ring_.Push(std::move(snap));
   return id;
 }
 
-size_t WorkloadRepository::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
+size_t WorkloadRepository::size() const { return ring_.size(); }
 
 std::vector<WorkloadSnapshot> WorkloadRepository::Snapshots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {ring_.begin(), ring_.end()};
+  return ring_.Snapshot();
 }
 
 std::string WorkloadRepository::SnapshotJson(const WorkloadSnapshot& snap) {
@@ -188,14 +183,12 @@ std::string WorkloadRepository::ToJson() const {
 }
 
 void WorkloadRepository::SetCapacity(size_t snapshots) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = snapshots == 0 ? 1 : snapshots;
-  while (ring_.size() > capacity_) ring_.pop_front();
+  ring_.SetCapacity(snapshots);
 }
 
 void WorkloadRepository::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
+  ring_.Clear();
   last_ts_us_ = 0;
 }
 

@@ -3,12 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "telemetry/ring.h"
 #include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
 
@@ -94,8 +94,7 @@ class WorkloadRepository {
   WorkloadRepository() = default;
 
   mutable std::mutex mu_;
-  std::deque<WorkloadSnapshot> ring_;
-  size_t capacity_ = 128;
+  Ring<WorkloadSnapshot> ring_{0, 128};
   uint64_t next_id_ = 1;
   uint64_t last_ts_us_ = 0;
 };

@@ -153,7 +153,7 @@ class ImcRefreshOracleTest : public ::testing::TestWithParam<size_t> {
   void ExpectStoresMatchScratch(const std::string& where) {
     size_t rows = 0;
     for (size_t s = 0; s < coll_->shard_count(); ++s) {
-      const JsonCollection* shard = coll_->shard(s);
+      const Shard* shard = coll_->shard(s);
       const imc::ColumnStore* store = shard->imc();
       ASSERT_NE(store, nullptr) << where;
       Result<imc::ColumnStore> scratch =

@@ -14,6 +14,8 @@
 #include "fault/fault.h"
 #include "rdbms/executor.h"
 #include "stats/operator_costs.h"
+#include "telemetry/incident.h"
+#include "telemetry/telemetry.h"
 
 namespace fsdm::collection {
 namespace {
@@ -74,21 +76,125 @@ TEST_F(ShardedCollectionTest, PlacementIsPinnedBySeededHash) {
   }
 }
 
-TEST_F(ShardedCollectionTest, SingleShardIsNotAFacade) {
-  auto coll = JsonCollection::Create(&db_, "ONE", Sharded(1)).MoveValue();
-  EXPECT_FALSE(coll->sharded());
-  EXPECT_EQ(coll->shard_count(), 1u);
-  EXPECT_EQ(coll->shard(0), coll.get());  // shard(0) is the collection
-  ASSERT_NE(coll->table(), nullptr);      // classic single-table stack
-  // Row ids are the identity mapping at N = 1.
-  auto rid = coll->Insert(Value::Int64(5), Doc(5));
-  ASSERT_TRUE(rid.ok());
-  EXPECT_EQ(rid.value(), 0u);
+/// TELEMETRY$COLLECTIONS' row for `name`, rendered column by column.
+std::vector<std::string> CollectionsRow(const std::string& name) {
+  auto scan = CollectionsScan();
+  const size_t name_at = scan->schema().IndexOf("NAME");
+  std::vector<std::string> found;
+  for (const rdbms::Row& row : rdbms::Collect(scan.get()).MoveValue()) {
+    if (row[name_at].ToDisplayString() != name) continue;
+    EXPECT_TRUE(found.empty()) << "two rows for " << name;
+    for (const Value& v : row) {
+      found.push_back(v.is_null() ? "NULL" : v.ToDisplayString());
+    }
+  }
+  return found;
+}
+
+// The facade over one shard renders exactly like a plain table stack; the
+// facade over four differs only in its documented shapes: table names,
+// "shard i: " prefixes, and no single table()/imc().
+TEST_F(ShardedCollectionTest, ShapeParityAtOneAndFourShards) {
+  telemetry::IncidentManager& incidents = telemetry::IncidentManager::Global();
+  incidents.SetDirectory("");
+  incidents.SetFloodIntervalUs(0);
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string name = "SHAPE" + std::to_string(shards);
+    auto coll =
+        JsonCollection::Create(&db_, name, Sharded(shards)).MoveValue();
+    ASSERT_EQ(coll->shard_count(), shards);
+
+    // Backing tables: "<name>" at N = 1, "<name>$s<i>" at N > 1, each
+    // index with its "$DG" side table.
+    for (size_t s = 0; s < shards; ++s) {
+      const std::string table =
+          shards == 1 ? name : name + "$s" + std::to_string(s);
+      EXPECT_EQ(coll->shard(s)->name(), table);
+      ASSERT_TRUE(db_.GetTable(table).ok()) << table;
+      EXPECT_EQ(db_.GetTable(table).value(), coll->shard(s)->table());
+      EXPECT_EQ(coll->shard(s)->search_index()->dg_table()->name(),
+                table + "$DG");
+    }
+    EXPECT_EQ(db_.GetTable(name).ok(), shards == 1);
+    EXPECT_FALSE(db_.GetTable(name + "$s" + std::to_string(shards)).ok());
+    if (shards == 1) {
+      EXPECT_FALSE(db_.GetTable(name + "$s0").ok());
+      EXPECT_EQ(coll->shard(0)->table(), coll->table());
+    } else {
+      EXPECT_EQ(coll->table(), nullptr);
+    }
+
+    // Row ids are the identity at N = 1 and encode (local * N + shard).
+    for (int k = 1; k <= 8; ++k) {
+      auto rid = coll->Insert(Value::Int64(k), Doc(k));
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      if (shards == 1) EXPECT_EQ(rid.value(), static_cast<size_t>(k - 1));
+      EXPECT_EQ(rid.value() % shards, coll->ShardForKey(Value::Int64(k)));
+    }
+    ASSERT_TRUE(coll->PopulateImc().ok());
+    if (shards == 1) {
+      EXPECT_EQ(coll->imc(), coll->shard(0)->imc());
+      EXPECT_NE(coll->imc(), nullptr);
+    } else {
+      EXPECT_EQ(coll->imc(), nullptr);
+    }
+
+    // One TELEMETRY$COLLECTIONS row; only the shard columns differ.
+    const std::string n = std::to_string(shards);
+    EXPECT_EQ(CollectionsRow(name),
+              (std::vector<std::string>{name, "healthy", "NULL", "8", "3",
+                                        "valid", "NULL", n, n}));
+
+    // One incident per Quarantine(); the reason is unprefixed at N = 1.
+    const uint64_t raised = incidents.total_raised();
+    coll->Quarantine("ops hold");
+    if (telemetry::kEnabled) EXPECT_EQ(incidents.total_raised(), raised + 1);
+    std::string want_reason;
+    for (size_t s = 0; s < shards; ++s) {
+      if (!want_reason.empty()) want_reason += "; ";
+      if (shards > 1) want_reason += "shard " + std::to_string(s) + ": ";
+      want_reason += "ops hold";
+    }
+    EXPECT_EQ(coll->health_reason(), want_reason);
+    EXPECT_EQ(CollectionsRow(name),
+              (std::vector<std::string>{name, "quarantined", want_reason,
+                                        "8", "3", "valid", "NULL", n, "0"}));
+    ASSERT_TRUE(coll->RebuildIndex().ok());
+    const std::vector<std::string> healed = CollectionsRow(name);
+    ASSERT_EQ(healed.size(), 9u);
+    EXPECT_EQ(healed[1], "healthy");
+    EXPECT_EQ(healed[2], "ops hold");  // the sticky last cause
+    EXPECT_NE(healed[6], "NULL");      // LAST_REBUILD_TS
+
+    // A shard whose index missed a row: its problems carry no prefix at
+    // N = 1 and "shard 0: " otherwise.
+    coll->shard(0)->Detach();
+    ASSERT_TRUE(coll->shard(0)
+                    ->table()
+                    ->Insert({Value::Int64(100), Value::String(Doc(100))})
+                    .ok());
+    ConsistencyReport report = coll->CheckConsistency();
+    EXPECT_FALSE(report.consistent);
+    ASSERT_FALSE(report.problems.empty());
+    const std::string prefix = shards == 1 ? "" : "shard 0: ";
+    bool index_problem = false;
+    for (const std::string& p : report.problems) {
+      if (p.rfind(prefix + "index reports ", 0) == 0) index_problem = true;
+      if (shards == 1) {
+        EXPECT_EQ(p.find("shard"), std::string::npos) << p;
+      } else if (p.find("placement hash") == std::string::npos) {
+        EXPECT_EQ(p.rfind(prefix, 0), 0u) << p;
+      }
+    }
+    EXPECT_TRUE(index_problem) << report.ToString();
+  }
+  incidents.SetFloodIntervalUs(100 * 1000);
 }
 
 TEST_F(ShardedCollectionTest, RowIdsEncodeShardAndRoundTrip) {
   auto coll = JsonCollection::Create(&db_, "RT", Sharded(4)).MoveValue();
-  EXPECT_TRUE(coll->sharded());
+  EXPECT_EQ(coll->shard_count(), 4u);
   EXPECT_EQ(coll->table(), nullptr);  // facade has no single backing table
 
   std::vector<size_t> row_ids;

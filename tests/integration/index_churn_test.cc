@@ -21,6 +21,7 @@ namespace {
 using collection::CollectionOptions;
 using collection::JsonCollection;
 using collection::PathPredicate;
+using collection::Shard;
 
 /// Seeded index churn oracle: random inserts, replaces with fresh unique
 /// values (as in the point_mix benchmark), deletes, vetoed DML and injected
@@ -238,7 +239,7 @@ class ChurnRun {
     std::vector<size_t> postings;
     for (size_t s = 0; s < coll_->shard_count(); ++s) {
       SCOPED_TRACE("shard " + std::to_string(s));
-      const JsonCollection* shard = coll_->shard(s);
+      const Shard* shard = coll_->shard(s);
       const index::JsonSearchIndex* idx = shard->search_index();
       ASSERT_NE(idx, nullptr);
       ASSERT_FALSE(idx->degraded()) << idx->degraded_reason();

@@ -190,7 +190,7 @@ TEST_F(ResourceMonitorTest, TrackerReconcilesWithRecomputeWalkOnNobench) {
   // IMC, and no transient charges are live at rest.
   uint64_t expected = 0;
   for (size_t s = 0; s < coll->shard_count(); ++s) {
-    const collection::JsonCollection* shard = coll->shard(s);
+    const collection::Shard* shard = coll->shard(s);
     ASSERT_NE(shard->table(), nullptr);
     ASSERT_NE(shard->search_index(), nullptr);
     expected += shard->table()->RecomputeHeapBytes();

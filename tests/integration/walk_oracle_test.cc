@@ -21,6 +21,7 @@ namespace {
 
 using collection::CollectionOptions;
 using collection::JsonCollection;
+using collection::Shard;
 
 /// One instance walk feeds the search index postings, the DataGuide and the
 /// path statistics. This oracle loads one seeded corpus — purchase orders
@@ -127,7 +128,7 @@ struct Snapshot {
 };
 
 Snapshot OfCollection(const JsonCollection& coll, size_t shard) {
-  const JsonCollection& s = *coll.shard(shard);
+  const Shard& s = *coll.shard(shard);
   Snapshot snap;
   snap.dg_rows = DgRowsOf(s.dataguide());
   snap.flat = s.dataguide().ToFlatJson();

@@ -413,6 +413,13 @@ TEST_F(WorkloadRepoTest, CapacityBoundsTheRetainedSnapshots) {
   ASSERT_EQ(snaps.size(), 3u);
   EXPECT_EQ(snaps.front().label, "snap-2");  // the two oldest fell off
   EXPECT_EQ(snaps.back().label, "snap-4");
+  // Shrinking keeps the newest snapshots.
+  repo.SetCapacity(2);
+  snaps = repo.Snapshots();
+  ASSERT_EQ(snaps.size(), 2u);
+  EXPECT_EQ(repo.size(), 2u);
+  EXPECT_EQ(snaps.front().label, "snap-3");
+  EXPECT_EQ(snaps.back().label, "snap-4");
 }
 
 }  // namespace

@@ -216,6 +216,13 @@ TEST(SlowQueryLogTest, CapacityEvictsOldestButTotalKeepsCounting) {
   EXPECT_EQ(snap[0].query, "q2");  // q0, q1 evicted
   EXPECT_EQ(snap[2].query, "q4");
   EXPECT_EQ(log.total_captured(), base_total + 5);
+  // Shrinking keeps the newest records and does not reset the total.
+  log.SetCapacity(2);
+  snap = log.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].query, "q3");
+  EXPECT_EQ(snap[1].query, "q4");
+  EXPECT_EQ(log.total_captured(), base_total + 5);
 
   log.Clear();
   log.SetCapacity(32);

@@ -141,6 +141,13 @@ TEST_F(IncidentTest, RingCapacityEvictsOldest) {
   ASSERT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring[0].type, "r2");
   EXPECT_EQ(ring[1].type, "r3");
+  // Shrinking keeps the newest incident and does not reset the total.
+  const uint64_t raised = mgr.total_raised();
+  mgr.SetRingCapacity(1);
+  ring = mgr.Snapshot();
+  ASSERT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring[0].type, "r3");
+  EXPECT_EQ(mgr.total_raised(), raised);
 }
 
 TEST_F(IncidentTest, DisabledDirectorySkipsDiskCapture) {
