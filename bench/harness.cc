@@ -204,7 +204,7 @@ void BenchJson::Write() const {
 
   // Memory attribution (ISSUE 9). Always all eight subsystems, in enum
   // order, zeros included — consumers (check_bench_json.py,
-  // bench_compare.py) rely on the shape, telemetry-off builds included.
+  // bench_compare.py) rely on the shape.
   // peak_bytes is the tracker's per-subsystem high-water (ratcheted at
   // Refresh/Charge time), a real simultaneous peak — not a sum of
   // per-entry peaks reached at different times.
@@ -223,10 +223,9 @@ void BenchJson::Write() const {
   }
   out += "}}";
 
-  // Structured-log counters (ISSUE 10). Present — all zeros — under
-  // telemetry-off builds too; fig7's overhead gate compares arms that
-  // both carry the instrumented call sites, so these make the log
-  // volume behind a regression visible in bench_compare.py.
+  // Structured-log counters (ISSUE 10). fig7's overhead gate compares
+  // arms that both carry the instrumented call sites, so these make the
+  // log volume behind a regression visible in bench_compare.py.
   out += ",\"log\":{\"fsdm_log_records_total\":" +
          std::to_string(telemetry::EngineLog::Global().total_records());
   out += ",\"fsdm_log_dropped_total\":" +

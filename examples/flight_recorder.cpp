@@ -27,10 +27,6 @@ using namespace fsdm;
   } while (0)
 
 int main() {
-  if (!telemetry::kEnabled) {
-    printf("built with -DFSDM_TELEMETRY=OFF; nothing to record\n");
-    return 0;
-  }
   telemetry::FlightRecorder::Global().Arm();
   telemetry::SlowQueryLog::Global().SetThresholdUs(0);  // capture everything
 

@@ -1,11 +1,13 @@
 #include "collection/collection.h"
 
 #include <algorithm>
+#include <cctype>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "collection/collections_table.h"
+#include "collection/wal_table.h"
 #include "common/hash.h"
 #include "fault/fault.h"
 #include "json/serializer.h"
@@ -70,23 +72,27 @@ void EnsureIncidentStateProviders() {
           out += "]";
           return out;
         });
+    // The TELEMETRY$WAL row keyed by lower-cased column names, plus
+    // whether the writer has poisoned itself.
     telemetry::IncidentManager::Global().RegisterStateProvider("wal", [] {
+      const std::vector<std::string>& columns = WalSchema().columns();
       std::string out = "[";
       for (const JsonCollection* c :
            CollectionRegistry::Global().collections()) {
         const wal::Wal* w = c->wal();
         if (w == nullptr) continue;
         if (out.size() > 1) out += ",";
-        out += "{\"collection\":\"" + telemetry::JsonEscape(c->name()) + "\"";
-        out += ",\"policy\":\"";
-        out += wal::FsyncPolicyName(w->options().fsync);
-        out += "\",\"segments\":" + std::to_string(w->segment_count());
-        out += ",\"last_lsn\":" + std::to_string(w->last_lsn());
-        out += ",\"durable_lsn\":" + std::to_string(w->durable_lsn());
-        out += ",\"appends\":" + std::to_string(w->appends());
-        out += ",\"fsyncs\":" + std::to_string(w->fsyncs());
-        out += ",\"checkpoints\":" + std::to_string(w->checkpoints());
-        out += ",\"aborts\":" + std::to_string(w->aborts());
+        const rdbms::Row row = WalRow(*c, *w);
+        for (size_t i = 0; i < columns.size(); ++i) {
+          out += i == 0 ? "{\"" : ",\"";
+          for (unsigned char ch : columns[i]) {
+            out += static_cast<char>(std::tolower(ch));
+          }
+          out += "\":";
+          out += row[i].type() == ScalarType::kString
+                     ? "\"" + telemetry::JsonEscape(row[i].AsString()) + "\""
+                     : std::to_string(row[i].AsInt64());
+        }
         out += ",\"poisoned\":";
         out += w->failed() ? "true" : "false";
         out += "}";
@@ -163,7 +169,6 @@ void JsonCollection::Detach() {
 }
 
 void JsonCollection::RegisterMemoryReporters() {
-#if !defined(FSDM_TELEMETRY_DISABLED)
   using telemetry::MemSubsystem;
   // The scopes capture `this`; Detach() clears them before any polled
   // structure goes away.
@@ -203,7 +208,6 @@ void JsonCollection::RegisterMemoryReporters() {
   mem_scopes_.emplace_back(MemSubsystem::kWalBuffers, name_, [this] {
     return wal_ != nullptr ? wal_->MemoryBytes() : uint64_t{0};
   });
-#endif  // !FSDM_TELEMETRY_DISABLED
 }
 
 size_t JsonCollection::document_count() const {

@@ -407,13 +407,25 @@ std::string BuildQueryText(const std::vector<PathPredicate>& predicates) {
   return query_text;
 }
 
-/// Routes one shard. `wrap_probe` = false is the sharded fan-out asking
-/// for a bare sub-plan: the facade stacks ONE probe over the stitched
-/// tree, so shard plans must not feed the cost model or the slow-query
-/// log on their own.
-Result<RoutedPlan> RouteSingle(const Shard& shard,
-                               const std::vector<PathPredicate>& predicates,
-                               bool wrap_probe) {
+/// A cost-model measurement taken while a plan is built (a route-time
+/// FilterScan or posting merge).
+struct RouteTimeSample {
+  const char* op;
+  uint64_t rows;
+  double us;
+};
+
+/// Routes one shard. With `fanout_samples` null the shard is the whole
+/// collection: the plan gets its probe and route-time measurements feed
+/// the cost model at once. Non-null is the sharded fan-out asking for a
+/// bare sub-plan: the facade stacks ONE probe over the stitched tree, so
+/// shard plans must not feed the slow-query log on their own, and their
+/// route-time measurements are appended to `fanout_samples` for the
+/// facade to record once every shard has been costed — so all shards of
+/// one fan-out are priced at the same rates.
+Result<RoutedPlan> RouteSingle(
+    const Shard& shard, const std::vector<PathPredicate>& predicates,
+    std::vector<RouteTimeSample>* fanout_samples) {
   FSDM_TRACE_SPAN(route_span, "router", "router.route");
   std::string query_text = BuildQueryText(predicates);
   route_span.AddNumberArg("predicates",
@@ -647,7 +659,7 @@ Result<RoutedPlan> RouteSingle(const Shard& shard,
   // Marks candidate `idx` as the winner, freezes the legacy reason string,
   // and stacks the feedback/slow-query probe on the finished plan
   // (routed.plan and routed.trace.root are always set before finish runs).
-  // Shard sub-plans (wrap_probe = false) stay bare — see RouteSingle doc.
+  // Shard sub-plans of a fan-out stay bare — see RouteSingle doc.
   auto finish = [&](size_t idx, AccessPath path, std::string reason) {
     decision.candidates[idx].chosen = true;
     decision.winner = AccessPathName(path);
@@ -657,11 +669,19 @@ Result<RoutedPlan> RouteSingle(const Shard& shard,
     route_span.AddTextArg("winner", decision.winner);
     FSDM_TRACE_INSTANT_TEXT("router", "router.winner", "path",
                             decision.winner);
-    if (wrap_probe) {
+    if (fanout_samples == nullptr) {
       routed.plan = std::make_unique<RoutedQueryProbe>(
           std::move(routed.plan), shard.name(), query_text, decision,
           routed.trace.root.get(),
           telemetry::QueryMonitor::Global().AllocateQueryId());
+    }
+  };
+
+  auto record = [fanout_samples](const char* op, uint64_t rows, double us) {
+    if (fanout_samples != nullptr) {
+      fanout_samples->push_back({op, rows, us});
+    } else {
+      stats::OperatorCostModel::Global().Record(op, rows, us);
     }
   };
 
@@ -674,8 +694,7 @@ Result<RoutedPlan> RouteSingle(const Shard& shard,
       // Feed the scan measurement with the scanned-row basis; the plan
       // below only *replays* the materialized result, so RecordSpanTree
       // skips its span.
-      stats::OperatorCostModel::Global().Record(
-          "ImcFilterScan", store->row_count(), route_scan.ElapsedUs());
+      record("ImcFilterScan", store->row_count(), route_scan.ElapsedUs());
       imc_cand.detail += "; FilterScan at route time: " +
                          std::to_string(rows.size()) + " rows";
       std::unique_ptr<telemetry::OperatorSpan> root =
@@ -720,8 +739,7 @@ Result<RoutedPlan> RouteSingle(const Shard& shard,
           shard.table(), index, isect_terms, &info);
       // The sorted-list merge happened at plan-build time; feed it with
       // the summed posting-length basis the estimate uses.
-      stats::OperatorCostModel::Global().Record(
-          "PostingIntersect", info.total_postings, build.ElapsedUs());
+      record("PostingIntersect", info.total_postings, build.ElapsedUs());
       std::unique_ptr<telemetry::OperatorSpan> root = telemetry::MakeSpan(
           "PostingIntersectScan",
           terms_text + " [" + std::to_string(info.total_postings) +
@@ -838,10 +856,10 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
       std::make_shared<std::vector<telemetry::OperatorSpan*>>();
 
   double max_shard_cost = 0;
+  std::vector<RouteTimeSample> samples;
   for (size_t i = 0; i < n; ++i) {
-    FSDM_ASSIGN_OR_RETURN(
-        RoutedPlan sub,
-        RouteSingle(*coll.shard(i), predicates, /*wrap_probe=*/false));
+    FSDM_ASSIGN_OR_RETURN(RoutedPlan sub,
+                          RouteSingle(*coll.shard(i), predicates, &samples));
     double sub_cost = -1;
     for (const telemetry::RouterCandidate& c : sub.trace.decision.candidates) {
       if (c.chosen) sub_cost = c.est_cost_us;
@@ -882,6 +900,11 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
   union_cand.est_cost_us = max_shard_cost + merge_cost;
   union_cand.detail = "parallel cost = max over shards + merge";
   decision.candidates.push_back(std::move(union_cand));
+  // Every shard is costed: only now may route-time measurements move the
+  // model.
+  for (const RouteTimeSample& s : samples) {
+    stats::OperatorCostModel::Global().Record(s.op, s.rows, s.us);
+  }
 
   decision.winner = AccessPathName(AccessPath::kShardedUnion);
   decision.reason = "fan-out over " + std::to_string(n) +
@@ -916,7 +939,7 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
 Result<RoutedPlan> RoutePredicates(
     const JsonCollection& coll, const std::vector<PathPredicate>& predicates) {
   if (coll.shard_count() == 1) {
-    return RouteSingle(*coll.shard(0), predicates, /*wrap_probe=*/true);
+    return RouteSingle(*coll.shard(0), predicates, nullptr);
   }
   return RouteSharded(coll, predicates);
 }

@@ -8,34 +8,38 @@
 
 namespace fsdm::collection {
 
+const rdbms::Schema& WalSchema() {
+  static const rdbms::Schema schema(
+      {"NAME", "POLICY", "SEGMENTS", "LAST_LSN", "DURABLE_LSN", "APPENDS",
+       "APPEND_BYTES", "FSYNCS", "CHECKPOINTS", "ABORTS", "RECOVERED_RECORDS",
+       "TORN_TAIL"});
+  return schema;
+}
+
+rdbms::Row WalRow(const JsonCollection& collection, const wal::Wal& w) {
+  auto n = [](uint64_t v) { return Value::Int64(static_cast<int64_t>(v)); };
+  return {Value::String(collection.name()),
+          Value::String(wal::FsyncPolicyName(w.options().fsync)),
+          n(w.segment_count()),
+          n(w.last_lsn()),
+          n(w.durable_lsn()),
+          n(w.appends()),
+          n(w.append_bytes()),
+          n(w.fsyncs()),
+          n(w.checkpoints()),
+          n(w.aborts()),
+          n(w.recovery().records_scanned),
+          n(w.recovery().torn_tail ? 1 : 0)};
+}
+
 rdbms::OperatorPtr WalScan() {
-  return rdbms::ValuesFrom(
-      rdbms::Schema({"NAME", "POLICY", "SEGMENTS", "LAST_LSN", "DURABLE_LSN",
-                     "APPENDS", "APPEND_BYTES", "FSYNCS", "CHECKPOINTS",
-                     "ABORTS", "RECOVERED_RECORDS", "TORN_TAIL"}),
-      [] {
-        std::vector<rdbms::Row> rows;
-        for (const JsonCollection* c :
-             CollectionRegistry::Global().collections()) {
-          const wal::Wal* w = c->wal();
-          if (w == nullptr) continue;
-          rows.push_back(
-              {Value::String(c->name()),
-               Value::String(wal::FsyncPolicyName(w->options().fsync)),
-               Value::Int64(static_cast<int64_t>(w->segment_count())),
-               Value::Int64(static_cast<int64_t>(w->last_lsn())),
-               Value::Int64(static_cast<int64_t>(w->durable_lsn())),
-               Value::Int64(static_cast<int64_t>(w->appends())),
-               Value::Int64(static_cast<int64_t>(w->append_bytes())),
-               Value::Int64(static_cast<int64_t>(w->fsyncs())),
-               Value::Int64(static_cast<int64_t>(w->checkpoints())),
-               Value::Int64(static_cast<int64_t>(w->aborts())),
-               Value::Int64(
-                   static_cast<int64_t>(w->recovery().records_scanned)),
-               Value::Int64(w->recovery().torn_tail ? 1 : 0)});
-        }
-        return rows;
-      });
+  return rdbms::ValuesFrom(WalSchema(), [] {
+    std::vector<rdbms::Row> rows;
+    for (const JsonCollection* c : CollectionRegistry::Global().collections()) {
+      if (c->wal() != nullptr) rows.push_back(WalRow(*c, *c->wal()));
+    }
+    return rows;
+  });
 }
 
 }  // namespace fsdm::collection

@@ -2,6 +2,7 @@
 #define FSDM_COLLECTION_WAL_TABLE_H_
 
 #include "rdbms/executor.h"
+#include "wal/wal.h"
 
 /// TELEMETRY$WAL (ISSUE 8): one row per durable collection's write-ahead
 /// log, so durability state — LSN positions, segment counts, fsync and
@@ -10,7 +11,16 @@
 
 namespace fsdm::collection {
 
+class JsonCollection;
+
 inline constexpr const char* kWalTableName = "TELEMETRY$WAL";
+
+/// The relation's columns (see WalScan()); the incident bundle's `wal`
+/// section keys its fields by their lower-cased names.
+const rdbms::Schema& WalSchema();
+/// One collection's row, in WalSchema() order: the one field list both
+/// TELEMETRY$WAL and the incident bundle render.
+rdbms::Row WalRow(const JsonCollection& collection, const wal::Wal& w);
 
 /// Row source over the registry's durable collections. Schema:
 /// (NAME, POLICY, SEGMENTS, LAST_LSN, DURABLE_LSN, APPENDS, APPEND_BYTES,

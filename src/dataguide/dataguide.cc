@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "json/parser.h"
 #include "json/serializer.h"
@@ -68,8 +69,19 @@ LeafType Generalize(LeafType a, LeafType b) {
 }  // namespace
 
 PathDictionary::PathDictionary(const PathDictionary& other)
-    : ids_(other.ids_), names_(other.names_.size()) {
+    : ids_(other.ids_),
+      names_(other.names_.size()),
+      path_bytes_(other.path_bytes_) {
   for (const auto& [name, id] : ids_) names_[id] = &name;
+  PublishBytes();
+}
+
+PathDictionary::PathDictionary(PathDictionary&& other) noexcept
+    : ids_(std::move(other.ids_)),
+      names_(std::move(other.names_)),
+      path_bytes_(std::exchange(other.path_bytes_, 0)) {
+  PublishBytes();
+  other.PublishBytes();
 }
 
 PathId PathDictionary::Intern(std::string_view path) {
@@ -78,6 +90,8 @@ PathId PathDictionary::Intern(std::string_view path) {
   const PathId id = static_cast<PathId>(names_.size());
   it = ids_.emplace(std::string(path), id).first;
   names_.push_back(&it->first);
+  path_bytes_ += PathBytes(path);
+  PublishBytes();
   return id;
 }
 
@@ -86,13 +100,22 @@ PathId PathDictionary::Find(std::string_view path) const {
   return it == ids_.end() ? kNoPath : it->second;
 }
 
-uint64_t PathDictionary::MemoryBytes() const {
-  constexpr uint64_t kPathBytes =
-      sizeof(void*) + sizeof(size_t) + sizeof(decltype(ids_)::value_type) +
-      sizeof(const std::string*);
+uint64_t PathDictionary::PathBytes(std::string_view path) {
+  return sizeof(void*) + sizeof(size_t) + sizeof(decltype(ids_)::value_type) +
+         sizeof(const std::string*) + path.size();
+}
+
+void PathDictionary::PublishBytes() {
+  bytes_.store(names_.empty() ? 0
+                              : ids_.bucket_count() * sizeof(void*) +
+                                    path_bytes_,
+               std::memory_order_relaxed);
+}
+
+uint64_t PathDictionary::RecomputeMemoryBytes() const {
   if (names_.empty()) return 0;
   uint64_t total = ids_.bucket_count() * sizeof(void*);
-  for (const std::string* name : names_) total += kPathBytes + name->size();
+  for (const std::string* name : names_) total += PathBytes(*name);
   return total;
 }
 
@@ -197,8 +220,17 @@ void UpdateMinMax(PathEntry* entry, const Value& v) {
 DataGuide::DataGuide(const DataGuide& other)
     : paths_(other.paths_),
       entries_(other.entries_),
-      doc_count_(other.doc_count_) {
+      doc_count_(other.doc_count_),
+      entry_bytes_(EntryBytes()) {
   for (auto& [key, entry] : entries_) entry.path = paths_.Name(KeyPath(key));
+}
+
+DataGuide::DataGuide(DataGuide&& other) noexcept
+    : paths_(std::move(other.paths_)),
+      entries_(std::move(other.entries_)),
+      doc_count_(std::exchange(other.doc_count_, 0)),
+      entry_bytes_(EntryBytes()) {
+  other.entry_bytes_.store(other.EntryBytes(), std::memory_order_relaxed);
 }
 
 Result<StagedDoc> StageDocument(const json::Dom& dom, PathDictionary* paths,
@@ -242,6 +274,7 @@ int DataGuide::Apply(const StagedDoc& doc,
     if (sink != nullptr) sink->OnScalar(node);
   }
   ++doc_count_;
+  if (added > 0) entry_bytes_.store(EntryBytes(), std::memory_order_relaxed);
   if (sink != nullptr) sink->OnDocumentEnd();
   return added;
 }
@@ -293,6 +326,7 @@ void DataGuide::Merge(const DataGuide& other) {
     }
   }
   doc_count_ += other.doc_count_;
+  entry_bytes_.store(EntryBytes(), std::memory_order_relaxed);
 }
 
 std::vector<const PathEntry*> DataGuide::SortedEntries() const {
@@ -308,14 +342,17 @@ std::vector<const PathEntry*> DataGuide::SortedEntries() const {
   return out;
 }
 
-uint64_t DataGuide::MemoryBytes() const {
+uint64_t DataGuide::EntryBytes() const {
   // Hash node overhead (next pointer + cached-hash slot) plus the key and
   // the entry payload; the path text is the dictionary's.
   constexpr uint64_t kEntryBytes =
       2 * sizeof(void*) + sizeof(decltype(entries_)::value_type);
-  return paths_.MemoryBytes() +
-         (entries_.empty() ? 0 : entries_.bucket_count() * sizeof(void*)) +
+  return (entries_.empty() ? 0 : entries_.bucket_count() * sizeof(void*)) +
          entries_.size() * kEntryBytes;
+}
+
+uint64_t DataGuide::RecomputeMemoryBytes() const {
+  return paths_.RecomputeMemoryBytes() + EntryBytes();
 }
 
 const PathEntry* DataGuide::Find(PathId path, json::NodeKind kind,

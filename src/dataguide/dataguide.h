@@ -1,6 +1,7 @@
 #ifndef FSDM_DATAGUIDE_DATAGUIDE_H_
 #define FSDM_DATAGUIDE_DATAGUIDE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -41,7 +42,7 @@ class PathDictionary {
   /// A copy re-points its id -> name table at its own keys; a move keeps
   /// the map nodes, so the table stays valid.
   PathDictionary(const PathDictionary& other);
-  PathDictionary(PathDictionary&&) = default;
+  PathDictionary(PathDictionary&& other) noexcept;
 
   PathId Intern(std::string_view path);
   /// kNoPath when the path was never interned. Allocation-free.
@@ -51,10 +52,20 @@ class PathDictionary {
 
   /// Accounting footprint: per path one hash node (next pointer, cached
   /// hash, key/value pair), its id -> name pointer and the path text by
-  /// size(); plus the bucket array once a path exists.
-  uint64_t MemoryBytes() const;
+  /// size(); plus the bucket array once a path exists. Maintained as paths
+  /// are interned: O(1), and safe to poll while another thread interns.
+  uint64_t MemoryBytes() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
+  /// Exact O(paths) walk with the same formula, for tests.
+  uint64_t RecomputeMemoryBytes() const;
 
  private:
+  /// Per-path bytes of the MemoryBytes() formula, bucket array excluded.
+  static uint64_t PathBytes(std::string_view path);
+  /// Stores the formula's current value where MemoryBytes() reads it.
+  void PublishBytes();
+
   struct Hash {
     using is_transparent = void;
     size_t operator()(std::string_view path) const {
@@ -63,6 +74,8 @@ class PathDictionary {
   };
   std::unordered_map<std::string, PathId, Hash, std::equal_to<>> ids_;
   std::vector<const std::string*> names_;  // id -> key in ids_
+  uint64_t path_bytes_ = 0;          // sum of PathBytes() over names_
+  std::atomic<uint64_t> bytes_{0};  // MemoryBytes(), pollable
 };
 
 /// One node of a staged document, as the instance walk read it. Array
@@ -145,7 +158,7 @@ class DataGuide {
   DataGuide() = default;
   /// A copy re-points its entries' path text at its own dictionary.
   DataGuide(const DataGuide& other);
-  DataGuide(DataGuide&&) = default;
+  DataGuide(DataGuide&& other) noexcept;
 
   /// Extracts the skeleton of one document and merges it in:
   /// StageDocument() against this guide's dictionary, then Apply(). Returns the number of *new* $DG rows this document
@@ -181,8 +194,16 @@ class DataGuide {
   /// and the path dictionary, which holds each path's text once.
   /// Deterministic size-based formula; min/max sample Values are excluded
   /// (bounded per entry, and their variant payloads would make the formula
-  /// value-dependent). O(entries).
-  uint64_t MemoryBytes() const;
+  /// value-dependent). Maintained as entries are added: O(1), and safe to
+  /// poll while another thread applies documents.
+  uint64_t MemoryBytes() const {
+    return paths_.MemoryBytes() +
+           entry_bytes_.load(std::memory_order_relaxed);
+  }
+  /// Exact walk with the same formula; the accounting unit test pins
+  /// MemoryBytes() == RecomputeMemoryBytes() across inserts, merges and
+  /// copies.
+  uint64_t RecomputeMemoryBytes() const;
 
   /// Entries sorted by path (then container-before-leaf).
   std::vector<const PathEntry*> SortedEntries() const;
@@ -218,10 +239,13 @@ class DataGuide {
            (under_array ? 1 : 0);
   }
   static PathId KeyPath(uint64_t key) { return static_cast<PathId>(key >> 8); }
+  /// The entry share of the MemoryBytes() formula (no walk needed).
+  uint64_t EntryBytes() const;
 
   PathDictionary paths_;
   std::unordered_map<uint64_t, PathEntry> entries_;
   uint64_t doc_count_ = 0;
+  std::atomic<uint64_t> entry_bytes_{0};  // EntryBytes(), pollable
 };
 
 }  // namespace fsdm::dataguide

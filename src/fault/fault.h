@@ -14,8 +14,7 @@
 /// compiled into failure-prone code paths (DML observer fan-out, index
 /// maintenance, OSON codec, IMC population) and armed at runtime from
 /// tests. A disarmed point costs one cached pointer load plus a predicted
-/// branch; configuring with -DFSDM_FAULTS=OFF defines FSDM_FAULTS_DISABLED
-/// and compiles every point out entirely.
+/// branch.
 ///
 /// Usage at an instrumentation site (the enclosing function must return
 /// Status or Result<T>):
@@ -37,12 +36,6 @@
 /// "index.insert.postings", "collection.create.search_index".
 
 namespace fsdm::fault {
-
-#if defined(FSDM_FAULTS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// How an armed point decides which hits fail.
 enum class TriggerMode : uint8_t {
@@ -215,8 +208,6 @@ class ScopedFault {
 
 }  // namespace fsdm::fault
 
-#if !defined(FSDM_FAULTS_DISABLED)
-
 /// Early-returns the injected Status (convertible to Result<T>) when the
 /// point is armed and fires. Near-zero cost disarmed: one function-local
 /// static pointer load plus a not-taken branch.
@@ -240,14 +231,5 @@ class ScopedFault {
         ::fsdm::fault::FaultRegistry::Global().Register(point_name);        \
     return fsdm_fp->armed() ? fsdm_fp->Fire() : ::fsdm::Status::Ok();       \
   }())
-
-#else  // FSDM_FAULTS_DISABLED
-
-#define FSDM_FAULT_POINT(point_name) \
-  do {                               \
-  } while (0)
-#define FSDM_FAULT_STATUS(point_name) (::fsdm::Status::Ok())
-
-#endif  // FSDM_FAULTS_DISABLED
 
 #endif  // FSDM_FAULT_FAULT_H_

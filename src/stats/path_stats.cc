@@ -72,9 +72,17 @@ void ValueHistogram::Clear() {
 // --- PathStatsRepository ----------------------------------------------------
 
 void PathStatsRepository::OnScalar(const dataguide::StagedNode& node) {
-  if (node.path >= by_id_.size()) by_id_.resize(node.path + 1);
+  if (node.path >= by_id_.size()) {
+    bytes_.fetch_add((node.path + 1 - by_id_.size()) *
+                         sizeof(std::unique_ptr<PathStats>),
+                     std::memory_order_relaxed);
+    by_id_.resize(node.path + 1);
+  }
   std::unique_ptr<PathStats>& slot = by_id_[node.path];
-  if (slot == nullptr) slot = std::make_unique<PathStats>();
+  if (slot == nullptr) {
+    slot = std::make_unique<PathStats>();
+    bytes_.fetch_add(sizeof(PathStats), std::memory_order_relaxed);
+  }
   PathStats& s = *slot;
   // Per-document frequency via the stamp trick: the current document's
   // stamp is docs_seen_ + 1 (OnDocumentEnd increments docs_seen_ after the
@@ -102,7 +110,14 @@ void PathStatsRepository::OnScalar(const dataguide::StagedNode& node) {
     Result<int> hi = v.CompareTo(*s.max_value);
     if (hi.ok() && hi.value() > 0) s.max_value = v;
   }
-  if (v.IsNumeric()) s.histogram.Add(v.NumericAsDouble());
+  if (v.IsNumeric()) {
+    // Freezing the seed buffer into buckets shrinks the heap; the unsigned
+    // wrap-around of the difference refunds it.
+    const uint64_t before = s.histogram.HeapBytes();
+    s.histogram.Add(v.NumericAsDouble());
+    bytes_.fetch_add(s.histogram.HeapBytes() - before,
+                     std::memory_order_relaxed);
+  }
 }
 
 void PathStatsRepository::OnDocumentEnd() { ++docs_seen_; }
@@ -134,7 +149,7 @@ double PathStatsRepository::NdvEstimate(dataguide::PathId path) const {
   return s == nullptr ? 0.0 : s->ndv.Estimate();
 }
 
-uint64_t PathStatsRepository::MemoryBytes() const {
+uint64_t PathStatsRepository::RecomputeMemoryBytes() const {
   uint64_t total = by_id_.size() * sizeof(std::unique_ptr<PathStats>);
   for (const std::unique_ptr<PathStats>& s : by_id_) {
     if (s != nullptr) total += sizeof(PathStats) + s->histogram.HeapBytes();
@@ -145,6 +160,7 @@ uint64_t PathStatsRepository::MemoryBytes() const {
 void PathStatsRepository::Clear() {
   by_id_.clear();
   docs_seen_ = 0;
+  bytes_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace fsdm::stats

@@ -1,6 +1,7 @@
 #ifndef FSDM_STATS_PATH_STATS_H_
 #define FSDM_STATS_PATH_STATS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -122,13 +123,20 @@ class PathStatsRepository final : public dataguide::ScalarSink {
   /// (the Hll registers are an inline array) and its histogram heap
   /// bytes. Path text is the dictionary's, charged with the DataGuide.
   /// Min/max sample Values excluded, as in DataGuide::MemoryBytes().
-  uint64_t MemoryBytes() const;
+  /// Maintained as scalars are observed: O(1), and safe to poll while
+  /// another thread feeds the repository.
+  uint64_t MemoryBytes() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
+  /// Exact O(paths) walk with the same formula, for tests.
+  uint64_t RecomputeMemoryBytes() const;
 
   void Clear();
 
  private:
   std::vector<std::unique_ptr<PathStats>> by_id_;  // path id -> stats
   uint64_t docs_seen_ = 0;
+  std::atomic<uint64_t> bytes_{0};  // MemoryBytes(), pollable
 };
 
 }  // namespace fsdm::stats

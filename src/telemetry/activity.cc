@@ -40,8 +40,6 @@ const char* WaitClassName(WaitState s) {
   return "?";
 }
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 ActivitySample ActivityRecord::Snap() const {
   ActivitySample s;
   s.active = active();
@@ -228,7 +226,5 @@ void ActivityLease::Release() {
   rec->set_state(prev_state_);
   if (!prev_active_) ActivityRegistry::Global().OnLeaseDeactivated();
 }
-
-#endif  // !FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry

@@ -32,9 +32,6 @@
 /// the identity strings under the record mutex. A sample may therefore
 /// pair a state flip with identity fields from an instant earlier — fine
 /// for statistical sampling, and race-free under TSan by construction.
-///
-/// Under -DFSDM_TELEMETRY=OFF everything here compiles to empty inline
-/// stubs: no registry, no atomics, no strings.
 
 namespace fsdm::telemetry {
 
@@ -76,8 +73,6 @@ struct ActivitySample {
   /// slow-query records. 0 = not part of a monitored query.
   uint64_t query_id = 0;
 };
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 /// One thread's published activity. Owned by the ActivityRegistry and
 /// never destroyed (threads may die; their record stays, inactive), so
@@ -253,56 +248,6 @@ class ScopedWaitState {
   ActivityRecord* rec_;
   WaitState prev_;
 };
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-/// Compiled-out stubs: no records, no registry, no stores.
-class ActivityRecord {
- public:
-  void set_state(WaitState) {}
-  WaitState state() const { return WaitState::kIdle; }
-  bool active() const { return false; }
-  ActivitySample Snap() const { return {}; }
-  bool SnapIfActive(ActivitySample*) const { return false; }
-};
-
-class ActivityRegistry {
- public:
-  static ActivityRegistry& Global() {
-    static ActivityRegistry r;
-    return r;
-  }
-  ActivityRecord* ForThisThread() { return &record_; }
-  std::vector<ActivitySample> Samples() const { return {}; }
-  void AppendActiveSamples(std::vector<ActivitySample>*) const {}
-  size_t record_count() const { return 0; }
-  size_t ActiveCount() const { return 0; }
-  void WaitForActivity(std::chrono::microseconds) {}
-  void NotifyActivityWaiters() {}
-  void SetActivationHook(void (*)()) {}
-
- private:
-  ActivityRecord record_;
-};
-
-class ActivityLease {
- public:
-  ActivityLease() = default;
-  static ActivityLease Begin(std::string, std::string, std::string,
-                             std::string, int = -1, int = -1,
-                             uint64_t = 0) {
-    return {};
-  }
-  void Release() {}
-  bool engaged() const { return false; }
-};
-
-class ScopedWaitState {
- public:
-  explicit ScopedWaitState(WaitState) {}
-};
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry
 

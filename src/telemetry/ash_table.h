@@ -12,8 +12,7 @@ namespace fsdm::telemetry {
 /// COLLECTION/QUERY NULL when the sampled work carried none, QUERY_ID
 /// (ISSUE 9) the routed query id cross-linking into
 /// TELEMETRY$QUERY_MONITOR and TELEMETRY$SLOW_QUERIES, NULL off the
-/// routed path. Empty under -DFSDM_TELEMETRY=OFF (the sampler is
-/// compiled out).
+/// routed path.
 inline constexpr const char* kAshTableName = "TELEMETRY$ASH";
 rdbms::OperatorPtr AshScan();
 

@@ -22,9 +22,7 @@
 /// a clock read, and a struct store.
 ///
 /// The recorder starts DISARMED: macros cost one predictable branch until
-/// FlightRecorder::Global().Arm() flips them live. Under
-/// -DFSDM_TELEMETRY=OFF the macros compile to nothing and armed() is a
-/// constant false.
+/// FlightRecorder::Global().Arm() flips them live.
 ///
 /// Readers (Chrome exporter, TELEMETRY$EVENTS, slow-query capture) take a
 /// merged timestamp-sorted snapshot under the registration mutex. Since
@@ -73,11 +71,9 @@ class FlightRecorder {
   /// Arm/disarm recording. Arming is what benches, tests and the examples
   /// do explicitly; the engine never arms itself. Atomic so a worker
   /// thread reading armed() mid-drain never races a test's Disarm().
-  void Arm() { armed_.store(kEnabled, std::memory_order_relaxed); }
+  void Arm() { armed_.store(true, std::memory_order_relaxed); }
   void Disarm() { armed_.store(false, std::memory_order_relaxed); }
-  bool armed() const {
-    return kEnabled && armed_.load(std::memory_order_relaxed);
-  }
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// The calling thread's ring, created (and registered) on first use.
   /// Macros cache the returned pointer in a thread_local.
@@ -119,13 +115,6 @@ class FlightRecorder {
   std::atomic<bool> armed_{false};
 };
 
-/// Zero-size stand-in for ScopedTraceSpan under -DFSDM_TELEMETRY=OFF so
-/// call sites that attach args still compile (to nothing).
-struct NullTraceSpan {
-  void AddNumberArg(const char*, double) {}
-  void AddTextArg(const char*, std::string_view) {}
-};
-
 /// Emit a counter sample (phase kCounter) with one numeric arg named
 /// "value". Used by FSDM_TRACE_COUNTER.
 void EmitCounterSample(const char* category, const char* name, double value);
@@ -137,8 +126,6 @@ void EmitInstantText(const char* category, const char* name, const char* key,
                      std::string_view text);
 
 }  // namespace fsdm::telemetry
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 /// Traces the rest of the enclosing scope as a span. `category`/`name`
 /// must be string literals. The span variable is named so call sites can
@@ -169,25 +156,5 @@ void EmitInstantText(const char* category, const char* name, const char* key,
                                            static_cast<double>(value)); \
     }                                                                 \
   } while (0)
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-#define FSDM_TRACE_SPAN(var, category, name) \
-  [[maybe_unused]] ::fsdm::telemetry::NullTraceSpan var
-
-#define FSDM_TRACE_INSTANT(category, name) FSDM_TM_VOID(category, name)
-#define FSDM_TRACE_INSTANT_TEXT(category, name, key, text) \
-  do {                                                     \
-    if (false) {                                           \
-      (void)(category);                                    \
-      (void)(name);                                        \
-      (void)(key);                                         \
-      (void)(text);                                        \
-    }                                                      \
-  } while (0)
-#define FSDM_TRACE_COUNTER(category, name, value) \
-  FSDM_TRACE_INSTANT_TEXT(category, name, 0, value)
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 #endif  // FSDM_TELEMETRY_FLIGHT_RECORDER_H_

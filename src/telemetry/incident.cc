@@ -18,8 +18,6 @@
 
 namespace fsdm::telemetry {
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 namespace fs = std::filesystem;
 
 namespace {
@@ -388,7 +386,5 @@ void IncidentManager::Reset() {
   last_by_type_.clear();
   last_by_key_.clear();
 }
-
-#endif  // !FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry

@@ -38,9 +38,6 @@
 /// a per-type minimum interval and a per-(type,subject) dedup window.
 /// Suppressed raises are counted (fsdm_incidents_suppressed_total), never
 /// silently swallowed.
-///
-/// Under -DFSDM_TELEMETRY=OFF the manager compiles to an empty stub:
-/// Raise returns 0 and captures nothing.
 
 namespace fsdm::telemetry {
 
@@ -54,8 +51,6 @@ struct Incident {
   std::string bundle_path;  // on-disk bundle; "" when disk capture is off
   uint64_t log_records = 0;  // records captured into the bundle's log slice
 };
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 class IncidentManager {
  public:
@@ -130,33 +125,6 @@ class IncidentManager {
   std::unordered_map<std::string, uint64_t> last_by_key_;
   std::vector<std::pair<std::string, StateProvider>> providers_;
 };
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-class IncidentManager {
- public:
-  static IncidentManager& Global() {
-    static IncidentManager m;
-    return m;
-  }
-  void SetDirectory(std::string) {}
-  std::string directory() const { return ""; }
-  void SetRetention(size_t) {}
-  void SetRingCapacity(size_t) {}
-  void SetFloodIntervalUs(uint64_t) {}
-  void SetDedupWindowUs(uint64_t) {}
-  void SetLogSlice(size_t) {}
-  using StateProvider = std::function<std::string()>;
-  void RegisterStateProvider(const std::string&, StateProvider) {}
-  uint64_t Raise(std::string, std::string, std::string) { return 0; }
-  std::vector<Incident> Snapshot() const { return {}; }
-  uint64_t total_raised() const { return 0; }
-  uint64_t total_suppressed() const { return 0; }
-  void InstallFatalSignalHandler() {}
-  void Reset() {}
-};
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry
 

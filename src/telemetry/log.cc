@@ -81,8 +81,6 @@ std::string LogRecord::ToJsonLine() const {
   return out;
 }
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 EngineLog& EngineLog::Global() {
   static EngineLog* log = new EngineLog();
   return *log;
@@ -193,7 +191,5 @@ void EngineLog::Reset() {
   total_records_.store(0, std::memory_order_relaxed);
   rate_limited_.store(0, std::memory_order_relaxed);
 }
-
-#endif  // !FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry

@@ -39,8 +39,7 @@
 /// cannot flush the ring or bloat a JSONL sink.
 ///
 /// Exposed as the TELEMETRY$LOG SQL relation and captured into incident
-/// bundles (incident.h). Under -DFSDM_TELEMETRY=OFF everything compiles
-/// to empty inline stubs and FSDM_LOG vanishes.
+/// bundles (incident.h).
 
 namespace fsdm::telemetry {
 
@@ -108,8 +107,6 @@ inline LogArg LogText(const char* key, std::string_view v) {
   a.text = v;
   return a;
 }
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 class EngineLog {
  public:
@@ -206,45 +203,7 @@ class EngineLog {
   std::string jsonl_path_;
 };
 
-#else  // FSDM_TELEMETRY_DISABLED
-
-class EngineLog {
- public:
-  static EngineLog& Global() {
-    static EngineLog log;
-    return log;
-  }
-  LogLevel level() const { return LogLevel::kOff; }
-  void SetLevel(LogLevel) {}
-  bool ShouldLog(LogLevel) const { return false; }
-  void Emit(LogLevel, const char*, uint16_t, std::string_view) {}
-  void Emit(LogLevel, const char*, uint16_t, std::string_view,
-            const LogArg&) {}
-  void Emit(LogLevel, const char*, uint16_t, std::string_view, const LogArg&,
-            const LogArg&) {}
-  void SetRingCapacity(size_t) {}
-  size_t ring_capacity() const { return 0; }
-  void SetRateLimit(double, double) {}
-  void SetJsonlSink(std::string) {}
-  std::string jsonl_sink() const { return ""; }
-  std::vector<LogRecord> Snapshot() const { return {}; }
-  std::vector<LogRecord> SnapshotLast(size_t) const { return {}; }
-  uint64_t total_records() const { return 0; }
-  uint64_t TotalDropped() const { return 0; }
-  uint64_t rate_limited() const { return 0; }
-  void Reset() {}
-};
-
-/// Type-checks (and discards) FSDM_LOG arguments under
-/// -DFSDM_TELEMETRY=OFF so call sites compile to nothing.
-template <typename... Args>
-inline void LogDiscard(Args&&...) {}
-
-#endif  // FSDM_TELEMETRY_DISABLED
-
 }  // namespace fsdm::telemetry
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 /// FSDM_LOG(level, component, event_id, message [, arg0 [, arg1]]).
 /// `component` must be a string literal; `event_id` a unique stable
@@ -259,17 +218,5 @@ inline void LogDiscard(Args&&...) {}
           (level), (component), (event_id), __VA_ARGS__);                \
     }                                                                    \
   } while (0)
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-#define FSDM_LOG(level, component, event_id, ...)                        \
-  do {                                                                   \
-    if (false) {                                                         \
-      ::fsdm::telemetry::LogDiscard((level), (component), (event_id),    \
-                                    __VA_ARGS__);                        \
-    }                                                                    \
-  } while (0)
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 #endif  // FSDM_TELEMETRY_LOG_H_

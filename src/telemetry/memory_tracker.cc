@@ -26,8 +26,6 @@ const char* MemSubsystemName(MemSubsystem s) {
   return "?";
 }
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 namespace {
 
 std::string EntryGaugeName(MemSubsystem subsystem,
@@ -221,7 +219,5 @@ void MemoryTracker::ResetCharges() {
     charged_peak_[i].store(0, std::memory_order_relaxed);
   }
 }
-
-#endif  // !FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry

@@ -32,8 +32,6 @@
 /// `CurrentBytes()` (last refreshed reporter total + live charges) is one
 /// atomic load plus a handful of relaxed loads, cheap enough for the routed
 /// query probe to sample per drain for per-query PEAK_MEM_BYTES.
-///
-/// Under -DFSDM_TELEMETRY=OFF everything compiles to empty inline stubs.
 
 namespace fsdm::telemetry {
 
@@ -64,8 +62,6 @@ const char* MemSubsystemName(MemSubsystem s);
 inline uint64_t OwnedStringBytes(const std::string& s) {
   return sizeof(std::string) + s.size();
 }
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 class MemoryTracker {
  public:
@@ -237,58 +233,6 @@ class MemoryCharge {
   MemSubsystem subsystem_ = MemSubsystem::kPlanWorkingSet;
   uint64_t bytes_ = 0;
 };
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-class MemoryTracker {
- public:
-  struct Entry {
-    MemSubsystem subsystem = MemSubsystem::kTableHeap;
-    std::string collection;
-    uint64_t bytes = 0;
-    uint64_t peak_bytes = 0;
-  };
-
-  static MemoryTracker& Global() {
-    static MemoryTracker t;
-    return t;
-  }
-  uint64_t RegisterReporter(MemSubsystem, std::string,
-                            std::function<uint64_t()>) {
-    return 0;
-  }
-  void UnregisterReporter(uint64_t) {}
-  void Charge(MemSubsystem, uint64_t) {}
-  void Release(MemSubsystem, uint64_t) {}
-  uint64_t Refresh() { return 0; }
-  uint64_t CurrentBytes() const { return 0; }
-  uint64_t PeakBytes() const { return 0; }
-  uint64_t SubsystemBytes(MemSubsystem) const { return 0; }
-  uint64_t SubsystemPeakBytes(MemSubsystem) const { return 0; }
-  std::vector<Entry> Entries() const { return {}; }
-  size_t reporter_count() const { return 0; }
-  void ResetPeaks() {}
-  void ResetCharges() {}
-};
-
-class MemoryScope {
- public:
-  MemoryScope() = default;
-  MemoryScope(MemSubsystem, std::string, std::function<uint64_t()>) {}
-  void Reset() {}
-  bool engaged() const { return false; }
-};
-
-class MemoryCharge {
- public:
-  MemoryCharge() = default;
-  explicit MemoryCharge(MemSubsystem, uint64_t = 0) {}
-  void Add(uint64_t) {}
-  void Reset() {}
-  uint64_t bytes() const { return 0; }
-};
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry
 

@@ -16,8 +16,6 @@ const char* OperatorLiveStateName(uint8_t state) {
   return "?";
 }
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 namespace {
 
 void AppendProgress(const OperatorSpan& span, int depth, uint64_t now_us,
@@ -106,7 +104,5 @@ size_t QueryMonitor::InFlightCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return in_flight_.size();
 }
-
-#endif  // !FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry

@@ -24,9 +24,6 @@
 /// the RoutedPlan — and with it the spans — can be destroyed. A snapshot
 /// therefore never dereferences a freed span, and is a deep copy: callers
 /// hold no pointers into live plans.
-///
-/// Under -DFSDM_TELEMETRY=OFF the monitor compiles to inline no-op stubs
-/// (query ids still allocate so slow-query records stay correlated).
 
 namespace fsdm::telemetry {
 
@@ -58,8 +55,6 @@ struct MonitoredQuery {
   uint64_t rows_out = 0;    // root operator's emitted rows so far
   std::vector<OperatorProgress> operators;
 };
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 class QueryMonitor {
  public:
@@ -104,29 +99,6 @@ class QueryMonitor {
   mutable std::mutex mu_;
   std::vector<InFlight> in_flight_;
 };
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-class QueryMonitor {
- public:
-  static QueryMonitor& Global() {
-    static QueryMonitor m;
-    return m;
-  }
-  uint64_t AllocateQueryId() {
-    return next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  void Register(uint64_t, std::string, std::string, std::string, double,
-                const OperatorSpan*) {}
-  void Unregister(uint64_t) {}
-  std::vector<MonitoredQuery> Snapshot() const { return {}; }
-  size_t InFlightCount() const { return 0; }
-
- private:
-  std::atomic<uint64_t> next_query_id_{0};
-};
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry
 

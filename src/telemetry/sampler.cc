@@ -30,8 +30,6 @@ AshAggregate AggregateAsh(const std::vector<AshSample>& samples,
   return agg;
 }
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 ActivitySampler& ActivitySampler::Global() {
   // Leaked like WorkerPool: the sampler thread must never outlive its
   // ring/registry during static destruction, so neither is destroyed.
@@ -187,7 +185,5 @@ size_t ActivitySampler::SampleOnce() {
 AshAggregate ActivitySampler::Aggregate() const {
   return AggregateAsh(Snapshot(), /*since_us=*/0, /*until_us=*/0);
 }
-
-#endif  // !FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry

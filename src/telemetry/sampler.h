@@ -28,8 +28,7 @@
 ///
 /// The sampler starts only when asked (the bench harness starts it; the
 /// engine never does), reads its rate from FSDM_ASH_HZ (default 1000,
-/// 0 = disabled), and is compiled out entirely under -DFSDM_TELEMETRY=OFF:
-/// no thread, no ring, no atomics.
+/// 0 = disabled).
 ///
 /// Tickless idle: while no thread holds an activity lease the sampler
 /// parks on the registry's condition variable instead of ticking — a tick
@@ -72,8 +71,6 @@ struct AshAggregate {
 /// (until_us = 0 means no upper bound).
 AshAggregate AggregateAsh(const std::vector<AshSample>& samples,
                           uint64_t since_us, uint64_t until_us);
-
-#if !defined(FSDM_TELEMETRY_DISABLED)
 
 class ActivitySampler {
  public:
@@ -140,31 +137,6 @@ class ActivitySampler {
   std::condition_variable stop_cv_;
   std::mutex stop_mu_;
 };
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-/// Compiled-out sampler: no thread, no ring; every query returns empty.
-class ActivitySampler {
- public:
-  static ActivitySampler& Global() {
-    static ActivitySampler s;
-    return s;
-  }
-  static double HzFromEnv() { return 0; }
-  bool Start() { return false; }
-  void Stop() {}
-  bool running() const { return false; }
-  double hz() const { return 0; }
-  size_t SampleOnce() { return 0; }
-  std::vector<AshSample> Snapshot() const { return {}; }
-  AshAggregate Aggregate() const { return {}; }
-  uint64_t ticks() const { return 0; }
-  uint64_t db_samples_total() const { return 0; }
-  void SetRingCapacity(size_t) {}
-  void ClearRing() {}
-};
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 }  // namespace fsdm::telemetry
 

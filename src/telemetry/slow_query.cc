@@ -1,6 +1,5 @@
 #include "telemetry/slow_query.h"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "telemetry/activity.h"
@@ -40,14 +39,6 @@ std::string SlowQueryRecord::ToJsonLine() const {
 SlowQueryLog& SlowQueryLog::Global() {
   static SlowQueryLog* log = new SlowQueryLog();
   return *log;
-}
-
-SlowQueryLog::SlowQueryLog() {
-  if (const char* env = std::getenv("FSDM_SLOW_QUERY_US")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') threshold_us_ = v;
-  }
 }
 
 void SlowQueryLog::SetCapacity(size_t n) { records_.SetCapacity(n); }

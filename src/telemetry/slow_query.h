@@ -46,8 +46,7 @@ class SlowQueryLog {
  public:
   static SlowQueryLog& Global();
 
-  /// Queries at or above this wall time get captured. Default 10ms, or the
-  /// FSDM_SLOW_QUERY_US environment variable when set at first use.
+  /// Queries at or above this wall time get captured. Default 10ms.
   uint64_t threshold_us() const {
     std::lock_guard<std::mutex> lock(mu_);
     return threshold_us_;
@@ -81,7 +80,7 @@ class SlowQueryLog {
   void Clear();
 
  private:
-  SlowQueryLog();
+  SlowQueryLog() = default;
 
   mutable std::mutex mu_;  // guards the sink, threshold and counter
   Ring<SlowQueryRecord> records_{0, 32};

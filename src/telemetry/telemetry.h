@@ -18,21 +18,9 @@
 /// the steady-state cost is one pointer indirection plus an add (or a
 /// bucket binary search for histograms).
 ///
-/// Compile-time kill switch: configuring with -DFSDM_TELEMETRY=OFF defines
-/// FSDM_TELEMETRY_DISABLED and compiles every macro to nothing — no clock
-/// reads, no registry lookups. The classes themselves stay available (the
-/// per-query EXPLAIN ANALYZE traces in trace.h are explicit API calls, not
-/// background overhead, so they are not gated).
-///
 /// Naming convention: fsdm_<subsystem>_<metric>[_total|_us|_bytes].
 
 namespace fsdm::telemetry {
-
-#if defined(FSDM_TELEMETRY_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// Monotonic event count. Atomic (relaxed) since ISSUE 6: DML stays
 /// single-threaded, but routed queries now drain shard morsels on the
@@ -222,8 +210,6 @@ void AppendJsonNumber(std::string* out, double v);
 #define FSDM_TM_CONCAT_INNER(a, b) a##b
 #define FSDM_TM_CONCAT(a, b) FSDM_TM_CONCAT_INNER(a, b)
 
-#if !defined(FSDM_TELEMETRY_DISABLED)
-
 #define FSDM_COUNT(name, n)                                                  \
   do {                                                                       \
     static ::fsdm::telemetry::Counter* FSDM_TM_CONCAT(fsdm_tm_c, __LINE__) = \
@@ -260,23 +246,5 @@ void AppendJsonNumber(std::string* out, double v);
       ::fsdm::telemetry::MetricsRegistry::Global().GetHistogram(name);         \
   ::fsdm::telemetry::ScopedTimer FSDM_TM_CONCAT(fsdm_tm_ts, __LINE__)(         \
       FSDM_TM_CONCAT(fsdm_tm_th, __LINE__))
-
-#else  // FSDM_TELEMETRY_DISABLED
-
-#define FSDM_TM_VOID(name, n) \
-  do {                        \
-    if (false) {              \
-      (void)(name);           \
-      (void)(n);              \
-    }                         \
-  } while (0)
-
-#define FSDM_COUNT(name, n) FSDM_TM_VOID(name, n)
-#define FSDM_GAUGE_SET(name, v) FSDM_TM_VOID(name, v)
-#define FSDM_OBSERVE(name, v) FSDM_TM_VOID(name, v)
-#define FSDM_OBSERVE_SIZE(name, v) FSDM_TM_VOID(name, v)
-#define FSDM_TIME_SCOPE_US(name) FSDM_TM_VOID(name, 0)
-
-#endif  // FSDM_TELEMETRY_DISABLED
 
 #endif  // FSDM_TELEMETRY_TELEMETRY_H_

@@ -10,8 +10,7 @@
 /// Per-query EXPLAIN ANALYZE traces (ISSUE 2 tentpole): the router records
 /// its candidate ranking into a RouterDecision, and rdbms::Instrument()
 /// wrappers fill one OperatorSpan per plan node with rows and elapsed time
-/// as the plan executes. Unlike the registry macros these are explicit API
-/// calls on the query path, so they are not gated by FSDM_TELEMETRY.
+/// as the plan executes.
 
 namespace fsdm::telemetry {
 

@@ -25,10 +25,6 @@
 /// scripts/ash_report.py diffs any two snapshots out of a BENCH_*.json
 /// into a markdown report. Exposed to SQL as TELEMETRY$SNAPSHOTS
 /// (ash_table.h).
-///
-/// Unlike the sampler this stays compiled under -DFSDM_TELEMETRY=OFF
-/// (explicit API calls, like the EXPLAIN ANALYZE traces); its ASH window
-/// aggregates are simply empty there.
 
 namespace fsdm::telemetry {
 
@@ -56,7 +52,7 @@ struct WorkloadSnapshot {
   uint64_t sampler_ticks = 0;  ///< cumulative sampler ticks at the tick
   AshAggregate ash;          ///< ASH window since the previous snapshot
   /// Memory tracker readings at the tick (ISSUE 9): refreshed grand total
-  /// and the process high-water. Both 0 under -DFSDM_TELEMETRY=OFF.
+  /// and the process high-water.
   uint64_t mem_total_bytes = 0;
   uint64_t mem_peak_bytes = 0;
 

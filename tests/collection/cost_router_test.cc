@@ -152,9 +152,7 @@ TEST_F(CostRouterTest, DrainingARoutedPlanFeedsTheCostModel) {
   auto snap = stats::OperatorCostModel::Global().Snapshot();
   EXPECT_GE(snap.at("IndexedValueScan").samples, 1u);
   EXPECT_GE(snap.at("Filter").samples, 1u);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(Metric("fsdm_router_routed_queries_total"), routed_before + 1);
-  }
+  EXPECT_EQ(Metric("fsdm_router_routed_queries_total"), routed_before + 1);
 }
 
 TEST_F(CostRouterTest, GrossMisestimateBumpsTheCounter) {
@@ -177,9 +175,7 @@ TEST_F(CostRouterTest, GrossMisestimateBumpsTheCounter) {
                     .MoveValue();
   EXPECT_LT(routed.trace.decision.est_out_rows, 2.5);
   EXPECT_EQ(Drain(routed).size(), 10u);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(Metric("fsdm_router_misestimates_total"), before + 1);
-  }
+  EXPECT_EQ(Metric("fsdm_router_misestimates_total"), before + 1);
 
   // A well-estimated query does not bump it.
   auto good = coll->Route({PathPredicate::Compare(
@@ -187,9 +183,7 @@ TEST_F(CostRouterTest, GrossMisestimateBumpsTheCounter) {
                                Value::String("t3"))})
                   .MoveValue();
   EXPECT_EQ(Drain(good).size(), 10u);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(Metric("fsdm_router_misestimates_total"), before + 1);
-  }
+  EXPECT_EQ(Metric("fsdm_router_misestimates_total"), before + 1);
 }
 
 // ISSUE 5 acceptance: for every query shape the cost-based router's pick

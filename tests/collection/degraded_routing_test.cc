@@ -32,9 +32,6 @@ std::vector<std::string> DrainKeys(rdbms::Operator* plan) {
 class DegradedRoutingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!fault::kEnabled) {
-      GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
-    }
     fault::FaultRegistry::Global().DisarmAll();
     // Access-path expectations assume the seeded cost model, not whatever
     // measurements earlier tests fed back.
@@ -70,18 +67,14 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
   uint64_t rollbacks_before = Metric("fsdm_dml_rollbacks_total");
   Result<size_t> failed = coll->Insert("{\"brandnew\": true}");
   ASSERT_FALSE(failed.ok());
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(Metric("fsdm_dml_rollbacks_total"), rollbacks_before + 1);
-  }
+  EXPECT_EQ(Metric("fsdm_dml_rollbacks_total"), rollbacks_before + 1);
   EXPECT_EQ(coll->document_count(), 5u);  // the row itself rolled back
 
   EXPECT_EQ(coll->health(), CollectionHealth::kIndexDegraded);
   EXPECT_NE(coll->health_reason().find("rollback failed"), std::string::npos);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
-                  "fsdm_collection_health"),
-              1.0);
-  }
+  EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
+                "fsdm_collection_health"),
+            1.0);
 
   // Degraded: the router must not trust the postings. The fallback reason
   // lands in both the candidate table and the plan reason.
@@ -100,10 +93,8 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
             std::string::npos);
   EXPECT_NE(decision.candidates[3].detail.find("index-degraded"),
             std::string::npos);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(Metric("fsdm_router_degraded_fallbacks_total"),
-              fallbacks_before + 1);
-  }
+  EXPECT_EQ(Metric("fsdm_router_degraded_fallbacks_total"),
+            fallbacks_before + 1);
   // The full scan still answers correctly.
   EXPECT_EQ(DrainKeys(routed.value().plan.get()).size(), 1u);
 
@@ -114,11 +105,9 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
 
   ASSERT_TRUE(coll->RebuildIndex().ok());
   EXPECT_EQ(coll->health(), CollectionHealth::kHealthy);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
-                  "fsdm_collection_health"),
-              0.0);
-  }
+  EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
+                "fsdm_collection_health"),
+            0.0);
   ConsistencyReport report = coll->CheckConsistency();
   EXPECT_TRUE(report.consistent) << report.ToString();
 
@@ -190,11 +179,9 @@ TEST_F(DegradedRoutingTest, RebuildFailureQuarantinesUntilRetrySucceeds) {
   EXPECT_FALSE(coll->RebuildIndex().ok());
   EXPECT_EQ(coll->health(), CollectionHealth::kQuarantined);
   EXPECT_NE(coll->health_reason().find("rebuild failed"), std::string::npos);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
-                  "fsdm_collection_health"),
-              2.0);
-  }
+  EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
+                "fsdm_collection_health"),
+            2.0);
 
   // Quarantined: every DML is refused with Unavailable.
   Result<size_t> refused = coll->Insert("{\"x\": 2}");

@@ -164,7 +164,6 @@ TEST_F(DurableCollectionTest, SecondReopenReplaysFromCheckpoint) {
 }
 
 TEST_F(DurableCollectionTest, AbortedOperationIsNotReplayed) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
   {
     rdbms::Database db;
     auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
@@ -187,7 +186,6 @@ TEST_F(DurableCollectionTest, AbortedOperationIsNotReplayed) {
 }
 
 TEST_F(DurableCollectionTest, CrashBetweenAppendAndApplyRedoesTheOp) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
   {
     rdbms::Database db;
     auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
@@ -265,7 +263,6 @@ TEST_F(DurableCollectionTest, CheckpointWithoutWalIsAnError) {
 }
 
 TEST_F(DurableCollectionTest, DmlAfterWalPoisoningFails) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
   rdbms::Database db;
   auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
   ASSERT_TRUE(coll->Insert(Value::Int64(1), Doc(1, "a")).ok());

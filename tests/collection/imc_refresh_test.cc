@@ -105,10 +105,10 @@ class ImcRefreshOracleTest : public ::testing::TestWithParam<size_t> {
     fault::FaultRegistry::Global().Arm(point, fault::FaultSpec::Once());
   }
 
-  /// One random DML step. Faulted steps run only in builds with fault
-  /// points; each records in dirty_ exactly the rows the observer marks.
+  /// One random DML step; each records in dirty_ exactly the rows the
+  /// observer marks.
   void Step() {
-    const uint64_t op = rng_.Uniform(fault::kEnabled ? 12 : 8);
+    const uint64_t op = rng_.Uniform(12);
     std::optional<size_t> id = PickLive();
     if (op < 3 || !id.has_value()) {
       Insert();
@@ -183,9 +183,7 @@ class ImcRefreshOracleTest : public ::testing::TestWithParam<size_t> {
     const uint64_t before = PopulatedRows();
     Result<const imc::ColumnStore*> store = coll_->EnsureImc();
     ASSERT_TRUE(store.ok()) << where << ": " << store.status().ToString();
-    if (telemetry::kEnabled) {
-      EXPECT_EQ(PopulatedRows() - before, DirtyLiveRows()) << where;
-    }
+    EXPECT_EQ(PopulatedRows() - before, DirtyLiveRows()) << where;
     dirty_.clear();
     ExpectStoresMatchScratch(where);
   }
@@ -210,7 +208,7 @@ TEST_P(ImcRefreshOracleTest, RandomDmlMixMatchesFullPopulation) {
     for (uint64_t i = 0; i < steps; ++i) Step();
     if (HasFatalFailure()) return;
     const std::string where = "round " + std::to_string(round);
-    if (fault::kEnabled && round % 7 == 3) {
+    if (round % 7 == 3) {
       // A failed refresh keeps the old store and the dirty rows; the retry
       // evaluates every row marked since the last successful refresh.
       Insert();  // at least one shard's store is stale
@@ -223,9 +221,7 @@ TEST_P(ImcRefreshOracleTest, RandomDmlMixMatchesFullPopulation) {
       // An explicit PopulateImc() stays a full population.
       const uint64_t before = PopulatedRows();
       ASSERT_TRUE(coll_->PopulateImc().ok());
-      if (telemetry::kEnabled) {
-        EXPECT_EQ(PopulatedRows() - before, keys_.size()) << where;
-      }
+      EXPECT_EQ(PopulatedRows() - before, keys_.size()) << where;
       dirty_.clear();
       ExpectStoresMatchScratch(where + " full populate");
       continue;

@@ -15,6 +15,7 @@
 #include "rdbms/executor.h"
 #include "stats/operator_costs.h"
 #include "telemetry/incident.h"
+#include "telemetry/memory_tracker.h"
 #include "telemetry/telemetry.h"
 
 namespace fsdm::collection {
@@ -149,7 +150,7 @@ TEST_F(ShardedCollectionTest, ShapeParityAtOneAndFourShards) {
     // One incident per Quarantine(); the reason is unprefixed at N = 1.
     const uint64_t raised = incidents.total_raised();
     coll->Quarantine("ops hold");
-    if (telemetry::kEnabled) EXPECT_EQ(incidents.total_raised(), raised + 1);
+    EXPECT_EQ(incidents.total_raised(), raised + 1);
     std::string want_reason;
     for (size_t s = 0; s < shards; ++s) {
       if (!want_reason.empty()) want_reason += "; ";
@@ -245,15 +246,13 @@ TEST_F(ShardedCollectionTest, DocumentCountMatchesLiveWalk) {
     }
     EXPECT_EQ(coll->document_count(), 20u);
     EXPECT_EQ(coll->document_count(), WalkLiveRows(*coll));
-    if (fault::kEnabled) {
-      // The row is appended, the index observer fails, and the table
-      // rolls the append back.
-      fault::FaultRegistry::Global().Arm("index.insert.dataguide",
-                                         fault::FaultSpec::Once());
-      EXPECT_FALSE(coll->Insert(Value::Int64(100), Doc(100)).ok());
-      fault::FaultRegistry::Global().DisarmAll();
-      EXPECT_EQ(coll->document_count(), 20u);
-    }
+    // The row is appended, the index observer fails, and the table
+    // rolls the append back.
+    fault::FaultRegistry::Global().Arm("index.insert.dataguide",
+                                       fault::FaultSpec::Once());
+    EXPECT_FALSE(coll->Insert(Value::Int64(100), Doc(100)).ok());
+    fault::FaultRegistry::Global().DisarmAll();
+    EXPECT_EQ(coll->document_count(), 20u);
     EXPECT_FALSE(coll->Insert(Value::Int64(101), "{not json").ok());
     EXPECT_EQ(coll->document_count(), WalkLiveRows(*coll));
     ASSERT_TRUE(coll->Insert(Value::Int64(102), Doc(102)).ok());
@@ -287,6 +286,85 @@ TEST_F(ShardedCollectionTest, DocumentCountIsSafeToPollDuringInserts) {
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(coll->document_count(), 300u);
   }
+}
+
+// The memory reporters a snapshot thread polls (TELEMETRY$MEMORY, workload
+// snapshots) read each shard's DataGuide and path statistics while DML
+// grows them; the TSan build checks that this is race-free, and the
+// running totals must still equal the walks afterwards.
+TEST_F(ShardedCollectionTest, MemoryTotalsAreSafeToPollDuringInserts) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    auto coll = JsonCollection::Create(
+                    &db_, "MP" + std::to_string(shards), Sharded(shards))
+                    .MoveValue();
+    std::atomic<bool> done{false};
+    size_t polls = 0;
+    std::thread poller([&] {
+      do {
+        for (size_t s = 0; s < shards; ++s) {
+          (void)coll->shard(s)->dataguide().MemoryBytes();
+          (void)coll->shard(s)->path_stats().MemoryBytes();
+        }
+        telemetry::MemoryTracker::Global().Refresh();
+        ++polls;
+      } while (!done.load(std::memory_order_acquire));
+    });
+    for (int i = 1; i <= 300; ++i) {
+      // A new path every few documents keeps the dictionary growing.
+      const std::string doc = "{\"num\":" + std::to_string(i) + ",\"f" +
+                              std::to_string(i / 3) + "\":" +
+                              std::to_string(i) + "}";
+      EXPECT_TRUE(coll->Insert(Value::Int64(i), doc).ok());
+    }
+    done.store(true, std::memory_order_release);
+    poller.join();
+    EXPECT_GT(polls, 0u);
+    for (size_t s = 0; s < shards; ++s) {
+      const Shard& shard = *coll->shard(s);
+      EXPECT_EQ(shard.dataguide().MemoryBytes(),
+                shard.dataguide().RecomputeMemoryBytes());
+      EXPECT_EQ(shard.path_stats().MemoryBytes(),
+                shard.path_stats().RecomputeMemoryBytes());
+    }
+  }
+}
+
+// Route-time measurements (a winning IMC FilterScan runs while its plan
+// is built) feed the cost model only after every shard is costed, so all
+// siblings of one fan-out are priced at the same per-row rate.
+TEST_F(ShardedCollectionTest, FanOutPricesEveryShardAtOneRate) {
+  auto coll = JsonCollection::Create(&db_, "FR", Sharded(4)).MoveValue();
+  ASSERT_TRUE(
+      coll->AddVirtualColumn("NUM_VC", "$.num", sqljson::Returning::kNumber)
+          .ok());
+  for (int i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(coll->Insert(Value::Int64(i), Doc(i)).ok());
+  }
+  ASSERT_TRUE(coll->PopulateImc().ok());
+  ASSERT_FALSE(stats::OperatorCostModel::Global().frozen());
+
+  auto routed = coll->Route({PathPredicate::Compare(
+      "$.num", rdbms::CompareOp::kGe, Value::Int64(500))});
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  const auto& candidates = routed.value().trace.decision.candidates;
+  ASSERT_EQ(candidates.size(), 5u);  // one per shard + the union
+  std::vector<double> rates;
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(candidates[s].access_path,
+              "shard " + std::to_string(s) + " -> imc-filter-scan");
+    const imc::ColumnStore* store = coll->shard(s)->imc();
+    ASSERT_NE(store, nullptr);
+    ASSERT_GT(store->row_count(), 0u);
+    rates.push_back(candidates[s].est_cost_us /
+                    static_cast<double>(store->row_count()));
+  }
+  for (size_t s = 1; s < 4; ++s) {
+    EXPECT_DOUBLE_EQ(rates[s], rates[0]) << "shard " << s;
+  }
+  // The measurements still reach the model, once per shard.
+  EXPECT_EQ(
+      stats::OperatorCostModel::Global().Snapshot().at("ImcFilterScan").samples,
+      4u);
 }
 
 TEST_F(ShardedCollectionTest, CrossShardReplaceIsRejected) {

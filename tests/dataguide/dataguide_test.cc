@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "json/parser.h"
 
@@ -214,6 +215,33 @@ TEST(DataGuideTest, MergeIsIdempotentOnStructure) {
   a.Merge(b);
   EXPECT_EQ(a.distinct_path_count(), paths);
   EXPECT_EQ(a.document_count(), 2u);
+}
+
+// MemoryBytes() is a running total a snapshot thread may poll; it must
+// always equal the walk over the entries and the dictionary.
+TEST(DataGuideTest, MemoryBytesMatchesRecomputeAcrossAddsMergeAndCopy) {
+  DataGuide a, b;
+  EXPECT_EQ(a.MemoryBytes(), 0u);
+  EXPECT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+  for (const char* doc : {kDoc1, kDoc2, kDoc3, kDoc1}) {
+    MustAdd(&a, doc);
+    ASSERT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+    ASSERT_EQ(a.paths().MemoryBytes(), a.paths().RecomputeMemoryBytes());
+  }
+  MustAdd(&b, kDoc5);
+  a.Merge(b);
+  EXPECT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+  EXPECT_GT(a.MemoryBytes(), b.MemoryBytes());
+
+  DataGuide copy(a);
+  EXPECT_EQ(copy.MemoryBytes(), copy.RecomputeMemoryBytes());
+  MustAdd(&copy, R"({"fresh":{"path":1}})");
+  EXPECT_EQ(copy.MemoryBytes(), copy.RecomputeMemoryBytes());
+  EXPECT_GT(copy.MemoryBytes(), a.MemoryBytes());
+
+  DataGuide moved(std::move(copy));
+  EXPECT_EQ(moved.MemoryBytes(), moved.RecomputeMemoryBytes());
+  EXPECT_EQ(copy.MemoryBytes(), copy.RecomputeMemoryBytes());
 }
 
 TEST(DataGuideTest, FlatJsonIsValidAndComplete) {

@@ -30,9 +30,6 @@ Status HitProbe() { return FSDM_FAULT_STATUS("test.probe"); }
 class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) {
-      GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
-    }
     FaultRegistry::Global().DisarmAll();
   }
   void TearDown() override { FaultRegistry::Global().DisarmAll(); }
@@ -166,9 +163,6 @@ TEST_F(FaultTest, RegistryCatalogListsPoints) {
 }
 
 TEST_F(FaultTest, TriggersFeedTelemetryAndRegistryTotals) {
-  if (!telemetry::kEnabled) {
-    GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
-  }
   uint64_t before_registry = FaultRegistry::Global().triggers_total();
   uint64_t before_metric = telemetry::MetricsRegistry::Global().CounterValue(
       "fsdm_fault_injections_total");
@@ -203,11 +197,9 @@ TEST_F(FaultTest, StallSpecInjectsLatencyWithoutError) {
   EXPECT_FALSE(p->armed());
   EXPECT_EQ(p->triggers(), triggers_before + 3);
 
-  if (telemetry::kEnabled) {
-    EXPECT_GE(telemetry::MetricsRegistry::Global().CounterValue(
-                  "fsdm_fault_stall_us_total"),
-              uint64_t{3} * 2000);
-  }
+  EXPECT_GE(telemetry::MetricsRegistry::Global().CounterValue(
+                "fsdm_fault_stall_us_total"),
+            uint64_t{3} * 2000);
 }
 
 TEST_F(FaultTest, StallComposesWithErrorCode) {
@@ -251,9 +243,6 @@ TEST_F(FaultTest, ErrnoSpecCarriesStrerrorPayload) {
 }
 
 TEST_F(FaultTest, InjectionCounterVisibleThroughMetricsTable) {
-  if (!telemetry::kEnabled) {
-    GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
-  }
   FaultRegistry::Global().Arm("test.status", FaultSpec::Once());
   (void)HitStatus();
   rdbms::OperatorPtr scan = telemetry::MetricsScan();

@@ -15,7 +15,6 @@ using rdbms::Table;
 // insert (and two maintenance-latency observations). It must report as
 // exactly one replace.
 TEST(ReplaceTelemetryTest, ReplaceCountsOnceNotAsDeletePlusInsert) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
   auto table = std::make_unique<Table>(
       "PO", std::vector<ColumnDef>{
                 {.name = "DID", .type = ColumnType::kNumber},

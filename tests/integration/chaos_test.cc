@@ -39,9 +39,6 @@ std::vector<std::string> DrainKeys(rdbms::Operator* op) {
 
 void RunChaos(uint64_t seed) {
   SCOPED_TRACE("chaos seed " + std::to_string(seed));
-  if (!fault::kEnabled) {
-    GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
-  }
   fault::FaultRegistry::Global().DisarmAll();
   rdbms::Database db;
   auto coll_r = JsonCollection::Create(&db, "CHAOS_" + std::to_string(seed));

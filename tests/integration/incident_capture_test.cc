@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "collection/collection.h"
+#include "collection/wal_table.h"
 #include "fault/fault.h"
 #include "rdbms/executor.h"
 #include "sql/parser.h"
@@ -45,8 +47,6 @@ bool AnyContains(const std::vector<std::string>& rows,
 class IncidentCaptureTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!telemetry::kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
-    if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
     wal_dir_ = fs::path(::testing::TempDir()) / "fsdm_incident_wal";
     incident_dir_ = fs::path(::testing::TempDir()) / "fsdm_incident_bundles";
     fs::remove_all(wal_dir_);
@@ -62,15 +62,13 @@ class IncidentCaptureTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (telemetry::kEnabled) {
-      telemetry::IncidentManager& mgr = telemetry::IncidentManager::Global();
-      mgr.Reset();
-      mgr.SetDirectory("");
-      mgr.SetFloodIntervalUs(100 * 1000);
-      mgr.SetDedupWindowUs(5 * 1000 * 1000);
-      telemetry::EngineLog::Global().Reset();
-      telemetry::EngineLog::Global().SetLevel(telemetry::LogLevelFromEnv());
-    }
+    telemetry::IncidentManager& mgr = telemetry::IncidentManager::Global();
+    mgr.Reset();
+    mgr.SetDirectory("");
+    mgr.SetFloodIntervalUs(100 * 1000);
+    mgr.SetDedupWindowUs(5 * 1000 * 1000);
+    telemetry::EngineLog::Global().Reset();
+    telemetry::EngineLog::Global().SetLevel(telemetry::LogLevelFromEnv());
     fault::FaultRegistry::Global().DisarmAll();
     fs::remove_all(wal_dir_);
     fs::remove_all(incident_dir_);
@@ -166,6 +164,13 @@ TEST_F(IncidentCaptureTest, FsyncFailureDiagnosableThroughSqlAlone) {
   EXPECT_NE(bundle.find("\"collections\":"), std::string::npos);
   EXPECT_NE(bundle.find("\"wal\":"), std::string::npos);
   EXPECT_NE(bundle.find("\"poisoned\":true"), std::string::npos);
+  // The WAL provider renders every TELEMETRY$WAL column.
+  for (std::string column : collection::WalSchema().columns()) {
+    for (char& ch : column) {
+      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+    }
+    EXPECT_NE(bundle.find("\"" + column + "\":"), std::string::npos) << column;
+  }
 }
 
 // Healing: RebuildIndex cannot lift a WAL quarantine usefully (the writer

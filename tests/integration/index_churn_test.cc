@@ -126,7 +126,7 @@ class ChurnRun {
     }
     EXPECT_GT(absent_probes_, 0u);
     EXPECT_GT(present_probes_, 0u);
-    if (fault::kEnabled) EXPECT_GT(vetoed_ops_, 0u);
+    EXPECT_GT(vetoed_ops_, 0u);
   }
 
  private:
@@ -187,7 +187,7 @@ class ChurnRun {
       EXPECT_TRUE(Insert());
     } else if (roll < 0.80) {
       EXPECT_TRUE(Delete());
-    } else if (fault::kEnabled) {
+    } else {
       // Vetoed DML: the fault fires after (or inside) the index's
       // maintenance, so the index must undo exactly what it applied.
       static constexpr const char* kVetoes[] = {
@@ -214,8 +214,6 @@ class ChurnRun {
       fault::FaultRegistry::Global().DisarmAll();
       EXPECT_FALSE(ok) << "vetoed by " << kVetoes[pick];
       ++vetoed_ops_;
-    } else {
-      EXPECT_TRUE(Replace());
     }
   }
 

@@ -36,20 +36,15 @@ using telemetry::SlowQueryLog;
 class ObservabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!telemetry::kEnabled) {
-      GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
-    }
     FlightRecorder::Global().Reset();
     FlightRecorder::Global().Arm();
     SlowQueryLog::Global().Clear();
   }
   void TearDown() override {
-    if (telemetry::kEnabled) {
-      FlightRecorder::Global().Disarm();
-      FlightRecorder::Global().Reset();
-      SlowQueryLog::Global().Clear();
-      SlowQueryLog::Global().SetThresholdUs(10000);
-    }
+    FlightRecorder::Global().Disarm();
+    FlightRecorder::Global().Reset();
+    SlowQueryLog::Global().Clear();
+    SlowQueryLog::Global().SetThresholdUs(10000);
   }
 
   std::vector<std::string> Q(rdbms::Database* db, const std::string& sql) {
@@ -392,8 +387,7 @@ TEST_F(ObservabilityTest, SnapshotsRelationQueryableFromSql) {
 
 // Every TELEMETRY$ relation is one rdbms::ValuesFrom() row source whose
 // producer runs at Open(), not at Prepare(): a plan prepared before a
-// state change sees that change, and each re-open sees the next one. Not
-// a telemetry pillar, so it runs under -DFSDM_TELEMETRY=OFF too.
+// state change sees that change, and each re-open sees the next one.
 TEST(VirtualRelationTest, RowsAreSnapshotAtOpenNotAtPrepare) {
   rdbms::Database db;
   sql::SqlSession session(&db);

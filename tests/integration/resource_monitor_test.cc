@@ -32,17 +32,12 @@ namespace {
 class ResourceMonitorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!telemetry::kEnabled) {
-      GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
-    }
     telemetry::SlowQueryLog::Global().Clear();
     telemetry::MemoryTracker::Global().ResetCharges();
   }
   void TearDown() override {
-    if (telemetry::kEnabled) {
-      telemetry::SlowQueryLog::Global().Clear();
-      telemetry::SlowQueryLog::Global().SetThresholdUs(10000);
-    }
+    telemetry::SlowQueryLog::Global().Clear();
+    telemetry::SlowQueryLog::Global().SetThresholdUs(10000);
   }
 
   std::vector<std::string> Q(const std::string& sql) {
@@ -56,8 +51,6 @@ class ResourceMonitorTest : public ::testing::Test {
 };
 
 TEST_F(ResourceMonitorTest, StalledDrainVisibleInMonitorThenInSlowLog) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
-
   auto coll = collection::JsonCollection::Create(&db_, "RMON").MoveValue();
   for (int i = 0; i < 600; ++i) {
     ASSERT_TRUE(coll->Insert("{\"num\":" + std::to_string(i) + "}").ok());

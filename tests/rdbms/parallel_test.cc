@@ -220,9 +220,7 @@ TEST(ParallelUnionTest, ActivityScopeForwardsRowsAndReleasesOnOpenFailure) {
     auto abandoned = ActivityScope(NumberSource(0, 2), "COLL", "values",
                                    "morsel.drain", "q", 0);
     ASSERT_TRUE(abandoned->Open().ok());
-    if (telemetry::kEnabled) {
-      EXPECT_EQ(telemetry::ActivityRegistry::Global().ActiveCount(), 1u);
-    }
+    EXPECT_EQ(telemetry::ActivityRegistry::Global().ActiveCount(), 1u);
   }
   EXPECT_EQ(telemetry::ActivityRegistry::Global().ActiveCount(), 0u);
 }

@@ -184,9 +184,7 @@ TEST_F(SqlTest, TableQualifiedColumns) {
 }
 
 TEST_F(SqlTest, TelemetryMetricsVirtualTable) {
-  // The virtual relation works regardless of the FSDM_TELEMETRY kill
-  // switch (only the instrumentation macros are gated), so seed a counter
-  // through the registry API directly.
+  // Seed a counter through the registry API directly.
   telemetry::MetricsRegistry::Global()
       .GetCounter("fsdm_test_sql_counter_total")
       ->Add(5);

@@ -167,6 +167,30 @@ TEST_F(PathStatsTest, NonNumericValuesSkipHistogramButCountNdv) {
   EXPECT_EQ(s->max_value->ToDisplayString(), "beta");
 }
 
+// MemoryBytes() is a running total a snapshot thread may poll; it must
+// always equal the walk, through slot growth, histogram freezing (which
+// shrinks the heap) and Clear().
+TEST_F(PathStatsTest, MemoryBytesMatchesRecomputeAcrossScalarsAndClear) {
+  EXPECT_EQ(repo_.MemoryBytes(), 0u);
+  for (int i = 0; i < 2 * static_cast<int>(ValueHistogram::kSeedCapacity);
+       ++i) {
+    Doc({{"$.n", Value::Int64(i)},
+         {"$.s", Value::String("v" + std::to_string(i % 5))},
+         {"$.z", Value::Null()}});
+    ASSERT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes()) << i;
+  }
+  ASSERT_TRUE(repo_.Find(Id("$.n"))->histogram.frozen());
+  Doc({{"$.late.path", Value::Double(1.5)}});
+  EXPECT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes());
+  EXPECT_GT(repo_.MemoryBytes(), 0u);
+
+  repo_.Clear();
+  EXPECT_EQ(repo_.MemoryBytes(), 0u);
+  EXPECT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes());
+  Doc({{"$.n", Value::Int64(1)}});
+  EXPECT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes());
+}
+
 TEST_F(PathStatsTest, ClearResetsEverything) {
   Doc({{"$.a", Value::Int64(1)}});
   repo_.Clear();

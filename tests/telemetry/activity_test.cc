@@ -44,7 +44,6 @@ TEST(WaitStateTest, NamesAndClassesCoverEveryState) {
 }
 
 TEST(ActivityLeaseTest, BeginPublishesAndReleaseRestores) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   ASSERT_FALSE(OwnSample().active) << "a previous test leaked a lease";
 
   // Pin the monotonic clock's lazy epoch and let it advance past zero, so
@@ -80,7 +79,6 @@ TEST(ActivityLeaseTest, BeginPublishesAndReleaseRestores) {
 }
 
 TEST(ActivityLeaseTest, NestedLeasesRestoreTheOuterIdentity) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   ActivityLease outer =
       ActivityLease::Begin("", "", "worker.task", "", -1, /*worker=*/3);
   {
@@ -104,7 +102,6 @@ TEST(ActivityLeaseTest, NestedLeasesRestoreTheOuterIdentity) {
 }
 
 TEST(ActivityLeaseTest, MoveTransfersOwnershipWithoutDoubleRestore) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   ActivityLease a = ActivityLease::Begin("MV", "", "op", "");
   ActivityLease b = std::move(a);
   a.Release();  // moved-from: must be a no-op
@@ -114,7 +111,6 @@ TEST(ActivityLeaseTest, MoveTransfersOwnershipWithoutDoubleRestore) {
 }
 
 TEST(ActivityLeaseTest, ScopedWaitStateFlipsAndRestores) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   ActivityLease lease = ActivityLease::Begin("WS", "", "op", "");
   EXPECT_EQ(OwnSample().state, WaitState::kOnCpu);
   {
@@ -130,7 +126,6 @@ TEST(ActivityLeaseTest, ScopedWaitStateFlipsAndRestores) {
 }
 
 TEST(ActivityRegistryTest, ActiveCountTracksLeases) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   const size_t base = ActivityRegistry::Global().ActiveCount();
   ActivityLease lease = ActivityLease::Begin("AC", "", "op", "");
   EXPECT_EQ(ActivityRegistry::Global().ActiveCount(), base + 1);
@@ -239,16 +234,13 @@ TEST(AggregateAshTest, AggregateJsonCarriesTheTimeModel) {
 class SamplerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
     ActivitySampler::Global().Stop();
     ActivitySampler::Global().ClearRing();
   }
   void TearDown() override {
-    if (kEnabled) {
-      ActivitySampler::Global().Stop();
-      ActivitySampler::Global().SetRingCapacity(8192);
-      ActivitySampler::Global().ClearRing();
-    }
+    ActivitySampler::Global().Stop();
+    ActivitySampler::Global().SetRingCapacity(8192);
+    ActivitySampler::Global().ClearRing();
   }
 };
 
@@ -323,17 +315,14 @@ TEST_F(SamplerTest, StartStopRunsTheBackgroundThread) {
 class WorkloadRepoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
     ActivitySampler::Global().Stop();
     ActivitySampler::Global().ClearRing();
     WorkloadRepository::Global().Clear();
   }
   void TearDown() override {
-    if (kEnabled) {
-      ActivitySampler::Global().ClearRing();
-      WorkloadRepository::Global().Clear();
-      WorkloadRepository::Global().SetCapacity(128);
-    }
+    ActivitySampler::Global().ClearRing();
+    WorkloadRepository::Global().Clear();
+    WorkloadRepository::Global().SetCapacity(128);
   }
 };
 

@@ -23,7 +23,6 @@ namespace fsdm::telemetry {
 namespace {
 
 TEST(TelemetryConcurrencyTest, MetricsHammeredFromWorkerPool) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   MetricsRegistry& reg = MetricsRegistry::Global();
   rdbms::WorkerPool& pool = rdbms::WorkerPool::Global();
   pool.Resize(4);
@@ -69,7 +68,6 @@ TEST(TelemetryConcurrencyTest, MetricsHammeredFromWorkerPool) {
 }
 
 TEST(TelemetryConcurrencyTest, FlightRecorderRingsAcrossWorkers) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   FlightRecorder& rec = FlightRecorder::Global();
   rec.Reset();
   // An earlier test in this binary may have shrunk the ring capacity to
@@ -111,7 +109,6 @@ TEST(TelemetryConcurrencyTest, FlightRecorderRingsAcrossWorkers) {
 }
 
 TEST(TelemetryConcurrencyTest, SamplerReadsRaceLeaseChurnSafely) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   // ISSUE 7 satellite: the ASH sampler reads every activity record while
   // pool workers churn leases and flip wait states. The ring, the record
   // identity strings and the relaxed state bytes must all survive TSan.
@@ -162,7 +159,6 @@ TEST(TelemetryConcurrencyTest, SamplerReadsRaceLeaseChurnSafely) {
 // drained while another thread registers metrics on first use never
 // walks a map mid-insertion (under TSan a race here is a hard failure).
 TEST(TelemetryConcurrencyTest, MetricsScanRacesFirstUseRegistration) {
-  if (!kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
   constexpr int kCounters = 3000;
   const std::string prefix = "fsdm_test_scan_race_";
   std::thread registrar([&] {

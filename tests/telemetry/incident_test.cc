@@ -26,7 +26,6 @@ std::string ReadFile(const std::string& path) {
 class IncidentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
     dir_ = ::testing::TempDir() + "fsdm_incidents_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     fs::remove_all(dir_);
@@ -43,7 +42,6 @@ class IncidentTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (!kEnabled) return;
     IncidentManager& mgr = IncidentManager::Global();
     mgr.Reset();
     mgr.SetDirectory("");

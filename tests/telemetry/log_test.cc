@@ -17,7 +17,6 @@ namespace {
 class EngineLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
     EngineLog& log = EngineLog::Global();
     log.Reset();
     log.SetLevel(LogLevel::kDebug);
@@ -26,7 +25,6 @@ class EngineLogTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (!kEnabled) return;
     EngineLog& log = EngineLog::Global();
     log.Reset();
     log.SetLevel(LogLevelFromEnv());

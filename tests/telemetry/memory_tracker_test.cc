@@ -22,15 +22,12 @@ namespace {
 class MemoryTrackerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
     MemoryTracker::Global().ResetCharges();
     MemoryTracker::Global().ResetPeaks();
   }
   void TearDown() override {
-    if (kEnabled) {
-      MemoryTracker::Global().ResetCharges();
-      MemoryTracker::Global().ResetPeaks();
-    }
+    MemoryTracker::Global().ResetCharges();
+    MemoryTracker::Global().ResetPeaks();
   }
 };
 
@@ -233,7 +230,6 @@ TEST_F(MemoryTrackerTest, MemoryChargeMoveReleasesExactlyOnce) {
 class QueryMonitorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
   }
 };
 

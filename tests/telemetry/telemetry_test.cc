@@ -163,7 +163,6 @@ TEST(MetricsRegistryTest, HistogramExposuresCarrySumAndDerivableMean) {
 }
 
 TEST(MetricsRegistryTest, MacrosFeedTheGlobalRegistry) {
-  if (!kEnabled) GTEST_SKIP() << "built with FSDM_TELEMETRY=OFF";
   MetricsRegistry& reg = MetricsRegistry::Global();
   const uint64_t before = reg.CounterValue("test_macro_counter_total");
   FSDM_COUNT("test_macro_counter_total", 2);

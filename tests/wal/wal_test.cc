@@ -321,7 +321,6 @@ TEST_F(WalTest, AbortRecordRoundTrips) {
 }
 
 TEST_F(WalTest, ShortWriteFaultPoisonsTheWriter) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
   auto opened = Wal::Open(Options()).MoveValue();
   Wal* w = opened.wal.get();
   ASSERT_TRUE(w->AppendInsert(0, Value::Int64(1), Oson("{\"x\":1}")).ok());
@@ -340,7 +339,6 @@ TEST_F(WalTest, ShortWriteFaultPoisonsTheWriter) {
 }
 
 TEST_F(WalTest, TornWriteFaultIsSilentUntilRecovery) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
   auto opened = Wal::Open(Options()).MoveValue();
   Wal* w = opened.wal.get();
   ASSERT_TRUE(w->AppendInsert(0, Value::Int64(1), Oson("{\"x\":1}")).ok());
@@ -361,7 +359,6 @@ TEST_F(WalTest, TornWriteFaultIsSilentUntilRecovery) {
 }
 
 TEST_F(WalTest, FsyncFaultCarriesErrnoAndPoisons) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DFSDM_FAULTS=OFF";
   auto opened = Wal::Open(Options(FsyncPolicy::kAlways)).MoveValue();
   Wal* w = opened.wal.get();
   ASSERT_TRUE(w->AppendInsert(0, Value::Int64(1), Oson("{\"x\":1}")).ok());
