@@ -22,9 +22,7 @@ int main() {
   rdbms::Database db;
   collection::CollectionOptions opts;
   // The SQL session installs its own hidden OSON column on UseOsonFor()
-  // (§5.2.2), so the collection skips its default one; no index either —
-  // this example is about the SQL surface.
-  opts.install_oson_column = false;
+  // (§5.2.2); no index — this example is about the SQL surface.
   opts.attach_search_index = false;
   auto po = collection::JsonCollection::Create(&db, "PO", opts).MoveValue();
   Rng rng(77);

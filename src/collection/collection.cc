@@ -138,7 +138,6 @@ Result<std::unique_ptr<JsonCollection>> JsonCollection::Create(
     Status walled = coll->InitWal();
     if (!walled.ok()) return unwind(walled);
   }
-  coll->health();  // publish the initial health gauge
   coll->RegisterMemoryReporters();
   CollectionRegistry::Global().Register(coll.get());
   if (n == 1) {
@@ -250,7 +249,6 @@ CollectionHealth JsonCollection::health() const {
   } else if (healthy < shards_.size()) {
     h = CollectionHealth::kIndexDegraded;
   }
-  FSDM_GAUGE_SET("fsdm_collection_health", static_cast<int64_t>(h));
   return h;
 }
 
@@ -282,7 +280,6 @@ void JsonCollection::Quarantine(std::string reason) {
            telemetry::LogText("name", name_));
   telemetry::IncidentManager::Global().Raise("quarantine", name_,
                                              last_health_cause_);
-  health();
 }
 
 Status JsonCollection::RebuildIndex() {
@@ -304,7 +301,6 @@ Status JsonCollection::RebuildIndex() {
   } else {
     last_health_cause_ = health_reason();
   }
-  health();
   return first_error;
 }
 
@@ -472,10 +468,7 @@ Status JsonCollection::InitWal() {
   wal::WalOptions wal_options;
   wal_options.dir = options_.wal_dir;
   wal_options.segment_bytes = options_.wal_segment_bytes;
-  wal_options.group_ops = options_.wal_group_ops;
-  wal_options.fsync = options_.wal_fsync.has_value()
-                          ? *options_.wal_fsync
-                          : wal::FsyncPolicyFromEnv();
+  wal_options.fsync = options_.wal_fsync;
   FSDM_ASSIGN_OR_RETURN(wal::Wal::OpenResult opened,
                         wal::Wal::Open(std::move(wal_options)));
   wal_ = std::move(opened.wal);

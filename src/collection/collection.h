@@ -29,9 +29,8 @@ namespace fsdm::collection {
 /// through JsonCollection instead of wiring the column by hand.
 inline constexpr const char* kOsonColumnName = "SYS_OSON";
 
-/// Health of the collection's side structures (ISSUE 3 degraded-mode
-/// routing). The numeric values are exported as the
-/// fsdm_collection_health gauge.
+/// Health of the collection's side structures (degraded-mode routing).
+/// TELEMETRY$COLLECTIONS' HEALTH column shows each collection's by name.
 enum class CollectionHealth : int {
   /// Everything maintained; all access paths available.
   kHealthy = 0,
@@ -62,13 +61,6 @@ struct CollectionOptions {
   /// Key column (NUMBER) and document column (JSON text with IS JSON).
   std::string key_column = "DID";
   std::string json_column = "JDOC";
-  /// Declared max document length (informational), 0 = unbounded.
-  size_t max_document_length = 4000;
-
-  /// Install the hidden OSON virtual column at creation (§5.2.2). Queries
-  /// compiled against oson_column() then navigate the binary image; the
-  /// IMC materializes it at population time.
-  bool install_oson_column = true;
 
   /// Attach a JsonSearchIndex (inverted postings + persistent DataGuide)
   /// as a DML observer. When disabled the collection still maintains a
@@ -76,7 +68,6 @@ struct CollectionOptions {
   /// parse, so view/VC generation and router statistics keep working —
   /// only posting-backed access paths are unavailable.
   bool attach_search_index = true;
-  index::JsonSearchIndex::Options index_options;
 
   /// Number of backing shards. The collection is always a
   /// facade over N >= 1 Shards, each a full per-shard stack (table + OSON
@@ -97,12 +88,10 @@ struct CollectionOptions {
   /// per-shard stack, finishing with CheckConsistency(). One collection
   /// per directory; the facade owns the log for all its shards.
   std::string wal_dir;
-  /// Fsync policy; unset reads FSDM_WAL_FSYNC (always|group|off) and
-  /// defaults to always — an acknowledged DML is durable.
-  std::optional<wal::FsyncPolicy> wal_fsync;
-  /// Segment rotation threshold and group-commit batch size (see wal.h).
+  /// Fsync policy (see wal.h); by default an acknowledged DML is durable.
+  wal::FsyncPolicy wal_fsync = wal::FsyncPolicy::kAlways;
+  /// Segment rotation threshold (see wal.h).
   size_t wal_segment_bytes = 1u << 20;
-  size_t wal_group_ops = 32;
 };
 
 /// One per-shard document stack of the paper (§3, §5.2): a backing
@@ -142,8 +131,6 @@ class Shard {
   /// Positions of the key and document columns in stored rows.
   size_t key_pos() const { return key_pos_; }
   size_t json_pos() const { return json_pos_; }
-  /// Hidden OSON virtual column name; empty when not installed.
-  const std::string& oson_column() const { return oson_column_; }
   /// nullptr when created without a search index.
   const index::JsonSearchIndex* search_index() const { return index_.get(); }
   /// The search index's persistent guide, or the shard-maintained one.
@@ -159,8 +146,7 @@ class Shard {
   size_t document_count() const { return table_->live_row_count(); }
 
   // --- Health & crash consistency ---------------------------------------
-  /// From the quarantine flag and the index's degraded state. Also
-  /// refreshes the fsdm_collection_health gauge.
+  /// From the quarantine flag and the index's degraded state.
   CollectionHealth health() const;
   /// Why the shard is not healthy; empty when healthy.
   std::string health_reason() const;
@@ -240,7 +226,6 @@ class Shard {
   std::string json_column_;
   size_t key_pos_ = 0;
   size_t json_pos_ = 0;
-  std::string oson_column_;
   std::unique_ptr<index::JsonSearchIndex> index_;
   std::unique_ptr<DmlObserver> dml_observer_;
   dataguide::DataGuide own_guide_;  // used when no index is attached
@@ -298,8 +283,13 @@ class JsonCollection {
   const std::string& key_column() const { return options_.key_column; }
   const std::string& json_column() const { return options_.json_column; }
   const CollectionOptions& options() const { return options_; }
-  /// Hidden OSON virtual column name; empty when not installed.
-  const std::string& oson_column() const { return shards_[0]->oson_column(); }
+  /// The hidden OSON virtual column (§5.2.2) every shard installs; queries
+  /// compiled against it navigate the binary image, and the IMC
+  /// materializes it.
+  const std::string& oson_column() const {
+    static const std::string name = kOsonColumnName;
+    return name;
+  }
   /// Shard 0's index and live DataGuide: the only ones at N = 1, a
   /// representative when sharded (shards see disjoint document subsets).
   const index::JsonSearchIndex* search_index() const {
@@ -321,7 +311,7 @@ class JsonCollection {
   // --- Health & crash consistency ---------------------------------------
   /// All shards healthy -> healthy; all quarantined -> quarantined;
   /// anything in between -> index-degraded (the router then falls back
-  /// per shard). Also refreshes the fsdm_collection_health gauge.
+  /// per shard).
   CollectionHealth health() const;
   /// Every unhealthy shard's reason ("shard i: "-prefixed when sharded);
   /// empty when healthy.
@@ -397,9 +387,9 @@ class JsonCollection {
 
   // --- In-memory column store (§5.2) ------------------------------------
   /// Populates every shard's managed store from its live rows. Empty
-  /// `columns` selects the key column, the hidden OSON column (when
-  /// installed) and every declared JSON_VALUE virtual column. DML then
-  /// invalidates a store and marks the rows it touched dirty.
+  /// `columns` selects the key column, the hidden OSON column and every
+  /// declared JSON_VALUE virtual column. DML then invalidates a store and
+  /// marks the rows it touched dirty.
   Status PopulateImc(std::vector<std::string> columns = {});
   /// The managed store when populated AND still valid, else nullptr.
   /// Always nullptr when sharded (shard(i)->imc()).

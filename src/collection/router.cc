@@ -496,8 +496,7 @@ Result<RoutedPlan> RouteSingle(
   }
 
   const index::JsonSearchIndex* index = shard.search_index();
-  const bool postings_maintained =
-      index != nullptr && index->options().maintain_postings;
+  const bool postings_maintained = index != nullptr;
   // Health is a routing input (ISSUE 3): a degraded index's postings may
   // be missing rows, so every posting-backed candidate drops out and the
   // conjunction falls through to the always-correct full scan until
@@ -656,16 +655,15 @@ Result<RoutedPlan> RouteSingle(
     }
   }
 
-  // Marks candidate `idx` as the winner, freezes the legacy reason string,
-  // and stacks the feedback/slow-query probe on the finished plan
-  // (routed.plan and routed.trace.root are always set before finish runs).
+  // Marks candidate `idx` as the winner, records its reason, and stacks
+  // the feedback/slow-query probe on the finished plan (routed.plan and
+  // routed.trace.root are always set before finish runs).
   // Shard sub-plans of a fan-out stay bare — see RouteSingle doc.
   auto finish = [&](size_t idx, AccessPath path, std::string reason) {
     decision.candidates[idx].chosen = true;
     decision.winner = AccessPathName(path);
-    decision.reason = reason;
+    decision.reason = std::move(reason);
     routed.access_path = path;
-    routed.reason = std::move(reason);
     route_span.AddTextArg("winner", decision.winner);
     FSDM_TRACE_INSTANT_TEXT("router", "router.winner", "path",
                             decision.winner);
@@ -875,7 +873,7 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
     cand.eligible = true;
     cand.est_rows = sub.trace.decision.est_out_rows;
     cand.est_cost_us = sub_cost;
-    cand.detail = sub.reason;
+    cand.detail = sub.trace.decision.reason;
     decision.candidates.push_back(std::move(cand));
 
     StampShard(sub.trace.root.get(), static_cast<int>(i));
@@ -912,7 +910,6 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
                     Fmt2(max_shard_cost) + " us + merge " + Fmt2(merge_cost) +
                     " us)";
   routed.access_path = AccessPath::kShardedUnion;
-  routed.reason = decision.reason;
 
   size_t workers = rdbms::WorkerPool::Global().worker_count();
   if (workers == 0) workers = rdbms::WorkerPool::DefaultWorkerCount();

@@ -76,8 +76,6 @@ struct RoutedPlan {
   /// alive.
   telemetry::QueryTrace trace;
   rdbms::OperatorPtr plan;
-  /// Legacy one-line explanation; identical to trace.decision.reason.
-  std::string reason;
 };
 
 /// Chooses an access path for the conjunction of `predicates` over `coll`

@@ -38,7 +38,6 @@ Result<std::unique_ptr<Shard>> Shard::Create(rdbms::Database* db,
       {.name = options.key_column, .type = rdbms::ColumnType::kNumber},
       {.name = options.json_column,
        .type = rdbms::ColumnType::kJson,
-       .max_length = options.max_document_length,
        .check_is_json = true}};
   FSDM_ASSIGN_OR_RETURN(rdbms::Table * table,
                         db->CreateTable(table_name, std::move(columns)));
@@ -48,21 +47,18 @@ Result<std::unique_ptr<Shard>> Shard::Create(rdbms::Database* db,
   // completely — detach the half-built shard and drop the table — or the
   // database is left holding a table with dangling observers.
   Status wired = [&]() -> Status {
-    if (options.install_oson_column) {
-      FSDM_FAULT_POINT("collection.create.oson_column");
-      rdbms::ColumnDef oson;
-      oson.name = kOsonColumnName;
-      oson.type = rdbms::ColumnType::kRaw;
-      oson.hidden = true;
-      oson.virtual_expr = sqljson::OsonConstructor(options.json_column);
-      FSDM_RETURN_NOT_OK(table->AddVirtualColumn(std::move(oson)));
-      shard->oson_column_ = kOsonColumnName;
-    }
+    FSDM_FAULT_POINT("collection.create.oson_column");
+    rdbms::ColumnDef oson;
+    oson.name = kOsonColumnName;
+    oson.type = rdbms::ColumnType::kRaw;
+    oson.hidden = true;
+    oson.virtual_expr = sqljson::OsonConstructor(options.json_column);
+    FSDM_RETURN_NOT_OK(table->AddVirtualColumn(std::move(oson)));
     if (options.attach_search_index) {
       FSDM_FAULT_POINT("collection.create.search_index");
       // The statistics repository rides the index's DataGuide walk as the
       // scalar sink — stats cost no extra parse.
-      index::JsonSearchIndex::Options index_options = options.index_options;
+      index::JsonSearchIndex::Options index_options;
       index_options.scalar_sink = &shard->path_stats_;
       FSDM_ASSIGN_OR_RETURN(shard->index_,
                             index::JsonSearchIndex::Create(
@@ -97,7 +93,6 @@ CollectionHealth Shard::health() const {
   } else if (index_ != nullptr && index_->degraded()) {
     h = CollectionHealth::kIndexDegraded;
   }
-  FSDM_GAUGE_SET("fsdm_collection_health", static_cast<int64_t>(h));
   return h;
 }
 
@@ -154,19 +149,36 @@ Status Shard::CheckWritable() const {
 ConsistencyReport Shard::CheckConsistency() const {
   ConsistencyReport report;
   size_t non_null = 0;
-  dataguide::DataGuide shadow;
+  // The check's one walk over the table: each live document is parsed and
+  // staged once, and the staged nodes feed both shadows. The shadow guide
+  // interns into a copy of the live dictionary, so a path the live guide
+  // and postings know keeps its id and both diffs compare by id.
+  const dataguide::DataGuide& live_guide = dataguide();
+  dataguide::DataGuide shadow(live_guide.paths());
+  index::Postings shadow_postings;
   for (size_t r = 0; r < table_->row_count(); ++r) {
     if (!table_->IsLive(r)) continue;
     ++report.live_rows;
     const Value& doc = table_->StoredRow(r)[json_pos_];
     if (doc.is_null()) continue;
     ++non_null;
-    Result<int> added = shadow.AddJsonText(doc.AsString());
-    if (!added.ok()) {
+    using dataguide::StagedDoc;
+    Result<StagedDoc> staged = [&]() -> Result<StagedDoc> {
+      FSDM_ASSIGN_OR_RETURN(std::unique_ptr<json::JsonNode> tree,
+                            json::Parse(doc.AsString()));
+      // Value postings key on displays.
+      return dataguide::StageDocument(json::TreeDom(tree.get()),
+                                      shadow.mutable_paths(),
+                                      index_ != nullptr);
+    }();
+    if (!staged.ok()) {
       report.problems.push_back("row " + std::to_string(r) +
                                 " violates IS JSON: " +
-                                added.status().message());
+                                staged.status().message());
+      continue;
     }
+    shadow.Apply(staged.value(), nullptr, nullptr);
+    if (index_ != nullptr) shadow_postings.Swap({}, staged.value(), r);
   }
 
   if (index_ != nullptr) {
@@ -176,7 +188,9 @@ ConsistencyReport Shard::CheckConsistency() const {
           "index reports " + std::to_string(report.indexed_docs) +
           " indexed documents, table holds " + std::to_string(non_null));
     }
-    index_->VerifyPostings(&report.problems);
+    // Postings::Diff counts nothing: a check is not index activity.
+    index_->postings().Diff(shadow_postings, shadow.paths(),
+                            &report.problems);
     const rdbms::Table* dg = index_->dg_table();
     if (dg != nullptr &&
         dg->row_count() != index_->dataguide().distinct_path_count()) {
@@ -191,10 +205,9 @@ ConsistencyReport Shard::CheckConsistency() const {
   // The live guide must cover every observed path. Frequencies may
   // over-count (rolled-back DML never retracts guide statistics — additive
   // semantics, §3.4) but never under-count.
-  const dataguide::DataGuide& live_guide = dataguide();
   for (const dataguide::PathEntry* e : shadow.SortedEntries()) {
     const dataguide::PathEntry* have =
-        live_guide.Find(e->path, e->kind, e->under_array);
+        live_guide.Find(e->id, e->kind, e->under_array);
     if (have == nullptr) {
       report.problems.push_back("DataGuide missing path " +
                                 std::string(e->path) + " (" +
@@ -382,8 +395,7 @@ const std::string* Shard::VirtualColumnFor(const std::string& path) const {
 // --- IMC --------------------------------------------------------------------
 
 std::vector<std::string> Shard::DefaultImcColumns() const {
-  std::vector<std::string> cols = {key_column_};
-  if (!oson_column_.empty()) cols.push_back(oson_column_);
+  std::vector<std::string> cols = {key_column_, kOsonColumnName};
   for (const auto& [path, name] : vc_for_path_) cols.push_back(name);
   return cols;
 }

@@ -254,6 +254,7 @@ int DataGuide::Apply(const StagedDoc& doc,
     if (inserted) {
       ++added;
       entry->path = paths_.Name(node.path);
+      entry->id = node.path;
       entry->kind = node.kind;
       entry->under_array = node.under_array;
       if (new_entries != nullptr) new_entries->push_back(entry);
@@ -301,6 +302,7 @@ void DataGuide::Merge(const DataGuide& other) {
         EntryKey(id, theirs.kind, theirs.under_array), theirs);
     if (inserted) {
       it->second.path = paths_.Name(id);
+      it->second.id = id;
       continue;
     }
     PathEntry& ours = it->second;

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -117,6 +118,7 @@ Result<StagedDoc> StageDocument(const json::Dom& dom, PathDictionary* paths,
 /// one un-nested array carry the "array of " prefix.
 struct PathEntry {
   std::string_view path;       // "$.purchaseOrder.items.name" (dictionary)
+  PathId id = kNoPath;         // the same path's id in that dictionary
   json::NodeKind kind = json::NodeKind::kScalar;
   bool under_array = false;    // reached through >= 1 array un-nesting
   LeafType leaf_type = LeafType::kNull;  // scalars only
@@ -156,6 +158,10 @@ class ScalarSink {
 class DataGuide {
  public:
   DataGuide() = default;
+  /// An empty guide that interns into `paths`: seeded with a copy of
+  /// another guide's dictionary, the two name every shared path by the
+  /// same id.
+  explicit DataGuide(PathDictionary paths) : paths_(std::move(paths)) {}
   /// A copy re-points its entries' path text at its own dictionary.
   DataGuide(const DataGuide& other);
   DataGuide(DataGuide&& other) noexcept;

@@ -194,7 +194,6 @@ Result<std::vector<std::string>> AddVc(rdbms::Table* table,
     def.name = names.AllocateFor(path, leaf);
     def.type = e->leaf_type == LeafType::kNumber ? rdbms::ColumnType::kNumber
                                                  : rdbms::ColumnType::kString;
-    def.max_length = e->max_length;
     FSDM_ASSIGN_OR_RETURN(
         def.virtual_expr,
         sqljson::JsonValue(json_column, path, storage,

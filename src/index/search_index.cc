@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <utility>
 
 #include "common/hash.h"
@@ -15,14 +14,6 @@
 namespace fsdm::index {
 
 namespace {
-
-/// Accounting footprint of one hash node: the next pointer, the cached
-/// hash and the stored key/value pair. The same constants on the
-/// incremental and recompute sides make reconciliation exact.
-template <typename Map>
-constexpr uint64_t HashNodeBytes() {
-  return sizeof(void*) + sizeof(size_t) + sizeof(typename Map::value_type);
-}
 
 /// Sorted-unique insert; true when `row_id` was added.
 bool AddRowId(std::vector<size_t>* postings, size_t row_id) {
@@ -40,10 +31,35 @@ bool RemoveRowId(std::vector<size_t>* postings, size_t row_id) {
   return true;
 }
 
+/// Calls `emit(is_keyword, path id, text)` for every value and keyword
+/// posting key of a staged document: each non-null scalar's display, and
+/// each string's keyword tokens.
+template <typename Emit>
+void ForEachTextKey(const dataguide::StagedDoc& doc, const Emit& emit) {
+  for (const dataguide::StagedNode& n : doc.nodes) {
+    if (n.kind != json::NodeKind::kScalar || n.value.is_null()) continue;
+    emit(false, n.path, n.Display());
+    if (n.value.type() != ScalarType::kString) continue;
+    for (const std::string& tok : TokenizeKeywords(n.value.AsString())) {
+      emit(true, n.path, std::string_view(tok));
+    }
+  }
+}
+
+/// The document's path ids, sorted and unique (array elements share their
+/// array's path).
+std::vector<dataguide::PathId> SortedPaths(const dataguide::StagedDoc& doc) {
+  std::vector<dataguide::PathId> paths;
+  paths.reserve(doc.nodes.size());
+  for (const dataguide::StagedNode& n : doc.nodes) paths.push_back(n.path);
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  return paths;
+}
+
 }  // namespace
 
-size_t JsonSearchIndex::PostingKeyHash::operator()(
-    const PostingProbe& k) const {
+size_t Postings::KeyHash::operator()(const Probe& k) const {
   return static_cast<size_t>(
       Hash64(k.text, uint64_t{k.path} * 0x9e3779b97f4a7c15ull));
 }
@@ -62,6 +78,211 @@ std::vector<std::string> TokenizeKeywords(std::string_view text) {
   if (!cur.empty()) tokens.push_back(std::move(cur));
   return tokens;
 }
+
+const std::vector<size_t>* Postings::Find(const Map& map, PathId path,
+                                          std::string_view text) {
+  auto it = map.find(Probe{path, text});
+  return it == map.end() ? nullptr : &it->second;
+}
+
+uint64_t Postings::NodeBytes(std::string_view text) {
+  // One hash node: the next pointer, the cached hash and the stored
+  // key/value pair. The same constants on the incremental and recompute
+  // sides make reconciliation exact.
+  return sizeof(void*) + sizeof(size_t) + sizeof(Map::value_type) +
+         text.size();
+}
+
+void Postings::SyncBucketBytes() {
+  const size_t buckets = values_.bucket_count() + keywords_.bucket_count();
+  if (buckets == charged_buckets_) return;
+  if (buckets > charged_buckets_) {
+    Charge((buckets - charged_buckets_) * sizeof(void*));
+  } else {
+    Refund((charged_buckets_ - buckets) * sizeof(void*));
+  }
+  charged_buckets_ = buckets;
+}
+
+void Postings::ApplyPath(PathId path, size_t row_id, Moved* moved) {
+  if (path >= paths_.size()) {
+    Charge((path + 1 - paths_.size()) * sizeof(std::vector<size_t>));
+    paths_.resize(path + 1);
+  }
+  if (!AddRowId(&paths_[path], row_id)) return;
+  Charge(sizeof(size_t));
+  ++moved->appended;
+}
+
+void Postings::ErasePath(PathId path, size_t row_id, Moved* moved) {
+  if (path >= paths_.size()) return;
+  std::vector<size_t>* postings = &paths_[path];
+  if (!RemoveRowId(postings, row_id)) return;
+  // The path's last document is gone: release the list's heap.
+  if (postings->empty()) std::vector<size_t>().swap(*postings);
+  Refund(sizeof(size_t));
+  ++moved->erased;
+}
+
+const std::vector<size_t>* Postings::Apply(Map* map, PathId path,
+                                           std::string_view text,
+                                           size_t row_id, Moved* moved) {
+  auto it = map->find(Probe{path, text});
+  if (it == map->end()) {
+    it = map->emplace(Key{path, std::string(text)},
+                      std::vector<size_t>{row_id})
+             .first;
+    Charge(NodeBytes(text) + sizeof(size_t));
+    SyncBucketBytes();
+  } else if (AddRowId(&it->second, row_id)) {
+    Charge(sizeof(size_t));
+  } else {
+    return &it->second;
+  }
+  ++moved->appended;
+  return &it->second;
+}
+
+void Postings::Erase(Map* map, Map::iterator it, size_t row_id,
+                     Moved* moved) {
+  if (!RemoveRowId(&it->second, row_id)) return;
+  if (it->second.empty()) {
+    Refund(NodeBytes(it->first.text));
+    map->erase(it);
+  }
+  Refund(sizeof(size_t));
+  ++moved->erased;
+}
+
+Postings::Moved Postings::Swap(const dataguide::StagedDoc& from,
+                               const dataguide::StagedDoc& to,
+                               size_t row_id) {
+  Moved moved;
+  // Sorted, unique path ids, so one merge finds the shared ones.
+  const std::vector<PathId> from_paths = SortedPaths(from);
+  const std::vector<PathId> to_paths = SortedPaths(to);
+  auto f = from_paths.begin();
+  auto t = to_paths.begin();
+  while (f != from_paths.end() || t != to_paths.end()) {
+    if (t == to_paths.end() || (f != from_paths.end() && *f < *t)) {
+      ErasePath(*f++, row_id, &moved);
+    } else if (f == from_paths.end() || *t < *f) {
+      ApplyPath(*t++, row_id, &moved);
+    } else {
+      ++f;
+      ++t;
+    }
+  }
+  // Values and keywords: apply `to` first and remember the lists it
+  // touched (node addresses are stable across rehashes); a key of `from`
+  // whose list is among them is shared and stays as it is. An erase never
+  // creates a key.
+  std::vector<const std::vector<size_t>*> kept;
+  ForEachTextKey(to, [&](bool keyword, PathId p, std::string_view text) {
+    const std::vector<size_t>* list =
+        Apply(keyword ? &keywords_ : &values_, p, text, row_id, &moved);
+    if (!from.nodes.empty()) kept.push_back(list);
+  });
+  if (from.nodes.empty()) return moved;
+  std::sort(kept.begin(), kept.end());
+  ForEachTextKey(from, [&](bool keyword, PathId p, std::string_view text) {
+    Map* map = keyword ? &keywords_ : &values_;
+    auto it = map->find(Probe{p, text});
+    if (it != map->end() &&
+        !std::binary_search(kept.begin(), kept.end(), &it->second)) {
+      Erase(map, it, row_id, &moved);
+    }
+  });
+  return moved;
+}
+
+void Postings::Clear() {
+  for (std::vector<size_t>& postings : paths_) {
+    std::vector<size_t>().swap(postings);
+  }
+  values_.clear();
+  keywords_.clear();
+  SyncBucketBytes();
+  bytes_.store(RecomputeMemoryBytes(), std::memory_order_relaxed);
+}
+
+void Postings::Diff(const Postings& expected,
+                    const dataguide::PathDictionary& names,
+                    std::vector<std::string>* problems) const {
+  static const std::vector<size_t> kNone;
+  const size_t first = problems->size();
+  auto diff = [&](const std::string& key, const std::vector<size_t>* have,
+                  const std::vector<size_t>* want) {
+    const std::vector<size_t>& held = have == nullptr ? kNone : *have;
+    const std::vector<size_t>& implied = want == nullptr ? kNone : *want;
+    if (held == implied) return;
+    problems->push_back("posting " + key + ": index has " +
+                        std::to_string(held.size()) + " docs, table implies " +
+                        std::to_string(implied.size()) +
+                        (implied.empty() ? " (spurious)" : ""));
+  };
+  // Path lists, by id: an empty list is a path no live document has, and
+  // must hold no heap.
+  for (PathId id = 0; id < std::max(paths_.size(), expected.paths_.size());
+       ++id) {
+    const std::string path(names.Name(id));
+    const std::vector<size_t>* have = PathRows(id);
+    if (have != nullptr && have->empty() && have->capacity() != 0) {
+      problems->push_back("posting " + path +
+                          ": empty list still holds heap");
+    }
+    diff(path, have, expected.PathRows(id));
+  }
+  // Value and keyword lists: every expected key is present and exact, and
+  // no key here is spurious or empty.
+  auto diff_map = [&](const Map& live, const Map& implied, const char* sep) {
+    auto name = [&](const Key& key) {
+      return std::string(names.Name(key.path)) + sep + key.text;
+    };
+    for (const auto& [key, rows] : implied) {
+      diff(name(key), Find(live, key.path, key.text), &rows);
+    }
+    for (const auto& [key, rows] : live) {
+      if (rows.empty()) {
+        problems->push_back("posting " + name(key) +
+                            ": empty list (an emptied key must be removed)");
+      } else if (Find(implied, key.path, key.text) == nullptr) {
+        diff(name(key), &rows, nullptr);
+      }
+    }
+  };
+  diff_map(values_, expected.values_, "=");
+  diff_map(keywords_, expected.keywords_, "~");
+  // Hash-map order depends on the DML history; sorting makes the report
+  // deterministic.
+  std::sort(problems->begin() + first, problems->end());
+}
+
+size_t Postings::posting_count() const {
+  size_t n = 0;
+  for (const std::vector<size_t>& v : paths_) n += v.size();
+  for (const auto& [k, v] : values_) n += v.size();
+  for (const auto& [k, v] : keywords_) n += v.size();
+  return n;
+}
+
+uint64_t Postings::RecomputeMemoryBytes() const {
+  uint64_t total =
+      (values_.bucket_count() + keywords_.bucket_count()) * sizeof(void*) +
+      paths_.size() * sizeof(std::vector<size_t>);
+  for (const std::vector<size_t>& rows : paths_) {
+    total += rows.size() * sizeof(size_t);
+  }
+  for (const Map* map : {&values_, &keywords_}) {
+    for (const auto& [k, v] : *map) {
+      total += NodeBytes(k.text) + v.size() * sizeof(size_t);
+    }
+  }
+  return total;
+}
+
+// --- JsonSearchIndex ---------------------------------------------------------
+
 
 Result<std::unique_ptr<JsonSearchIndex>> JsonSearchIndex::Create(
     rdbms::Table* table, const std::string& json_column,
@@ -87,7 +308,6 @@ Result<std::unique_ptr<JsonSearchIndex>> JsonSearchIndex::Create(
 
   std::unique_ptr<JsonSearchIndex> idx(
       new JsonSearchIndex(table, pos, options));
-  idx->SyncBucketBytes();
   idx->dg_table_ = std::make_unique<rdbms::Table>(
       table->name() + "$DG",
       std::vector<rdbms::ColumnDef>{
@@ -133,36 +353,6 @@ Status JsonSearchIndex::OnReplace(size_t row_id, const rdbms::Row& old_row,
                              new_row[json_col_pos_]);
 }
 
-namespace {
-
-/// Calls `emit(is_keyword, path id, text)` for every value and keyword
-/// posting key of a staged document: each non-null scalar's display, and
-/// each string's keyword tokens.
-template <typename Emit>
-void ForEachTextKey(const dataguide::StagedDoc& doc, const Emit& emit) {
-  for (const dataguide::StagedNode& n : doc.nodes) {
-    if (n.kind != json::NodeKind::kScalar || n.value.is_null()) continue;
-    emit(false, n.path, n.Display());
-    if (n.value.type() != ScalarType::kString) continue;
-    for (const std::string& tok : TokenizeKeywords(n.value.AsString())) {
-      emit(true, n.path, std::string_view(tok));
-    }
-  }
-}
-
-/// The document's path ids, sorted and unique (array elements share their
-/// array's path).
-std::vector<dataguide::PathId> SortedPaths(const dataguide::StagedDoc& doc) {
-  std::vector<dataguide::PathId> paths;
-  paths.reserve(doc.nodes.size());
-  for (const dataguide::StagedNode& n : doc.nodes) paths.push_back(n.path);
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  return paths;
-}
-
-}  // namespace
-
 Result<dataguide::StagedDoc> JsonSearchIndex::StageDoc(
     const Value& doc, bool use_dml_parse,
     dataguide::PathDictionary* paths) const {
@@ -182,113 +372,11 @@ Result<dataguide::StagedDoc> JsonSearchIndex::StageDoc(
   return dataguide::StageDocument(json::TreeDom(tree), paths, with_display);
 }
 
-uint64_t JsonSearchIndex::PostingNodeBytes(std::string_view text) {
-  return HashNodeBytes<PostingMap>() + text.size();
-}
-
-void JsonSearchIndex::SyncBucketBytes() {
-  const size_t buckets =
-      value_postings_.bucket_count() + keyword_postings_.bucket_count();
-  if (buckets == charged_buckets_) return;
-  if (buckets > charged_buckets_) {
-    postings_bytes_.fetch_add((buckets - charged_buckets_) * sizeof(void*),
-                              std::memory_order_relaxed);
-  } else {
-    postings_bytes_.fetch_sub((charged_buckets_ - buckets) * sizeof(void*),
-                              std::memory_order_relaxed);
-  }
-  charged_buckets_ = buckets;
-}
-
-void JsonSearchIndex::ApplyPathPosting(PathId path, size_t row_id) {
-  if (path >= path_postings_.size()) {
-    postings_bytes_.fetch_add(
-        (path + 1 - path_postings_.size()) * sizeof(std::vector<size_t>),
-        std::memory_order_relaxed);
-    path_postings_.resize(path + 1);
-  }
-  if (!AddRowId(&path_postings_[path], row_id)) return;
-  postings_bytes_.fetch_add(sizeof(size_t), std::memory_order_relaxed);
-  FSDM_COUNT("fsdm_index_postings_appended_total", 1);
-}
-
-void JsonSearchIndex::ErasePathPosting(PathId path, size_t row_id) {
-  if (path >= path_postings_.size()) return;
-  std::vector<size_t>* postings = &path_postings_[path];
-  if (!RemoveRowId(postings, row_id)) return;
-  // The path's last document is gone: release the list's heap.
-  if (postings->empty()) std::vector<size_t>().swap(*postings);
-  postings_bytes_.fetch_sub(sizeof(size_t), std::memory_order_relaxed);
-  FSDM_COUNT("fsdm_index_postings_erased_total", 1);
-}
-
-const std::vector<size_t>* JsonSearchIndex::ApplyPosting(
-    PostingMap* map, PathId path, std::string_view text, size_t row_id) {
-  auto it = map->find(PostingProbe{path, text});
-  if (it == map->end()) {
-    it = map->emplace(PostingKey{path, std::string(text)},
-                      std::vector<size_t>{row_id})
-             .first;
-    postings_bytes_.fetch_add(PostingNodeBytes(text) + sizeof(size_t),
-                              std::memory_order_relaxed);
-    SyncBucketBytes();
-  } else if (AddRowId(&it->second, row_id)) {
-    postings_bytes_.fetch_add(sizeof(size_t), std::memory_order_relaxed);
-  } else {
-    return &it->second;
-  }
-  FSDM_COUNT("fsdm_index_postings_appended_total", 1);
-  return &it->second;
-}
-
-void JsonSearchIndex::ErasePosting(PostingMap* map, PostingMap::iterator it,
-                                   size_t row_id) {
-  if (!RemoveRowId(&it->second, row_id)) return;
-  if (it->second.empty()) {
-    postings_bytes_.fetch_sub(PostingNodeBytes(it->first.text),
-                              std::memory_order_relaxed);
-    map->erase(it);
-  }
-  postings_bytes_.fetch_sub(sizeof(size_t), std::memory_order_relaxed);
-  FSDM_COUNT("fsdm_index_postings_erased_total", 1);
-}
-
 void JsonSearchIndex::SwapPostings(const StagedDoc& from, const StagedDoc& to,
                                    size_t row_id) {
-  // Sorted, unique path ids, so one merge finds the shared ones.
-  const std::vector<PathId> from_paths = SortedPaths(from);
-  const std::vector<PathId> to_paths = SortedPaths(to);
-  auto f = from_paths.begin();
-  auto t = to_paths.begin();
-  while (f != from_paths.end() || t != to_paths.end()) {
-    if (t == to_paths.end() || (f != from_paths.end() && *f < *t)) {
-      ErasePathPosting(*f++, row_id);
-    } else if (f == from_paths.end() || *t < *f) {
-      ApplyPathPosting(*t++, row_id);
-    } else {
-      ++f;
-      ++t;
-    }
-  }
-  // Values and keywords: apply `to` first and remember the lists it
-  // touched (node addresses are stable across rehashes); a key of `from`
-  // whose list is among them is shared and stays as it is. An erase never
-  // creates a key.
-  std::vector<const std::vector<size_t>*> kept;
-  ForEachTextKey(to, [&](bool keyword, PathId p, std::string_view text) {
-    PostingMap* map = keyword ? &keyword_postings_ : &value_postings_;
-    kept.push_back(ApplyPosting(map, p, text, row_id));
-  });
-  if (from.nodes.empty()) return;
-  std::sort(kept.begin(), kept.end());
-  ForEachTextKey(from, [&](bool keyword, PathId p, std::string_view text) {
-    PostingMap* map = keyword ? &keyword_postings_ : &value_postings_;
-    auto it = map->find(PostingProbe{p, text});
-    if (it != map->end() &&
-        !std::binary_search(kept.begin(), kept.end(), &it->second)) {
-      ErasePosting(map, it, row_id);
-    }
-  });
+  const Postings::Moved moved = postings_.Swap(from, to, row_id);
+  FSDM_COUNT("fsdm_index_postings_appended_total", moved.appended);
+  FSDM_COUNT("fsdm_index_postings_erased_total", moved.erased);
 }
 
 Status JsonSearchIndex::MaintainDataGuide(const StagedDoc& doc) {
@@ -482,7 +570,7 @@ Status JsonSearchIndex::Rebuild() {
   FSDM_COUNT("fsdm_index_rebuilds_total", 1);
   FSDM_TIME_SCOPE_US("fsdm_index_rebuild_us");
   FSDM_TRACE_SPAN(span, "index", "postings.rebuild");
-  ClearPostings();
+  postings_.Clear();
   indexed_docs_ = 0;
   Status failure;
   for (size_t r = 0; r < table_->row_count() && failure.ok(); ++r) {
@@ -520,7 +608,7 @@ Status JsonSearchIndex::Rebuild() {
     if (failure.ok()) dg_table_ = std::move(fresh_dg);
   }
   if (!failure.ok()) {
-    ClearPostings();
+    postings_.Clear();
     indexed_docs_ = 0;
     if (!degraded_) FSDM_COUNT("fsdm_index_degraded_total", 1);
     degraded_ = true;
@@ -532,118 +620,12 @@ Status JsonSearchIndex::Rebuild() {
   return Status::Ok();
 }
 
-void JsonSearchIndex::ClearPostings() {
-  for (std::vector<size_t>& postings : path_postings_) {
-    std::vector<size_t>().swap(postings);
-  }
-  value_postings_.clear();
-  keyword_postings_.clear();
-  SyncBucketBytes();
-  postings_bytes_.store(RecomputeMemoryBytes(), std::memory_order_relaxed);
-}
-
-void JsonSearchIndex::VerifyPostings(std::vector<std::string>* problems) const {
-  if (!options_.maintain_postings) return;
-  // The shadow stages against a dictionary of its own and is keyed by path
-  // text, so the check never interns into the live dictionary.
-  const dataguide::PathDictionary& live_paths = dataguide_.paths();
-  dataguide::PathDictionary shadow_dict;
-  using TextKey = std::pair<std::string, std::string>;
-  std::map<std::string, std::vector<size_t>> shadow_paths;
-  std::map<TextKey, std::vector<size_t>> shadow_values;
-  std::map<TextKey, std::vector<size_t>> shadow_keywords;
-  for (size_t r = 0; r < table_->row_count(); ++r) {
-    if (!table_->IsLive(r)) continue;
-    const Value& doc = table_->StoredRow(r)[json_col_pos_];
-    if (doc.is_null()) continue;
-    Result<StagedDoc> staged = StageDoc(doc, false, &shadow_dict);
-    if (!staged.ok()) {
-      problems->push_back("row " + std::to_string(r) + " unparseable: " +
-                          staged.status().message());
-      continue;
-    }
-    // Sorted-unique insert without the maintenance telemetry counters (a
-    // consistency check must not look like index activity).
-    for (PathId p : SortedPaths(staged.value())) {
-      AddRowId(&shadow_paths[std::string(shadow_dict.Name(p))], r);
-    }
-    ForEachTextKey(staged.value(),
-                   [&](bool keyword, PathId p, std::string_view text) {
-                     auto& shadow = keyword ? shadow_keywords : shadow_values;
-                     AddRowId(&shadow[{std::string(shadow_dict.Name(p)),
-                                       std::string(text)}],
-                              r);
-                   });
-  }
-  auto mismatch = [&](const std::string& key, const std::vector<size_t>* have,
-                      size_t implied) {
-    problems->push_back("posting " + key + ": index has " +
-                        std::to_string(have ? have->size() : 0) +
-                        " docs, table implies " + std::to_string(implied) +
-                        (implied == 0 ? " (spurious)" : ""));
-  };
-  // Shadow -> live: every implied posting list is present and exact.
-  for (const auto& [path, docs] : shadow_paths) {
-    const PathId id = live_paths.Find(path);
-    const std::vector<size_t>* have =
-        id < path_postings_.size() ? &path_postings_[id] : nullptr;
-    if (have == nullptr || *have != docs) mismatch(path, have, docs.size());
-  }
-  auto check_implied = [&](const PostingMap& live,
-                           const std::map<TextKey, std::vector<size_t>>& shadow,
-                           const char* sep) {
-    for (const auto& [key, docs] : shadow) {
-      const PathId id = live_paths.Find(key.first);
-      auto it = id == dataguide::kNoPath
-                    ? live.end()
-                    : live.find(PostingProbe{id, key.second});
-      const std::vector<size_t>* have =
-          it == live.end() ? nullptr : &it->second;
-      if (have == nullptr || *have != docs) {
-        mismatch(key.first + sep + key.second, have, docs.size());
-      }
-    }
-  };
-  check_implied(value_postings_, shadow_values, "=");
-  check_implied(keyword_postings_, shadow_keywords, "~");
-  // Live -> shadow: nothing spurious, and no empty value/keyword list (an
-  // empty path list is a path no live document has).
-  for (PathId id = 0; id < path_postings_.size(); ++id) {
-    const std::vector<size_t>& docs = path_postings_[id];
-    const std::string path(live_paths.Name(id));
-    if (docs.empty()) {
-      if (docs.capacity() != 0) {
-        problems->push_back("posting " + path +
-                            ": empty list still holds heap");
-      }
-    } else if (!shadow_paths.count(path)) {
-      mismatch(path, &docs, 0);
-    }
-  }
-  auto check_spurious = [&](const PostingMap& live,
-                            const std::map<TextKey, std::vector<size_t>>& shadow,
-                            const char* sep) {
-    for (const auto& [key, docs] : live) {
-      const std::string path(live_paths.Name(key.path));
-      if (docs.empty()) {
-        problems->push_back("posting " + path + sep + key.text +
-                            ": empty list (an emptied key must be removed)");
-      } else if (!shadow.count({path, key.text})) {
-        mismatch(path + sep + key.text, &docs, 0);
-      }
-    }
-  };
-  check_spurious(value_postings_, shadow_values, "=");
-  check_spurious(keyword_postings_, shadow_keywords, "~");
-}
-
 std::vector<size_t> JsonSearchIndex::DocsWithPath(
     const std::string& path) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
-  const PathId id = dataguide_.paths().Find(path);
-  std::vector<size_t> docs = id < path_postings_.size()
-                                 ? path_postings_[id]
-                                 : std::vector<size_t>{};
+  const std::vector<size_t>* rows =
+      postings_.PathRows(dataguide_.paths().Find(path));
+  std::vector<size_t> docs = rows != nullptr ? *rows : std::vector<size_t>{};
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
 }
@@ -655,8 +637,8 @@ std::vector<size_t> JsonSearchIndex::DocsWithValue(const std::string& path,
   std::vector<size_t> docs;
   if (id != dataguide::kNoPath) {
     const std::string display = value.ToDisplayString();
-    auto it = value_postings_.find(PostingProbe{id, display});
-    if (it != value_postings_.end()) docs = it->second;
+    const std::vector<size_t>* rows = postings_.ValueRows(id, display);
+    if (rows != nullptr) docs = *rows;
   }
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
@@ -671,14 +653,14 @@ std::vector<size_t> JsonSearchIndex::DocsWithKeyword(
   // Conjunction over the keyword's tokens.
   std::vector<size_t> acc;
   for (size_t i = 0; i < tokens.size(); ++i) {
-    auto it = keyword_postings_.find(PostingProbe{id, tokens[i]});
-    if (it == keyword_postings_.end()) return {};
+    const std::vector<size_t>* rows = postings_.KeywordRows(id, tokens[i]);
+    if (rows == nullptr) return {};
     if (i == 0) {
-      acc = it->second;
+      acc = *rows;
     } else {
       std::vector<size_t> merged;
-      std::set_intersection(acc.begin(), acc.end(), it->second.begin(),
-                            it->second.end(), std::back_inserter(merged));
+      std::set_intersection(acc.begin(), acc.end(), rows->begin(),
+                            rows->end(), std::back_inserter(merged));
       acc = std::move(merged);
     }
   }
@@ -799,30 +781,6 @@ rdbms::OperatorPtr IndexedIntersectionScan(const rdbms::Table* table,
   }
   if (info != nullptr) info->matched = acc.size();
   return std::make_unique<PostingScanOp>(table, std::move(acc));
-}
-
-size_t JsonSearchIndex::posting_count() const {
-  size_t n = 0;
-  for (const std::vector<size_t>& v : path_postings_) n += v.size();
-  for (const auto& [k, v] : value_postings_) n += v.size();
-  for (const auto& [k, v] : keyword_postings_) n += v.size();
-  return n;
-}
-
-uint64_t JsonSearchIndex::RecomputeMemoryBytes() const {
-  uint64_t total =
-      (value_postings_.bucket_count() + keyword_postings_.bucket_count()) *
-          sizeof(void*) +
-      path_postings_.size() * sizeof(std::vector<size_t>);
-  for (const std::vector<size_t>& rows : path_postings_) {
-    total += rows.size() * sizeof(size_t);
-  }
-  for (const PostingMap* map : {&value_postings_, &keyword_postings_}) {
-    for (const auto& [k, v] : *map) {
-      total += PostingNodeBytes(k.text) + v.size() * sizeof(size_t);
-    }
-  }
-  return total;
 }
 
 }  // namespace fsdm::index

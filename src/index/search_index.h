@@ -15,6 +15,132 @@
 
 namespace fsdm::index {
 
+/// The posting lists of a JSON search index and their byte accounting: per
+/// path id the sorted row ids of the documents holding the path, and per
+/// (path id, text) key those holding a scalar display (values) or a
+/// lowercased token (keywords). Path ids are those of a PathDictionary the
+/// owner keeps. The live index maintains one store; the consistency check
+/// builds a shadow with the same Swap() calls and diffs the two.
+///
+/// No value or keyword list is ever empty: an erase never creates a key,
+/// and removing the last row id removes the key. An emptied path list
+/// releases its heap but keeps its slot.
+class Postings {
+ public:
+  using PathId = dataguide::PathId;
+
+  /// Row ids a Swap() added and removed, for the owner's telemetry.
+  struct Moved {
+    size_t appended = 0;
+    size_t erased = 0;
+  };
+
+  Postings() { SyncBucketBytes(); }
+
+  /// Moves `row_id` from the posting keys of `from` to those of `to`: an
+  /// insert swaps from no document, a delete to none, a replace from the
+  /// old document to the new one. A key both documents have keeps its list
+  /// untouched rather than being erased and re-added, which would shift
+  /// the long lists of common paths, values and tokens twice. A pure
+  /// in-memory mutation that cannot fail.
+  Moved Swap(const dataguide::StagedDoc& from, const dataguide::StagedDoc& to,
+             size_t row_id);
+  /// Drops every posting list in place; the path slots stay.
+  void Clear();
+
+  /// The rows under a path, value display or keyword token; nullptr when
+  /// there are none.
+  const std::vector<size_t>* PathRows(PathId path) const {
+    return path < paths_.size() ? &paths_[path] : nullptr;
+  }
+  const std::vector<size_t>* ValueRows(PathId path,
+                                       std::string_view display) const {
+    return Find(values_, path, display);
+  }
+  const std::vector<size_t>* KeywordRows(PathId path,
+                                         std::string_view token) const {
+    return Find(keywords_, path, token);
+  }
+
+  /// Appends to `problems`, sorted, one line per list that differs from
+  /// `expected`'s (missing, spurious or wrong rows) and per list that is
+  /// empty but should not be. `names` names every path id of both stores.
+  void Diff(const Postings& expected, const dataguide::PathDictionary& names,
+            std::vector<std::string>* problems) const;
+
+  size_t posting_count() const;
+
+  /// In-memory footprint: per hash node the key, the row-id vector header,
+  /// the next pointer and the cached hash; the key text and row-id payload
+  /// by size(); one vector header per path slot; and the bucket arrays of
+  /// the two hash maps. Path text is the dictionary's, charged there. Kept
+  /// incrementally, O(1) to read; atomic (relaxed) because DML mutates it
+  /// while memory reporters read it from other threads.
+  uint64_t MemoryBytes() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
+  /// Exact O(postings) walk with the same formula.
+  uint64_t RecomputeMemoryBytes() const;
+
+ private:
+  struct Key {
+    PathId path;
+    std::string text;
+  };
+  /// Allocation-free probe for the same key.
+  struct Probe {
+    PathId path;
+    std::string_view text;
+  };
+  /// Heterogeneous hash/equality, so probes never build a Key. The hash is
+  /// deliberately not noexcept: libstdc++ then caches it in every node, and
+  /// rehashes and collisions never re-read the key text.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const Key& k) const {
+      return (*this)(Probe{k.path, k.text});
+    }
+    size_t operator()(const Probe& k) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.path == b.path && std::string_view(a.text) == b.text;
+    }
+  };
+  using Map = std::unordered_map<Key, std::vector<size_t>, KeyHash, KeyEq>;
+
+  static const std::vector<size_t>* Find(const Map& map, PathId path,
+                                         std::string_view text);
+  void ApplyPath(PathId path, size_t row_id, Moved* moved);
+  void ErasePath(PathId path, size_t row_id, Moved* moved);
+  /// Adds `row_id` under the key, creating the key if needed; returns its
+  /// posting list.
+  const std::vector<size_t>* Apply(Map* map, PathId path,
+                                   std::string_view text, size_t row_id,
+                                   Moved* moved);
+  /// Removes `row_id` from the list at `it`, and the key with it when the
+  /// list empties.
+  void Erase(Map* map, Map::iterator it, size_t row_id, Moved* moved);
+  /// Accounting footprint of a value or keyword key, row ids excluded.
+  static uint64_t NodeBytes(std::string_view text);
+  /// Charges or refunds the bucket arrays after a map may have rehashed.
+  void SyncBucketBytes();
+  void Charge(uint64_t bytes) {
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void Refund(uint64_t bytes) {
+    bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  }
+
+  std::vector<std::vector<size_t>> paths_;
+  Map values_;
+  Map keywords_;
+  std::atomic<uint64_t> bytes_{0};
+  size_t charged_buckets_ = 0;  // bucket count of the two maps as charged
+};
+
 /// Schema-agnostic JSON search index (§3.2.1): an inverted index over every
 /// JSON field path and every leaf scalar value of a JSON text column
 /// (strings tokenized into keywords for full-text search), maintained
@@ -73,7 +199,6 @@ class JsonSearchIndex final : public rdbms::TableObserver {
 
   ~JsonSearchIndex() override;
   void Detach();
-  const Options& options() const { return options_; }
 
   // --- TableObserver --------------------------------------------------------
   Status OnInsert(size_t row_id, const rdbms::Row& row) override;
@@ -98,11 +223,6 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   /// table rows and clears the degraded state. On failure the index stays
   /// (or becomes) degraded with the failure recorded.
   Status Rebuild();
-
-  /// Compares the posting maps against a shadow rebuild from the live
-  /// table rows, appending one line per divergence (missing or spurious
-  /// posting) to `problems`. No-op when postings are not maintained.
-  void VerifyPostings(std::vector<std::string>* problems) const;
 
   // --- Ad-hoc queries (JSON_EXISTS / JSON_VALUE / JSON_TEXTCONTAINS
   //     pushdown) --------------------------------------------------------
@@ -135,22 +255,21 @@ class JsonSearchIndex final : public rdbms::TableObserver {
 
   // --- Introspection ----------------------------------------------------
   size_t indexed_document_count() const { return indexed_docs_; }
-  size_t posting_count() const;
+  /// The live postings, keyed by the ids of dataguide().paths(); read-only
+  /// (the consistency check diffs them against a shadow store).
+  const Postings& postings() const { return postings_; }
+  size_t posting_count() const { return postings_.posting_count(); }
 
-  /// In-memory footprint of the postings (ISSUE 9 memory attribution):
-  /// per hash node the key, the row-id vector header, the next pointer and
-  /// the cached hash; the key text and row-id payload by size(); one
-  /// vector header per path slot; and the bucket arrays of the two hash
-  /// maps. Path text is the DataGuide's dictionary, charged there.
-  /// Maintained incrementally on every posting mutation, O(1) to read —
-  /// the collection's index-postings memory reporter polls this.
-  uint64_t MemoryBytes() const {
-    return postings_bytes_.load(std::memory_order_relaxed);
-  }
+  /// In-memory footprint of the postings (see Postings::MemoryBytes()),
+  /// O(1) to read — the collection's index-postings memory reporter polls
+  /// this.
+  uint64_t MemoryBytes() const { return postings_.MemoryBytes(); }
   /// Exact O(postings) walk with the same formula; the accounting unit
   /// test pins MemoryBytes() == RecomputeMemoryBytes() across DML mixes,
   /// rollbacks and rebuilds.
-  uint64_t RecomputeMemoryBytes() const;
+  uint64_t RecomputeMemoryBytes() const {
+    return postings_.RecomputeMemoryBytes();
+  }
   /// Number of $DG persistence events (documents that introduced at least
   /// one new path) — what Figures 7/8 measure indirectly.
   size_t dg_write_count() const { return dg_writes_; }
@@ -162,72 +281,19 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   using PathId = dataguide::PathId;
   using StagedDoc = dataguide::StagedDoc;
 
-  /// Exact key of a value or keyword posting list: the path id and the
-  /// canonical scalar display (values) or lowercased token (keywords).
-  struct PostingKey {
-    PathId path;
-    std::string text;
-  };
-  /// Allocation-free probe for the same key.
-  struct PostingProbe {
-    PathId path;
-    std::string_view text;
-  };
-  /// Heterogeneous hash/equality, so probes never build a PostingKey. The
-  /// hash is deliberately not noexcept: libstdc++ then caches it in every
-  /// node, and rehashes and collisions never re-read the key text.
-  struct PostingKeyHash {
-    using is_transparent = void;
-    size_t operator()(const PostingKey& k) const {
-      return (*this)(PostingProbe{k.path, k.text});
-    }
-    size_t operator()(const PostingProbe& k) const;
-  };
-  struct PostingKeyEq {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return a.path == b.path && std::string_view(a.text) == b.text;
-    }
-  };
-  using PostingMap = std::unordered_map<PostingKey, std::vector<size_t>,
-                                        PostingKeyHash, PostingKeyEq>;
-
   /// doc -> staged nodes: the one parse-and-walk that every maintenance
-  /// step and VerifyPostings() share. A null document stages no node. When
-  /// `use_dml_parse`, borrows the DOM the IS JSON check already built for
-  /// the in-flight DML (§3.2.1) if present. Interning into `paths` is its
-  /// only effect, so a failure here leaves every posting list as it was.
+  /// step shares. A null document stages no node. When `use_dml_parse`,
+  /// borrows the DOM the IS JSON check already built for the in-flight DML
+  /// (§3.2.1) if present. Interning into `paths` is its only effect, so a
+  /// failure here leaves every posting list as it was.
   Result<StagedDoc> StageDoc(const Value& doc, bool use_dml_parse,
                              dataguide::PathDictionary* paths) const;
 
-  /// Moves `row_id` from the posting keys of `from` to those of `to`: an
-  /// insert swaps from no document, a delete to none, a replace from the
-  /// old document to the new one. A key both documents have keeps its list
-  /// untouched rather than being erased and re-added, which would shift
-  /// the long lists of common paths, values and tokens twice. A pure
-  /// in-memory mutation that cannot fail, which is what makes
+  /// Postings::Swap() on the live store, counted as index activity. A
+  /// pure in-memory mutation that cannot fail, which is what makes
   /// stage-then-swap atomic.
   void SwapPostings(const StagedDoc& from, const StagedDoc& to,
                     size_t row_id);
-  void ApplyPathPosting(PathId path, size_t row_id);
-  void ErasePathPosting(PathId path, size_t row_id);
-  /// Adds `row_id` under the key, creating the key if needed; returns its
-  /// posting list.
-  const std::vector<size_t>* ApplyPosting(PostingMap* map, PathId path,
-                                          std::string_view text,
-                                          size_t row_id);
-  /// Removes `row_id` from the list at `it`, and the key with it when the
-  /// list empties.
-  void ErasePosting(PostingMap* map, PostingMap::iterator it, size_t row_id);
-
-  /// Accounting footprint of a value or keyword key, excluding its row-id
-  /// payload (see MemoryBytes()).
-  static uint64_t PostingNodeBytes(std::string_view text);
-  /// Charges or refunds the bucket arrays after a map may have rehashed.
-  void SyncBucketBytes();
-  /// Drops every posting list; the path slots stay.
-  void ClearPostings();
 
   /// DataGuide + $DG side-table maintenance for one staged document.
   Status MaintainDataGuide(const StagedDoc& doc);
@@ -257,27 +323,11 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   size_t json_col_pos_;  // position within the physical row
   Options options_;
 
-  // Path id -> sorted row ids, over the guide's path dictionary (grown on
-  // the first posting of a new id). An empty list holds no heap.
-  std::vector<std::vector<size_t>> path_postings_;
-  // (path id, canonical scalar display) -> sorted row ids.
-  PostingMap value_postings_;
-  // (path id, lowercased token) -> sorted row ids.
-  PostingMap keyword_postings_;
-  // No value or keyword list is ever empty: an erase never creates a key,
-  // and removing the last row id removes the key.
-
+  // Keyed by the ids of dataguide_'s path dictionary.
+  Postings postings_;
   // Owns the path dictionary the postings key on, whether or not the guide
   // itself is maintained.
   dataguide::DataGuide dataguide_;
-  // Incremental accounting over the postings (the dictionary is charged
-  // with the DataGuide).
-  // Atomic (relaxed) because DML mutates it while MemoryTracker reporter
-  // callbacks read it from other threads (workload-snapshot tick,
-  // TELEMETRY$MEMORY refresh).
-  std::atomic<uint64_t> postings_bytes_{0};
-  // Total bucket count of the two posting maps as last charged.
-  size_t charged_buckets_ = 0;
   // The persistent $DG side table (§3.2.1): one row per distinct path,
   // appended when a document introduces new structure.
   std::unique_ptr<rdbms::Table> dg_table_;

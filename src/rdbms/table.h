@@ -30,9 +30,6 @@ enum class ColumnType : uint8_t {
 struct ColumnDef {
   std::string name;
   ColumnType type = ColumnType::kString;
-  /// varchar2(n)-style declared max length; 0 = unbounded. Informational
-  /// except for DataGuide-driven column sizing.
-  size_t max_length = 0;
   /// IS JSON check constraint (only meaningful on kJson columns).
   bool check_is_json = false;
   /// Virtual column: evaluated from the row on access, never stored.

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -35,15 +34,6 @@ const char* FsyncPolicyName(FsyncPolicy p) {
       return "off";
   }
   return "unknown";
-}
-
-FsyncPolicy FsyncPolicyFromEnv(FsyncPolicy fallback) {
-  const char* env = std::getenv("FSDM_WAL_FSYNC");
-  if (env == nullptr) return fallback;
-  if (std::strcmp(env, "always") == 0) return FsyncPolicy::kAlways;
-  if (std::strcmp(env, "group") == 0) return FsyncPolicy::kGroup;
-  if (std::strcmp(env, "off") == 0) return FsyncPolicy::kOff;
-  return fallback;
 }
 
 const char* RecordTypeName(RecordType t) {

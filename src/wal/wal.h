@@ -36,7 +36,7 @@
 /// later segments unlinked), never as an error. A record is therefore
 /// atomic: either its CRC validates and it replays, or it never happened.
 ///
-/// Durability policies (FSDM_WAL_FSYNC=always|group|off):
+/// Durability policies (WalOptions::fsync):
 ///   always — fsync after every append; an acknowledged DML is durable.
 ///   group  — group commit: fsync once per `group_ops` appends (and on
 ///            rotation/checkpoint/Flush). A crash may lose the un-synced
@@ -73,9 +73,6 @@ inline constexpr const char* kSegmentSuffix = ".walseg";
 enum class FsyncPolicy : uint8_t { kAlways = 0, kGroup, kOff };
 
 const char* FsyncPolicyName(FsyncPolicy p);
-/// Parses "always" / "group" / "off" (case-sensitive, like the other FSDM_*
-/// envs); anything else (including unset) returns `fallback`.
-FsyncPolicy FsyncPolicyFromEnv(FsyncPolicy fallback = FsyncPolicy::kAlways);
 
 enum class RecordType : uint8_t {
   kInsert = 1,

@@ -90,7 +90,7 @@ TEST_F(CostRouterTest, ConjunctionRoutesToPostingIntersection) {
                     .MoveValue();
   EXPECT_EQ(routed.access_path, AccessPath::kPostingIntersectScan)
       << routed.trace.decision.Render();
-  EXPECT_NE(routed.reason.find("posting-list intersection"),
+  EXPECT_NE(routed.trace.decision.reason.find("posting-list intersection"),
             std::string::npos);
   // i % 10 == 0 AND i % 4 == 0 -> i % 20 == 0: 10 of 200.
   EXPECT_EQ(Drain(routed).size(), 10u);

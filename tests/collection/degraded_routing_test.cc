@@ -1,8 +1,10 @@
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "collection/collection.h"
+#include "collection/collections_table.h"
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "stats/operator_costs.h"
@@ -72,9 +74,7 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
 
   EXPECT_EQ(coll->health(), CollectionHealth::kIndexDegraded);
   EXPECT_NE(coll->health_reason().find("rollback failed"), std::string::npos);
-  EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
-                "fsdm_collection_health"),
-            1.0);
+  EXPECT_EQ(static_cast<int>(coll->health()), 1);
 
   // Degraded: the router must not trust the postings. The fallback reason
   // lands in both the candidate table and the plan reason.
@@ -82,7 +82,8 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
   routed = coll->Route({PathPredicate::Exists("$.rare")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.value().access_path, AccessPath::kFullScan);
-  EXPECT_NE(routed.value().reason.find("posting paths unavailable"),
+  EXPECT_NE(routed.value().trace.decision.reason.find(
+                "posting paths unavailable"),
             std::string::npos);
   const telemetry::RouterDecision& decision =
       routed.value().trace.decision;
@@ -105,9 +106,7 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
 
   ASSERT_TRUE(coll->RebuildIndex().ok());
   EXPECT_EQ(coll->health(), CollectionHealth::kHealthy);
-  EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
-                "fsdm_collection_health"),
-            0.0);
+  EXPECT_EQ(static_cast<int>(coll->health()), 0);
   ConsistencyReport report = coll->CheckConsistency();
   EXPECT_TRUE(report.consistent) << report.ToString();
 
@@ -179,9 +178,7 @@ TEST_F(DegradedRoutingTest, RebuildFailureQuarantinesUntilRetrySucceeds) {
   EXPECT_FALSE(coll->RebuildIndex().ok());
   EXPECT_EQ(coll->health(), CollectionHealth::kQuarantined);
   EXPECT_NE(coll->health_reason().find("rebuild failed"), std::string::npos);
-  EXPECT_EQ(telemetry::MetricsRegistry::Global().GaugeValue(
-                "fsdm_collection_health"),
-            2.0);
+  EXPECT_EQ(static_cast<int>(coll->health()), 2);
 
   // Quarantined: every DML is refused with Unavailable.
   Result<size_t> refused = coll->Insert("{\"x\": 2}");
@@ -216,6 +213,27 @@ TEST_F(DegradedRoutingTest, ExplicitQuarantineRefusesDml) {
   EXPECT_EQ(coll->Insert("{}").status().code(), StatusCode::kUnavailable);
   ASSERT_TRUE(coll->RebuildIndex().ok());
   EXPECT_TRUE(coll->Insert("{}").ok());
+}
+
+// Health is per collection: with one collection quarantined and another
+// healthy, TELEMETRY$COLLECTIONS shows each its own, whichever health was
+// computed last.
+TEST_F(DegradedRoutingTest, CollectionsTableShowsEachCollectionsHealth) {
+  auto sick = JsonCollection::Create(&db_, "SICK").MoveValue();
+  auto well = JsonCollection::Create(&db_, "WELL").MoveValue();
+  sick->Quarantine("operator intervention");
+  EXPECT_EQ(sick->health(), CollectionHealth::kQuarantined);
+  EXPECT_EQ(well->health(), CollectionHealth::kHealthy);
+
+  std::map<std::string, std::string> health;
+  rdbms::OperatorPtr scan = CollectionsScan();
+  const size_t name_at = scan->schema().IndexOf("NAME");
+  const size_t health_at = scan->schema().IndexOf("HEALTH");
+  for (const rdbms::Row& row : rdbms::Collect(scan.get()).MoveValue()) {
+    health[row[name_at].ToDisplayString()] = row[health_at].ToDisplayString();
+  }
+  EXPECT_EQ(health["SICK"], "quarantined");
+  EXPECT_EQ(health["WELL"], "healthy");
 }
 
 TEST_F(DegradedRoutingTest, CreatePartialFailureDropsTheTable) {

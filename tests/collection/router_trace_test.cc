@@ -39,7 +39,7 @@ class RouterTraceTest : public ::testing::Test {
     EXPECT_EQ(d.candidates[3].access_path, "indexed-path-scan");
     EXPECT_EQ(d.candidates[4].access_path, "full-scan");
     EXPECT_EQ(d.winner, winner);
-    EXPECT_EQ(d.reason, routed.reason);
+    EXPECT_FALSE(d.reason.empty());
     int chosen = 0;
     for (const telemetry::RouterCandidate& c : d.candidates) {
       if (c.chosen) {

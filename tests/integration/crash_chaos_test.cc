@@ -29,16 +29,15 @@ namespace fs = std::filesystem;
 using collection::CollectionOptions;
 using collection::JsonCollection;
 
-/// Kill-and-recover chaos harness (ISSUE 8's headline test): fork a child
-/// that runs a seeded DML storm against a durable collection with
-/// FSDM_WAL_FSYNC=always, reporting every operation over a pipe — one "B"
-/// line before it starts, one "A" line after the engine acknowledged it.
-/// The parent SIGKILLs the child at a random point, reopens the WAL
-/// directory in-process, and asserts the recovered collection equals the
-/// acknowledged state exactly — plus at most the single in-flight
-/// operation (begun, never acknowledged: durability of an un-acked op is
-/// the allowed direction of the crash ambiguity; losing an acked one is
-/// the bug this harness exists to catch).
+/// Kill-and-recover chaos harness: fork a child that runs a seeded DML
+/// storm against a durable collection with wal_fsync = kAlways, reporting
+/// every operation over a pipe — one "B" line before it starts, one "A"
+/// line after the engine acknowledged it. The parent SIGKILLs the child at
+/// a random point, reopens the WAL directory in-process, and asserts the
+/// recovered collection equals the acknowledged state exactly — plus at
+/// most the single in-flight operation (begun, never acknowledged:
+/// durability of an un-acked op is the allowed direction of the crash
+/// ambiguity; losing an acked one is the bug this harness exists to catch).
 ///
 /// Seeds are fixed; the CI matrix pins one per job via FSDM_CHAOS_SEED.
 /// On failure the evidence — protocol tail, expected/actual diff, the

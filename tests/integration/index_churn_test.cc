@@ -27,7 +27,8 @@ using collection::Shard;
 /// values (as in the point_mix benchmark), deletes, vetoed DML and injected
 /// DataGuide faults against a collection at 1 and 4 shards. After every
 /// batch each shard's search index must
-///   - pass VerifyPostings (which also reports any empty posting list),
+///   - pass Shard::CheckConsistency (postings, which also reports any empty
+///     posting list, document count, DataGuide and $DG),
 ///   - reconcile MemoryBytes() with RecomputeMemoryBytes(),
 ///   - keep MemoryBytes() and posting_count() unchanged by a Rebuild() over
 ///     the same rows (replace churn leaves nothing behind),
@@ -242,10 +243,8 @@ class ChurnRun {
       ASSERT_NE(idx, nullptr);
       ASSERT_FALSE(idx->degraded()) << idx->degraded_reason();
 
-      std::vector<std::string> problems;
-      idx->VerifyPostings(&problems);
-      EXPECT_TRUE(problems.empty())
-          << problems.size() << " problems, first: " << problems.front();
+      const collection::ConsistencyReport report = shard->CheckConsistency();
+      EXPECT_TRUE(report.consistent) << report.ToString();
       EXPECT_EQ(idx->MemoryBytes(), idx->RecomputeMemoryBytes());
       bytes.push_back(idx->MemoryBytes());
       postings.push_back(idx->posting_count());

@@ -32,10 +32,11 @@ using collection::Shard;
 ///   3. a standalone DataGuide + PathStatsRepository fed by AddDocument,
 /// at 1 and 4 shards, and checks per shard that the $DG rows, the flat and
 /// hierarchical getDataGuide() renderings and the TELEMETRY$PATH_STATS
-/// rows are identical in content and order, and that VerifyPostings finds
-/// nothing. It repeats the check after RebuildIndex(), which re-walks every
-/// document into the (additive) guide and re-feeds freshly cleared
-/// statistics. FSDM_CHAOS_SEED pins one seed (one per CI job).
+/// rows are identical in content and order, and that
+/// Shard::CheckConsistency finds nothing. It repeats the check after
+/// RebuildIndex(), which re-walks every document into the (additive) guide
+/// and re-feeds freshly cleared statistics. FSDM_CHAOS_SEED pins one seed
+/// (one per CI job).
 
 /// A row as text, with each value's type, so rows compare exactly.
 std::string RowText(const rdbms::Row& row) {
@@ -162,13 +163,12 @@ void ExpectSame(const Snapshot& want, const Snapshot& got,
   EXPECT_EQ(got.stats_rows, want.stats_rows);
 }
 
-void ExpectPostingsVerify(const JsonCollection& coll) {
+void ExpectConsistent(const JsonCollection& coll) {
   for (size_t s = 0; s < coll.shard_count(); ++s) {
-    std::vector<std::string> problems;
-    coll.shard(s)->search_index()->VerifyPostings(&problems);
-    EXPECT_TRUE(problems.empty())
-        << "shard " << s << ": " << problems.size() << " problems, first: "
-        << problems.front();
+    const collection::ConsistencyReport report =
+        coll.shard(s)->CheckConsistency();
+    EXPECT_TRUE(report.consistent) << "shard " << s << ": "
+                                   << report.ToString();
   }
 }
 
@@ -222,7 +222,8 @@ void RunOracle(uint64_t seed, size_t shards) {
     unindexed_before.push_back(OfCollection(*nx, s));
     ExpectSame(want, unindexed_before.back(), "unindexed collection");
   }
-  ExpectPostingsVerify(*ix);
+  ExpectConsistent(*ix);
+  ExpectConsistent(*nx);
 
   // RebuildIndex() clears the statistics, keeps the path dictionary and
   // re-walks every live document into the additive guide; the standalone
@@ -238,7 +239,8 @@ void RunOracle(uint64_t seed, size_t shards) {
     ExpectSame(unindexed_before[s], OfCollection(*nx, s),
                "unindexed collection");
   }
-  ExpectPostingsVerify(*ix);
+  ExpectConsistent(*ix);
+  ExpectConsistent(*nx);
 }
 
 class WalkOracle : public ::testing::TestWithParam<size_t> {};

@@ -10,7 +10,6 @@ std::vector<ColumnDef> PoColumns() {
       {.name = "DID", .type = ColumnType::kNumber},
       {.name = "JDOC",
        .type = ColumnType::kJson,
-       .max_length = 4000,
        .check_is_json = true},
   };
 }

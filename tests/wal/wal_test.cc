@@ -388,19 +388,6 @@ TEST_F(WalTest, FsyncFaultCarriesErrnoAndPoisons) {
   EXPECT_FALSE(reopened.wal->failed());
 }
 
-TEST_F(WalTest, FsyncPolicyFromEnv) {
-  ::setenv("FSDM_WAL_FSYNC", "group", 1);
-  EXPECT_EQ(FsyncPolicyFromEnv(), FsyncPolicy::kGroup);
-  ::setenv("FSDM_WAL_FSYNC", "off", 1);
-  EXPECT_EQ(FsyncPolicyFromEnv(), FsyncPolicy::kOff);
-  ::setenv("FSDM_WAL_FSYNC", "always", 1);
-  EXPECT_EQ(FsyncPolicyFromEnv(), FsyncPolicy::kAlways);
-  ::setenv("FSDM_WAL_FSYNC", "bogus", 1);
-  EXPECT_EQ(FsyncPolicyFromEnv(FsyncPolicy::kGroup), FsyncPolicy::kGroup);
-  ::unsetenv("FSDM_WAL_FSYNC");
-  EXPECT_EQ(FsyncPolicyFromEnv(), FsyncPolicy::kAlways);
-}
-
 TEST_F(WalTest, PolicyAndTypeNames) {
   EXPECT_STREQ(FsyncPolicyName(FsyncPolicy::kAlways), "always");
   EXPECT_STREQ(FsyncPolicyName(FsyncPolicy::kGroup), "group");
