@@ -27,17 +27,6 @@ double InsertAll(const std::vector<std::string>& docs, bool is_json,
     opts.maintain_postings = false;  // isolate the DataGuide cost
     idx = index::JsonSearchIndex::Create(&table, "JDOC", opts).MoveValue();
   }
-  // Report the run's resident structures to the memory tracker; dropping
-  // the scopes on return polls them once more and ratchets the peaks.
-  telemetry::MemoryScope table_mem(telemetry::MemSubsystem::kTableHeap, "NB",
-                                   [&table] { return table.HeapBytes(); });
-  telemetry::MemoryScope guide_mem;
-  if (idx != nullptr) {
-    guide_mem = telemetry::MemoryScope(
-        telemetry::MemSubsystem::kDataGuide, "NB", [&idx]() -> uint64_t {
-          return idx->dataguide().MemoryBytes() + idx->dg_table()->HeapBytes();
-        });
-  }
   benchutil::Timer t;
   for (size_t i = 0; i < docs.size(); ++i) {
     Result<size_t> r = table.Insert(
@@ -47,7 +36,20 @@ double InsertAll(const std::vector<std::string>& docs, bool is_json,
       exit(1);
     }
   }
-  return t.ElapsedMs();
+  const double ms = t.ElapsedMs();
+  // Report the run's resident structures to the memory tracker: setting
+  // the accounts ratchets the subsystem and total peaks, and closing them
+  // on return takes the bytes out of the totals again.
+  telemetry::MemoryAccount table_mem(telemetry::MemSubsystem::kTableHeap,
+                                     "NB");
+  table_mem.Set(table.HeapBytes());
+  if (idx != nullptr) {
+    telemetry::MemoryAccount guide_mem(telemetry::MemSubsystem::kDataGuide,
+                                       "NB");
+    guide_mem.Set(idx->dataguide().MemoryBytes() +
+                  idx->dg_table()->HeapBytes());
+  }
+  return ms;
 }
 
 void Run() {

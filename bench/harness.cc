@@ -145,7 +145,7 @@ void BenchJson::Write() const {
   // Capture the memory section BEFORE the final workload snapshot ticks:
   // the "bench-end" snapshot re-reads the tracker, so ordering this way
   // makes the "memory" section and the snapshot's MEM_* columns agree.
-  const uint64_t mem_total = telemetry::MemoryTracker::Global().Refresh();
+  const uint64_t mem_total = telemetry::MemoryTracker::Global().CurrentBytes();
   const uint64_t mem_peak = telemetry::MemoryTracker::Global().PeakBytes();
   // Final snapshot so the tail window (last row -> exit) is captured, then
   // stop the sampler — its thread must not keep mutating the ring while
@@ -205,9 +205,9 @@ void BenchJson::Write() const {
   // Memory attribution (ISSUE 9). Always all eight subsystems, in enum
   // order, zeros included — consumers (check_bench_json.py,
   // bench_compare.py) rely on the shape.
-  // peak_bytes is the tracker's per-subsystem high-water (ratcheted at
-  // Refresh/Charge time), a real simultaneous peak — not a sum of
-  // per-entry peaks reached at different times.
+  // peak_bytes is the tracker's per-subsystem high-water (ratcheted by
+  // every push), a real simultaneous peak — not a sum of per-account
+  // peaks reached at different times.
   out += ",\"memory\":{\"total_bytes\":" + std::to_string(mem_total);
   out += ",\"peak_bytes\":" + std::to_string(mem_peak);
   out += ",\"subsystems\":{";

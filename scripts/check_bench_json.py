@@ -15,7 +15,8 @@ instrumented engine actually ran). Histogram dumps must carry "sum" and
 "mean" so mean latency is derivable from any exposure. The "ash" and
 "workload_snapshots" sections must be present (zeroed when the sampler is
 off) with the shapes scripts/ash_report.py consumes, and so must the
-"memory" and "log" sections (fig7's memory peak must be nonzero), and
+"memory" and "log" sections (fig7's memory peak must be nonzero, no
+peak below its bytes, the subsystem split summing to the total), and
 "counter_rates_per_sec" with a positive rate for every nonzero counter.
 Exits non-zero on the first violation.
 """
@@ -214,7 +215,8 @@ MEM_SUBSYSTEMS = {"table-heap", "oson-vc", "index-postings", "dataguide",
 def check_memory(path, doc):
     """The "memory" section (ISSUE 9): tracker totals plus the
     per-subsystem split. Required on every bench — the harness always
-    emits it."""
+    emits it. Peaks are true high-water marks, so none is below its
+    current bytes, and the split sums to the total exactly."""
     mem = doc.get("memory")
     if not isinstance(mem, dict):
         fail(path, "missing 'memory' section")
@@ -232,14 +234,23 @@ def check_memory(path, doc):
             if not isinstance(entry.get(key), int) or entry[key] < 0:
                 fail(path, f"memory.subsystems.{name}.{key} missing or "
                            f"not a non-negative int")
-    split = sum(entry["bytes"] for entry in subs.values())
-    if split > mem["total_bytes"]:
-        fail(path, f"memory.subsystems sum to {split} bytes, more than "
+        if entry["peak_bytes"] < entry["bytes"]:
+            fail(path, f"memory.subsystems.{name}.peak_bytes "
+                       f"{entry['peak_bytes']} is below its bytes "
+                       f"{entry['bytes']}")
+    if mem["peak_bytes"] < mem["total_bytes"]:
+        fail(path, f"memory.peak_bytes {mem['peak_bytes']} is below "
                    f"total_bytes {mem['total_bytes']}")
-    # fig7 registers reporters for its table heap and DataGuide, so its
-    # peak cannot be zero.
+    # Every push moves one subsystem and the total by the same delta, so
+    # at rest the split adds up to the total exactly.
+    split = sum(entry["bytes"] for entry in subs.values())
+    if split != mem["total_bytes"]:
+        fail(path, f"memory.subsystems sum to {split} bytes, total_bytes "
+                   f"says {mem['total_bytes']}")
+    # fig7 sets accounts for its table heap and DataGuide, so its peak
+    # cannot be zero.
     if path.endswith("BENCH_fig7_insert.json") and mem["peak_bytes"] <= 0:
-        fail(path, "memory.peak_bytes is 0: fig7 registered no reporter")
+        fail(path, "memory.peak_bytes is 0: fig7 set no memory account")
 
 
 LOG_COUNTERS = ("fsdm_log_records_total", "fsdm_log_dropped_total",

@@ -43,7 +43,28 @@ std::string ConsistencyReport::ToString() const {
   return out;
 }
 
+CollectionMemory::CollectionMemory(const std::string& collection)
+    : table_heap(telemetry::MemSubsystem::kTableHeap, collection),
+      index_postings(telemetry::MemSubsystem::kIndexPostings, collection),
+      dataguide(telemetry::MemSubsystem::kDataGuide, collection),
+      imc(telemetry::MemSubsystem::kImc, collection),
+      path_stats(telemetry::MemSubsystem::kPathStats, collection),
+      wal_buffers(telemetry::MemSubsystem::kWalBuffers, collection) {}
+
 namespace {
+
+/// Runs `f` when the enclosing scope ends, on every return path.
+template <typename F>
+class OnReturn {
+ public:
+  explicit OnReturn(F f) : f_(std::move(f)) {}
+  ~OnReturn() { f_(); }
+  OnReturn(const OnReturn&) = delete;
+  OnReturn& operator=(const OnReturn&) = delete;
+
+ private:
+  F f_;
+};
 
 // Incident bundles carry engine state the telemetry layer cannot see on
 // its own: collection health (with the REASON plumbing) and the WAL
@@ -115,6 +136,7 @@ Result<std::unique_ptr<JsonCollection>> JsonCollection::Create(
 
   const size_t n = std::max<size_t>(options.shard_count, 1);
   std::unique_ptr<JsonCollection> coll(new JsonCollection(name, options));
+  coll->memory_ = std::make_unique<CollectionMemory>(name);
   // A failure past the first table drops every table built so far.
   auto unwind = [&](Status status) {
     coll->Detach();
@@ -127,7 +149,8 @@ Result<std::unique_ptr<JsonCollection>> JsonCollection::Create(
     // One shard keeps the collection's own name, so a single-shard
     // collection is indistinguishable from a plain table stack.
     Result<std::unique_ptr<Shard>> shard = Shard::Create(
-        db, n == 1 ? name : name + "$s" + std::to_string(i), options);
+        db, n == 1 ? name : name + "$s" + std::to_string(i), options,
+        coll->memory_.get());
     if (!shard.ok()) return unwind(shard.status());
     coll->shards_.push_back(std::move(shard).value());
   }
@@ -138,7 +161,6 @@ Result<std::unique_ptr<JsonCollection>> JsonCollection::Create(
     Status walled = coll->InitWal();
     if (!walled.ok()) return unwind(walled);
   }
-  coll->RegisterMemoryReporters();
   CollectionRegistry::Global().Register(coll.get());
   if (n == 1) {
     FSDM_LOG(telemetry::LogLevel::kInfo, "collection", 1002,
@@ -158,55 +180,17 @@ JsonCollection::~JsonCollection() { Detach(); }
 
 void JsonCollection::Detach() {
   if (detached_) return;
-  // Drop the memory reporters first: they poll the structures Detach is
-  // about to let go of.
-  mem_scopes_.clear();
   if (wal_ != nullptr && !wal_->failed()) (void)wal_->Flush();
   CollectionRegistry::Global().Unregister(this);
   for (const std::unique_ptr<Shard>& shard : shards_) shard->Detach();
+  memory_.reset();
   detached_ = true;
 }
 
-void JsonCollection::RegisterMemoryReporters() {
-  using telemetry::MemSubsystem;
-  // The scopes capture `this`; Detach() clears them before any polled
-  // structure goes away.
-  auto sum = [this](uint64_t (*per_shard)(const Shard&)) {
-    return [this, per_shard]() {
-      uint64_t total = 0;
-      for (const std::unique_ptr<Shard>& s : shards_) total += per_shard(*s);
-      return total;
-    };
-  };
-  mem_scopes_.emplace_back(
-      MemSubsystem::kTableHeap, name_,
-      sum(+[](const Shard& s) { return s.table()->HeapBytes(); }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kIndexPostings, name_, sum(+[](const Shard& s) {
-        return s.search_index() != nullptr ? s.search_index()->MemoryBytes()
-                                           : uint64_t{0};
-      }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kDataGuide, name_, sum(+[](const Shard& s) {
-        // The live guide plus, when the index persists it, the $DG side
-        // table's heap (the guide's durable image).
-        uint64_t bytes = s.dataguide().MemoryBytes();
-        const index::JsonSearchIndex* index = s.search_index();
-        if (index != nullptr && index->dg_table() != nullptr) {
-          bytes += index->dg_table()->HeapBytes();
-        }
-        return bytes;
-      }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kImc, name_, sum(+[](const Shard& s) -> uint64_t {
-        return s.imc() != nullptr ? s.imc()->MemoryBytes() : 0;
-      }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kPathStats, name_,
-      sum(+[](const Shard& s) { return s.path_stats().MemoryBytes(); }));
-  mem_scopes_.emplace_back(MemSubsystem::kWalBuffers, name_, [this] {
-    return wal_ != nullptr ? wal_->MemoryBytes() : uint64_t{0};
-  });
+void JsonCollection::PublishWalMemory() {
+  if (wal_ != nullptr && memory_ != nullptr) {
+    memory_->wal_buffers.Set(wal_->MemoryBytes());
+  }
 }
 
 size_t JsonCollection::document_count() const {
@@ -366,6 +350,7 @@ ConsistencyReport JsonCollection::CheckConsistency() const {
 Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
   telemetry::ActivityLease lease =
       telemetry::ActivityLease::Begin(name_, "dml", "collection.insert", "");
+  OnReturn publish([this] { PublishWalMemory(); });
   // Row-id encoding: global = local * N + shard, the identity at N = 1.
   const size_t s = ShardForKey(key);
   uint64_t lsn = 0;
@@ -401,6 +386,7 @@ Result<size_t> JsonCollection::Insert(std::string json_text) {
 Status JsonCollection::Delete(size_t row_id) {
   telemetry::ActivityLease lease =
       telemetry::ActivityLease::Begin(name_, "dml", "collection.delete", "");
+  OnReturn publish([this] { PublishWalMemory(); });
   const size_t s = row_id % shards_.size();
   uint64_t lsn = 0;
   const bool logged = wal_ != nullptr && !wal_replaying_;
@@ -420,6 +406,7 @@ Status JsonCollection::Replace(size_t row_id, Value key,
                                std::string json_text) {
   telemetry::ActivityLease lease =
       telemetry::ActivityLease::Begin(name_, "dml", "collection.replace", "");
+  OnReturn publish([this] { PublishWalMemory(); });
   const size_t s = row_id % shards_.size();
   if (ShardForKey(key) != s) {
     // A key change that re-hashes to another shard would need a
@@ -472,6 +459,7 @@ Status JsonCollection::InitWal() {
   FSDM_ASSIGN_OR_RETURN(wal::Wal::OpenResult opened,
                         wal::Wal::Open(std::move(wal_options)));
   wal_ = std::move(opened.wal);
+  OnReturn publish([this] { PublishWalMemory(); });
   if (!opened.replay.empty()) {
     FSDM_RETURN_NOT_OK(ReplayWal(opened.replay));
   }
@@ -683,6 +671,7 @@ Status JsonCollection::Checkpoint() {
   FSDM_TRACE_SPAN(span, "wal", "wal.checkpoint");
   span.AddTextArg("name", name_);
   FSDM_TIME_SCOPE_US("fsdm_wal_checkpoint_us");
+  OnReturn publish([this] { PublishWalMemory(); });
   std::vector<uint64_t> highwater;
   for (const std::unique_ptr<Shard>& s : shards_) {
     // row_count() counts tombstones too: the high-water mark is the next

@@ -94,6 +94,23 @@ struct CollectionOptions {
   size_t wal_segment_bytes = 1u << 20;
 };
 
+/// A collection's rows of TELEMETRY$MEMORY, in row order. Each shard
+/// pushes the change of its own structures' footprints into the first
+/// five (Shard::PublishMemory), so each sums over the shards; the facade
+/// pushes the WAL's.
+struct CollectionMemory {
+  explicit CollectionMemory(const std::string& collection);
+
+  telemetry::MemoryAccount table_heap;
+  telemetry::MemoryAccount index_postings;
+  /// The live guide plus, when the index persists it, the $DG side table.
+  telemetry::MemoryAccount dataguide;
+  /// A valid store only: an invalidated one reports 0.
+  telemetry::MemoryAccount imc;
+  telemetry::MemoryAccount path_stats;
+  telemetry::MemoryAccount wal_buffers;
+};
+
 /// One per-shard document stack of the paper (§3, §5.2): a backing
 /// rdbms::Table with the IS JSON check constraint, the hidden OSON virtual
 /// column, the JSON search index with its persistent DataGuide (or a
@@ -104,23 +121,26 @@ struct CollectionOptions {
 /// are local to the shard's table.
 ///
 /// Built and owned by a JsonCollection, which places, logs and leases
-/// every operation; a Shard holds no WAL, auto key, registry entry or
-/// memory reporter. The Database must outlive it; destruction detaches
-/// every observer it registered.
+/// every operation; a Shard holds no WAL, auto key or registry entry, and
+/// pushes its structures' footprints into the collection's memory
+/// accounts at the end of every mutator. The Database must outlive it;
+/// destruction detaches every observer it registered.
 class Shard {
  public:
   /// Creates the backing table `table_name` inside `db` and wires the
-  /// stack according to `options`. A failure drops the table again.
+  /// stack according to `options`, publishing into `memory` (which must
+  /// outlive the shard or its Detach()). A failure drops the table again.
   static Result<std::unique_ptr<Shard>> Create(
       rdbms::Database* db, const std::string& table_name,
-      const CollectionOptions& options);
+      const CollectionOptions& options, CollectionMemory* memory);
 
   ~Shard();
   /// The DML observer holds `this`.
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
-  /// Unregisters all observers from the backing table. Idempotent; after
-  /// it, table DML no longer maintains the index or IMC state.
+  /// Unregisters all observers from the backing table and stops
+  /// publishing memory. Idempotent; after it, table DML no longer
+  /// maintains the index or IMC state.
   void Detach();
 
   // --- Components -------------------------------------------------------
@@ -212,7 +232,10 @@ class Shard {
   };
 
   Shard(rdbms::Table* table, std::string name,
-        const CollectionOptions& options);
+        const CollectionOptions& options, CollectionMemory* memory);
+  /// Pushes the change of each structure's footprint since the last push
+  /// into the collection's accounts.
+  void PublishMemory();
 
   void InvalidateImc(size_t row_id);
   Status MaintainOwnGuide(const Value& doc_value);
@@ -241,14 +264,17 @@ class Shard {
   telemetry::Counter imc_invalidations_;
   bool quarantined_ = false;
   std::string quarantine_reason_;
+  CollectionMemory* memory_;  // nullptr once detached
+  // Footprints as of the last PublishMemory(), in CollectionMemory order.
+  uint64_t published_[5] = {};
 };
 
 /// A JSON collection: the facade over N >= 1 Shards
 /// (CollectionOptions::shard_count). It owns what spans the shards — the
 /// write-ahead log and its replay, the auto-key sequence and hash
 /// placement, the CollectionRegistry entry (one TELEMETRY$COLLECTIONS row
-/// with a per-shard health rollup), the memory reporters (each sums over
-/// the shards), the activity leases of the public DML — and delegates the
+/// with a per-shard health rollup), the memory accounts (the shards push
+/// into them), the activity leases of the public DML — and delegates the
 /// per-document work to the shards. The router (router.h) sits on top.
 ///
 /// Placement is ShardPlacementHash(key display string) % N; row ids
@@ -270,7 +296,8 @@ class JsonCollection {
       const CollectionOptions& options = {});
 
   ~JsonCollection();
-  /// Unregisters the collection and detaches every shard. Idempotent;
+  /// Unregisters the collection, detaches every shard and drops its
+  /// TELEMETRY$MEMORY rows. Idempotent;
   /// called by the destructor. Afterwards the collection is read-only.
   void Detach();
 
@@ -445,13 +472,15 @@ class JsonCollection {
   Status ReplayWal(const std::vector<wal::Record>& records);
   /// Row-id -> (shard, key, OSON image) for every live document.
   Status AppendCheckpointDocs(uint64_t* doc_count);
-  /// Registers the memory reporters (table heap, index postings,
-  /// DataGuide, IMC, path statistics — each summed over the shards — and
-  /// the WAL writer), labeled with the collection name.
-  void RegisterMemoryReporters();
+  /// Pushes the WAL writer's footprint into its account; every mutator
+  /// that may append, rotate or truncate calls it on return.
+  void PublishWalMemory();
 
   std::string name_;
   CollectionOptions options_;
+  /// The TELEMETRY$MEMORY rows; dropped by Detach(), after the shards
+  /// stop publishing.
+  std::unique_ptr<CollectionMemory> memory_;
   std::vector<std::unique_ptr<Shard>> shards_;  // never empty after Create
   int64_t next_auto_key_ = 1;
   uint64_t last_rebuild_ts_us_ = 0;
@@ -461,9 +490,6 @@ class JsonCollection {
   /// Set while ReplayWal drives the DML paths: suppresses re-appending
   /// the operations being replayed.
   bool wal_replaying_ = false;
-  /// Live memory-reporter registrations (RAII — Detach()/destruction
-  /// unregisters them before the structures they poll go away).
-  std::vector<telemetry::MemoryScope> mem_scopes_;
 };
 
 }  // namespace fsdm::collection

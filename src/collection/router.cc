@@ -288,10 +288,8 @@ class RoutedQueryProbe final : public rdbms::Operator {
                                                decision_.winner,
                                                decision_.est_out_rows, root_);
     registered_ = true;
-    // Refresh pulls every registered memory reporter once so the peak this
-    // query records reflects resident state (table heap, postings, IMC),
-    // not just transient charges. O(reporters), off the DML fast path.
-    telemetry::MemoryTracker::Global().Refresh();
+    // The grand total the writers keep current: resident state (table
+    // heap, postings, IMC) plus live transient charges.
     peak_mem_bytes_ = telemetry::MemoryTracker::Global().CurrentBytes();
     Status status = child_->Open();
     if (!status.ok()) {

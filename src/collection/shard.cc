@@ -1,5 +1,6 @@
 #include "collection/collection.h"
 
+#include <iterator>
 #include <utility>
 
 #include "fault/fault.h"
@@ -23,17 +24,19 @@ size_t PhysicalPos(const rdbms::Table* table, const std::string& column) {
 }  // namespace
 
 Shard::Shard(rdbms::Table* table, std::string name,
-             const CollectionOptions& options)
+             const CollectionOptions& options, CollectionMemory* memory)
     : table_(table),
       name_(std::move(name)),
       key_column_(options.key_column),
       json_column_(options.json_column),
       key_pos_(PhysicalPos(table, options.key_column)),
-      json_pos_(PhysicalPos(table, options.json_column)) {}
+      json_pos_(PhysicalPos(table, options.json_column)),
+      memory_(memory) {}
 
 Result<std::unique_ptr<Shard>> Shard::Create(rdbms::Database* db,
                                              const std::string& table_name,
-                                             const CollectionOptions& options) {
+                                             const CollectionOptions& options,
+                                             CollectionMemory* memory) {
   std::vector<rdbms::ColumnDef> columns = {
       {.name = options.key_column, .type = rdbms::ColumnType::kNumber},
       {.name = options.json_column,
@@ -41,7 +44,8 @@ Result<std::unique_ptr<Shard>> Shard::Create(rdbms::Database* db,
        .check_is_json = true}};
   FSDM_ASSIGN_OR_RETURN(rdbms::Table * table,
                         db->CreateTable(table_name, std::move(columns)));
-  std::unique_ptr<Shard> shard(new Shard(table, table_name, options));
+  std::unique_ptr<Shard> shard(
+      new Shard(table, table_name, options, memory));
 
   // Wire the rest of the stack. A failure past CreateTable must unwind
   // completely — detach the half-built shard and drop the table — or the
@@ -73,6 +77,7 @@ Result<std::unique_ptr<Shard>> Shard::Create(rdbms::Database* db,
     (void)db->DropTable(table_name);
     return wired;
   }
+  shard->PublishMemory();
   return shard;
 }
 
@@ -82,6 +87,25 @@ void Shard::Detach() {
   if (dml_observer_ != nullptr) table_->RemoveObserver(dml_observer_.get());
   dml_observer_.reset();
   if (index_ != nullptr) index_->Detach();  // idempotent
+  memory_ = nullptr;
+}
+
+void Shard::PublishMemory() {
+  if (memory_ == nullptr) return;
+  const rdbms::Table* dg = index_ != nullptr ? index_->dg_table() : nullptr;
+  const uint64_t now[] = {
+      table_->HeapBytes(),
+      index_ != nullptr ? index_->MemoryBytes() : 0,
+      dataguide().MemoryBytes() + (dg != nullptr ? dg->HeapBytes() : 0),
+      imc() != nullptr ? imc()->MemoryBytes() : 0,
+      path_stats_.MemoryBytes()};
+  telemetry::MemoryAccount* accounts[] = {
+      &memory_->table_heap, &memory_->index_postings, &memory_->dataguide,
+      &memory_->imc, &memory_->path_stats};
+  for (size_t i = 0; i < std::size(now); ++i) {
+    accounts[i]->Add(static_cast<int64_t>(now[i] - published_[i]));
+    published_[i] = now[i];
+  }
 }
 
 // --- Health & crash consistency ---------------------------------------------
@@ -121,6 +145,7 @@ Status Shard::RebuildIndex() {
     // where additive statistics shed their dead-document skew.
     path_stats_.Clear();
     Status rebuilt = index_->Rebuild();
+    PublishMemory();
     if (!rebuilt.ok()) {
       quarantined_ = true;
       quarantine_reason_ = "index rebuild failed: " + rebuilt.message();
@@ -240,7 +265,10 @@ Result<size_t> Shard::Insert(Value key, std::string json_text) {
   FSDM_TRACE_SPAN(span, "collection", "collection.insert");
   span.AddTextArg("name", name_);
   span.AddNumberArg("bytes", static_cast<double>(json_text.size()));
-  return table_->Insert({std::move(key), Value::String(std::move(json_text))});
+  Result<size_t> row =
+      table_->Insert({std::move(key), Value::String(std::move(json_text))});
+  PublishMemory();
+  return row;
 }
 
 Status Shard::Delete(size_t row_id) {
@@ -249,7 +277,9 @@ Status Shard::Delete(size_t row_id) {
   FSDM_TIME_SCOPE_US("fsdm_collection_delete_us");
   FSDM_TRACE_SPAN(span, "collection", "collection.delete");
   span.AddTextArg("name", name_);
-  return table_->Delete(row_id);
+  Status deleted = table_->Delete(row_id);
+  PublishMemory();
+  return deleted;
 }
 
 Status Shard::Replace(size_t row_id, Value key, std::string json_text) {
@@ -258,8 +288,10 @@ Status Shard::Replace(size_t row_id, Value key, std::string json_text) {
   FSDM_TIME_SCOPE_US("fsdm_collection_replace_us");
   FSDM_TRACE_SPAN(span, "collection", "collection.replace");
   span.AddTextArg("name", name_);
-  return table_->Replace(
+  Status replaced = table_->Replace(
       row_id, {std::move(key), Value::String(std::move(json_text))});
+  PublishMemory();
+  return replaced;
 }
 
 // --- Observer ---------------------------------------------------------------
@@ -408,6 +440,7 @@ Status Shard::PopulateImc(std::vector<std::string> columns) {
   imc_columns_ = std::move(columns);
   imc_dirty_.clear();
   imc_valid_ = true;
+  PublishMemory();
   return Status::Ok();
 }
 
@@ -423,6 +456,7 @@ Result<const imc::ColumnStore*> Shard::EnsureImc() {
   imc_ = std::move(store);
   imc_dirty_.clear();
   imc_valid_ = true;
+  PublishMemory();
   return &*imc_;
 }
 

@@ -45,58 +45,75 @@ Status MakeStatus(StatusCode code, std::string msg) {
 }  // namespace
 
 Status FaultPoint::Fire() {
-  if (!armed_) return Status::Ok();
-  ++hits_;
-  bool fire = false;
-  bool disarm_after = false;
-  switch (spec_.mode) {
-    case TriggerMode::kAlways:
-      fire = true;
-      break;
-    case TriggerMode::kOnce:
-      fire = true;
-      disarm_after = true;
-      break;
-    case TriggerMode::kNth:
-      if (hits_ == spec_.nth) {
+  FaultRegistry& registry = FaultRegistry::Global();
+  FaultSpec spec;
+  uint64_t trigger = 0;
+  {
+    std::lock_guard<std::mutex> lock(registry.mu_);
+    if (!armed()) return Status::Ok();
+    ++hits_;
+    bool fire = false;
+    bool disarm_after = false;
+    switch (spec_.mode) {
+      case TriggerMode::kAlways:
+        fire = true;
+        break;
+      case TriggerMode::kOnce:
         fire = true;
         disarm_after = true;
-      }
-      break;
-    case TriggerMode::kProbability:
-      fire = rng_.NextBool(spec_.probability);
-      break;
+        break;
+      case TriggerMode::kNth:
+        if (hits_ == spec_.nth) {
+          fire = true;
+          disarm_after = true;
+        }
+        break;
+      case TriggerMode::kProbability:
+        fire = rng_.NextBool(spec_.probability);
+        break;
+    }
+    if (!fire) return Status::Ok();
+    trigger = ++triggers_;
+    ++armed_triggers_;
+    ++registry.triggers_total_;
+    if (disarm_after ||
+        (spec_.max_triggers != 0 && armed_triggers_ >= spec_.max_triggers)) {
+      armed_.store(false, std::memory_order_relaxed);
+    }
+    spec = spec_;
   }
-  if (!fire) return Status::Ok();
-  ++triggers_;
-  ++armed_triggers_;
-  ++FaultRegistry::Global().triggers_total_;
   FSDM_COUNT("fsdm_fault_injections_total", 1);
   FSDM_TRACE_INSTANT_TEXT("fault", "fault.fire", "point", name_);
   FSDM_LOG(telemetry::LogLevel::kWarn, "fault", 3001,
            "fault fired at " + name_, telemetry::LogText("point", name_),
-           telemetry::LogNum("trigger", triggers_));
-  if (spec_.stall_us > 0) {
+           telemetry::LogNum("trigger", trigger));
+  if (spec.stall_us > 0) {
     // Latency injection: park the site for the configured stall, charged
     // to the fault wait class so it shows up in the ASH time model.
     telemetry::ScopedWaitState wait(telemetry::WaitState::kFaultStall);
-    FSDM_COUNT("fsdm_fault_stall_us_total", spec_.stall_us);
-    std::this_thread::sleep_for(std::chrono::microseconds(spec_.stall_us));
-  }
-  if (disarm_after ||
-      (spec_.max_triggers != 0 && armed_triggers_ >= spec_.max_triggers)) {
-    armed_ = false;
+    FSDM_COUNT("fsdm_fault_stall_us_total", spec.stall_us);
+    std::this_thread::sleep_for(std::chrono::microseconds(spec.stall_us));
   }
   std::string msg =
-      spec_.message.empty() ? "injected fault at " + name_ : spec_.message;
-  if (spec_.err_no != 0) {
+      spec.message.empty() ? "injected fault at " + name_ : spec.message;
+  if (spec.err_no != 0) {
     // Errno payload: make the message read like the kernel produced it, so
     // error-handling paths written for real EIO/ENOSPC see the same text
     // shape they would in production.
     msg += ": ";
-    msg += std::strerror(spec_.err_no);
+    msg += std::strerror(spec.err_no);
   }
-  return MakeStatus(spec_.code, std::move(msg));
+  return MakeStatus(spec.code, std::move(msg));
+}
+
+uint64_t FaultPoint::hits() const {
+  std::lock_guard<std::mutex> lock(FaultRegistry::Global().mu_);
+  return hits_;
+}
+
+uint64_t FaultPoint::triggers() const {
+  std::lock_guard<std::mutex> lock(FaultRegistry::Global().mu_);
+  return triggers_;
 }
 
 FaultRegistry& FaultRegistry::Global() {
@@ -105,6 +122,11 @@ FaultRegistry& FaultRegistry::Global() {
 }
 
 FaultPoint* FaultRegistry::Register(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RegisterLocked(name);
+}
+
+FaultPoint* FaultRegistry::RegisterLocked(const std::string& name) {
   auto it = points_.find(name);
   if (it == points_.end()) {
     it = points_.emplace(name, std::make_unique<FaultPoint>(name)).first;
@@ -113,29 +135,38 @@ FaultPoint* FaultRegistry::Register(const std::string& name) {
 }
 
 void FaultRegistry::Arm(const std::string& name, FaultSpec spec) {
-  FaultPoint* p = Register(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  FaultPoint* p = RegisterLocked(name);
   p->spec_ = std::move(spec);
   p->hits_ = 0;
   p->armed_triggers_ = 0;
   p->rng_ = Rng(p->spec_.seed);
-  p->armed_ = true;
+  p->armed_.store(true, std::memory_order_relaxed);
 }
 
 void FaultRegistry::Disarm(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = points_.find(name);
-  if (it != points_.end()) it->second->armed_ = false;
+  if (it != points_.end()) {
+    it->second->armed_.store(false, std::memory_order_relaxed);
+  }
 }
 
 void FaultRegistry::DisarmAll() {
-  for (auto& [name, p] : points_) p->armed_ = false;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [name, p] : points_) {
+    p->armed_.store(false, std::memory_order_relaxed);
+  }
 }
 
 const FaultPoint* FaultRegistry::Find(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = points_.find(name);
   return it == points_.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::string> FaultRegistry::PointNames() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(points_.size());
   for (const auto& [name, p] : points_) names.push_back(name);

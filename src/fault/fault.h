@@ -1,9 +1,11 @@
 #ifndef FSDM_FAULT_FAULT_H_
 #define FSDM_FAULT_FAULT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -134,7 +136,7 @@ class FaultPoint {
 
   const std::string& name() const { return name_; }
   /// Hot-path guard: false while disarmed (the steady state).
-  bool armed() const { return armed_; }
+  bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// Called on every hit of an *armed* point: decides whether this hit
   /// fails, applying the armed FaultSpec. Returns the injected error or
@@ -142,15 +144,16 @@ class FaultPoint {
   Status Fire();
 
   /// Hits seen while armed (Fire() calls) since the last Arm().
-  uint64_t hits() const { return hits_; }
+  uint64_t hits() const;
   /// Injected failures over the point's lifetime (not reset by Arm()).
-  uint64_t triggers() const { return triggers_; }
+  uint64_t triggers() const;
 
  private:
   friend class FaultRegistry;
 
   std::string name_;
-  bool armed_ = false;
+  std::atomic<bool> armed_{false};
+  // Guarded by the registry mutex, like every field below.
   FaultSpec spec_;
   uint64_t hits_ = 0;
   uint64_t triggers_ = 0;
@@ -160,9 +163,11 @@ class FaultPoint {
   Rng rng_{42};
 };
 
-/// Process-wide registry of injection points. Single-threaded like the
-/// engine underneath. Points register lazily on first hit (or first Arm),
-/// and stay registered for the process lifetime.
+/// Process-wide registry of injection points. Points register lazily on
+/// first hit (or first Arm), from any thread, and stay registered for the
+/// process lifetime. A mutex guards the point map and every point's spec
+/// and counters; the hot path reads only the point's atomic armed flag
+/// through the pointer its site caches.
 class FaultRegistry {
  public:
   static FaultRegistry& Global();
@@ -184,11 +189,17 @@ class FaultRegistry {
   std::vector<std::string> PointNames() const;
 
   /// Total injected failures across all points since process start.
-  uint64_t triggers_total() const { return triggers_total_; }
+  uint64_t triggers_total() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return triggers_total_;
+  }
 
  private:
   friend class FaultPoint;
 
+  FaultPoint* RegisterLocked(const std::string& name);
+
+  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<FaultPoint>> points_;
   uint64_t triggers_total_ = 0;
 };

@@ -117,8 +117,8 @@ class ColumnStore {
 
   /// Columnar image footprint: every column plus the row-id array.
   /// Computed once at Populate() (the vectors are immutable afterwards)
-  /// and served from a cached value, so the memory reporters can poll it
-  /// per refresh without re-walking every dictionary string.
+  /// and served from a cached value, so the owning shard publishes it
+  /// without re-walking every dictionary string.
   size_t MemoryBytes() const { return memory_bytes_; }
 
   /// Row-source over the store (optionally only `columns`), so ordinary

@@ -74,8 +74,8 @@ class Postings {
   /// the next pointer and the cached hash; the key text and row-id payload
   /// by size(); one vector header per path slot; and the bucket arrays of
   /// the two hash maps. Path text is the dictionary's, charged there. Kept
-  /// incrementally, O(1) to read; atomic (relaxed) because DML mutates it
-  /// while memory reporters read it from other threads.
+  /// incrementally, O(1) to read; atomic (relaxed) so another thread may
+  /// read it while DML mutates it.
   uint64_t MemoryBytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -261,8 +261,8 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   size_t posting_count() const { return postings_.posting_count(); }
 
   /// In-memory footprint of the postings (see Postings::MemoryBytes()),
-  /// O(1) to read — the collection's index-postings memory reporter polls
-  /// this.
+  /// O(1) to read — the shard publishes it into the collection's
+  /// index-postings memory account.
   uint64_t MemoryBytes() const { return postings_.MemoryBytes(); }
   /// Exact O(postings) walk with the same formula; the accounting unit
   /// test pins MemoryBytes() == RecomputeMemoryBytes() across DML mixes,

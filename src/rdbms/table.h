@@ -170,9 +170,8 @@ class Table {
   // Count of true entries in live_: +1 on insert, -1 on insert rollback
   // and on delete.
   std::atomic<size_t> live_rows_{0};
-  // Incremental accounting over rows_. Atomic (relaxed) because DML
-  // mutates it while MemoryTracker reporter callbacks read it from other
-  // threads (workload-snapshot tick, TELEMETRY$MEMORY refresh).
+  // Incremental accounting over rows_. Atomic (relaxed) so another
+  // thread may read it while DML mutates it.
   std::atomic<uint64_t> heap_bytes_{0};
   std::vector<TableObserver*> observers_;
   // Parse results of the current DML's IS JSON checks, shared with

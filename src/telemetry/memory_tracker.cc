@@ -1,6 +1,7 @@
 #include "telemetry/memory_tracker.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace fsdm::telemetry {
 
@@ -28,8 +29,8 @@ const char* MemSubsystemName(MemSubsystem s) {
 
 namespace {
 
-std::string EntryGaugeName(MemSubsystem subsystem,
-                           const std::string& collection) {
+std::string AccountGaugeName(MemSubsystem subsystem,
+                             const std::string& collection) {
   std::string name = "fsdm_mem_bytes{subsystem=\"";
   name += MemSubsystemName(subsystem);
   name += "\",collection=\"";
@@ -38,185 +39,133 @@ std::string EntryGaugeName(MemSubsystem subsystem,
   return name;
 }
 
+/// Adds a two's-complement delta and returns the new value.
+uint64_t Shift(std::atomic<uint64_t>& value, int64_t delta) {
+  return value.fetch_add(static_cast<uint64_t>(delta),
+                         std::memory_order_relaxed) +
+         static_cast<uint64_t>(delta);
+}
+
+/// Raises `peak` to `now`; true when it did.
+bool Ratchet(std::atomic<uint64_t>& peak, uint64_t now) {
+  uint64_t seen = peak.load(std::memory_order_relaxed);
+  while (now > seen) {
+    if (peak.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Publishes `value` to `gauge` until the two agree, so that of several
+/// concurrent movers the last one to look leaves the newest value.
+void Publish(Gauge* gauge, const std::atomic<uint64_t>& value) {
+  uint64_t shown = value.load(std::memory_order_relaxed);
+  for (;;) {
+    gauge->Set(static_cast<double>(shown));
+    const uint64_t now = value.load(std::memory_order_relaxed);
+    if (now == shown) return;
+    shown = now;
+  }
+}
+
 }  // namespace
 
+MemoryAccount::MemoryAccount(MemSubsystem subsystem, std::string collection)
+    : subsystem_(subsystem),
+      collection_(std::move(collection)),
+      gauge_(MetricsRegistry::Global().GetGauge(
+          AccountGaugeName(subsystem_, collection_))) {
+  MemoryTracker& tracker = MemoryTracker::Global();
+  std::lock_guard<std::mutex> lock(tracker.mu_);
+  tracker.named_.push_back(this);
+}
+
+MemoryAccount::MemoryAccount(MemSubsystem subsystem)
+    : subsystem_(subsystem), collection_("-") {}
+
+MemoryAccount::~MemoryAccount() {
+  if (gauge_ == nullptr) return;  // anonymous: lives as long as the tracker
+  MemoryTracker& tracker = MemoryTracker::Global();
+  {
+    std::lock_guard<std::mutex> lock(tracker.mu_);
+    tracker.named_.erase(
+        std::find(tracker.named_.begin(), tracker.named_.end(), this));
+  }
+  Set(0);  // a dropped collection leaves the totals and the exports
+}
+
+void MemoryAccount::Add(int64_t delta) {
+  if (delta == 0) return;
+  const uint64_t now = Shift(bytes_, delta);
+  if (delta > 0) Ratchet(peak_, now);
+  if (gauge_ != nullptr) gauge_->Set(static_cast<double>(now));
+  MemoryTracker::Global().Move(subsystem_, delta);
+}
+
+MemoryTracker::MemoryTracker()
+    : total_gauge_(MetricsRegistry::Global().GetGauge("fsdm_mem_total_bytes")),
+      peak_gauge_(MetricsRegistry::Global().GetGauge("fsdm_mem_peak_bytes")) {
+  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
+    anonymous_[i].reset(new MemoryAccount(static_cast<MemSubsystem>(i)));
+  }
+}
+
 MemoryTracker& MemoryTracker::Global() {
-  // Leaked like the other telemetry singletons: reporters may unregister
-  // during static destruction of their owners.
+  // Leaked like the other telemetry singletons: accounts may close during
+  // static destruction of their owners.
   static MemoryTracker* tracker = new MemoryTracker();
   return *tracker;
 }
 
-uint64_t MemoryTracker::RegisterReporter(MemSubsystem subsystem,
-                                         std::string collection,
-                                         std::function<uint64_t()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Reporter r;
-  r.id = next_id_++;
-  r.subsystem = subsystem;
-  r.collection = std::move(collection);
-  r.fn = std::move(fn);
-  reporters_.push_back(std::move(r));
-  return reporters_.back().id;
-}
-
-void MemoryTracker::UnregisterReporter(uint64_t id) {
-  if (id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < reporters_.size(); ++i) {
-    if (reporters_[i].id != id) continue;
-    // Poll one last time so the bytes the structure held reach the
-    // subsystem and total peaks, even if no Refresh() ran in its lifetime.
-    // Swap its last report for this poll in the current figures; those
-    // can lag last_bytes while a concurrent Refresh() publishes, so clamp.
-    const Reporter& r = reporters_[i];
-    const uint64_t now = r.fn ? r.fn() : 0;
-    auto replaced = [&r, now](uint64_t current) {
-      return (current > r.last_bytes ? current - r.last_bytes : 0) + now;
-    };
-    RatchetSubsystemPeak(static_cast<size_t>(r.subsystem),
-                         replaced(SubsystemBytes(r.subsystem)));
-    RatchetTotals(replaced(CurrentBytes()));
-    // Zero the gauge so a dropped collection doesn't linger in exports.
-    if (reporters_[i].gauge != nullptr) reporters_[i].gauge->Set(0);
-    reporters_.erase(reporters_.begin() + static_cast<ptrdiff_t>(i));
-    break;
-  }
-}
-
-void MemoryTracker::Charge(MemSubsystem subsystem, uint64_t bytes) {
-  if (bytes == 0) return;
+void MemoryTracker::Move(MemSubsystem subsystem, int64_t delta) {
   const size_t idx = static_cast<size_t>(subsystem);
-  const int64_t now =
-      charged_[idx].fetch_add(static_cast<int64_t>(bytes),
-                              std::memory_order_relaxed) +
-      static_cast<int64_t>(bytes);
-  // Ratchet the subsystem peak: transient charges (a drain's buffered
-  // working set) would otherwise be invisible to any later Refresh().
-  uint64_t peak = charged_peak_[idx].load(std::memory_order_relaxed);
-  const uint64_t now_u = now > 0 ? static_cast<uint64_t>(now) : 0;
-  while (now_u > peak &&
-         !charged_peak_[idx].compare_exchange_weak(
-             peak, now_u, std::memory_order_relaxed)) {
+  const uint64_t in_subsystem = Shift(subsystem_bytes_[idx], delta);
+  const uint64_t total = Shift(total_, delta);
+  if (delta > 0) {
+    Ratchet(subsystem_peak_[idx], in_subsystem);
+    if (Ratchet(peak_total_, total)) Publish(peak_gauge_, peak_total_);
   }
-  RatchetSubsystemPeak(
-      idx, reported_[idx].load(std::memory_order_relaxed) + now_u);
-  RatchetTotals(CurrentBytes());
-}
-
-void MemoryTracker::Release(MemSubsystem subsystem, uint64_t bytes) {
-  if (bytes == 0) return;
-  charged_[static_cast<size_t>(subsystem)].fetch_sub(
-      static_cast<int64_t>(bytes), std::memory_order_relaxed);
-}
-
-void MemoryTracker::RatchetTotals(uint64_t current) {
-  uint64_t peak = peak_total_.load(std::memory_order_relaxed);
-  while (current > peak &&
-         !peak_total_.compare_exchange_weak(peak, current,
-                                            std::memory_order_relaxed)) {
-  }
-}
-
-void MemoryTracker::RatchetSubsystemPeak(size_t idx, uint64_t current) {
-  uint64_t peak = subsystem_peak_[idx].load(std::memory_order_relaxed);
-  while (current > peak &&
-         !subsystem_peak_[idx].compare_exchange_weak(
-             peak, current, std::memory_order_relaxed)) {
-  }
-}
-
-uint64_t MemoryTracker::Refresh() {
-  uint64_t by_subsystem[kMemSubsystemCount] = {};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Reporter& r : reporters_) {
-      r.last_bytes = r.fn ? r.fn() : 0;
-      r.peak_bytes = std::max(r.peak_bytes, r.last_bytes);
-      by_subsystem[static_cast<size_t>(r.subsystem)] += r.last_bytes;
-      if (r.gauge == nullptr) {
-        r.gauge = MetricsRegistry::Global().GetGauge(
-            EntryGaugeName(r.subsystem, r.collection));
-      }
-      r.gauge->Set(static_cast<double>(r.last_bytes));
-    }
-  }
-  uint64_t total = 0;
-  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
-    reported_[i].store(by_subsystem[i], std::memory_order_relaxed);
-    uint64_t subsystem_now = by_subsystem[i];
-    const int64_t charged = charged_[i].load(std::memory_order_relaxed);
-    if (charged > 0) subsystem_now += static_cast<uint64_t>(charged);
-    RatchetSubsystemPeak(i, subsystem_now);
-    total += subsystem_now;
-  }
-  reported_total_.store(total, std::memory_order_relaxed);
-  RatchetTotals(total);
-  FSDM_GAUGE_SET("fsdm_mem_total_bytes", static_cast<double>(total));
-  FSDM_GAUGE_SET("fsdm_mem_peak_bytes", static_cast<double>(PeakBytes()));
-  return total;
-}
-
-uint64_t MemoryTracker::CurrentBytes() const {
-  // reported_total_ already folds in the charges live at the last
-  // Refresh(); adding today's charges over-counts by that stale slice
-  // until the next Refresh. Recompute from the per-subsystem splits
-  // instead: reported reporter bytes + live charges.
-  uint64_t total = 0;
-  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
-    total += reported_[i].load(std::memory_order_relaxed);
-    const int64_t charged = charged_[i].load(std::memory_order_relaxed);
-    if (charged > 0) total += static_cast<uint64_t>(charged);
-  }
-  return total;
-}
-
-uint64_t MemoryTracker::SubsystemBytes(MemSubsystem s) const {
-  const size_t idx = static_cast<size_t>(s);
-  uint64_t total = reported_[idx].load(std::memory_order_relaxed);
-  const int64_t charged = charged_[idx].load(std::memory_order_relaxed);
-  if (charged > 0) total += static_cast<uint64_t>(charged);
-  return total;
+  Publish(total_gauge_, total_);
 }
 
 std::vector<MemoryTracker::Entry> MemoryTracker::Entries() const {
   std::vector<Entry> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(reporters_.size() + 2);
-    for (const Reporter& r : reporters_) {
-      out.push_back({r.subsystem, r.collection, r.last_bytes, r.peak_bytes});
+    out.reserve(named_.size() + 2);
+    for (const MemoryAccount* a : named_) {
+      out.push_back({a->subsystem(), a->collection(), a->bytes(),
+                     a->peak_bytes()});
     }
   }
-  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
-    const int64_t charged = charged_[i].load(std::memory_order_relaxed);
-    const uint64_t peak = charged_peak_[i].load(std::memory_order_relaxed);
-    if (charged <= 0 && peak == 0) continue;
-    out.push_back({static_cast<MemSubsystem>(i), "-",
-                   charged > 0 ? static_cast<uint64_t>(charged) : 0, peak});
+  for (const std::unique_ptr<MemoryAccount>& a : anonymous_) {
+    if (a->bytes() == 0 && a->peak_bytes() == 0) continue;
+    out.push_back({a->subsystem(), a->collection(), a->bytes(),
+                   a->peak_bytes()});
   }
   return out;
 }
 
-size_t MemoryTracker::reporter_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reporters_.size();
-}
-
 void MemoryTracker::ResetPeaks() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Reporter& r : reporters_) r.peak_bytes = r.last_bytes;
-  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
-    charged_peak_[i].store(0, std::memory_order_relaxed);
-    subsystem_peak_[i].store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (MemoryAccount* a : named_) a->peak_.store(a->bytes());
   }
-  peak_total_.store(0, std::memory_order_relaxed);
+  for (const std::unique_ptr<MemoryAccount>& a : anonymous_) {
+    a->peak_.store(a->bytes());
+  }
+  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
+    subsystem_peak_[i].store(subsystem_bytes_[i].load());
+  }
+  peak_total_.store(total_.load());
+  Publish(peak_gauge_, peak_total_);
 }
 
 void MemoryTracker::ResetCharges() {
-  for (size_t i = 0; i < kMemSubsystemCount; ++i) {
-    charged_[i].store(0, std::memory_order_relaxed);
-    charged_peak_[i].store(0, std::memory_order_relaxed);
+  for (const std::unique_ptr<MemoryAccount>& a : anonymous_) {
+    a->Set(0);
+    a->peak_.store(0);
   }
 }
 

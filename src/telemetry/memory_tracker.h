@@ -3,35 +3,32 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "telemetry/telemetry.h"
 
-/// Engine-wide memory attribution (ISSUE 9 tentpole): one process-wide
-/// tracker that answers "where did the RAM go" per subsystem and per
-/// collection. Two charging models coexist:
+/// Engine-wide memory attribution: one process-wide tracker that answers
+/// "where did the RAM go" per subsystem and per collection, with one
+/// charging model. Every row of TELEMETRY$MEMORY is a `MemoryAccount`,
+/// and the code that changes a structure pushes the change into it:
 ///
-///  - *Reporters* (pull model, `MemoryScope`): long-lived structures —
-///    table heap, search-index postings, DataGuide, IMC, path stats, WAL —
-///    register a callback returning their current footprint. `Refresh()`
-///    polls every reporter, publishes `fsdm_mem_bytes{subsystem,collection}`
-///    gauges, and ratchets peaks. Reporters use deterministic *size-based*
-///    formulas (string `size()`, not `capacity()`), so two reads with no
-///    intervening DML agree exactly and the TELEMETRY$MEMORY relation
-///    reconciles with a direct `MemoryBytes()` walk.
-///  - *Charges* (push model, `MemoryCharge`): transient allocations with a
-///    scoped lifetime — OSON images materialized during DML, a plan's
-///    buffered working set during a morsel-parallel drain — add/subtract an
-///    atomic per-subsystem counter. Charges ratchet peaks immediately (a
-///    drain's working set would otherwise vanish before anyone refreshes).
+///  - *Named accounts* (`(subsystem, collection)`): a collection's shards
+///    push the change of each structure's deterministic, size-based
+///    footprint formula (string `size()`, not `capacity()`) at the end of
+///    every mutator, so BYTES equals a direct `MemoryBytes()` walk
+///    whenever no DML is running.
+///  - *Anonymous accounts* (collection `"-"`, one per subsystem):
+///    transient allocations with a scoped lifetime (OSON images
+///    materialized during DML, a parallel drain's buffered morsels) move
+///    them through the RAII `MemoryCharge`.
 ///
-/// `CurrentBytes()` (last refreshed reporter total + live charges) is one
-/// atomic load plus a handful of relaxed loads, cheap enough for the routed
-/// query probe to sample per drain for per-query PEAK_MEM_BYTES.
+/// A push moves the account, its subsystem total and the grand total by
+/// the same delta, and growth ratchets all three peaks at once, so every
+/// PEAK column is a true high-water mark. Reads are relaxed atomic loads
+/// and never touch the structures themselves.
 
 namespace fsdm::telemetry {
 
@@ -63,10 +60,50 @@ inline uint64_t OwnedStringBytes(const std::string& s) {
   return sizeof(std::string) + s.size();
 }
 
+/// One `(subsystem, collection)` row of TELEMETRY$MEMORY: relaxed-atomic
+/// bytes and their high-water mark. A named account lists in
+/// MemoryTracker::Entries() from construction to destruction, keeps its
+/// `fsdm_mem_bytes{subsystem,collection}` gauge current, and on
+/// destruction takes its bytes out of the totals and zeroes the gauge.
+class MemoryAccount {
+ public:
+  MemoryAccount(MemSubsystem subsystem, std::string collection);
+  ~MemoryAccount();
+  MemoryAccount(const MemoryAccount&) = delete;
+  MemoryAccount& operator=(const MemoryAccount&) = delete;
+
+  /// Moves the account by `delta` bytes, and its subsystem and the grand
+  /// total with it; growth ratchets the three peaks.
+  void Add(int64_t delta);
+  /// Add() of the difference to `bytes`, for an account with one writer.
+  void Set(uint64_t bytes) {
+    Add(static_cast<int64_t>(bytes - bytes_.load(std::memory_order_relaxed)));
+  }
+
+  MemSubsystem subsystem() const { return subsystem_; }
+  const std::string& collection() const { return collection_; }
+  uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+  uint64_t peak_bytes() const {
+    return peak_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  friend class MemoryTracker;
+  /// A subsystem's anonymous "-" account: owned by the tracker, listed
+  /// only once it has held bytes, and without a gauge (concurrent charges
+  /// move it; its bytes show in fsdm_mem_total_bytes).
+  explicit MemoryAccount(MemSubsystem subsystem);
+
+  MemSubsystem subsystem_;
+  std::string collection_;
+  std::atomic<uint64_t> bytes_{0};
+  std::atomic<uint64_t> peak_{0};
+  Gauge* gauge_ = nullptr;  // named accounts only
+};
+
 class MemoryTracker {
  public:
-  /// One tracked accounting entry, as TELEMETRY$MEMORY renders it. Charge
-  /// (push-model) subsystems appear with collection "-".
+  /// One account as TELEMETRY$MEMORY renders it.
   struct Entry {
     MemSubsystem subsystem = MemSubsystem::kTableHeap;
     std::string collection;
@@ -76,123 +113,67 @@ class MemoryTracker {
 
   static MemoryTracker& Global();
 
-  /// Registers a reporter; returns its id (0 is never issued). Prefer the
-  /// RAII MemoryScope over calling this directly.
-  uint64_t RegisterReporter(MemSubsystem subsystem, std::string collection,
-                            std::function<uint64_t()> fn);
-  /// Polls the reporter once more, ratchets the subsystem and total peaks
-  /// with what it reports, then drops it. The polled structure must still
-  /// be alive.
-  void UnregisterReporter(uint64_t id);
-
-  /// Transient charge/release for push-model subsystems. Charge ratchets
-  /// the subsystem and grand-total peaks immediately.
-  void Charge(MemSubsystem subsystem, uint64_t bytes);
-  void Release(MemSubsystem subsystem, uint64_t bytes);
-
-  /// Polls every reporter, updates the per-entry
-  /// `fsdm_mem_bytes{subsystem,collection}` gauges plus the
-  /// fsdm_mem_total_bytes / fsdm_mem_peak_bytes rollups, ratchets peaks,
-  /// and returns the grand total (reporters + live charges).
-  uint64_t Refresh();
-
-  /// Grand total as of the last Refresh() plus live charges. Cheap (no
-  /// reporter polling, no locks) — safe on the drain path.
-  uint64_t CurrentBytes() const;
+  /// Grand total of every account: one relaxed load, cheap enough for the
+  /// routed query probe to sample per drain for PEAK_MEM_BYTES.
+  uint64_t CurrentBytes() const {
+    return total_.load(std::memory_order_relaxed);
+  }
+  /// The same read under its older name. Writers push, so there is nothing
+  /// to poll.
+  uint64_t Refresh() const { return CurrentBytes(); }
   /// High-water CurrentBytes() since process start (or ResetPeaks()).
   uint64_t PeakBytes() const {
     return peak_total_.load(std::memory_order_relaxed);
   }
-  /// Last refreshed bytes for one subsystem (reporters + live charges).
-  uint64_t SubsystemBytes(MemSubsystem s) const;
-  /// High-water of SubsystemBytes(s), ratcheted at Refresh() and Charge()
-  /// time — an actual simultaneous per-subsystem peak, unlike summing
-  /// per-entry peaks (which were reached at different times and can exceed
-  /// any real high-water). The bench "memory" section reports this.
+  uint64_t SubsystemBytes(MemSubsystem s) const {
+    return subsystem_bytes_[static_cast<size_t>(s)].load(
+        std::memory_order_relaxed);
+  }
+  /// High-water of SubsystemBytes(s): an actual simultaneous
+  /// per-subsystem peak, unlike a sum of per-account peaks (reached at
+  /// different times). The bench "memory" section reports this.
   uint64_t SubsystemPeakBytes(MemSubsystem s) const {
     return subsystem_peak_[static_cast<size_t>(s)].load(
         std::memory_order_relaxed);
   }
 
-  /// Every entry: one per reporter (as of its last Refresh) plus one per
-  /// charge-model subsystem with a nonzero current or peak.
+  /// Every named account in creation order, then each anonymous account
+  /// with nonzero bytes or peak, in subsystem order.
   std::vector<Entry> Entries() const;
 
-  size_t reporter_count() const;
+  /// The subsystem's anonymous "-" account, which MemoryCharge moves.
+  MemoryAccount& Anonymous(MemSubsystem s) {
+    return *anonymous_[static_cast<size_t>(s)];
+  }
 
-  /// Test hooks. ResetPeaks zeroes every high-water mark; ResetCharges
-  /// zeroes the push-model counters (a leak-check for paired
-  /// Charge/Release would fire here, so tests call it between cases).
+  /// Test hooks. ResetPeaks drops every high-water mark to the current
+  /// bytes; ResetCharges empties the anonymous accounts and their peaks (a
+  /// leak-check for paired charges would fire here, so tests call it
+  /// between cases).
   void ResetPeaks();
   void ResetCharges();
 
  private:
-  MemoryTracker() = default;
+  friend class MemoryAccount;
+  MemoryTracker();
 
-  struct Reporter {
-    uint64_t id = 0;
-    MemSubsystem subsystem = MemSubsystem::kTableHeap;
-    std::string collection;
-    std::function<uint64_t()> fn;
-    uint64_t last_bytes = 0;
-    uint64_t peak_bytes = 0;
-    Gauge* gauge = nullptr;  // resolved lazily on first Refresh
-  };
+  /// Moves the subsystem and grand totals by an account's delta.
+  void Move(MemSubsystem subsystem, int64_t delta);
 
-  void RatchetTotals(uint64_t current);
-  void RatchetSubsystemPeak(size_t idx, uint64_t current);
+  mutable std::mutex mu_;  // named_ membership
+  std::vector<MemoryAccount*> named_;
+  std::unique_ptr<MemoryAccount> anonymous_[kMemSubsystemCount];
 
-  mutable std::mutex mu_;  // reporters_ and their last/peak fields
-  std::vector<Reporter> reporters_;
-  uint64_t next_id_ = 1;
-
-  // Push-model live charges and their high-water marks, by subsystem.
-  std::atomic<int64_t> charged_[kMemSubsystemCount] = {};
-  std::atomic<uint64_t> charged_peak_[kMemSubsystemCount] = {};
-  // Reporter bytes per subsystem as of the last Refresh().
-  std::atomic<uint64_t> reported_[kMemSubsystemCount] = {};
-  // High-water of SubsystemBytes (reported + live charges), per subsystem.
+  std::atomic<uint64_t> subsystem_bytes_[kMemSubsystemCount] = {};
   std::atomic<uint64_t> subsystem_peak_[kMemSubsystemCount] = {};
-  std::atomic<uint64_t> reported_total_{0};
+  std::atomic<uint64_t> total_{0};
   std::atomic<uint64_t> peak_total_{0};
+  Gauge* total_gauge_;  // fsdm_mem_total_bytes
+  Gauge* peak_gauge_;   // fsdm_mem_peak_bytes
 };
 
-/// RAII reporter registration: alive while the owning structure is.
-class MemoryScope {
- public:
-  MemoryScope() = default;
-  MemoryScope(MemSubsystem subsystem, std::string collection,
-              std::function<uint64_t()> fn)
-      : id_(MemoryTracker::Global().RegisterReporter(
-            subsystem, std::move(collection), std::move(fn))) {}
-  ~MemoryScope() { Reset(); }
-
-  MemoryScope(MemoryScope&& other) noexcept : id_(other.id_) {
-    other.id_ = 0;
-  }
-  MemoryScope& operator=(MemoryScope&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      id_ = other.id_;
-      other.id_ = 0;
-    }
-    return *this;
-  }
-  MemoryScope(const MemoryScope&) = delete;
-  MemoryScope& operator=(const MemoryScope&) = delete;
-
-  void Reset() {
-    if (id_ != 0) MemoryTracker::Global().UnregisterReporter(id_);
-    id_ = 0;
-  }
-  bool engaged() const { return id_ != 0; }
-
- private:
-  uint64_t id_ = 0;
-};
-
-/// RAII transient charge: charges on construction (or Add), releases the
-/// accumulated total on destruction.
+/// RAII transient charge on the subsystem's anonymous account: adds on
+/// construction (or Add), subtracts the accumulated total on destruction.
 class MemoryCharge {
  public:
   MemoryCharge() = default;
@@ -220,11 +201,14 @@ class MemoryCharge {
 
   void Add(uint64_t bytes) {
     if (bytes == 0) return;
-    MemoryTracker::Global().Charge(subsystem_, bytes);
+    MemoryTracker::Global().Anonymous(subsystem_).Add(
+        static_cast<int64_t>(bytes));
     bytes_ += bytes;
   }
   void Reset() {
-    if (bytes_ != 0) MemoryTracker::Global().Release(subsystem_, bytes_);
+    if (bytes_ == 0) return;
+    MemoryTracker::Global().Anonymous(subsystem_).Add(
+        -static_cast<int64_t>(bytes_));
     bytes_ = 0;
   }
   uint64_t bytes() const { return bytes_; }

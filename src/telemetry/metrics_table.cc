@@ -129,9 +129,6 @@ rdbms::OperatorPtr QueryMonitorScan() {
 rdbms::OperatorPtr MemoryScan() {
   return rdbms::ValuesFrom(
       rdbms::Schema({"SUBSYSTEM", "COLLECTION", "BYTES", "PEAK_BYTES"}), [] {
-        // Poll the reporters so BYTES reflects the moment of the scan, not
-        // the last incidental refresh.
-        MemoryTracker::Global().Refresh();
         std::vector<rdbms::Row> rows;
         for (const MemoryTracker::Entry& e :
              MemoryTracker::Global().Entries()) {

@@ -43,10 +43,11 @@ inline constexpr const char* kQueryMonitorTableName =
     "TELEMETRY$QUERY_MONITOR";
 rdbms::OperatorPtr QueryMonitorScan();
 
-/// Memory attribution as a relation (ISSUE 9). One row per registered
-/// reporter (long-lived structures, labeled with their collection) plus
-/// one per push-model subsystem with transient charges (COLLECTION "-").
-/// Open() refreshes the tracker, so BYTES is current as of the scan.
+/// Memory attribution as a relation. One row per memory
+/// account: each collection's long-lived structures, labeled with its
+/// name, then each subsystem that has held transient charges
+/// (COLLECTION "-"). The writers keep the accounts current, so the scan
+/// reads atomics and never touches a structure.
 /// Schema: (SUBSYSTEM, COLLECTION, BYTES, PEAK_BYTES).
 inline constexpr const char* kMemoryTableName = "TELEMETRY$MEMORY";
 rdbms::OperatorPtr MemoryScan();

@@ -12,7 +12,7 @@
 /// router captures its rendered QueryTrace (EXPLAIN ANALYZE tree + router
 /// candidate table) plus the flight-recorder slice covering its execution
 /// into a bounded in-memory log. Exposed as the TELEMETRY$SLOW_QUERIES
-/// SQL relation and, optionally, appended to a JSONL file sink.
+/// SQL relation.
 
 namespace fsdm::telemetry {
 
@@ -33,9 +33,6 @@ struct SlowQueryRecord {
   std::string trace_text;   // rendered EXPLAIN ANALYZE (router + spans)
   std::string events_json;  // chrome-style JSON array of the trace slice
   uint64_t event_count = 0;
-
-  /// One JSON object (single line) for the JSONL sink.
-  std::string ToJsonLine() const;
 };
 
 /// Process-wide bounded log. Capacity evicts oldest; total_captured() keeps
@@ -59,17 +56,6 @@ class SlowQueryLog {
   size_t capacity() const { return records_.capacity(); }
   void SetCapacity(size_t n);
 
-  /// Path for the optional JSONL sink; empty disables it. Records are
-  /// appended as they are captured.
-  void SetJsonlSink(std::string path) {
-    std::lock_guard<std::mutex> lock(mu_);
-    jsonl_path_ = std::move(path);
-  }
-  std::string jsonl_sink() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return jsonl_path_;
-  }
-
   void Record(SlowQueryRecord rec);
 
   std::vector<SlowQueryRecord> Snapshot() const;
@@ -82,11 +68,10 @@ class SlowQueryLog {
  private:
   SlowQueryLog() = default;
 
-  mutable std::mutex mu_;  // guards the sink, threshold and counter
+  mutable std::mutex mu_;  // guards the threshold and counter
   Ring<SlowQueryRecord> records_{0, 32};
   uint64_t threshold_us_ = 10000;
   uint64_t total_captured_ = 0;
-  std::string jsonl_path_;
 };
 
 }  // namespace fsdm::telemetry

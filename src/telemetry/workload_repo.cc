@@ -108,9 +108,7 @@ uint64_t WorkloadRepository::TakeSnapshot(std::string label) {
   std::vector<AshSample> samples = sampler.Snapshot();
   const uint64_t ticks = sampler.ticks();
   MetricsSnapshot metrics = TakeMetricsSnapshot(MetricsRegistry::Global());
-  // Poll the memory reporters outside our mutex too (a reporter could, in
-  // principle, take a snapshot-reading lock of its own).
-  const uint64_t mem_total = MemoryTracker::Global().Refresh();
+  const uint64_t mem_total = MemoryTracker::Global().CurrentBytes();
   const uint64_t mem_peak = MemoryTracker::Global().PeakBytes();
 
   std::lock_guard<std::mutex> lock(mu_);

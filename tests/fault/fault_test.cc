@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -253,6 +254,32 @@ TEST_F(FaultTest, InjectionCounterVisibleThroughMetricsTable) {
     found |= row.find("fsdm_fault_injections_total") != std::string::npos;
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(FaultTest, ConcurrentFirstHitsRegisterSafely) {
+  // Sites register their point on first hit, so threads running different
+  // code (a drain worker, a DML writer) register fresh names at once.
+  constexpr int kThreads = 4;
+  constexpr int kPoints = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kPoints; ++i) {
+        const std::string name = "test.concurrent." + std::to_string(t) +
+                                 "." + std::to_string(i);
+        FaultPoint* p = FaultRegistry::Global().Register(name);
+        EXPECT_EQ(p->name(), name);
+        EXPECT_FALSE(p->armed());
+        EXPECT_EQ(FaultRegistry::Global().Find(name), p);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  size_t registered = 0;
+  for (const std::string& name : FaultRegistry::Global().PointNames()) {
+    registered += name.rfind("test.concurrent.", 0) == 0;
+  }
+  EXPECT_EQ(registered, size_t{kThreads} * kPoints);
 }
 
 }  // namespace

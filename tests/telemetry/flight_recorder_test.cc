@@ -225,19 +225,5 @@ TEST(SlowQueryLogTest, CapacityEvictsOldestButTotalKeepsCounting) {
   log.SetCapacity(32);
 }
 
-TEST(SlowQueryLogTest, JsonLineParsesAsJson) {
-  SlowQueryRecord rec = MakeRecord(99, "SELECT \"x\" FROM t");
-  const std::string line = rec.ToJsonLine();
-  auto parsed = json::Parse(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
-  const json::JsonNode* q = parsed.value()->GetField("query");
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->scalar().AsString(), "SELECT \"x\" FROM t");
-  ASSERT_NE(parsed.value()->GetField("elapsed_us"), nullptr);
-  EXPECT_EQ(
-      parsed.value()->GetField("elapsed_us")->scalar().NumericAsDouble(),
-      12345.0);
-}
-
 }  // namespace
 }  // namespace fsdm::telemetry

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,9 +13,10 @@
 #include "telemetry/trace.h"
 #include "telemetry/trace_event.h"
 
-/// Unit tests for the ISSUE 9 resource-accounting subsystem: the
-/// MemoryTracker's two charging models (pull reporters / push charges) and
-/// the QueryMonitor's register-snapshot-unregister lifecycle.
+/// Unit tests for the resource-accounting subsystem: the MemoryTracker's
+/// accounts (named rows pushed by their writers, anonymous rows moved by
+/// scoped charges) and the QueryMonitor's register-snapshot-unregister
+/// lifecycle.
 
 namespace fsdm::telemetry {
 namespace {
@@ -55,69 +57,81 @@ TEST_F(MemoryTrackerTest, OwnedStringBytesUsesSizeNotCapacity) {
   EXPECT_EQ(before, sizeof(std::string) + 5);
 }
 
-TEST_F(MemoryTrackerTest, ReporterRefreshRatchetsPeaksAndUnregisters) {
+MemoryTracker::Entry FindEntry(const std::string& collection) {
+  for (const MemoryTracker::Entry& e : MemoryTracker::Global().Entries()) {
+    if (e.collection == collection) return e;
+  }
+  return {};
+}
+
+TEST_F(MemoryTrackerTest, AccountRatchetsPeaksAndUnlistsOnClose) {
   MemoryTracker& t = MemoryTracker::Global();
-  const size_t reporters_before = t.reporter_count();
-  uint64_t bytes = 1000;
+  const uint64_t base = t.SubsystemBytes(MemSubsystem::kTableHeap);
   {
-    MemoryScope scope(MemSubsystem::kTableHeap, "MT_TEST",
-                      [&bytes]() { return bytes; });
-    ASSERT_TRUE(scope.engaged());
-    EXPECT_EQ(t.reporter_count(), reporters_before + 1);
-
-    t.Refresh();
-    EXPECT_GE(t.SubsystemBytes(MemSubsystem::kTableHeap), 1000u);
-
-    auto find = [&t]() -> MemoryTracker::Entry {
-      for (const MemoryTracker::Entry& e : t.Entries()) {
-        if (e.collection == "MT_TEST") return e;
-      }
-      return {};
-    };
-    MemoryTracker::Entry e = find();
+    MemoryAccount account(MemSubsystem::kTableHeap, "MT_TEST");
+    account.Set(1000);
+    EXPECT_EQ(t.SubsystemBytes(MemSubsystem::kTableHeap), base + 1000);
+    MemoryTracker::Entry e = FindEntry("MT_TEST");
     EXPECT_EQ(e.bytes, 1000u);
     EXPECT_EQ(e.peak_bytes, 1000u);
 
-    // Shrinking keeps the entry peak; growing ratchets it.
-    bytes = 400;
-    t.Refresh();
-    e = find();
+    // Shrinking keeps the account peak; growing ratchets it.
+    account.Add(-600);
+    e = FindEntry("MT_TEST");
     EXPECT_EQ(e.bytes, 400u);
     EXPECT_EQ(e.peak_bytes, 1000u);
-    bytes = 2500;
-    t.Refresh();
-    e = find();
-    EXPECT_EQ(e.peak_bytes, 2500u);
+    account.Set(2500);
+    EXPECT_EQ(FindEntry("MT_TEST").peak_bytes, 2500u);
   }
-  EXPECT_EQ(t.reporter_count(), reporters_before);
-  t.Refresh();
+  // Closed: unlisted, and its bytes left the totals.
+  EXPECT_EQ(t.SubsystemBytes(MemSubsystem::kTableHeap), base);
   for (const MemoryTracker::Entry& e : t.Entries()) {
     EXPECT_NE(e.collection, "MT_TEST");
   }
 }
 
-TEST_F(MemoryTrackerTest, UnregisterRatchetsPeaksWithTheLastPoll) {
-  // A structure that grew after the last Refresh() and then went away
-  // (a bench's collection dropped before its report) must still show in
-  // the subsystem and total peaks.
+TEST_F(MemoryTrackerTest, GrowthBetweenReadsShowsInEveryPeak) {
+  // A structure that grows and shrinks again with nobody reading in
+  // between must still leave its high-water mark in the account, the
+  // subsystem and the total.
   MemoryTracker& t = MemoryTracker::Global();
-  uint64_t bytes = 100;
+  const uint64_t base = t.CurrentBytes();
+  const uint64_t base_stats = t.SubsystemBytes(MemSubsystem::kPathStats);
   {
-    MemoryScope scope(MemSubsystem::kPathStats, "MT_GONE",
-                      [&bytes]() { return bytes; });
-    t.Refresh();
-    bytes = 70000;  // grows, never refreshed again
+    MemoryAccount account(MemSubsystem::kPathStats, "MT_GONE");
+    account.Set(100);
+    account.Set(70000);
+    account.Set(100);
+    EXPECT_EQ(account.peak_bytes(), 70000u);
+    EXPECT_EQ(FindEntry("MT_GONE").peak_bytes, 70000u);
   }
-  EXPECT_GE(t.SubsystemPeakBytes(MemSubsystem::kPathStats), 70000u);
-  EXPECT_GE(t.PeakBytes(), 70000u);
+  EXPECT_GE(t.SubsystemPeakBytes(MemSubsystem::kPathStats),
+            base_stats + 70000);
+  EXPECT_GE(t.PeakBytes(), base + 70000);
+  EXPECT_EQ(t.CurrentBytes(), base);
+}
 
-  // Never refreshed at all: the unregister poll is the only observation.
+TEST_F(MemoryTrackerTest, GaugesFollowPushesWithoutAPoll) {
+  MemoryTracker& t = MemoryTracker::Global();
+  const MetricsRegistry& m = MetricsRegistry::Global();
+  const std::string gauge =
+      "fsdm_mem_bytes{subsystem=\"wal-buffers\",collection=\"MT_GAUGE\"}";
   {
-    MemoryScope scope(MemSubsystem::kWalBuffers, "MT_UNSEEN",
-                      []() { return uint64_t{90000}; });
+    MemoryAccount account(MemSubsystem::kWalBuffers, "MT_GAUGE");
+    account.Set(4096);
+    EXPECT_DOUBLE_EQ(m.GaugeValue(gauge), 4096.0);
+    EXPECT_DOUBLE_EQ(m.GaugeValue("fsdm_mem_total_bytes"),
+                     static_cast<double>(t.CurrentBytes()));
+    EXPECT_DOUBLE_EQ(m.GaugeValue("fsdm_mem_peak_bytes"),
+                     static_cast<double>(t.PeakBytes()));
+    account.Set(1024);
+    EXPECT_DOUBLE_EQ(m.GaugeValue(gauge), 1024.0);
   }
-  EXPECT_GE(t.SubsystemPeakBytes(MemSubsystem::kWalBuffers), 90000u);
-  EXPECT_GE(t.PeakBytes(), 90000u);
+  // A closed account zeroes its gauge so a dropped collection does not
+  // linger in exports.
+  EXPECT_DOUBLE_EQ(m.GaugeValue(gauge), 0.0);
+  EXPECT_DOUBLE_EQ(m.GaugeValue("fsdm_mem_total_bytes"),
+                   static_cast<double>(t.CurrentBytes()));
 }
 
 TEST_F(MemoryTrackerTest, ChargesRatchetPeakWithoutRefresh) {
@@ -128,7 +142,7 @@ TEST_F(MemoryTrackerTest, ChargesRatchetPeakWithoutRefresh) {
     EXPECT_EQ(charge.bytes(), 5000u);
     EXPECT_EQ(t.CurrentBytes(), base + 5000);
     // The peak must be visible immediately — a drain's working set is gone
-    // before anyone calls Refresh().
+    // before anyone reads the tracker.
     EXPECT_GE(t.PeakBytes(), base + 5000);
     charge.Add(2000);
     EXPECT_EQ(t.CurrentBytes(), base + 7000);
@@ -148,22 +162,19 @@ TEST_F(MemoryTrackerTest, ChargesRatchetPeakWithoutRefresh) {
 
 TEST_F(MemoryTrackerTest, SubsystemPeakIsSimultaneousNotSumOfEntryPeaks) {
   MemoryTracker& t = MemoryTracker::Global();
-  t.Refresh();
-  // Whatever other kImc reporters are alive in this process contribute a
+  // Whatever other kImc accounts are open in this process contribute a
   // stable baseline to the subsystem total.
   const uint64_t others = t.SubsystemBytes(MemSubsystem::kImc);
-  // Two reporters whose individual peaks (3000 and 2000) are reached at
-  // different times, never summing past 4000 at any single Refresh. The
-  // per-subsystem high-water must track the largest simultaneous total,
-  // not the 5000 a sum of per-entry peaks would claim.
-  uint64_t a = 3000;
-  uint64_t b = 1000;
-  MemoryScope sa(MemSubsystem::kImc, "MT_PEAK_A", [&a]() { return a; });
-  MemoryScope sb(MemSubsystem::kImc, "MT_PEAK_B", [&b]() { return b; });
-  t.Refresh();  // a=3000, b=1000 -> 4000
-  a = 1000;
-  b = 2000;
-  t.Refresh();  // a=1000, b=2000 -> 3000
+  // Two accounts whose individual peaks (3000 and 2000) are reached at
+  // different times, never summing past 4000. The per-subsystem
+  // high-water must track the largest simultaneous total, not the 5000 a
+  // sum of per-account peaks would claim.
+  MemoryAccount a(MemSubsystem::kImc, "MT_PEAK_A");
+  MemoryAccount b(MemSubsystem::kImc, "MT_PEAK_B");
+  a.Set(3000);
+  b.Set(1000);  // 4000
+  a.Set(1000);
+  b.Set(2000);  // 3000
   uint64_t entry_peak_sum = 0;
   for (const MemoryTracker::Entry& e : t.Entries()) {
     if (e.collection == "MT_PEAK_A" || e.collection == "MT_PEAK_B") {
@@ -188,28 +199,40 @@ TEST_F(MemoryTrackerTest, ChargesRatchetSubsystemPeakWithoutRefresh) {
   EXPECT_EQ(t.SubsystemPeakBytes(MemSubsystem::kPlanWorkingSet), 0u);
 }
 
-TEST_F(MemoryTrackerTest, CurrentBytesCombinesReportersAndLiveCharges) {
+TEST_F(MemoryTrackerTest, CurrentBytesSumsAccountsAndLiveCharges) {
   MemoryTracker& t = MemoryTracker::Global();
-  MemoryScope scope(MemSubsystem::kImc, "MT_MIX", []() { return 300u; });
-  t.Refresh();
-  const uint64_t with_reporter = t.CurrentBytes();
+  const uint64_t base = t.CurrentBytes();
+  MemoryAccount account(MemSubsystem::kImc, "MT_MIX");
+  account.Set(300);
+  EXPECT_EQ(t.CurrentBytes(), base + 300);
+  EXPECT_EQ(t.Refresh(), t.CurrentBytes());
   MemoryCharge charge(MemSubsystem::kOsonVc, 77);
-  EXPECT_EQ(t.CurrentBytes(), with_reporter + 77);
+  EXPECT_EQ(t.CurrentBytes(), base + 377);
   EXPECT_GE(t.SubsystemBytes(MemSubsystem::kOsonVc), 77u);
   charge.Reset();
-  EXPECT_EQ(t.CurrentBytes(), with_reporter);
+  EXPECT_EQ(t.CurrentBytes(), base + 300);
 }
 
-TEST_F(MemoryTrackerTest, MemoryScopeMoveTransfersOwnership) {
+TEST_F(MemoryTrackerTest, ConcurrentChargesBalance) {
+  // Drain workers charge and release the same anonymous account at once;
+  // every total comes back to where it started.
   MemoryTracker& t = MemoryTracker::Global();
-  const size_t before = t.reporter_count();
-  MemoryScope a(MemSubsystem::kWalBuffers, "MT_MOVE", []() { return 1u; });
-  MemoryScope b(std::move(a));
-  EXPECT_FALSE(a.engaged());  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(b.engaged());
-  EXPECT_EQ(t.reporter_count(), before + 1);
-  b.Reset();
-  EXPECT_EQ(t.reporter_count(), before);
+  const uint64_t base = t.CurrentBytes();
+  const uint64_t base_plan = t.SubsystemBytes(MemSubsystem::kPlanWorkingSet);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([] {
+      for (int i = 0; i < 1000; ++i) {
+        MemoryCharge charge(MemSubsystem::kPlanWorkingSet, 10 + i % 7);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(t.SubsystemBytes(MemSubsystem::kPlanWorkingSet), base_plan);
+  EXPECT_EQ(t.CurrentBytes(), base);
+  EXPECT_GE(t.PeakBytes(), base + 10);
+  EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GaugeValue("fsdm_mem_total_bytes"),
+                   static_cast<double>(base));
 }
 
 TEST_F(MemoryTrackerTest, MemoryChargeMoveReleasesExactlyOnce) {
