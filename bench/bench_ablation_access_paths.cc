@@ -153,11 +153,10 @@ void AccessPathAblation(size_t docs_n) {
 
 // (d) ISSUE 6: sharded collections drained morsel-parallel. One routed
 // range scan (not index-answerable, so every shard pays a real full-scan
-// morsel) over a 4-shard collection, at 1/2/4 worker threads; the
-// speedup-vs-1-thread column is what CI's scaling check and the
-// bench_compare.py markdown summary read. The run at the largest thread
-// count is last so the flight-recorder dump (TRACE_*.json) ends with a
-// stitched multi-worker span tree.
+// morsel) over a 4-shard collection, at 1/2/4 worker threads, with a
+// speedup-vs-1-thread column. The run at the largest thread count is last
+// so the flight-recorder dump (TRACE_*.json) ends with a stitched
+// multi-worker span tree.
 void ShardScalingAblation(size_t docs_n) {
   printf("--- (d) sharded morsel-parallel scaling (4 shards) ---\n");
   rdbms::Database db;
@@ -212,9 +211,9 @@ void ShardScalingAblation(size_t docs_n) {
     return best;
   };
 
-  // The leading label keeps row keys unique for bench_compare.py (rows
-  // pair by first cell); shards/threads/speedup stay plain numbers so the
-  // BENCH json cells parse as JSON numbers for the CI scaling checks.
+  // The leading label keeps row keys unique (BENCH json consumers pair
+  // rows by first cell); shards/threads/speedup stay plain numbers so the
+  // BENCH json cells parse as JSON numbers.
   benchutil::PrintHeader(
       {"scaling config", "shards", "threads", "ms", "speedup vs 1 thread"});
   double t1 = 0;

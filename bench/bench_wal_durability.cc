@@ -2,8 +2,7 @@
 // documents under each fsync policy — none (no WAL at all), off, group,
 // always — plus recovery: time to reopen the directory and replay the log
 // back into a full collection stack. The "wal" section of the BENCH json
-// (validated by scripts/check_bench_json.py, diffed by bench_compare.py)
-// carries docs/sec per policy and the recovery time with the LSN count it
+// (validated by scripts/check_bench_json.py) carries docs/sec per policy and the recovery time with the LSN count it
 // replayed.
 
 #include <filesystem>

@@ -203,8 +203,7 @@ void BenchJson::Write() const {
   out += "}";
 
   // Memory attribution (ISSUE 9). Always all eight subsystems, in enum
-  // order, zeros included — consumers (check_bench_json.py,
-  // bench_compare.py) rely on the shape.
+  // order, zeros included — check_bench_json.py relies on the shape.
   // peak_bytes is the tracker's per-subsystem high-water (ratcheted by
   // every push), a real simultaneous peak — not a sum of per-account
   // peaks reached at different times.
@@ -225,7 +224,7 @@ void BenchJson::Write() const {
 
   // Structured-log counters (ISSUE 10). fig7's overhead gate compares
   // arms that both carry the instrumented call sites, so these make the
-  // log volume behind a regression visible in bench_compare.py.
+  // log volume behind a regression visible in the BENCH json.
   out += ",\"log\":{\"fsdm_log_records_total\":" +
          std::to_string(telemetry::EngineLog::Global().total_records());
   out += ",\"fsdm_log_dropped_total\":" +

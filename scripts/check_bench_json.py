@@ -170,8 +170,7 @@ def check_ash(path, doc):
 def check_wal(path, doc):
     """The "wal" section bench_wal_durability attaches: durable-ingest
     throughput per fsync policy plus recovery time. Optional — only the
-    WAL bench emits it — but when present the shape is enforced so
-    bench_compare.py can diff it."""
+    WAL bench emits it — but when present the shape is enforced."""
     wal = doc.get("wal")
     if wal is None:
         return

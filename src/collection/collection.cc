@@ -156,8 +156,9 @@ Result<std::unique_ptr<JsonCollection>> JsonCollection::Create(
   }
   if (!options.wal_dir.empty()) {
     // Open (and, on an existing log, replay) the WAL only once every shard
-    // is wired: replay drives the ordinary DML paths so the index,
-    // DataGuide, IMC state and path statistics rebuild as a side effect.
+    // is wired: replay applies each record through its shard's DML so the
+    // index, DataGuide, IMC state and path statistics rebuild as a side
+    // effect.
     Status walled = coll->InitWal();
     if (!walled.ok()) return unwind(walled);
   }
@@ -354,7 +355,7 @@ Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
   // Row-id encoding: global = local * N + shard, the identity at N = 1.
   const size_t s = ShardForKey(key);
   uint64_t lsn = 0;
-  const bool logged = wal_ != nullptr && !wal_replaying_;
+  const bool logged = wal_ != nullptr;
   if (logged) {
     FSDM_ASSIGN_OR_RETURN(std::string oson_image,
                           oson::EncodeFromText(json_text));
@@ -389,7 +390,7 @@ Status JsonCollection::Delete(size_t row_id) {
   OnReturn publish([this] { PublishWalMemory(); });
   const size_t s = row_id % shards_.size();
   uint64_t lsn = 0;
-  const bool logged = wal_ != nullptr && !wal_replaying_;
+  const bool logged = wal_ != nullptr;
   if (logged) {
     Result<uint64_t> appended =
         wal_->AppendDelete(static_cast<uint32_t>(s), row_id);
@@ -418,7 +419,7 @@ Status JsonCollection::Replace(size_t row_id, Value key,
         std::to_string(s) + "); delete and re-insert instead");
   }
   uint64_t lsn = 0;
-  const bool logged = wal_ != nullptr && !wal_replaying_;
+  const bool logged = wal_ != nullptr;
   if (logged) {
     FSDM_ASSIGN_OR_RETURN(std::string oson_image,
                           oson::EncodeFromText(json_text));
@@ -509,7 +510,15 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
   std::vector<uint64_t> highwater(nshards, 0);
   std::vector<uint64_t> ck_inserts(nshards, 0);
   bool in_chosen_checkpoint = false;
-  wal_replaying_ = true;
+  // Records apply straight to their shards, placed as the public DML
+  // places them, so nothing is logged again; global row ids encode as
+  // local * N + shard.
+  auto insert = [&](const Value& key, std::string text) -> Result<size_t> {
+    const size_t s = ShardForKey(key);
+    FSDM_ASSIGN_OR_RETURN(size_t local,
+                          shards_[s]->Insert(Value(key), std::move(text)));
+    return local * nshards + s;
+  };
   Status replayed = [&]() -> Status {
     for (size_t i = start; i < records.size(); ++i) {
       const wal::Record& r = records[i];
@@ -545,7 +554,7 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
           // state the surrounding DML records already cover; skip them.
           if (!in_chosen_checkpoint) continue;
           FSDM_ASSIGN_OR_RETURN(std::string text, OsonImageToText(r.oson));
-          Result<size_t> actual = Insert(Value(r.key), std::move(text));
+          Result<size_t> actual = insert(r.key, std::move(text));
           if (!actual.ok()) {
             return Status::Corruption(
                 "WAL replay: checkpoint doc at LSN " + std::to_string(r.lsn) +
@@ -561,7 +570,7 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
               r.key.AsInt64() >= next_auto_key_) {
             next_auto_key_ = r.key.AsInt64() + 1;
           }
-          Result<size_t> actual = Insert(Value(r.key), std::move(text));
+          Result<size_t> actual = insert(r.key, std::move(text));
           if (!actual.ok()) {
             return Status::Corruption(
                 "WAL replay: insert at LSN " + std::to_string(r.lsn) +
@@ -588,13 +597,14 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
             }
             row_id = it->second;
           }
+          Shard& shard = *shards_[row_id % nshards];
+          const size_t local = static_cast<size_t>(row_id / nshards);
           Status applied;
           if (r.type == wal::RecordType::kDelete) {
-            applied = Delete(static_cast<size_t>(row_id));
+            applied = shard.Delete(local);
           } else {
             FSDM_ASSIGN_OR_RETURN(std::string text, OsonImageToText(r.oson));
-            applied = Replace(static_cast<size_t>(row_id), Value(r.key),
-                              std::move(text));
+            applied = shard.Replace(local, Value(r.key), std::move(text));
           }
           if (!applied.ok()) {
             return Status::Corruption(
@@ -611,7 +621,6 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
     }
     return Status::Ok();
   }();
-  wal_replaying_ = false;
   if (!replayed.ok()) return replayed;
   info->replay_ms =
       static_cast<double>(telemetry::MonotonicNowUs() - t0) / 1000.0;

@@ -487,9 +487,6 @@ class JsonCollection {
   std::string last_health_cause_;  // sticky; see last_health_cause()
   bool detached_ = false;
   std::unique_ptr<wal::Wal> wal_;
-  /// Set while ReplayWal drives the DML paths: suppresses re-appending
-  /// the operations being replayed.
-  bool wal_replaying_ = false;
 };
 
 }  // namespace fsdm::collection

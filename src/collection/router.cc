@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -413,6 +414,25 @@ struct RouteTimeSample {
   double us;
 };
 
+/// RouteSingle's five candidates in ranking order: [0] is answered by the
+/// IMC store, [1]-[3] by PostingScan over the search index, [4] by the
+/// table scan.
+constexpr AccessPath kCandidatePaths[] = {
+    AccessPath::kImcFilterScan, AccessPath::kIndexedValueScan,
+    AccessPath::kPostingIntersectScan, AccessPath::kIndexedPathScan,
+    AccessPath::kFullScan};
+constexpr size_t kFullScanCandidate = std::size(kCandidatePaths) - 1;
+
+/// What a posting candidate's plan needs beyond its estimate. The three
+/// share one build; they differ in the conjuncts their posting lists
+/// answer, which the residual filters then skip.
+struct PostingCandidate {
+  const char* span;    // span name, also the operator cost-model key
+  const char* method;  // closes the winner's reason
+  std::vector<const PathPredicate*> covered;
+  std::string subject;  // opens the winner's reason
+};
+
 /// Routes one shard. With `fanout_samples` null the shard is the whole
 /// collection: the plan gets its probe and route-time measurements feed
 /// the cost model at once. Non-null is the sharded fan-out asking for a
@@ -438,17 +458,19 @@ Result<RoutedPlan> RouteSingle(
 
   RoutedPlan routed;
   telemetry::RouterDecision& decision = routed.trace.decision;
-  decision.candidates.resize(5);
+  decision.candidates.resize(std::size(kCandidatePaths));
+  for (size_t i = 0; i < decision.candidates.size(); ++i) {
+    decision.candidates[i].access_path = AccessPathName(kCandidatePaths[i]);
+  }
   telemetry::RouterCandidate& imc_cand = decision.candidates[0];
   telemetry::RouterCandidate& value_cand = decision.candidates[1];
   telemetry::RouterCandidate& isect_cand = decision.candidates[2];
   telemetry::RouterCandidate& path_cand = decision.candidates[3];
   telemetry::RouterCandidate& full_cand = decision.candidates[4];
-  imc_cand.access_path = AccessPathName(AccessPath::kImcFilterScan);
-  value_cand.access_path = AccessPathName(AccessPath::kIndexedValueScan);
-  isect_cand.access_path = AccessPathName(AccessPath::kPostingIntersectScan);
-  path_cand.access_path = AccessPathName(AccessPath::kIndexedPathScan);
-  full_cand.access_path = AccessPathName(AccessPath::kFullScan);
+  PostingCandidate posting[] = {
+      {"IndexedValueScan", "value postings", {}, {}},
+      {"PostingIntersectScan", "posting-list intersection", {}, {}},
+      {"IndexedPathScan", "path postings", {}, {}}};
 
   // The conjunction's estimated output cardinality — what the feedback
   // loop later compares against the actual row count.
@@ -518,8 +540,8 @@ Result<RoutedPlan> RouteSingle(
 
   // [1] Value postings: the most selective equality on a path the guide
   // knows as a scalar.
-  const PathPredicate* best_eq = nullptr;
   if (postings) {
+    const PathPredicate* best_eq = nullptr;
     double best_eq_rows = std::numeric_limits<double>::max();
     for (const PathPredicate& p : predicates) {
       if (p.is_existence() || p.op != rdbms::CompareOp::kEq) continue;
@@ -542,6 +564,8 @@ Result<RoutedPlan> RouteSingle(
           std::to_string(FindScalarEntry(guide, best_eq->path)->frequency) +
           "/" + std::to_string(guide_docs) + ", ndv ~" +
           Fmt1(est.Ndv(guide.paths().Find(best_eq->path))) + ")";
+      posting[0].covered = {best_eq};
+      posting[0].subject = "equality on scalar path " + best_eq->path;
     } else {
       value_cand.detail = "no equality on a DataGuide-known scalar path";
     }
@@ -551,20 +575,15 @@ Result<RoutedPlan> RouteSingle(
   // or more index-answerable conjuncts — equalities on guide-known scalar
   // paths and existence tests — evaluated by intersecting their posting
   // lists, leaving only the rest as residual filters.
-  std::vector<const PathPredicate*> isect_covered;
-  std::vector<index::IndexTerm> isect_terms;
   if (postings) {
+    std::vector<const PathPredicate*>& isect_covered = posting[1].covered;
     for (const PathPredicate& p : predicates) {
-      if (p.is_existence()) {
+      if (p.is_existence() || (p.op == rdbms::CompareOp::kEq &&
+                               FindScalarEntry(guide, p.path) != nullptr)) {
         isect_covered.push_back(&p);
-        isect_terms.push_back({p.path, std::nullopt});
-      } else if (p.op == rdbms::CompareOp::kEq &&
-                 FindScalarEntry(guide, p.path) != nullptr) {
-        isect_covered.push_back(&p);
-        isect_terms.push_back({p.path, p.literal});
       }
     }
-    if (isect_terms.size() >= 2) {
+    if (isect_covered.size() >= 2) {
       double total_postings = 0;
       double covered_sel = 1.0;
       for (const PathPredicate* p : isect_covered) {
@@ -581,21 +600,23 @@ Result<RoutedPlan> RouteSingle(
           covered_rows * static_cast<double>(n_residual) *
               costs.UsPerRow("Filter");
       isect_cand.detail =
-          std::to_string(isect_terms.size()) +
+          std::to_string(isect_covered.size()) +
           " index-answerable conjuncts, ~" + Fmt1(total_postings) +
           " postings to merge";
+      posting[1].subject = "conjunction of " +
+                           std::to_string(isect_covered.size()) +
+                           " indexable predicates";
     } else {
       isect_cand.detail = "fewer than two index-answerable conjuncts";
       isect_covered.clear();
-      isect_terms.clear();
     }
   }
 
   // [3] Path postings: the most selective existence test. The old
   // frequency threshold (present in at most half the documents) is gone —
   // the cost comparison against the full scan decides.
-  const PathPredicate* best_exists = nullptr;
   if (postings) {
+    const PathPredicate* best_exists = nullptr;
     double best_exists_rows = std::numeric_limits<double>::max();
     for (const PathPredicate& p : predicates) {
       if (!p.is_existence()) continue;
@@ -617,6 +638,8 @@ Result<RoutedPlan> RouteSingle(
       path_cand.detail = "existence of " + best_exists->path +
                          " (DataGuide frequency " + std::to_string(freq) +
                          "/" + std::to_string(guide_docs) + ")";
+      posting[2].covered = {best_exists};
+      posting[2].subject = "existence of path " + best_exists->path;
     } else {
       path_cand.detail = "no existence predicate to probe";
     }
@@ -631,47 +654,17 @@ Result<RoutedPlan> RouteSingle(
                    static_cast<double>(n_preds) * costs.UsPerRow("Filter"));
   full_cand.detail = "always applicable";
 
-  // --- Pick the cheapest eligible candidate (ties break toward the
-  // earlier candidate, keeping decisions deterministic). -----------------
-  size_t winner = 4;
-  for (size_t i = 0; i < decision.candidates.size(); ++i) {
-    const telemetry::RouterCandidate& c = decision.candidates[i];
-    if (!c.eligible) continue;
-    if (c.est_cost_us < decision.candidates[winner].est_cost_us) winner = i;
-  }
-  // A strictly-cheaper candidate earlier in the list wins outright; an
-  // equal-cost one wins by order. The loop above keeps the *first* minimum
-  // because later candidates must be strictly cheaper to displace it —
-  // except that `winner` starts at the always-eligible full scan, so walk
-  // again preferring the earliest minimum.
-  for (size_t i = 0; i < decision.candidates.size(); ++i) {
+  // --- Pick the cheapest eligible candidate, ties breaking toward the
+  // earlier one so decisions are deterministic: walking back from the
+  // always-eligible full scan, an equal cost displaces the later winner. --
+  size_t winner = kFullScanCandidate;
+  for (size_t i = winner; i-- > 0;) {
     const telemetry::RouterCandidate& c = decision.candidates[i];
     if (c.eligible &&
         c.est_cost_us <= decision.candidates[winner].est_cost_us) {
       winner = i;
-      break;
     }
   }
-
-  // Marks candidate `idx` as the winner, records its reason, and stacks
-  // the feedback/slow-query probe on the finished plan (routed.plan and
-  // routed.trace.root are always set before finish runs).
-  // Shard sub-plans of a fan-out stay bare — see RouteSingle doc.
-  auto finish = [&](size_t idx, AccessPath path, std::string reason) {
-    decision.candidates[idx].chosen = true;
-    decision.winner = AccessPathName(path);
-    decision.reason = std::move(reason);
-    routed.access_path = path;
-    route_span.AddTextArg("winner", decision.winner);
-    FSDM_TRACE_INSTANT_TEXT("router", "router.winner", "path",
-                            decision.winner);
-    if (fanout_samples == nullptr) {
-      routed.plan = std::make_unique<RoutedQueryProbe>(
-          std::move(routed.plan), shard.name(), query_text, decision,
-          routed.trace.root.get(),
-          telemetry::QueryMonitor::Global().AllocateQueryId());
-    }
-  };
 
   auto record = [fanout_samples](const char* op, uint64_t rows, double us) {
     if (fanout_samples != nullptr) {
@@ -681,128 +674,95 @@ Result<RoutedPlan> RouteSingle(
     }
   };
 
-  switch (winner) {
-    case 0: {  // imc-filter-scan
-      telemetry::Stopwatch route_scan;
-      FSDM_ASSIGN_OR_RETURN(
-          std::vector<rdbms::Row> rows,
-          store->FilterScan(column_preds, store->column_names()));
-      // Feed the scan measurement with the scanned-row basis; the plan
-      // below only *replays* the materialized result, so RecordSpanTree
-      // skips its span.
-      record("ImcFilterScan", store->row_count(), route_scan.ElapsedUs());
-      imc_cand.detail += "; FilterScan at route time: " +
-                         std::to_string(rows.size()) + " rows";
-      std::unique_ptr<telemetry::OperatorSpan> root =
-          telemetry::MakeSpan("ImcFilterScan", imc_cand.detail);
-      routed.plan = rdbms::Instrument(
-          rdbms::Values(rdbms::Schema(store->column_names()), std::move(rows)),
-          root.get());
-      routed.trace.root = std::move(root);
-      finish(0, AccessPath::kImcFilterScan,
-             "all predicate paths materialized as virtual columns in a valid "
+  // --- Build the winner's access path — IMC replay, posting scan or table
+  // scan — and the conjuncts it answers; the rest become residual filters.
+  std::unique_ptr<telemetry::OperatorSpan> root;
+  rdbms::OperatorPtr plan;
+  std::vector<const PathPredicate*> covered;
+  std::string reason;
+  if (winner == 0) {
+    telemetry::Stopwatch route_scan;
+    FSDM_ASSIGN_OR_RETURN(
+        std::vector<rdbms::Row> rows,
+        store->FilterScan(column_preds, store->column_names()));
+    // Feed the scan measurement with the scanned-row basis; the plan
+    // below only *replays* the materialized result, so RecordSpanTree
+    // skips its span.
+    record("ImcFilterScan", store->row_count(), route_scan.ElapsedUs());
+    imc_cand.detail += "; FilterScan at route time: " +
+                       std::to_string(rows.size()) + " rows";
+    root = telemetry::MakeSpan("ImcFilterScan", imc_cand.detail);
+    plan = rdbms::Instrument(
+        rdbms::Values(rdbms::Schema(store->column_names()), std::move(rows)),
+        root.get());
+    for (const PathPredicate& p : predicates) covered.push_back(&p);
+    reason = "all predicate paths materialized as virtual columns in a valid "
              "IMC store (est cost " + Fmt2(imc_cand.est_cost_us) +
-                 " us); vectorized FilterScan");
-      break;
+             " us); vectorized FilterScan";
+  } else if (winner < kFullScanCandidate) {
+    PostingCandidate& chosen = posting[winner - 1];
+    covered = std::move(chosen.covered);
+    std::vector<index::IndexTerm> terms;
+    std::string terms_text;
+    for (const PathPredicate* p : covered) {
+      terms.push_back({p->path, p->literal});
+      if (!terms_text.empty()) terms_text += " AND ";
+      terms_text += PredicateText(*p);
     }
-    case 1: {  // indexed-value-scan
-      std::unique_ptr<telemetry::OperatorSpan> root = telemetry::MakeSpan(
-          "IndexedValueScan", PredicateText(*best_eq));
-      rdbms::OperatorPtr scan = rdbms::Instrument(
-          index::IndexedValueScan(shard.table(), index, best_eq->path,
-                                  *best_eq->literal),
-          root.get());
-      FSDM_ASSIGN_OR_RETURN(
-          rdbms::OperatorPtr plan,
-          ApplyResiduals(shard, std::move(scan), predicates, {best_eq}, &root));
-      routed.plan = std::move(plan);
-      routed.trace.root = std::move(root);
-      finish(1, AccessPath::kIndexedValueScan,
-             "equality on scalar path " + best_eq->path + " (est " +
-                 Fmt1(value_cand.est_rows) + " rows, cost " +
-                 Fmt2(value_cand.est_cost_us) + " us); value postings");
-      break;
-    }
-    case 2: {  // posting-intersect-scan
-      std::string terms_text;
-      for (const PathPredicate* p : isect_covered) {
-        if (!terms_text.empty()) terms_text += " AND ";
-        terms_text += PredicateText(*p);
-      }
-      telemetry::Stopwatch build;
-      index::IntersectionInfo info;
-      rdbms::OperatorPtr scan_op = index::IndexedIntersectionScan(
-          shard.table(), index, isect_terms, &info);
+    telemetry::Stopwatch build;
+    index::IntersectionInfo info;
+    rdbms::OperatorPtr scan =
+        index::PostingScan(shard.table(), index, terms, &info);
+    if (terms.size() >= 2) {
       // The sorted-list merge happened at plan-build time; feed it with
       // the summed posting-length basis the estimate uses.
       record("PostingIntersect", info.total_postings, build.ElapsedUs());
-      std::unique_ptr<telemetry::OperatorSpan> root = telemetry::MakeSpan(
-          "PostingIntersectScan",
-          terms_text + " [" + std::to_string(info.total_postings) +
-              " postings -> " + std::to_string(info.matched) + " rows]");
-      rdbms::OperatorPtr scan =
-          rdbms::Instrument(std::move(scan_op), root.get());
-      FSDM_ASSIGN_OR_RETURN(
-          rdbms::OperatorPtr plan,
-          ApplyResiduals(shard, std::move(scan), predicates, isect_covered,
-                         &root));
-      routed.plan = std::move(plan);
-      routed.trace.root = std::move(root);
-      finish(2, AccessPath::kPostingIntersectScan,
-             "conjunction of " + std::to_string(isect_terms.size()) +
-                 " indexable predicates (est " + Fmt1(isect_cand.est_rows) +
-                 " rows, cost " + Fmt2(isect_cand.est_cost_us) +
-                 " us); posting-list intersection");
-      break;
+      terms_text += " [" + std::to_string(info.total_postings) +
+                    " postings -> " + std::to_string(info.matched) + " rows]";
     }
-    case 3: {  // indexed-path-scan
-      std::unique_ptr<telemetry::OperatorSpan> root = telemetry::MakeSpan(
-          "IndexedPathScan", PredicateText(*best_exists));
-      rdbms::OperatorPtr scan = rdbms::Instrument(
-          index::IndexedPathScan(shard.table(), index, best_exists->path),
-          root.get());
-      FSDM_ASSIGN_OR_RETURN(
-          rdbms::OperatorPtr plan,
-          ApplyResiduals(shard, std::move(scan), predicates, {best_exists},
-                         &root));
-      routed.plan = std::move(plan);
-      routed.trace.root = std::move(root);
-      finish(3, AccessPath::kIndexedPathScan,
-             "existence of path " + best_exists->path + " (est " +
-                 Fmt1(path_cand.est_rows) + " rows, cost " +
-                 Fmt2(path_cand.est_cost_us) + " us); path postings");
-      break;
+    root = telemetry::MakeSpan(chosen.span, std::move(terms_text));
+    plan = rdbms::Instrument(std::move(scan), root.get());
+    const telemetry::RouterCandidate& c = decision.candidates[winner];
+    reason = chosen.subject + " (est " + Fmt1(c.est_rows) + " rows, cost " +
+             Fmt2(c.est_cost_us) + " us); " + chosen.method;
+  } else {
+    root = telemetry::MakeSpan("Scan", shard.name());
+    plan = rdbms::Instrument(shard.Scan(), root.get());
+    bool other_eligible = false;
+    for (size_t i = 0; i < kFullScanCandidate; ++i) {
+      if (decision.candidates[i].eligible) other_eligible = true;
     }
-    default: {  // full-scan
-      std::unique_ptr<telemetry::OperatorSpan> root =
-          telemetry::MakeSpan("Scan", shard.name());
-      rdbms::OperatorPtr scan = rdbms::Instrument(shard.Scan(), root.get());
-      FSDM_ASSIGN_OR_RETURN(
-          rdbms::OperatorPtr plan,
-          ApplyResiduals(shard, std::move(scan), predicates, {}, &root));
-      routed.plan = std::move(plan);
-      routed.trace.root = std::move(root);
-      std::string reason;
-      bool other_eligible = false;
-      for (size_t i = 0; i + 1 < decision.candidates.size(); ++i) {
-        if (decision.candidates[i].eligible) other_eligible = true;
-      }
-      if (predicates.empty()) {
-        reason = "no predicates; full scan";
-      } else if (postings_maintained && !postings) {
-        reason = "posting paths unavailable (" +
-                 std::string(CollectionHealthName(health)) + ": " +
-                 shard.health_reason() + "); full scan";
-      } else if (other_eligible) {
-        reason = "full scan estimated cheapest (est cost " +
-                 Fmt2(full_cand.est_cost_us) + " us)";
-      } else {
-        reason = "no selective index or materialized column applies; "
-                 "full scan";
-      }
-      finish(4, AccessPath::kFullScan, std::move(reason));
-      break;
+    if (predicates.empty()) {
+      reason = "no predicates; full scan";
+    } else if (postings_maintained && !postings) {
+      reason = "posting paths unavailable (" +
+               std::string(CollectionHealthName(health)) + ": " +
+               shard.health_reason() + "); full scan";
+    } else if (other_eligible) {
+      reason = "full scan estimated cheapest (est cost " +
+               Fmt2(full_cand.est_cost_us) + " us)";
+    } else {
+      reason = "no selective index or materialized column applies; "
+               "full scan";
     }
+  }
+  FSDM_ASSIGN_OR_RETURN(
+      routed.plan,
+      ApplyResiduals(shard, std::move(plan), predicates, covered, &root));
+  routed.trace.root = std::move(root);
+
+  decision.candidates[winner].chosen = true;
+  routed.access_path = kCandidatePaths[winner];
+  decision.winner = AccessPathName(routed.access_path);
+  decision.reason = std::move(reason);
+  route_span.AddTextArg("winner", decision.winner);
+  FSDM_TRACE_INSTANT_TEXT("router", "router.winner", "path", decision.winner);
+  // Shard sub-plans of a fan-out stay bare — see above.
+  if (fanout_samples == nullptr) {
+    routed.plan = std::make_unique<RoutedQueryProbe>(
+        std::move(routed.plan), shard.name(), query_text, decision,
+        routed.trace.root.get(),
+        telemetry::QueryMonitor::Global().AllocateQueryId());
   }
   return routed;
 }

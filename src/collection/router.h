@@ -101,6 +101,11 @@ struct RoutedPlan {
 ///   [4] full-scan: always eligible; a table scan with
 ///       JSON_EXISTS/JSON_VALUE filters.
 ///
+/// [1]-[3] differ only in the conjuncts they cover, their cost formula and
+/// their span name: whichever wins is built by the one index::PostingScan
+/// over its covered conjuncts' posting lists (one list scanned as is,
+/// several intersected smallest-first).
+///
 /// Posting-backed candidates require a healthy index (degraded-mode
 /// routing, ISSUE 3). Residual predicates not absorbed by the primary path
 /// are evaluated by a Filter over the JSON document column. Index-backed

@@ -731,30 +731,10 @@ class PostingScanOp final : public rdbms::Operator {
 
 }  // namespace
 
-rdbms::OperatorPtr IndexedPathScan(const rdbms::Table* table,
-                                   const JsonSearchIndex* index,
-                                   std::string path) {
-  return std::make_unique<PostingScanOp>(table, index->DocsWithPath(path));
-}
-
-rdbms::OperatorPtr IndexedValueScan(const rdbms::Table* table,
-                                    const JsonSearchIndex* index,
-                                    std::string path, Value value) {
-  return std::make_unique<PostingScanOp>(table,
-                                         index->DocsWithValue(path, value));
-}
-
-rdbms::OperatorPtr IndexedKeywordScan(const rdbms::Table* table,
-                                      const JsonSearchIndex* index,
-                                      std::string path, std::string keyword) {
-  return std::make_unique<PostingScanOp>(
-      table, index->DocsWithKeyword(path, keyword));
-}
-
-rdbms::OperatorPtr IndexedIntersectionScan(const rdbms::Table* table,
-                                           const JsonSearchIndex* index,
-                                           const std::vector<IndexTerm>& terms,
-                                           IntersectionInfo* info) {
+rdbms::OperatorPtr PostingScan(const rdbms::Table* table,
+                               const JsonSearchIndex* index,
+                               const std::vector<IndexTerm>& terms,
+                               IntersectionInfo* info) {
   std::vector<std::vector<size_t>> lists;
   lists.reserve(terms.size());
   size_t total = 0;

@@ -342,42 +342,31 @@ class JsonSearchIndex final : public rdbms::TableObserver {
 /// keyword postings use).
 std::vector<std::string> TokenizeKeywords(std::string_view text);
 
-/// Index-backed access paths (§3.2.1: JSON_EXISTS / JSON_VALUE equality /
-/// JSON_TEXTCONTAINS predicates evaluated through the inverted index
-/// instead of scanning every document). Emits the base table's rows (in
-/// row-id order) whose documents the index reports as matching.
-rdbms::OperatorPtr IndexedPathScan(const rdbms::Table* table,
-                                   const JsonSearchIndex* index,
-                                   std::string path);
-rdbms::OperatorPtr IndexedValueScan(const rdbms::Table* table,
-                                    const JsonSearchIndex* index,
-                                    std::string path, Value value);
-rdbms::OperatorPtr IndexedKeywordScan(const rdbms::Table* table,
-                                      const JsonSearchIndex* index,
-                                      std::string path, std::string keyword);
-
-/// One conjunct of a posting-list intersection: a path-equals-value term
-/// when `value` is set, a bare path-existence term otherwise.
+/// One conjunct of a posting scan: a path-equals-value term when `value`
+/// is set, a bare path-existence term otherwise.
 struct IndexTerm {
   std::string path;
   std::optional<Value> value;
 };
 
-/// Statistics of the intersection IndexedIntersectionScan performed, for
-/// the router's cost feedback.
+/// Statistics of the lookups and merge PostingScan performed, for the
+/// router's cost feedback.
 struct IntersectionInfo {
   size_t total_postings = 0;  // summed input posting-list lengths
   size_t matched = 0;         // rows surviving the intersection
 };
 
-/// Conjunctive access path (ISSUE 5 / ROADMAP "Router cost model"): fetches
-/// one posting list per term, intersects them smallest-first (sorted row-id
-/// merge with early exit on an empty intermediate), and emits the surviving
-/// base-table rows in row-id order. With zero terms emits nothing.
-rdbms::OperatorPtr IndexedIntersectionScan(const rdbms::Table* table,
-                                           const JsonSearchIndex* index,
-                                           const std::vector<IndexTerm>& terms,
-                                           IntersectionInfo* info = nullptr);
+/// The index-backed access path (§3.2.1: JSON_EXISTS, JSON_VALUE equality
+/// and their conjunctions answered from the inverted index instead of
+/// scanning every document). Fetches one posting list per term: one term's
+/// list is scanned unchanged; two or more are intersected smallest-first
+/// (sorted row-id merge with early exit on an empty intermediate). Emits
+/// the base table's rows that are still live when drained, in row-id
+/// order. With zero terms emits nothing.
+rdbms::OperatorPtr PostingScan(const rdbms::Table* table,
+                               const JsonSearchIndex* index,
+                               const std::vector<IndexTerm>& terms,
+                               IntersectionInfo* info = nullptr);
 
 }  // namespace fsdm::index
 

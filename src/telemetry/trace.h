@@ -73,10 +73,9 @@ struct RouterCandidate {
   double est_cost_us = -1;
 };
 
-/// The router's full candidate ranking. `reason` is the legacy one-line
-/// explanation (RoutedPlan::reason renders it unchanged so pre-telemetry
-/// callers and tests keep working); Render() adds the candidate table with
-/// each candidate's estimated rows/cost.
+/// The router's full candidate ranking. `reason` is the one-line
+/// explanation of the winner; Render() adds the candidate table with each
+/// candidate's estimated rows/cost.
 struct RouterDecision {
   std::vector<RouterCandidate> candidates;
   std::string winner;  // AccessPathName() of the chosen path

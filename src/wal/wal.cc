@@ -16,7 +16,6 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/incident.h"
 #include "telemetry/log.h"
-#include "telemetry/memory_tracker.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_event.h"
 
@@ -767,13 +766,7 @@ void Wal::AppendAbort(uint64_t aborted_lsn) {
 }
 
 uint64_t Wal::MemoryBytes() const {
-  uint64_t total = sizeof(Wal) + telemetry::OwnedStringBytes(options_.dir) -
-                   sizeof(std::string);  // dir's object header is in sizeof(Wal)
-  total += segments_.size() * sizeof(uint64_t);
-  for (const std::string& note : recovery_.notes) {
-    total += telemetry::OwnedStringBytes(note);
-  }
-  return total;
+  return sizeof(Wal) + segments_.size() * sizeof(uint64_t);
 }
 
 Status Wal::Flush() {

@@ -201,8 +201,9 @@ class Wal {
 
   /// In-memory writer state (ISSUE 9 memory attribution): the WAL streams
   /// records straight to the segment fd — it keeps no record buffers — so
-  /// this is the writer object, the live segment list, the directory path
-  /// string and the retained recovery notes. Small and deterministic.
+  /// this is the writer object and the live segment list. The directory
+  /// path and the recovery notes are left out so the figure does not
+  /// depend on where the log lives. Small and deterministic.
   uint64_t MemoryBytes() const;
 
   uint64_t appends() const { return appends_; }

@@ -41,6 +41,25 @@ uint64_t LeafRows(const telemetry::OperatorSpan& span) {
   return rows;
 }
 
+/// `scan` under every predicate as a Filter: the plan a full-scan route
+/// builds, assembled without the router.
+rdbms::OperatorPtr ForcedFullScan(const JsonCollection& coll,
+                                  const std::vector<PathPredicate>& preds,
+                                  rdbms::OperatorPtr scan) {
+  for (const PathPredicate& p : preds) {
+    const sqljson::Returning ret = !p.is_existence() && p.literal->IsNumeric()
+                                       ? sqljson::Returning::kNumber
+                                       : sqljson::Returning::kString;
+    rdbms::ExprPtr e =
+        p.is_existence()
+            ? coll.JsonExistsExpr(p.path).MoveValue()
+            : rdbms::Cmp(p.op, coll.JsonValueExpr(p.path, ret).MoveValue(),
+                         rdbms::Lit(*p.literal));
+    scan = rdbms::Filter(std::move(scan), std::move(e));
+  }
+  return scan;
+}
+
 // Cost-based routing (ISSUE 5): estimates, the conjunctive intersection
 // path, the feedback loop, and decision determinism under frozen
 // statistics.
@@ -222,20 +241,8 @@ TEST_F(CostRouterTest, RoutedMatchesForcedFullScanOnEveryQueryShape) {
     // the scan instrumented to count the rows it examines.
     std::unique_ptr<telemetry::OperatorSpan> scan_span =
         telemetry::MakeSpan("Scan", "forced full scan");
-    rdbms::OperatorPtr forced =
-        rdbms::Instrument(coll->Scan(), scan_span.get());
-    for (const PathPredicate& p : shapes[s]) {
-      const sqljson::Returning ret = !p.is_existence() && p.literal->IsNumeric()
-                                         ? sqljson::Returning::kNumber
-                                         : sqljson::Returning::kString;
-      rdbms::ExprPtr e =
-          p.is_existence()
-              ? coll->JsonExistsExpr(p.path).MoveValue()
-              : rdbms::Cmp(p.op,
-                           coll->JsonValueExpr(p.path, ret).MoveValue(),
-                           rdbms::Lit(*p.literal));
-      forced = rdbms::Filter(std::move(forced), std::move(e));
-    }
+    rdbms::OperatorPtr forced = ForcedFullScan(
+        *coll, shapes[s], rdbms::Instrument(coll->Scan(), scan_span.get()));
     auto forced_rows = rdbms::Collect(forced.get());
     ASSERT_TRUE(forced_rows.ok());
 
@@ -251,6 +258,116 @@ TEST_F(CostRouterTest, RoutedMatchesForcedFullScanOnEveryQueryShape) {
     EXPECT_LE(LeafRows(*routed.trace.root), scan_span->rows_out.load())
         << "shape " << s << " (" << AccessPathName(routed.access_path)
         << "): " << routed.trace.Render();
+  }
+}
+
+// With every per-row cost a small integer, two eligible candidates can
+// estimate exactly the same cost; the earlier one in candidate order must
+// win, whether the later one is the full scan or another posting scan.
+TEST_F(CostRouterTest, TiesBreakTowardTheEarlierCandidate) {
+  auto coll = JsonCollection::Create(&db_, "C").MoveValue();
+  Load(coll.get());
+  stats::OperatorCostModel& model = stats::OperatorCostModel::Global();
+  model.Record("Scan", 1, 1.0);
+  model.Record("Filter", 1, 1.0);
+  model.Record("IndexedPathScan", 1, 8.0);
+  model.Record("PostingIntersect", 1, 1.0);
+  model.Record("PostingIntersectScan", 1, 4.0);
+  model.set_frozen(true);
+
+  // exists($.flag): path postings 50 x 8 against the full scan
+  // 200 x (1 + 1).
+  auto single = coll->Route({PathPredicate::Exists("$.flag")}).MoveValue();
+  const std::vector<telemetry::RouterCandidate>& one =
+      single.trace.decision.candidates;
+  ASSERT_TRUE(one[3].eligible);
+  ASSERT_EQ(one[3].est_cost_us, one[4].est_cost_us)
+      << single.trace.decision.Render();
+  EXPECT_EQ(single.access_path, AccessPath::kIndexedPathScan);
+  EXPECT_TRUE(one[3].chosen);
+  EXPECT_FALSE(one[4].chosen);
+  EXPECT_EQ(Drain(single).size(), 50u);
+
+  // exists($.flag) AND exists($.tag): the intersection 250 x 1 + 50 x 4
+  // against path postings 50 x 8 plus one residual filter 50 x 1.
+  auto pair = coll->Route({PathPredicate::Exists("$.flag"),
+                           PathPredicate::Exists("$.tag")})
+                  .MoveValue();
+  const std::vector<telemetry::RouterCandidate>& two =
+      pair.trace.decision.candidates;
+  ASSERT_TRUE(two[2].eligible);
+  ASSERT_TRUE(two[3].eligible);
+  ASSERT_EQ(two[2].est_cost_us, two[3].est_cost_us)
+      << pair.trace.decision.Render();
+  ASSERT_LT(two[2].est_cost_us, two[4].est_cost_us);
+  EXPECT_EQ(pair.access_path, AccessPath::kPostingIntersectScan);
+  EXPECT_TRUE(two[2].chosen);
+  EXPECT_FALSE(two[3].chosen);
+  EXPECT_EQ(Drain(pair).size(), 50u);
+}
+
+// Each posting winner — value postings, intersection, path postings — made
+// the cheapest in turn, at 1 and at 4 shards, drains exactly the keys of
+// the forced full scan, residual filters included.
+TEST_F(CostRouterTest, PostingWinnersDrainTheForcedFullScansKeys) {
+  struct Case {
+    std::vector<const char*> cheap;  // per-row costs set to the floor
+    AccessPath winner;
+    std::vector<PathPredicate> preds;
+  };
+  const PathPredicate num_lt = PathPredicate::Compare(
+      "$.num", rdbms::CompareOp::kLt, Value::Int64(1000));
+  const PathPredicate tag_eq = PathPredicate::Compare(
+      "$.tag", rdbms::CompareOp::kEq, Value::String("t0"));
+  const PathPredicate flag = PathPredicate::Exists("$.flag");
+  const std::vector<Case> cases = {
+      {{"IndexedValueScan"},
+       AccessPath::kIndexedValueScan,
+       {tag_eq, num_lt}},
+      {{"PostingIntersect", "PostingIntersectScan"},
+       AccessPath::kPostingIntersectScan,
+       {tag_eq, flag, num_lt}},
+      {{"IndexedPathScan"},
+       AccessPath::kIndexedPathScan,
+       {flag, num_lt}},
+  };
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    CollectionOptions options;
+    options.shard_count = shards;
+    auto coll = JsonCollection::Create(&db_, "P" + std::to_string(shards),
+                                       options)
+                    .MoveValue();
+    Load(coll.get());
+    for (const Case& c : cases) {
+      const std::string winner = AccessPathName(c.winner);
+      SCOPED_TRACE(std::to_string(shards) + " shards, " + winner);
+      stats::OperatorCostModel& model = stats::OperatorCostModel::Global();
+      model.Reset();
+      for (const char* op : c.cheap) model.Record(op, 1000, 1.0);
+      model.set_frozen(true);
+
+      auto routed = coll->Route(c.preds).MoveValue();
+      if (shards == 1) {
+        EXPECT_EQ(routed.access_path, c.winner);
+      } else {
+        // Every shard's own decision is a "shard i -> <path>" candidate.
+        for (size_t i = 0; i < shards; ++i) {
+          EXPECT_EQ(routed.trace.decision.candidates[i].access_path,
+                    "shard " + std::to_string(i) + " -> " + winner);
+        }
+      }
+      auto routed_rows = rdbms::Collect(routed.plan.get());
+      ASSERT_TRUE(routed_rows.ok());
+      rdbms::OperatorPtr forced = ForcedFullScan(*coll, c.preds, coll->Scan());
+      auto forced_rows = rdbms::Collect(forced.get());
+      ASSERT_TRUE(forced_rows.ok());
+      EXPECT_FALSE(forced_rows.value().empty());
+      EXPECT_EQ(Keys(routed.plan->schema(), coll->key_column(),
+                     routed_rows.value()),
+                Keys(forced->schema(), coll->key_column(),
+                     forced_rows.value()))
+          << routed.trace.Render();
+    }
   }
 }
 

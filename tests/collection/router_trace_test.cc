@@ -10,9 +10,8 @@ namespace fsdm::collection {
 namespace {
 
 // EXPLAIN ANALYZE traces for the router: every Route() must record all
-// five candidates in ranking order, mark exactly the winner as chosen, and
-// keep RoutedPlan::reason identical to the decision's reason string. Uses
-// the same corpus statistics as router_test.cc.
+// five candidates in ranking order and mark exactly the winner as chosen.
+// Uses the same corpus statistics as router_test.cc.
 class RouterTraceTest : public ::testing::Test {
  protected:
   // Pin the cost model to its seeds: routed plans drained by earlier tests

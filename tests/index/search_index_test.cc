@@ -160,14 +160,16 @@ TEST(SearchIndexTest, CreateValidatesColumn) {
 }
 
 
-TEST(IndexedScanTest, PathValueAndKeywordScans) {
+TEST(IndexedScanTest, OneTermScansItsListAndMoreIntersect) {
   auto table = MakePo();
   auto idx = JsonSearchIndex::Create(table.get(), "JDOC").MoveValue();
   table->Insert({Value::Int64(1), Value::String(kDoc1)});
   table->Insert({Value::Int64(2), Value::String(kDoc2)});
   table->Insert({Value::Int64(3), Value::String(kDoc3)});
 
-  auto drain = [](rdbms::OperatorPtr op) {
+  auto scan = [&](const std::vector<IndexTerm>& terms,
+                  IntersectionInfo* info = nullptr) {
+    rdbms::OperatorPtr op = PostingScan(table.get(), idx.get(), terms, info);
     Result<std::vector<rdbms::Row>> rows = rdbms::Collect(op.get());
     EXPECT_TRUE(rows.ok());
     std::vector<int64_t> dids;
@@ -175,17 +177,36 @@ TEST(IndexedScanTest, PathValueAndKeywordScans) {
     return dids;
   };
 
-  EXPECT_EQ(drain(IndexedPathScan(table.get(), idx.get(),
-                                  "$.purchaseOrder.foreign_id")),
+  // One term: its posting list, unchanged.
+  EXPECT_EQ(scan({{"$.purchaseOrder.foreign_id", std::nullopt}}),
             (std::vector<int64_t>{3}));
-  EXPECT_EQ(drain(IndexedValueScan(table.get(), idx.get(),
-                                   "$.purchaseOrder.id", Value::Int64(2))),
+  EXPECT_EQ(scan({{"$.purchaseOrder.id", Value::Int64(2)}}),
             (std::vector<int64_t>{2}));
-  EXPECT_EQ(drain(IndexedKeywordScan(table.get(), idx.get(),
-                                     "$.purchaseOrder.items.name", "chair")),
+  EXPECT_TRUE(scan({{"$.none", std::nullopt}}).empty());
+  EXPECT_TRUE(scan({}).empty());
+
+  // Two or more terms: the intersection, whatever the term order.
+  IntersectionInfo info;
+  EXPECT_EQ(scan({{"$.purchaseOrder.items.name", std::nullopt},
+                  {"$.purchaseOrder.podate", std::nullopt}},
+                 &info),
+            (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(info.total_postings, 5u);
+  EXPECT_EQ(info.matched, 2u);
+  EXPECT_EQ(scan({{"$.purchaseOrder.podate", std::nullopt},
+                  {"$.purchaseOrder.id", Value::Int64(2)},
+                  {"$.purchaseOrder.items.price", std::nullopt}},
+                 &info),
             (std::vector<int64_t>{2}));
-  EXPECT_TRUE(drain(IndexedPathScan(table.get(), idx.get(), "$.none"))
+  EXPECT_EQ(info.total_postings, 6u);
+  EXPECT_EQ(info.matched, 1u);
+  EXPECT_TRUE(scan({{"$.purchaseOrder.foreign_id", std::nullopt},
+                    {"$.purchaseOrder.podate", std::nullopt}})
                   .empty());
+
+  // Keyword answers come from the index itself.
+  EXPECT_EQ(idx->DocsWithKeyword("$.purchaseOrder.items.name", "chair"),
+            (std::vector<size_t>{1}));
 }
 
 TEST(IndexedScanTest, SkipsRowsDeletedAfterLookup) {
@@ -193,12 +214,18 @@ TEST(IndexedScanTest, SkipsRowsDeletedAfterLookup) {
   auto idx = JsonSearchIndex::Create(table.get(), "JDOC").MoveValue();
   table->Insert({Value::Int64(1), Value::String(kDoc1)});
   table->Insert({Value::Int64(2), Value::String(kDoc1)});
-  auto scan = IndexedPathScan(table.get(), idx.get(), "$.purchaseOrder.id");
+  auto one = PostingScan(table.get(), idx.get(),
+                         {{"$.purchaseOrder.id", std::nullopt}});
+  auto two = PostingScan(table.get(), idx.get(),
+                         {{"$.purchaseOrder.id", Value::Int64(1)},
+                          {"$.purchaseOrder.podate", std::nullopt}});
   ASSERT_TRUE(table->Delete(0).ok());
-  Result<std::vector<rdbms::Row>> rows = rdbms::Collect(scan.get());
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows.value().size(), 1u);
-  EXPECT_EQ(rows.value()[0][0].AsInt64(), 2);
+  for (rdbms::Operator* scan : {one.get(), two.get()}) {
+    Result<std::vector<rdbms::Row>> rows = rdbms::Collect(scan);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 1u);
+    EXPECT_EQ(rows.value()[0][0].AsInt64(), 2);
+  }
 }
 
 TEST(SearchIndexTest, NullDocumentsAreSkipped) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -236,6 +237,55 @@ TEST(MemoryPeakTest, PeakIsTheHighWaterWithNoReadBetween) {
               high_water);
     EXPECT_EQ(MemoryRows(&db, name, "BYTES")["index-postings"], postings());
   }
+}
+
+// The WAL's footprint is the writer and its segment list: neither the
+// length of the directory path nor the recovery notes (which name segment
+// paths) may move it, so the same log reads the same wherever it lives.
+TEST(WalMemoryTest, FootprintIgnoresTheDirectoryAndRecoveryNotes) {
+  const fs::path base = fs::path(::testing::TempDir());
+  const fs::path dirs[] = {base / "fsdm_walmem_a",
+                           base / ("fsdm_walmem_" + std::string(60, 'b'))};
+  auto options = [](const fs::path& dir) {
+    CollectionOptions o;
+    o.wal_dir = dir.string();
+    o.wal_fsync = wal::FsyncPolicy::kOff;
+    o.wal_segment_bytes = 4096;
+    return o;
+  };
+  for (const fs::path& dir : dirs) {
+    fs::remove_all(dir);
+    rdbms::Database db;
+    auto c = JsonCollection::Create(&db, "WALMEM", options(dir)).MoveValue();
+    Rng rng(5);
+    for (int64_t k = 0; k < 30; ++k) {
+      ASSERT_TRUE(c->Insert(Value::Int64(k), workloads::Nobench(&rng, k)).ok());
+    }
+  }
+  // Tear the first log's tail: a few bytes of a record header that never
+  // finished. Recovery truncates them and leaves a note.
+  fs::path newest;
+  for (const fs::directory_entry& e : fs::directory_iterator(dirs[0])) {
+    if (newest.empty() || e.path().filename() > newest.filename()) {
+      newest = e.path();
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+  std::ofstream(newest, std::ios::binary | std::ios::app) << "torn";
+
+  uint64_t bytes[2] = {0, 0};
+  for (size_t i = 0; i < 2; ++i) {
+    rdbms::Database db;
+    auto c = JsonCollection::Create(&db, "WALMEM", options(dirs[i]))
+                 .MoveValue();
+    EXPECT_EQ(c->document_count(), 30u);
+    EXPECT_EQ(c->wal()->recovery().notes.empty(), i == 1);
+    bytes[i] = MemoryRows(&db, "WALMEM", "BYTES")["wal-buffers"];
+    EXPECT_EQ(bytes[i], c->wal()->MemoryBytes());
+  }
+  EXPECT_GT(bytes[0], 0u);
+  EXPECT_EQ(bytes[0], bytes[1]);
+  for (const fs::path& dir : dirs) fs::remove_all(dir);
 }
 
 // One session routes queries on collection A and reads TELEMETRY$MEMORY
