@@ -10,6 +10,7 @@
 #include "collection/wal_table.h"
 #include "common/hash.h"
 #include "fault/fault.h"
+#include "json/parser.h"
 #include "json/serializer.h"
 #include "oson/oson.h"
 #include "telemetry/activity.h"
@@ -338,8 +339,9 @@ ConsistencyReport JsonCollection::CheckConsistency() const {
 // shard, and, on a durable collection, append it to the WAL *before* the
 // shard applies it.
 //
-// Append-then-apply protocol: the OSON image is encoded first (an encode
-// failure logs nothing), the record is appended (under fsync=always the
+// Append-then-apply protocol: the text is parsed and its OSON image
+// encoded first (invalid text logs nothing; the shard's IS JSON check
+// adopts this parse), the record is appended (under fsync=always the
 // ack implies durability), and only then does the shard apply. An apply
 // failure appends a best-effort kAbort compensation so replay will not
 // resurrect an operation the client saw fail. Between append and apply
@@ -356,9 +358,11 @@ Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
   const size_t s = ShardForKey(key);
   uint64_t lsn = 0;
   const bool logged = wal_ != nullptr;
+  std::unique_ptr<json::JsonNode> parsed;
   if (logged) {
-    FSDM_ASSIGN_OR_RETURN(std::string oson_image,
-                          oson::EncodeFromText(json_text));
+    // One parse serves the log image and the shard's IS JSON check.
+    FSDM_ASSIGN_OR_RETURN(parsed, json::Parse(json_text));
+    FSDM_ASSIGN_OR_RETURN(std::string oson_image, oson::Encode(*parsed));
     // ISSUE 9: the hidden OSON column is virtual — images only ever exist
     // transiently, here and at the other encode choke points.
     telemetry::MemoryCharge oson_charge(telemetry::MemSubsystem::kOsonVc,
@@ -369,8 +373,8 @@ Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
     lsn = appended.value();
     FSDM_FAULT_POINT("wal.apply.crash");
   }
-  Result<size_t> local = shards_[s]->Insert(std::move(key),
-                                            std::move(json_text));
+  Result<size_t> local = shards_[s]->Insert(
+      std::move(key), std::move(json_text), std::move(parsed));
   if (!local.ok()) {
     if (logged) wal_->AppendAbort(lsn);
     return local.status();
@@ -420,9 +424,10 @@ Status JsonCollection::Replace(size_t row_id, Value key,
   }
   uint64_t lsn = 0;
   const bool logged = wal_ != nullptr;
+  std::unique_ptr<json::JsonNode> parsed;
   if (logged) {
-    FSDM_ASSIGN_OR_RETURN(std::string oson_image,
-                          oson::EncodeFromText(json_text));
+    FSDM_ASSIGN_OR_RETURN(parsed, json::Parse(json_text));
+    FSDM_ASSIGN_OR_RETURN(std::string oson_image, oson::Encode(*parsed));
     telemetry::MemoryCharge oson_charge(telemetry::MemSubsystem::kOsonVc,
                                         oson_image.size());
     Result<uint64_t> appended = wal_->AppendReplace(
@@ -431,8 +436,9 @@ Status JsonCollection::Replace(size_t row_id, Value key,
     lsn = appended.value();
     FSDM_FAULT_POINT("wal.apply.crash");
   }
-  Status applied = shards_[s]->Replace(row_id / shards_.size(), std::move(key),
-                                       std::move(json_text));
+  Status applied =
+      shards_[s]->Replace(row_id / shards_.size(), std::move(key),
+                          std::move(json_text), std::move(parsed));
   if (logged && !applied.ok()) wal_->AppendAbort(lsn);
   return applied;
 }
@@ -441,13 +447,21 @@ Status JsonCollection::Replace(size_t row_id, Value key,
 
 namespace {
 
-/// Replay-side payload decode: OSON image -> canonical JSON text, which is
-/// exactly what the stored JDOC of the original insert canonicalizes to
-/// after its own OSON round trip — replayed state is byte-identical.
-Result<std::string> OsonImageToText(const std::string& oson_image) {
-  FSDM_ASSIGN_OR_RETURN(std::unique_ptr<json::JsonNode> node,
+/// Replay-side payload decode: the image's tree and the canonical JSON
+/// text it serializes to, which is exactly what the stored JDOC of the
+/// original insert canonicalizes to after its own OSON round trip —
+/// replayed state is byte-identical. The tree is what parsing that text
+/// yields, so it goes to the shard as the IS JSON check's parse.
+struct ReplayDoc {
+  std::string text;
+  std::unique_ptr<json::JsonNode> tree;
+};
+
+Result<ReplayDoc> DecodeImage(const std::string& oson_image) {
+  FSDM_ASSIGN_OR_RETURN(std::unique_ptr<json::JsonNode> tree,
                         oson::Decode(oson_image));
-  return json::Serialize(*node);
+  std::string text = json::Serialize(*tree);
+  return ReplayDoc{std::move(text), std::move(tree)};
 }
 
 }  // namespace
@@ -513,10 +527,11 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
   // Records apply straight to their shards, placed as the public DML
   // places them, so nothing is logged again; global row ids encode as
   // local * N + shard.
-  auto insert = [&](const Value& key, std::string text) -> Result<size_t> {
+  auto insert = [&](const Value& key, ReplayDoc doc) -> Result<size_t> {
     const size_t s = ShardForKey(key);
     FSDM_ASSIGN_OR_RETURN(size_t local,
-                          shards_[s]->Insert(Value(key), std::move(text)));
+                          shards_[s]->Insert(Value(key), std::move(doc.text),
+                                             std::move(doc.tree)));
     return local * nshards + s;
   };
   Status replayed = [&]() -> Status {
@@ -553,8 +568,8 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
           // Docs of an interrupted checkpoint (not the chosen start) are
           // state the surrounding DML records already cover; skip them.
           if (!in_chosen_checkpoint) continue;
-          FSDM_ASSIGN_OR_RETURN(std::string text, OsonImageToText(r.oson));
-          Result<size_t> actual = insert(r.key, std::move(text));
+          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
+          Result<size_t> actual = insert(r.key, std::move(doc));
           if (!actual.ok()) {
             return Status::Corruption(
                 "WAL replay: checkpoint doc at LSN " + std::to_string(r.lsn) +
@@ -565,12 +580,12 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
           continue;
         }
         case wal::RecordType::kInsert: {
-          FSDM_ASSIGN_OR_RETURN(std::string text, OsonImageToText(r.oson));
+          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
           if (r.key.type() == ScalarType::kInt64 &&
               r.key.AsInt64() >= next_auto_key_) {
             next_auto_key_ = r.key.AsInt64() + 1;
           }
-          Result<size_t> actual = insert(r.key, std::move(text));
+          Result<size_t> actual = insert(r.key, std::move(doc));
           if (!actual.ok()) {
             return Status::Corruption(
                 "WAL replay: insert at LSN " + std::to_string(r.lsn) +
@@ -603,8 +618,9 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
           if (r.type == wal::RecordType::kDelete) {
             applied = shard.Delete(local);
           } else {
-            FSDM_ASSIGN_OR_RETURN(std::string text, OsonImageToText(r.oson));
-            applied = shard.Replace(local, Value(r.key), std::move(text));
+            FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
+            applied = shard.Replace(local, Value(r.key), std::move(doc.text),
+                                    std::move(doc.tree));
           }
           if (!applied.ok()) {
             return Status::Corruption(

@@ -183,9 +183,13 @@ class Shard {
 
   // --- DML (IS JSON check, index/DataGuide maintenance, IMC invalidation;
   // Unavailable while quarantined) ----------------------------------------
-  Result<size_t> Insert(Value key, std::string json_text);
+  // A non-null `parsed` is json::Parse(json_text), already paid for by the
+  // caller; the IS JSON check adopts it instead of parsing again.
+  Result<size_t> Insert(Value key, std::string json_text,
+                        std::unique_ptr<json::JsonNode> parsed = nullptr);
   Status Delete(size_t row_id);
-  Status Replace(size_t row_id, Value key, std::string json_text);
+  Status Replace(size_t row_id, Value key, std::string json_text,
+                 std::unique_ptr<json::JsonNode> parsed = nullptr);
 
   // --- Derived schema and IMC: see the JsonCollection methods -----------
   Result<std::string> AddVirtualColumn(std::string column_name,
@@ -204,6 +208,11 @@ class Shard {
   /// The managed store when populated AND still valid, else nullptr.
   const imc::ColumnStore* imc() const {
     return imc_valid_ && imc_.has_value() ? &*imc_ : nullptr;
+  }
+  /// The store the shard holds, valid or not: a store DML invalidated
+  /// stays resident as the prior of the next EnsureImc() refresh.
+  const imc::ColumnStore* held_imc() const {
+    return imc_.has_value() ? &*imc_ : nullptr;
   }
   bool imc_populated() const { return imc_.has_value(); }
   Result<const imc::ColumnStore*> EnsureImc();

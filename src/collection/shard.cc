@@ -97,7 +97,7 @@ void Shard::PublishMemory() {
       table_->HeapBytes(),
       index_ != nullptr ? index_->MemoryBytes() : 0,
       dataguide().MemoryBytes() + (dg != nullptr ? dg->HeapBytes() : 0),
-      imc() != nullptr ? imc()->MemoryBytes() : 0,
+      held_imc() != nullptr ? held_imc()->MemoryBytes() : 0,
       path_stats_.MemoryBytes()};
   telemetry::MemoryAccount* accounts[] = {
       &memory_->table_heap, &memory_->index_postings, &memory_->dataguide,
@@ -258,7 +258,8 @@ ConsistencyReport Shard::CheckConsistency() const {
 
 // --- DML --------------------------------------------------------------------
 
-Result<size_t> Shard::Insert(Value key, std::string json_text) {
+Result<size_t> Shard::Insert(Value key, std::string json_text,
+                             std::unique_ptr<json::JsonNode> parsed) {
   FSDM_RETURN_NOT_OK(CheckWritable());
   FSDM_COUNT("fsdm_collection_inserts_total", 1);
   FSDM_TIME_SCOPE_US("fsdm_collection_insert_us");
@@ -266,7 +267,8 @@ Result<size_t> Shard::Insert(Value key, std::string json_text) {
   span.AddTextArg("name", name_);
   span.AddNumberArg("bytes", static_cast<double>(json_text.size()));
   Result<size_t> row =
-      table_->Insert({std::move(key), Value::String(std::move(json_text))});
+      table_->Insert({std::move(key), Value::String(std::move(json_text))},
+                     {json_pos_, std::move(parsed)});
   PublishMemory();
   return row;
 }
@@ -282,14 +284,16 @@ Status Shard::Delete(size_t row_id) {
   return deleted;
 }
 
-Status Shard::Replace(size_t row_id, Value key, std::string json_text) {
+Status Shard::Replace(size_t row_id, Value key, std::string json_text,
+                      std::unique_ptr<json::JsonNode> parsed) {
   FSDM_RETURN_NOT_OK(CheckWritable());
   FSDM_COUNT("fsdm_collection_replaces_total", 1);
   FSDM_TIME_SCOPE_US("fsdm_collection_replace_us");
   FSDM_TRACE_SPAN(span, "collection", "collection.replace");
   span.AddTextArg("name", name_);
   Status replaced = table_->Replace(
-      row_id, {std::move(key), Value::String(std::move(json_text))});
+      row_id, {std::move(key), Value::String(std::move(json_text))},
+      {json_pos_, std::move(parsed)});
   PublishMemory();
   return replaced;
 }

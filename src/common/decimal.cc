@@ -252,32 +252,52 @@ void Decimal::EncodeBinary(std::string* out) const {
     out->push_back(static_cast<char>(0x80));
     return;
   }
-  // Re-express as base-100: value = 0.P1P2... * 100^E. Align the decimal
-  // exponent to an even boundary by left-padding one zero digit if odd.
-  long dexp = exponent_;
-  std::vector<uint8_t> dec = digits_;
-  if (dexp & 1) {
-    // Odd exponents need a leading zero so pairs align; (dexp+1) is even.
-    dec.insert(dec.begin(), 0);
-    ++dexp;
+  // Re-express as base-100: value = 0.P1P2... * 100^E. An odd decimal
+  // exponent gets one leading zero digit so pairs align, and an odd digit
+  // count one trailing zero.
+  const long lead = exponent_ & 1;
+  const long e100 = (exponent_ + lead) / 2;
+  const long n = static_cast<long>(digits_.size()) + lead;
+  auto digit = [&](long i) -> uint8_t {
+    i -= lead;
+    return i >= 0 && i < static_cast<long>(digits_.size()) ? digits_[i] : 0;
+  };
+  const bool negative = sign_ < 0;
+  out->push_back(static_cast<char>(
+      negative ? 0x40 - std::clamp(e100, -62L, 62L)
+               : 0xC0 + std::clamp(e100, -62L, 62L)));
+  for (long i = 0; i < n; i += 2) {
+    uint8_t pair = static_cast<uint8_t>(digit(i) * 10 + digit(i + 1));
+    out->push_back(static_cast<char>(negative ? 101 - pair : pair + 1));
   }
-  long e100 = dexp / 2;
-  if (dec.size() & 1) dec.push_back(0);
+  if (negative) out->push_back(static_cast<char>(0x66));  // orders negatives
+}
 
-  if (sign_ > 0) {
-    out->push_back(static_cast<char>(0xC0 + std::clamp(e100, -62L, 62L)));
-    for (size_t i = 0; i < dec.size(); i += 2) {
-      uint8_t pair = static_cast<uint8_t>(dec[i] * 10 + dec[i + 1]);
-      out->push_back(static_cast<char>(pair + 1));
-    }
-  } else {
-    out->push_back(static_cast<char>(0x40 - std::clamp(e100, -62L, 62L)));
-    for (size_t i = 0; i < dec.size(); i += 2) {
-      uint8_t pair = static_cast<uint8_t>(dec[i] * 10 + dec[i + 1]);
-      out->push_back(static_cast<char>(101 - pair));
-    }
-    out->push_back(static_cast<char>(0x66));  // terminator orders negatives
+void Decimal::EncodeInt64Binary(int64_t v, std::string* out) {
+  if (v == 0) {
+    out->push_back(static_cast<char>(0x80));
+    return;
   }
+  const bool negative = v < 0;
+  uint64_t mag = negative ? static_cast<uint64_t>(-(v + 1)) + 1
+                          : static_cast<uint64_t>(v);
+  // Base-100 digits of the magnitude, least significant first; the count
+  // is the base-100 exponent, and trailing zero pairs are not stored (the
+  // mantissa is normalized).
+  uint8_t pairs[10];
+  int count = 0;
+  while (mag > 0) {
+    pairs[count++] = static_cast<uint8_t>(mag % 100);
+    mag /= 100;
+  }
+  int low = 0;
+  while (pairs[low] == 0) ++low;
+  out->push_back(static_cast<char>(negative ? 0x40 - count : 0xC0 + count));
+  for (int i = count - 1; i >= low; --i) {
+    out->push_back(
+        static_cast<char>(negative ? 101 - pairs[i] : pairs[i] + 1));
+  }
+  if (negative) out->push_back(static_cast<char>(0x66));
 }
 
 Result<Decimal> Decimal::DecodeBinary(const uint8_t* data, size_t len) {

@@ -70,6 +70,8 @@ class Decimal {
 
   /// Appends the order-preserving binary image to *out.
   void EncodeBinary(std::string* out) const;
+  /// Appends FromInt64(v)'s binary image to *out, building no Decimal.
+  static void EncodeInt64Binary(int64_t v, std::string* out);
 
   /// Three-way comparison: -1, 0, +1.
   int CompareTo(const Decimal& other) const;

@@ -110,7 +110,7 @@ bool TypeAccepts(ColumnType type, const Value& v) {
 
 }  // namespace
 
-Status Table::ValidateRow(const Row& physical_values) {
+Status Table::ValidateRow(const Row& physical_values, ParsedJson parsed) {
   dml_parsed_.clear();
   if (physical_values.size() != physical_.size()) {
     return Status::InvalidArgument(
@@ -126,30 +126,34 @@ Status Table::ValidateRow(const Row& physical_values) {
           std::string(ScalarTypeName(v.type())) + " not accepted");
     }
     if (def.check_is_json && !v.is_null()) {
-      // The IS JSON check constraint: full syntactic validation. The
-      // parsed DOM is kept through the observer callbacks so index and
-      // DataGuide maintenance reuse this parse (§3.2.1).
+      // The IS JSON check constraint: full syntactic validation, or the
+      // caller's parse of the same text. The parsed DOM is kept through
+      // the observer callbacks so index and DataGuide maintenance reuse
+      // this parse (§3.2.1).
       FSDM_COUNT("fsdm_rdbms_isjson_checks_total", 1);
       FSDM_TIME_SCOPE_US("fsdm_rdbms_isjson_check_us");
       FSDM_TRACE_SPAN(span, "rdbms", "isjson.check");
       span.AddNumberArg("bytes", static_cast<double>(v.AsString().size()));
-      Result<std::unique_ptr<json::JsonNode>> parsed =
-          json::Parse(v.AsString());
-      if (!parsed.ok()) {
+      if (parsed.tree != nullptr && parsed.physical_pos == i) {
+        dml_parsed_[i] = std::move(parsed.tree);
+        continue;
+      }
+      Result<std::unique_ptr<json::JsonNode>> tree = json::Parse(v.AsString());
+      if (!tree.ok()) {
         return Status::ConstraintViolation(name_ + "." + def.name +
                                            " IS JSON failed: " +
-                                           parsed.status().message());
+                                           tree.status().message());
       }
-      dml_parsed_[i] = parsed.MoveValue();
+      dml_parsed_[i] = tree.MoveValue();
     }
   }
   return Status::Ok();
 }
 
-Result<size_t> Table::Insert(Row physical_values) {
+Result<size_t> Table::Insert(Row physical_values, ParsedJson parsed) {
   // Simulated storage-layer failure before any side effect.
   FSDM_FAULT_POINT("table.insert.apply");
-  FSDM_RETURN_NOT_OK(ValidateRow(physical_values));
+  FSDM_RETURN_NOT_OK(ValidateRow(physical_values, std::move(parsed)));
   size_t row_id = rows_.size();
   rows_.push_back(std::move(physical_values));
   live_.push_back(true);
@@ -212,11 +216,11 @@ Status Table::Delete(size_t row_id) {
   return Status::Ok();
 }
 
-Status Table::Replace(size_t row_id, Row physical_values) {
+Status Table::Replace(size_t row_id, Row physical_values, ParsedJson parsed) {
   if (row_id >= rows_.size() || !live_[row_id]) {
     return Status::NotFound("row " + std::to_string(row_id));
   }
-  FSDM_RETURN_NOT_OK(ValidateRow(physical_values));
+  FSDM_RETURN_NOT_OK(ValidateRow(physical_values, std::move(parsed)));
   Status failure;
   size_t completed = 0;
   for (TableObserver* obs : observers_) {

@@ -83,6 +83,15 @@ class TableObserver {
   }
 };
 
+/// A caller's parse of the text in an IS JSON column of the row it passes
+/// to Table::Insert/Replace. The IS JSON check adopts it instead of parsing
+/// again (a durable write parses once, for its log image and the check).
+/// `tree` must be json::Parse() of exactly that text.
+struct ParsedJson {
+  size_t physical_pos = 0;
+  std::unique_ptr<json::JsonNode> tree;
+};
+
 /// Heap row store with typed columns, check constraints, virtual columns
 /// and change observers. Single-threaded by design (the evaluation never
 /// needs concurrent DML).
@@ -105,11 +114,12 @@ class Table {
 
   /// Inserts one row of *physical* column values (in physical_columns()
   /// order). Runs type checks, the IS JSON constraint where declared, and
-  /// observers. Returns the new row id.
-  Result<size_t> Insert(Row physical_values);
+  /// observers. Returns the new row id. A non-null `parsed.tree` stands
+  /// in for the IS JSON check's parse of that column.
+  Result<size_t> Insert(Row physical_values, ParsedJson parsed = {});
 
   Status Delete(size_t row_id);
-  Status Replace(size_t row_id, Row physical_values);
+  Status Replace(size_t row_id, Row physical_values, ParsedJson parsed = {});
 
   /// Stored values of a row (physical columns only).
   const Row& StoredRow(size_t row_id) const { return rows_[row_id]; }
@@ -157,7 +167,7 @@ class Table {
   uint64_t RecomputeHeapBytes() const;
 
  private:
-  Status ValidateRow(const Row& physical_values);
+  Status ValidateRow(const Row& physical_values, ParsedJson parsed);
 
   std::string name_;
   std::vector<ColumnDef> columns_;

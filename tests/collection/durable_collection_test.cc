@@ -10,6 +10,7 @@
 #include "json/serializer.h"
 #include "oson/oson.h"
 #include "rdbms/executor.h"
+#include "telemetry/telemetry.h"
 
 namespace fsdm::collection {
 namespace {
@@ -93,6 +94,35 @@ TEST_F(DurableCollectionTest, ReopenReplaysInsertsReplacesAndDeletes) {
   EXPECT_TRUE(coll->CheckConsistency().consistent);
   EXPECT_GT(coll->wal()->recovery().records_scanned, 0u);
   EXPECT_GT(coll->wal()->recovery().records_applied, 0u);
+}
+
+// A durable write parses its text once: the WAL image is encoded from that
+// tree and the shard's IS JSON check adopts it. The check still counts one
+// per row, and invalid text fails in that parse before anything is logged.
+TEST_F(DurableCollectionTest, DurableWriteParsesOnceAndLogsNoInvalidText) {
+  auto checks = [] {
+    return telemetry::MetricsRegistry::Global().CounterValue(
+        "fsdm_rdbms_isjson_checks_total");
+  };
+  rdbms::Database db;
+  auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
+  const uint64_t before = checks();
+  size_t r1 = coll->Insert(Value::Int64(1), Doc(1, "a")).value();
+  ASSERT_TRUE(coll->Insert(Value::Int64(2), Doc(2, "b")).ok());
+  ASSERT_TRUE(coll->Replace(r1, Value::Int64(1), Doc(1, "a-v2")).ok());
+  EXPECT_EQ(checks() - before, 3u);
+
+  const uint64_t lsn = coll->wal()->last_lsn();
+  Result<size_t> bad = coll->Insert(Value::Int64(3), "{\"n\":");
+  EXPECT_EQ(bad.status().code(), StatusCode::kParseError)
+      << bad.status().ToString();
+  EXPECT_EQ(coll->Replace(r1, Value::Int64(1), "[1,").code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(coll->wal()->last_lsn(), lsn) << "invalid text was logged";
+  EXPECT_EQ(checks() - before, 3u);
+  EXPECT_EQ(coll->document_count(), 2u);
+  // The adopted parse fed the index and DataGuide like the table's own.
+  EXPECT_TRUE(coll->CheckConsistency().consistent);
 }
 
 TEST_F(DurableCollectionTest, RowIdsStableAcrossFirstReplay) {

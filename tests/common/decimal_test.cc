@@ -240,6 +240,26 @@ TEST(DecimalTest, DecodeBinaryInt64MatchesDecodeThenConvert) {
   EXPECT_EQ(out, 7);
 }
 
+TEST(DecimalTest, EncodeInt64BinaryMatchesFromInt64) {
+  std::vector<int64_t> cases = {0,     1,       -1,      9,      10,
+                                -10,   99,      100,     -100,   101,
+                                1200,  120,     -1230,   1000000,
+                                std::numeric_limits<int64_t>::max(),
+                                std::numeric_limits<int64_t>::min()};
+  Rng rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    cases.push_back(static_cast<int64_t>(rng.Next()) >>
+                    static_cast<int>(rng.Uniform(64)));
+  }
+  for (int64_t v : cases) {
+    std::string want;
+    std::string got = "prefix";
+    Decimal::FromInt64(v).EncodeBinary(&want);
+    Decimal::EncodeInt64Binary(v, &got);
+    EXPECT_EQ(got, "prefix" + want) << v;
+  }
+}
+
 TEST(DecimalTest, RoundsBeyondMaxDigits) {
   std::string fifty_nines(50, '9');
   Decimal d = Dec(fifty_nines);

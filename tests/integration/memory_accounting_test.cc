@@ -73,7 +73,8 @@ std::map<std::string, uint64_t> Walk(const JsonCollection& c) {
         out["dataguide"] += index->dg_table()->RecomputeHeapBytes();
       }
     }
-    if (s.imc() != nullptr) out["imc"] += s.imc()->MemoryBytes();
+    // A store DML invalidated is still resident, so it is still counted.
+    if (s.held_imc() != nullptr) out["imc"] += s.held_imc()->MemoryBytes();
     out["path-stats"] += s.path_stats().RecomputeMemoryBytes();
   }
   if (c.wal() != nullptr) out["wal-buffers"] = c.wal()->MemoryBytes();
@@ -177,6 +178,8 @@ TEST_P(MemoryAccountingTest, BytesEqualTheWalksAfterEveryMutation) {
         c->Insert(Value::Int64(4000), workloads::Nobench(&rng, 4000)).ok());
     ASSERT_FALSE(c->imc_valid());
     ExpectExact(&db, *c, "IMC-invalidating insert");
+    EXPECT_GT(MemoryRows(&db, name_, "BYTES")["imc"], 0u)
+        << "the invalidated store is still held";
     ASSERT_TRUE(c->EnsureImc().ok());
     ExpectExact(&db, *c, "EnsureImc");
 
