@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -361,7 +360,8 @@ Result<size_t> JsonCollection::Insert(Value key, std::string json_text) {
   std::unique_ptr<json::JsonNode> parsed;
   if (logged) {
     // One parse serves the log image and the shard's IS JSON check.
-    FSDM_ASSIGN_OR_RETURN(parsed, json::Parse(json_text));
+    FSDM_ASSIGN_OR_RETURN(
+        parsed, json::Parse(json_text, {.reject_duplicate_keys = true}));
     FSDM_ASSIGN_OR_RETURN(std::string oson_image, oson::Encode(*parsed));
     // ISSUE 9: the hidden OSON column is virtual — images only ever exist
     // transiently, here and at the other encode choke points.
@@ -426,7 +426,8 @@ Status JsonCollection::Replace(size_t row_id, Value key,
   const bool logged = wal_ != nullptr;
   std::unique_ptr<json::JsonNode> parsed;
   if (logged) {
-    FSDM_ASSIGN_OR_RETURN(parsed, json::Parse(json_text));
+    FSDM_ASSIGN_OR_RETURN(
+        parsed, json::Parse(json_text, {.reject_duplicate_keys = true}));
     FSDM_ASSIGN_OR_RETURN(std::string oson_image, oson::Encode(*parsed));
     telemetry::MemoryCharge oson_charge(telemetry::MemSubsystem::kOsonVc,
                                         oson_image.size());
@@ -496,7 +497,6 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
   // is skipped entirely; replay falls back to the records before it.
   std::unordered_set<uint64_t> aborted;
   size_t start = 0;
-  bool from_checkpoint = false;
   {
     size_t begin_idx = SIZE_MAX;
     for (size_t i = 0; i < records.size(); ++i) {
@@ -505,35 +505,24 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
       if (r.type == wal::RecordType::kCheckpointBegin) begin_idx = i;
       if (r.type == wal::RecordType::kCheckpointEnd && begin_idx != SIZE_MAX) {
         start = begin_idx;
-        from_checkpoint = true;
         begin_idx = SIZE_MAX;
       }
     }
   }
 
-  // Redo pass. Row ids in the log are the ids the original process
-  // observed; replaying only the successful operations in order against
-  // the append-only table reproduces them exactly — except after a
-  // checkpoint, where dead rows compact away. The checkpoint carries
-  // everything needed to translate: each CheckpointDoc maps its logged id
-  // to the id replay assigns, and post-checkpoint inserts are matched by
-  // counting against the per-shard row high-water marks the Begin record
-  // snapshotted.
-  std::unordered_map<uint64_t, uint64_t> idmap;
+  // Redo pass, in the row-id space of the process that wrote the log: a
+  // logged global id is local row id / N on shard id % N. Replaying the
+  // successful operations in order against the append-only tables gives
+  // each insert the id it was logged under. A checkpoint lists only the
+  // live documents, each applied at its logged id; the slots of rows that
+  // were dead when it was taken (the gaps between its documents, and the
+  // tail up to the Begin record's per-shard high-water marks) come back
+  // as dead rows. Records apply straight to their shards, so nothing is
+  // logged again.
   const size_t nshards = shard_count();
-  std::vector<uint64_t> highwater(nshards, 0);
-  std::vector<uint64_t> ck_inserts(nshards, 0);
+  std::vector<uint64_t> highwater;
+  uint64_t checkpoint_docs = 0;
   bool in_chosen_checkpoint = false;
-  // Records apply straight to their shards, placed as the public DML
-  // places them, so nothing is logged again; global row ids encode as
-  // local * N + shard.
-  auto insert = [&](const Value& key, ReplayDoc doc) -> Result<size_t> {
-    const size_t s = ShardForKey(key);
-    FSDM_ASSIGN_OR_RETURN(size_t local,
-                          shards_[s]->Insert(Value(key), std::move(doc.text),
-                                             std::move(doc.tree)));
-    return local * nshards + s;
-  };
   Status replayed = [&]() -> Status {
     for (size_t i = start; i < records.size(); ++i) {
       const wal::Record& r = records[i];
@@ -541,6 +530,10 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
         ++info->aborted_skipped;
         continue;
       }
+      // The row a kDelete, kReplace or kCheckpointDoc names.
+      Shard& logged_shard = *shards_[r.ref_id % nshards];
+      const size_t local = static_cast<size_t>(r.ref_id / nshards);
+      Status applied;
       switch (r.type) {
         case wal::RecordType::kAbort:
           continue;
@@ -548,92 +541,75 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
           if (i == start) {
             in_chosen_checkpoint = true;
             next_auto_key_ = static_cast<int64_t>(r.next_auto_key);
-            for (size_t s = 0;
-                 s < nshards && s < r.shard_highwater.size(); ++s) {
-              highwater[s] = r.shard_highwater[s];
-            }
+            highwater = r.shard_highwater;
+            highwater.resize(nshards, 0);
           }
           continue;
         case wal::RecordType::kCheckpointEnd:
-          if (in_chosen_checkpoint) {
-            in_chosen_checkpoint = false;
-            if (r.ref_id != idmap.size()) {
-              return Status::Corruption(
-                  "WAL checkpoint declares " + std::to_string(r.ref_id) +
-                  " documents, replayed " + std::to_string(idmap.size()));
-            }
+          if (!in_chosen_checkpoint) continue;
+          in_chosen_checkpoint = false;
+          if (r.ref_id != checkpoint_docs) {
+            return Status::Corruption(
+                "WAL checkpoint declares " + std::to_string(r.ref_id) +
+                " documents, replayed " + std::to_string(checkpoint_docs));
+          }
+          for (size_t s = 0; s < nshards; ++s) {
+            shards_[s]->AppendDeadRows(highwater[s]);
           }
           continue;
         case wal::RecordType::kCheckpointDoc: {
           // Docs of an interrupted checkpoint (not the chosen start) are
           // state the surrounding DML records already cover; skip them.
           if (!in_chosen_checkpoint) continue;
-          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
-          Result<size_t> actual = insert(r.key, std::move(doc));
-          if (!actual.ok()) {
-            return Status::Corruption(
-                "WAL replay: checkpoint doc at LSN " + std::to_string(r.lsn) +
-                " failed to apply: " + actual.status().message());
+          if (local < logged_shard.table()->row_count() ||
+              local >= highwater[r.ref_id % nshards]) {
+            applied = Status::Corruption(
+                "row " + std::to_string(r.ref_id) +
+                " is out of order or past the high-water mark");
+            break;
           }
-          idmap[r.ref_id] = actual.value();
-          ++info->records_applied;
-          continue;
+          logged_shard.AppendDeadRows(local);
+          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
+          applied = logged_shard
+                        .Insert(Value(r.key), std::move(doc.text),
+                                std::move(doc.tree))
+                        .status();
+          ++checkpoint_docs;
+          break;
         }
         case wal::RecordType::kInsert: {
-          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
           if (r.key.type() == ScalarType::kInt64 &&
               r.key.AsInt64() >= next_auto_key_) {
             next_auto_key_ = r.key.AsInt64() + 1;
           }
-          Result<size_t> actual = insert(r.key, std::move(doc));
-          if (!actual.ok()) {
-            return Status::Corruption(
-                "WAL replay: insert at LSN " + std::to_string(r.lsn) +
-                " failed to apply: " + actual.status().message());
-          }
-          if (from_checkpoint) {
-            const size_t s = r.shard < nshards ? r.shard : 0;
-            const uint64_t orig_local = highwater[s] + ck_inserts[s]++;
-            idmap[orig_local * nshards + s] = actual.value();
-          }
-          ++info->records_applied;
-          continue;
+          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
+          applied = shards_[ShardForKey(r.key)]
+                        ->Insert(Value(r.key), std::move(doc.text),
+                                 std::move(doc.tree))
+                        .status();
+          break;
         }
         case wal::RecordType::kDelete:
+          applied = logged_shard.Delete(local);
+          break;
         case wal::RecordType::kReplace: {
-          uint64_t row_id = r.ref_id;
-          if (from_checkpoint) {
-            auto it = idmap.find(row_id);
-            if (it == idmap.end()) {
-              return Status::Corruption(
-                  "WAL replay: LSN " + std::to_string(r.lsn) +
-                  " references row " + std::to_string(row_id) +
-                  " the checkpoint does not cover");
-            }
-            row_id = it->second;
-          }
-          Shard& shard = *shards_[row_id % nshards];
-          const size_t local = static_cast<size_t>(row_id / nshards);
-          Status applied;
-          if (r.type == wal::RecordType::kDelete) {
-            applied = shard.Delete(local);
-          } else {
-            FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
-            applied = shard.Replace(local, Value(r.key), std::move(doc.text),
-                                    std::move(doc.tree));
-          }
-          if (!applied.ok()) {
-            return Status::Corruption(
-                "WAL replay: " + std::string(RecordTypeName(r.type)) +
-                " at LSN " + std::to_string(r.lsn) +
-                " failed to apply: " + applied.message());
-          }
-          ++info->records_applied;
-          continue;
+          FSDM_ASSIGN_OR_RETURN(ReplayDoc doc, DecodeImage(r.oson));
+          applied = logged_shard.Replace(local, Value(r.key),
+                                         std::move(doc.text),
+                                         std::move(doc.tree));
+          break;
         }
+        default:
+          return Status::Corruption("WAL replay: unknown record type at LSN " +
+                                    std::to_string(r.lsn));
       }
-      return Status::Corruption("WAL replay: unknown record type at LSN " +
-                                std::to_string(r.lsn));
+      if (!applied.ok()) {
+        return Status::Corruption(
+            "WAL replay: " + std::string(RecordTypeName(r.type)) +
+            " at LSN " + std::to_string(r.lsn) +
+            " failed to apply: " + applied.message());
+      }
+      ++info->records_applied;
     }
     return Status::Ok();
   }();
@@ -659,10 +635,7 @@ Status JsonCollection::ReplayWal(const std::vector<wal::Record>& records) {
            "WAL recovery complete: " + name_,
            telemetry::LogNum("records_applied", info->records_applied),
            telemetry::LogNum("aborted_skipped", info->aborted_skipped));
-  // Re-anchor: a fresh checkpoint makes the ids the *next* replay assigns
-  // line up with the snapshot (this generation may have compacted dead
-  // rows away), and truncates the history just replayed.
-  return Checkpoint();
+  return Status::Ok();
 }
 
 Status JsonCollection::AppendCheckpointDocs(uint64_t* doc_count) {
@@ -700,8 +673,8 @@ Status JsonCollection::Checkpoint() {
   std::vector<uint64_t> highwater;
   for (const std::unique_ptr<Shard>& s : shards_) {
     // row_count() counts tombstones too: the high-water mark is the next
-    // local row id the shard will assign, which is what the replay-side
-    // insert matching needs.
+    // local row id the shard will assign, which replay pads the shard to
+    // so that later inserts land on their logged ids.
     highwater.push_back(s->table()->row_count());
   }
   FSDM_RETURN_NOT_OK(wal_->CheckpointBegin(

@@ -85,8 +85,10 @@ struct CollectionOptions {
   /// document as a self-contained OSON image) *before* applying it, and
   /// Create() on a directory holding an existing log replays it — torn
   /// tail truncated, aborted operations skipped — to rebuild the full
-  /// per-shard stack, finishing with CheckConsistency(). One collection
-  /// per directory; the facade owns the log for all its shards.
+  /// per-shard stack, finishing with CheckConsistency(). Recovery keeps
+  /// the row ids the logging process acknowledged and writes no
+  /// checkpoint: the log keeps growing until Checkpoint() is called. One
+  /// collection per directory; the facade owns the log for all its shards.
   std::string wal_dir;
   /// Fsync policy (see wal.h); by default an acknowledged DML is durable.
   wal::FsyncPolicy wal_fsync = wal::FsyncPolicy::kAlways;
@@ -190,6 +192,9 @@ class Shard {
   Status Delete(size_t row_id);
   Status Replace(size_t row_id, Value key, std::string json_text,
                  std::unique_ptr<json::JsonNode> parsed = nullptr);
+  /// Recovery only: dead row slots up to `row_count` (see
+  /// rdbms::Table::AppendDeadRows), so later inserts get logged ids.
+  void AppendDeadRows(size_t row_count);
 
   // --- Derived schema and IMC: see the JsonCollection methods -----------
   Result<std::string> AddVirtualColumn(std::string column_name,
@@ -377,9 +382,11 @@ class JsonCollection {
   const wal::Wal* wal() const { return wal_.get(); }
   /// Writes a full-snapshot checkpoint into the log and truncates every
   /// older segment, bounding both log size and replay time. Replay after
-  /// a checkpoint starts from the snapshot, so recovered row ids compact
-  /// to the live documents (keys are the stable identity, as everywhere).
-  /// InvalidArgument on a collection without a WAL.
+  /// a checkpoint starts from the snapshot and keeps every row id: each
+  /// live document comes back at its id, and the rows that were dead at
+  /// the checkpoint come back as dead slots. Only an explicit call
+  /// checkpoints; recovery writes none. InvalidArgument on a collection
+  /// without a WAL.
   Status Checkpoint();
 
   // --- DML --------------------------------------------------------------
@@ -475,9 +482,9 @@ class JsonCollection {
   /// wired; failure unwinds creation.
   Status InitWal();
   /// Redo pass over the durable prefix Open() returned: applies every
-  /// non-aborted record from the last complete checkpoint, translating
-  /// logged row ids to live ones, then verifies with CheckConsistency()
-  /// and writes a fresh checkpoint.
+  /// non-aborted record from the last complete checkpoint at the row ids
+  /// the logging process used, then verifies with CheckConsistency().
+  /// Writes nothing to the log.
   Status ReplayWal(const std::vector<wal::Record>& records);
   /// Row-id -> (shard, key, OSON image) for every live document.
   Status AppendCheckpointDocs(uint64_t* doc_count);

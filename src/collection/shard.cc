@@ -298,6 +298,11 @@ Status Shard::Replace(size_t row_id, Value key, std::string json_text,
   return replaced;
 }
 
+void Shard::AppendDeadRows(size_t row_count) {
+  table_->AppendDeadRows(row_count);
+  PublishMemory();
+}
+
 // --- Observer ---------------------------------------------------------------
 
 // The DmlObserver keeps the default (no-op) Undo* hooks: marking a row IMC

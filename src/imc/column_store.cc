@@ -123,7 +123,6 @@ Value ColumnVector::GetValue(size_t row) const {
   switch (encoding_) {
     case ColumnEncoding::kInt64:
       return Value::Int64(ints_[row]);
-    case ColumnEncoding::kDouble:
     case ColumnEncoding::kNumber:
       return Value::Double(doubles_[row]);
     case ColumnEncoding::kString:
@@ -174,7 +173,6 @@ Status ColumnVector::FilterCompare(rdbms::CompareOp op, const Value& literal,
       }
       return Status::Ok();
     }
-    case ColumnEncoding::kDouble:
     case ColumnEncoding::kNumber: {
       if (!literal.IsNumeric()) {
         return Status::InvalidArgument("numeric column vs non-numeric literal");
@@ -244,7 +242,6 @@ Result<double> ColumnVector::SumSelected(
         if (!nulls_[i]) total += static_cast<double>(ints_[i]);
       }
       return total;
-    case ColumnEncoding::kDouble:
     case ColumnEncoding::kNumber:
       for (uint32_t i : sel) {
         if (!nulls_[i]) total += doubles_[i];
@@ -319,7 +316,7 @@ Result<ColumnStore> ColumnStore::Populate(
 
   std::vector<size_t> positions;  // within table.columns()
   // Columns whose prior values can be copied: GetValue() gives back what
-  // the expression produced everywhere except the double-only encodings.
+  // the expression produced everywhere except kNumber, which keeps doubles.
   std::vector<bool> reusable;
   for (size_t c = 0; c < columns.size(); ++c) {
     size_t pos = table.ColumnIndex(columns[c]);
@@ -331,7 +328,7 @@ Result<ColumnStore> ColumnStore::Populate(
     bool reuse = false;
     if (prior != nullptr) {
       const ColumnEncoding e = prior->columns_[c].encoding();
-      reuse = e != ColumnEncoding::kNumber && e != ColumnEncoding::kDouble;
+      reuse = e != ColumnEncoding::kNumber;
     }
     reusable.push_back(reuse);
   }

@@ -29,7 +29,6 @@ size_t SharedPayloadHeapBytes(const std::string& s);
 /// Physical layout of one in-memory column.
 enum class ColumnEncoding : uint8_t {
   kInt64,       ///< flat int64 array
-  kDouble,      ///< flat double array
   kNumber,      ///< mixed numeric -> doubles (exact ints kept when possible)
   kString,      ///< flat string array
   kDictString,  ///< dictionary-encoded strings (codes + sorted dictionary)

@@ -63,7 +63,9 @@ class JsonNode {
   JsonNode* mutable_field_value(size_t i) { return fields_[i].second.get(); }
   /// nullptr when absent.
   const JsonNode* GetField(std::string_view name) const;
-  /// Appends (does not replace duplicates; parser rejects duplicates).
+  /// Appends; does not replace or reject duplicates. json::Parse keeps
+  /// them too unless ParseOptions::reject_duplicate_keys is set, as it
+  /// is for collection DML.
   JsonNode* AddField(std::string name, std::unique_ptr<JsonNode> child);
 
   // --- Array API ---

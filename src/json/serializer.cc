@@ -141,8 +141,13 @@ void AppendScalar(std::string* out, const Value& value) {
 }
 
 std::string Serialize(const Dom& dom, const SerializeOptions& options) {
+  return Serialize(dom, dom.root(), options);
+}
+
+std::string Serialize(const Dom& dom, Dom::NodeRef node,
+                      const SerializeOptions& options) {
   std::string out;
-  SerializeNode(dom, dom.root(), options, 0, &out);
+  SerializeNode(dom, node, options, 0, &out);
   return out;
 }
 

@@ -18,6 +18,10 @@ struct SerializeOptions {
 /// number canonicalization (1e2 -> 100).
 std::string Serialize(const Dom& dom, const SerializeOptions& options = {});
 
+/// The subtree of `dom` rooted at `node`.
+std::string Serialize(const Dom& dom, Dom::NodeRef node,
+                      const SerializeOptions& options = {});
+
 /// Convenience over a node tree.
 std::string Serialize(const JsonNode& node, const SerializeOptions& options = {});
 

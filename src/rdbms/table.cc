@@ -126,7 +126,8 @@ Status Table::ValidateRow(const Row& physical_values, ParsedJson parsed) {
           std::string(ScalarTypeName(v.type())) + " not accepted");
     }
     if (def.check_is_json && !v.is_null()) {
-      // The IS JSON check constraint: full syntactic validation, or the
+      // The IS JSON check constraint: full syntactic validation with
+      // duplicate keys refused (an object may hold each name once), or the
       // caller's parse of the same text. The parsed DOM is kept through
       // the observer callbacks so index and DataGuide maintenance reuse
       // this parse (§3.2.1).
@@ -138,7 +139,8 @@ Status Table::ValidateRow(const Row& physical_values, ParsedJson parsed) {
         dml_parsed_[i] = std::move(parsed.tree);
         continue;
       }
-      Result<std::unique_ptr<json::JsonNode>> tree = json::Parse(v.AsString());
+      Result<std::unique_ptr<json::JsonNode>> tree =
+          json::Parse(v.AsString(), {.reject_duplicate_keys = true});
       if (!tree.ok()) {
         return Status::ConstraintViolation(name_ + "." + def.name +
                                            " IS JSON failed: " +
@@ -245,6 +247,15 @@ Status Table::Replace(size_t row_id, Row physical_values, ParsedJson parsed) {
                         std::memory_order_relaxed);
   dml_parsed_.clear();
   return Status::Ok();
+}
+
+void Table::AppendDeadRows(size_t row_count) {
+  while (rows_.size() < row_count) {
+    rows_.emplace_back(physical_.size());
+    live_.push_back(false);
+    heap_bytes_.fetch_add(RowHeapBytes(rows_.back()),
+                          std::memory_order_relaxed);
+  }
 }
 
 Schema Table::OutputSchema(bool include_hidden) const {

@@ -86,7 +86,8 @@ class TableObserver {
 /// A caller's parse of the text in an IS JSON column of the row it passes
 /// to Table::Insert/Replace. The IS JSON check adopts it instead of parsing
 /// again (a durable write parses once, for its log image and the check).
-/// `tree` must be json::Parse() of exactly that text.
+/// `tree` must be json::Parse() of exactly that text, with duplicate keys
+/// rejected as the check rejects them.
 struct ParsedJson {
   size_t physical_pos = 0;
   std::unique_ptr<json::JsonNode> tree;
@@ -120,6 +121,13 @@ class Table {
 
   Status Delete(size_t row_id);
   Status Replace(size_t row_id, Row physical_values, ParsedJson parsed = {});
+
+  /// Appends tombstoned all-NULL rows until row_count() reaches
+  /// `row_count` (a no-op when it already has). Recovery uses it to
+  /// rebuild the row-id slots of rows that were dead when logged, so
+  /// later inserts get the ids the logging process gave them. Runs no
+  /// observers and leaves live_row_count() unchanged.
+  void AppendDeadRows(size_t row_count);
 
   /// Stored values of a row (physical columns only).
   const Row& StoredRow(size_t row_id) const { return rows_[row_id]; }

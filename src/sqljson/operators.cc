@@ -207,51 +207,7 @@ Result<rdbms::ExprPtr> JsonQuery(std::string column, std::string path,
         Status st = state->eval->Evaluate(
             *dom, [&](json::Dom::NodeRef node, bool* stop) {
               *stop = true;
-              // Serialize the selected subtree.
-              std::string out;
-              struct SubtreeDom {
-                static void Render(const json::Dom& d,
-                                   json::Dom::NodeRef n, std::string* o) {
-                  switch (d.GetNodeType(n)) {
-                    case json::NodeKind::kObject: {
-                      o->push_back('{');
-                      size_t cnt = d.GetFieldCount(n);
-                      for (size_t i = 0; i < cnt; ++i) {
-                        if (i) o->push_back(',');
-                        std::string_view name;
-                        json::Dom::NodeRef child;
-                        d.GetFieldAt(n, i, &name, &child);
-                        json::AppendQuoted(o, name);
-                        o->push_back(':');
-                        Render(d, child, o);
-                      }
-                      o->push_back('}');
-                      break;
-                    }
-                    case json::NodeKind::kArray: {
-                      o->push_back('[');
-                      size_t cnt = d.GetArrayLength(n);
-                      for (size_t i = 0; i < cnt; ++i) {
-                        if (i) o->push_back(',');
-                        Render(d, d.GetArrayElement(n, i), o);
-                      }
-                      o->push_back(']');
-                      break;
-                    }
-                    case json::NodeKind::kScalar: {
-                      Value v;
-                      if (d.GetScalarValue(n, &v).ok()) {
-                        json::AppendScalar(o, v);
-                      } else {
-                        o->append("null");
-                      }
-                      break;
-                    }
-                  }
-                }
-              };
-              SubtreeDom::Render(*dom, node, &out);
-              text = std::move(out);
+              text = json::Serialize(*dom, node);
               return Status::Ok();
             });
         FSDM_RETURN_NOT_OK(st);

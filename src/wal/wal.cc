@@ -225,6 +225,23 @@ Status ErrnoStatus(const std::string& what, int err) {
   return Status::Unavailable(what + ": " + std::strerror(err));
 }
 
+/// One record as it goes to disk: header, payload, and the masked CRC32C
+/// over everything after the CRC field.
+std::string FrameRecord(uint64_t lsn, RecordType type, uint32_t shard,
+                        std::string_view payload) {
+  std::string buf;
+  buf.reserve(kRecordHeaderSize + payload.size());
+  PutU32(&buf, 0);  // CRC placeholder
+  PutU32(&buf, static_cast<uint32_t>(payload.size()));
+  PutU64(&buf, lsn);
+  PutU8(&buf, static_cast<uint8_t>(type));
+  PutU32(&buf, shard);
+  buf += payload;
+  const uint32_t crc = Crc32cMask(Crc32c(buf.data() + 4, buf.size() - 4));
+  std::memcpy(buf.data(), &crc, 4);
+  return buf;
+}
+
 /// Parses one payload into `rec` (type/lsn/shard already filled from the
 /// header). False = malformed, which the scanner treats as a tear.
 bool DecodePayload(std::string_view payload, Record* rec) {
@@ -274,6 +291,90 @@ bool DecodePayload(std::string_view payload, Record* rec) {
 /// field is treated as corruption, so a flipped bit in the length can
 /// never make the scanner allocate gigabytes.
 constexpr uint32_t kMaxPayload = 256u << 20;
+
+/// Scans the segment file `path` (sequence number `seq`), appending its
+/// records to `out` and counting them in `info`. Returns "" when the
+/// whole segment is intact. Otherwise returns the note on why the
+/// torn-tail rule stops the scan, with `*off` at the first byte to
+/// discard (0 when the file or its header is unusable).
+std::string ScanSegment(const std::string& path, uint64_t seq,
+                        uint64_t* prev_lsn, size_t* off,
+                        std::vector<Record>* out, RecoveryInfo* info) {
+  *off = 0;
+  std::string contents;
+  {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+      return "cannot read segment " + path + ": " + std::strerror(errno);
+    }
+    char buf[1 << 16];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+      contents.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+  }
+  ++info->segments_scanned;
+  auto tear = [&](const std::string& what) {
+    return "segment " + path + ": " + what;
+  };
+
+  // Segment header.
+  if (contents.size() < kSegmentHeaderSize ||
+      std::memcmp(contents.data(), kSegmentMagic, 8) != 0) {
+    return tear("bad header");
+  }
+  uint32_t hdr_seq = 0;
+  uint32_t hdr_crc = 0;
+  std::memcpy(&hdr_seq, contents.data() + 8, 4);
+  std::memcpy(&hdr_crc, contents.data() + 12, 4);
+  if (hdr_seq != seq || Crc32cUnmask(hdr_crc) != Crc32c(contents.data(), 12)) {
+    return tear("header CRC/seq mismatch");
+  }
+
+  for (*off = kSegmentHeaderSize; *off < contents.size();) {
+    const size_t left = contents.size() - *off;
+    if (left < kRecordHeaderSize) {
+      return tear("short record header at " + std::to_string(*off));
+    }
+    const char* hdr = contents.data() + *off;
+    uint32_t crc = 0;
+    uint32_t len = 0;
+    uint64_t lsn = 0;
+    uint8_t type = 0;
+    uint32_t shard = 0;
+    std::memcpy(&crc, hdr, 4);
+    std::memcpy(&len, hdr + 4, 4);
+    std::memcpy(&lsn, hdr + 8, 8);
+    std::memcpy(&type, hdr + 16, 1);
+    std::memcpy(&shard, hdr + 17, 4);
+    if (len > kMaxPayload || left - kRecordHeaderSize < len) {
+      return tear("truncated record at " + std::to_string(*off));
+    }
+    if (Crc32cUnmask(crc) != Crc32c(hdr + 4, kRecordHeaderSize - 4 + len)) {
+      return tear("CRC mismatch at " + std::to_string(*off));
+    }
+    if (lsn <= *prev_lsn) {
+      // A duplicated tail (a copied block re-appearing later in the log)
+      // shows up as an LSN that goes backwards; the prefix up to here is
+      // intact, everything after is discarded.
+      return tear("non-monotonic LSN " + std::to_string(lsn) + " at " +
+                  std::to_string(*off));
+    }
+    Record rec;
+    rec.lsn = lsn;
+    rec.type = static_cast<RecordType>(type);
+    rec.shard = shard;
+    if (!DecodePayload({hdr + kRecordHeaderSize, len}, &rec)) {
+      return tear("malformed payload at " + std::to_string(*off));
+    }
+    *prev_lsn = lsn;
+    ++info->records_scanned;
+    out->push_back(std::move(rec));
+    *off += kRecordHeaderSize + len;
+  }
+  return "";
+}
 
 }  // namespace
 
@@ -335,109 +436,15 @@ Result<Wal::OpenResult> Wal::Open(WalOptions options) {
   size_t tear_seg = seqs.size();
   size_t tear_offset = 0;
 
-  for (size_t si = 0; si < seqs.size() && tear_seg == seqs.size(); ++si) {
-    const std::string path = wal->SegmentPath(seqs[si]);
-    std::string contents;
-    {
-      const int fd = ::open(path.c_str(), O_RDONLY);
-      if (fd < 0) {
-        info.notes.push_back("cannot read segment " + path + ": " +
-                             std::strerror(errno));
-        tear_seg = si;
-        tear_offset = 0;
-        break;
-      }
-      char buf[1 << 16];
-      ssize_t n = 0;
-      while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-        contents.append(buf, static_cast<size_t>(n));
-      }
-      ::close(fd);
-    }
-    ++info.segments_scanned;
-
-    // Segment header.
-    if (contents.size() < kSegmentHeaderSize ||
-        std::memcmp(contents.data(), kSegmentMagic, 8) != 0) {
-      info.notes.push_back("segment " + path + ": bad header");
+  for (size_t si = 0; si < seqs.size(); ++si) {
+    size_t off = 0;
+    std::string note = ScanSegment(wal->SegmentPath(seqs[si]), seqs[si],
+                                   &prev_lsn, &off, &result.replay, &info);
+    if (!note.empty()) {
+      info.notes.push_back(std::move(note));
       tear_seg = si;
-      tear_offset = 0;
+      tear_offset = off;
       break;
-    }
-    uint32_t hdr_seq = 0;
-    uint32_t hdr_crc = 0;
-    std::memcpy(&hdr_seq, contents.data() + 8, 4);
-    std::memcpy(&hdr_crc, contents.data() + 12, 4);
-    if (hdr_seq != seqs[si] ||
-        Crc32cUnmask(hdr_crc) != Crc32c(contents.data(), 12)) {
-      info.notes.push_back("segment " + path + ": header CRC/seq mismatch");
-      tear_seg = si;
-      tear_offset = 0;
-      break;
-    }
-
-    size_t off = kSegmentHeaderSize;
-    while (off < contents.size()) {
-      const size_t left = contents.size() - off;
-      if (left < kRecordHeaderSize) {
-        info.notes.push_back("segment " + path + ": short record header at " +
-                             std::to_string(off));
-        tear_seg = si;
-        tear_offset = off;
-        break;
-      }
-      const char* hdr = contents.data() + off;
-      uint32_t crc = 0;
-      uint32_t len = 0;
-      uint64_t lsn = 0;
-      uint8_t type = 0;
-      uint32_t shard = 0;
-      std::memcpy(&crc, hdr, 4);
-      std::memcpy(&len, hdr + 4, 4);
-      std::memcpy(&lsn, hdr + 8, 8);
-      std::memcpy(&type, hdr + 16, 1);
-      std::memcpy(&shard, hdr + 17, 4);
-      if (len > kMaxPayload || left - kRecordHeaderSize < len) {
-        info.notes.push_back("segment " + path + ": truncated record at " +
-                             std::to_string(off));
-        tear_seg = si;
-        tear_offset = off;
-        break;
-      }
-      if (Crc32cUnmask(crc) !=
-          Crc32c(hdr + 4, kRecordHeaderSize - 4 + len)) {
-        info.notes.push_back("segment " + path + ": CRC mismatch at " +
-                             std::to_string(off));
-        tear_seg = si;
-        tear_offset = off;
-        break;
-      }
-      if (lsn <= prev_lsn) {
-        // A duplicated tail (a copied block re-appearing later in the
-        // log) shows up as an LSN that goes backwards; the prefix up to
-        // here is intact, everything after is discarded.
-        info.notes.push_back("segment " + path + ": non-monotonic LSN " +
-                             std::to_string(lsn) + " at " +
-                             std::to_string(off));
-        tear_seg = si;
-        tear_offset = off;
-        break;
-      }
-      Record rec;
-      rec.lsn = lsn;
-      rec.type = static_cast<RecordType>(type);
-      rec.shard = shard;
-      if (!DecodePayload({hdr + kRecordHeaderSize, len}, &rec)) {
-        info.notes.push_back("segment " + path + ": malformed payload at " +
-                             std::to_string(off));
-        tear_seg = si;
-        tear_offset = off;
-        break;
-      }
-      prev_lsn = lsn;
-      ++info.records_scanned;
-      result.replay.push_back(std::move(rec));
-      off += kRecordHeaderSize + len;
     }
   }
 
@@ -606,18 +613,7 @@ Result<uint64_t> Wal::AppendRecord(RecordType type, uint32_t shard,
         "WAL is poisoned by an earlier append failure; reopen to recover");
   }
   const uint64_t lsn = next_lsn_;
-
-  std::string buf;
-  buf.reserve(kRecordHeaderSize + payload.size());
-  PutU32(&buf, 0);  // CRC placeholder
-  PutU32(&buf, static_cast<uint32_t>(payload.size()));
-  PutU64(&buf, lsn);
-  PutU8(&buf, static_cast<uint8_t>(type));
-  PutU32(&buf, shard);
-  buf += payload;
-  const uint32_t crc =
-      Crc32cMask(Crc32c(buf.data() + 4, buf.size() - 4));
-  std::memcpy(buf.data(), &crc, 4);
+  std::string buf = FrameRecord(lsn, type, shard, payload);
 
   if (cur_size_ + buf.size() > options_.segment_bytes &&
       cur_size_ > kSegmentHeaderSize && !in_checkpoint_) {
@@ -740,15 +736,7 @@ void Wal::AppendAbort(uint64_t aborted_lsn) {
   // Bypass AppendRecord's policy fsync: the abort is an opportunistic
   // marker, and an fsync failure in the failure path must not recurse.
   const uint64_t lsn = next_lsn_;
-  std::string buf;
-  PutU32(&buf, 0);
-  PutU32(&buf, static_cast<uint32_t>(payload.size()));
-  PutU64(&buf, lsn);
-  PutU8(&buf, static_cast<uint8_t>(RecordType::kAbort));
-  PutU32(&buf, 0);
-  buf += payload;
-  const uint32_t crc = Crc32cMask(Crc32c(buf.data() + 4, buf.size() - 4));
-  std::memcpy(buf.data(), &crc, 4);
+  const std::string buf = FrameRecord(lsn, RecordType::kAbort, 0, payload);
   const ssize_t n = ::write(fd_, buf.data(), buf.size());
   if (n != static_cast<ssize_t>(buf.size())) {
     if (n > 0) (void)::ftruncate(fd_, static_cast<off_t>(cur_size_));

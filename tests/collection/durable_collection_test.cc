@@ -125,6 +125,28 @@ TEST_F(DurableCollectionTest, DurableWriteParsesOnceAndLogsNoInvalidText) {
   EXPECT_TRUE(coll->CheckConsistency().consistent);
 }
 
+// A document with a duplicate key fails in the durable write's one parse,
+// before anything is logged, and so never reaches a replay.
+TEST_F(DurableCollectionTest, DuplicateKeysFailBeforeLogging) {
+  {
+    rdbms::Database db;
+    auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
+    size_t row = coll->Insert(Value::Int64(1), Doc(1, "a")).value();
+    const uint64_t lsn = coll->wal()->last_lsn();
+    EXPECT_EQ(
+        coll->Insert(Value::Int64(2), "{\"w5\":1,\"w5\":2}").status().code(),
+        StatusCode::kParseError);
+    EXPECT_EQ(coll->Replace(row, Value::Int64(1), "{\"n\":{\"m\":1,\"m\":2}}")
+                  .code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(coll->wal()->last_lsn(), lsn) << "a duplicate key was logged";
+  }
+  rdbms::Database db;
+  auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
+  std::map<std::string, std::string> expect = {{"1", Canon(Doc(1, "a"))}};
+  EXPECT_EQ(Contents(*coll), expect);
+}
+
 TEST_F(DurableCollectionTest, RowIdsStableAcrossFirstReplay) {
   size_t keep = 0;
   {
@@ -161,9 +183,9 @@ TEST_F(DurableCollectionTest, AutoKeyContinuesAfterReopen) {
 }
 
 TEST_F(DurableCollectionTest, SecondReopenReplaysFromCheckpoint) {
-  // Generation 1: write history. Generation 2: replay re-anchors with a
-  // checkpoint (dead rows compact away). Generation 3: replay from that
-  // checkpoint plus generation 2's tail.
+  // Generation 1: write history. Generation 2: replay, then an explicit
+  // checkpoint (recovery writes none of its own). Generation 3: replay
+  // from that checkpoint plus generation 2's tail.
   {
     rdbms::Database db;
     auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
@@ -179,7 +201,7 @@ TEST_F(DurableCollectionTest, SecondReopenReplaysFromCheckpoint) {
     rdbms::Database db;
     auto coll = JsonCollection::Create(&db, "D", Durable()).MoveValue();
     EXPECT_EQ(coll->document_count(), 4u);
-    // Post-replay DML on a compacted id space.
+    ASSERT_TRUE(coll->Checkpoint().ok());
     g2_row = coll->Insert(Value::Int64(7), Doc(7, "g2")).value();
     ASSERT_TRUE(coll->Replace(g2_row, Value::Int64(7), Doc(7, "g2-v2")).ok());
     ASSERT_TRUE(coll->Delete(0).ok());  // row 0 == key 1 (replay is exact)
@@ -191,6 +213,97 @@ TEST_F(DurableCollectionTest, SecondReopenReplaysFromCheckpoint) {
   expect["7"] = Canon(Doc(7, "g2-v2"));
   EXPECT_EQ(Contents(*coll), expect);
   EXPECT_TRUE(coll->CheckConsistency().consistent);
+}
+
+// Recovery keeps the writer's row ids: after every reopen, each id the
+// client was given still addresses its own document, and DML by a
+// pre-crash id hits that document. Covers deletes on both sides of a
+// checkpoint, an interrupted checkpoint, and two successive reopens.
+TEST_F(DurableCollectionTest, RowIdsSurviveRecovery) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    fs::remove_all(dir_);
+    std::map<int64_t, size_t> ids;  // key -> acknowledged row id
+    std::map<std::string, std::string> expect;
+    auto insert = [&](JsonCollection* c, int64_t key, const char* tag) {
+      Result<size_t> row = c->Insert(Value::Int64(key), Doc(key, tag));
+      ASSERT_TRUE(row.ok()) << row.status().message();
+      ids[key] = row.value();
+      expect[std::to_string(key)] = Canon(Doc(key, tag));
+    };
+    auto erase = [&](JsonCollection* c, int64_t key) {
+      ASSERT_TRUE(c->Delete(ids.at(key)).ok()) << "key " << key;
+      ids.erase(key);
+      expect.erase(std::to_string(key));
+    };
+    auto replace = [&](JsonCollection* c, int64_t key, const char* tag) {
+      ASSERT_TRUE(c->Replace(ids.at(key), Value::Int64(key), Doc(key, tag))
+                      .ok())
+          << "key " << key;
+      expect[std::to_string(key)] = Canon(Doc(key, tag));
+    };
+    // Every acknowledged id addresses its own key, and nothing else moved.
+    auto check = [&](const JsonCollection& coll) {
+      for (const auto& [key, id] : ids) {
+        const Shard& shard = *coll.shard(id % shards);
+        const size_t local = id / shards;
+        ASSERT_TRUE(local < shard.table()->row_count() &&
+                    shard.table()->IsLive(local))
+            << "row " << id << " of key " << key << " is gone";
+        EXPECT_EQ(shard.table()->StoredRow(local)[shard.key_pos()]
+                      .ToDisplayString(),
+                  std::to_string(key))
+            << "row " << id;
+      }
+      EXPECT_EQ(Contents(coll), expect);
+      EXPECT_EQ(coll.document_count(), expect.size());
+      for (size_t s = 0; s < shards; ++s) {
+        const rdbms::Table& t = *coll.shard(s)->table();
+        EXPECT_EQ(t.HeapBytes(), t.RecomputeHeapBytes()) << "shard " << s;
+      }
+      EXPECT_TRUE(coll.CheckConsistency().consistent);
+    };
+    {
+      rdbms::Database db;
+      auto coll = JsonCollection::Create(&db, "D", Durable(shards)).MoveValue();
+      for (int64_t k = 1; k <= 12; ++k) insert(coll.get(), k, "g1");
+      erase(coll.get(), 2);
+      erase(coll.get(), 5);
+      ASSERT_TRUE(coll->Checkpoint().ok());
+      erase(coll.get(), 7);
+      erase(coll.get(), 9);
+      replace(coll.get(), 3, "g1-v2");
+      for (int64_t k = 13; k <= 16; ++k) insert(coll.get(), k, "g1");
+      // The third record of the next checkpoint (its second document)
+      // tears: Begin and one document reach the log, End never does.
+      fault::FaultRegistry::Global().Arm("wal.append.short_write",
+                                         fault::FaultSpec::Nth(3));
+      EXPECT_FALSE(coll->Checkpoint().ok());
+      EXPECT_TRUE(coll->wal()->failed());
+      fault::FaultRegistry::Global().DisarmAll();
+    }
+    {
+      rdbms::Database db;
+      auto coll = JsonCollection::Create(&db, "D", Durable(shards)).MoveValue();
+      check(*coll);
+      if (HasFatalFailure()) return;
+      erase(coll.get(), 4);
+      replace(coll.get(), 6, "g2");
+      insert(coll.get(), 17, "g2");
+      erase(coll.get(), 13);
+    }
+    {
+      rdbms::Database db;
+      auto coll = JsonCollection::Create(&db, "D", Durable(shards)).MoveValue();
+      check(*coll);
+      if (HasFatalFailure()) return;
+      erase(coll.get(), 8);
+      replace(coll.get(), 17, "g3");
+    }
+    rdbms::Database db;
+    auto coll = JsonCollection::Create(&db, "D", Durable(shards)).MoveValue();
+    check(*coll);
+  }
 }
 
 TEST_F(DurableCollectionTest, AbortedOperationIsNotReplayed) {

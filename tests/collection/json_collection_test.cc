@@ -46,6 +46,28 @@ TEST_F(JsonCollectionTest, InsertRunsIsJsonCheckAndMaintainsGuide) {
   EXPECT_GT(coll->dataguide().distinct_path_count(), 0u);
 }
 
+// An object may hold each name once: OSON keeps one child per field id,
+// so a duplicate would make OSON and text navigation disagree. The IS JSON
+// check refuses it, at the top level and nested, on insert and replace.
+TEST_F(JsonCollectionTest, IsJsonCheckRefusesDuplicateKeys) {
+  auto coll = JsonCollection::Create(&db_, "C").MoveValue();
+  size_t row = coll->Insert(Value::Int64(1), Doc(1, "a")).value();
+  EXPECT_EQ(coll->Insert(Value::Int64(2), "{\"w5\":1,\"w5\":2}").status().code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(coll->Insert(Value::Int64(3), "[{\"a\":{\"b\":1,\"b\":1}}]")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(coll->Replace(row, Value::Int64(1), "{\"n\":1,\"n\":1}").code(),
+            StatusCode::kConstraintViolation);
+  // The same name in sibling or nested objects is no duplicate.
+  EXPECT_TRUE(
+      coll->Insert(Value::Int64(4), "{\"a\":{\"a\":1},\"b\":{\"a\":2}}")
+          .ok());
+  EXPECT_EQ(coll->document_count(), 2u);
+  EXPECT_TRUE(coll->CheckConsistency().consistent);
+}
+
 TEST_F(JsonCollectionTest, AutoKeyInsertAssignsMonotonicKeys) {
   auto coll = JsonCollection::Create(&db_, "C").MoveValue();
   ASSERT_TRUE(coll->Insert(Doc(1, "a")).ok());

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,12 +33,18 @@ using collection::JsonCollection;
 /// Kill-and-recover chaos harness: fork a child that runs a seeded DML
 /// storm against a durable collection with wal_fsync = kAlways, reporting
 /// every operation over a pipe — one "B" line before it starts, one "A"
-/// line after the engine acknowledged it. The parent SIGKILLs the child at
-/// a random point, reopens the WAL directory in-process, and asserts the
-/// recovered collection equals the acknowledged state exactly — plus at
-/// most the single in-flight operation (begun, never acknowledged:
-/// durability of an un-acked op is the allowed direction of the crash
-/// ambiguity; losing an acked one is the bug this harness exists to catch).
+/// line after the engine acknowledged it (an insert's carries its row id).
+/// The parent SIGKILLs the child at a random point, reopens the WAL
+/// directory in-process, and asserts the recovered collection equals the
+/// acknowledged state exactly — plus at most the single in-flight
+/// operation (begun, never acknowledged: durability of an un-acked op is
+/// the allowed direction of the crash ambiguity; losing an acked one is the
+/// bug this harness exists to catch) — and that every acknowledged row id
+/// still addresses its own key.
+///
+/// A second generation then reopens the same directory in a new child,
+/// checkpoints mid-storm, and deletes and replaces by generation 1's
+/// acknowledged row ids; it is killed and recovered the same way.
 ///
 /// Seeds are fixed; the CI matrix pins one per job via FSDM_CHAOS_SEED.
 /// On failure the evidence — protocol tail, expected/actual diff, the
@@ -79,10 +86,19 @@ std::string MapToString(const std::map<std::string, std::string>& m) {
   return out.empty() ? "  (empty)\n" : out;
 }
 
+/// Where a generation's storm starts: the keys and acknowledged row ids
+/// it may use, its first fresh key, and whether it checkpoints mid-storm.
+struct StormStart {
+  std::map<int64_t, size_t> live;  // key -> row id
+  int64_t next_key = 1;
+  bool checkpoint = false;
+};
+
 /// The child's side: a storm of ops, each framed by B/A protocol lines
 /// written unbuffered straight to the pipe. Never returns.
 [[noreturn]] void RunStormChild(uint64_t seed, const std::string& wal_dir,
-                                size_t shards, int pipe_fd) {
+                                size_t shards, StormStart start,
+                                int pipe_fd) {
   CollectionOptions options;
   options.wal_dir = wal_dir;
   options.wal_fsync = wal::FsyncPolicy::kAlways;  // ack == durable
@@ -93,9 +109,15 @@ std::string MapToString(const std::map<std::string, std::string>& m) {
   JsonCollection* coll = coll_r.value().get();
 
   Rng rng(seed);
-  int64_t next_key = 1;
-  std::map<int64_t, size_t> live;  // key -> row id
-  for (int op = 0; op < 400; ++op) {
+  int64_t next_key = start.next_key;
+  std::map<int64_t, size_t>& live = start.live;
+  constexpr int kOps = 400;
+  for (int op = 0; op < kOps; ++op) {
+    if (start.checkpoint && op == kOps / 4) {
+      dprintf(pipe_fd, "B C\n");
+      if (!coll->Checkpoint().ok()) _exit(6);
+      dprintf(pipe_fd, "A C\n");
+    }
     const double roll = rng.NextDouble();
     if (roll < 0.6 || live.size() < 5) {
       const int64_t key = next_key++;
@@ -107,7 +129,8 @@ std::string MapToString(const std::map<std::string, std::string>& m) {
       auto row = coll->Insert(Value::Int64(key), doc);
       if (!row.ok()) _exit(3);
       live[key] = row.value();
-      dprintf(pipe_fd, "A I %lld\n", static_cast<long long>(key));
+      dprintf(pipe_fd, "A I %lld %zu\n", static_cast<long long>(key),
+              row.value());
     } else if (roll < 0.8) {
       auto it = live.begin();
       std::advance(it, rng.Uniform(live.size()));
@@ -136,53 +159,65 @@ std::string MapToString(const std::map<std::string, std::string>& m) {
 struct ProtocolState {
   /// Acknowledged state: key -> canonical document.
   std::map<std::string, std::string> acked;
+  /// Acknowledged row ids of the keys in `acked`.
+  std::map<int64_t, size_t> ids;
   /// The one begun-but-unacked op, applied to a copy of `acked`.
   bool has_inflight = false;
   std::map<std::string, std::string> with_inflight;
+  /// The in-flight op's key when it is a delete.
+  std::optional<int64_t> inflight_delete;
   std::vector<std::string> tail;  // last lines, for the failure report
 };
 
-/// Replays the B/A protocol into the model. Every "A" commits the
-/// preceding "B"; a trailing "B" without its "A" becomes the in-flight op.
-ProtocolState ParseProtocol(const std::vector<std::string>& lines) {
-  ProtocolState st;
+/// Applies one "B" line's op to `state`; returns its kind and key.
+std::pair<std::string, std::string> ApplyOp(
+    const std::string& begin_line, std::map<std::string, std::string>* state) {
+  std::istringstream in(begin_line);
+  std::string tag, kind, key;
+  in >> tag >> kind >> key;
+  if (kind == "D") {
+    state->erase(key);
+  } else if (kind != "C") {
+    std::string doc;
+    std::getline(in, doc);
+    if (!doc.empty() && doc[0] == ' ') doc.erase(0, 1);
+    (*state)[key] = Canon(doc);
+  }
+  return {kind, key};
+}
+
+/// Replays the B/A protocol into the model, starting from the state and
+/// row ids `start` left. Every "A" commits the preceding "B"; a trailing
+/// "B" without its "A" becomes the in-flight op.
+ProtocolState ParseProtocol(const std::vector<std::string>& lines,
+                            ProtocolState start) {
+  ProtocolState st = std::move(start);
   std::string pending;  // the "B" line awaiting its "A"
   for (const std::string& line : lines) {
-    if (line == "DONE") continue;
-    if (line.empty()) continue;
+    if (line.empty() || line == "DONE") continue;
     if (line[0] == 'B') {
       pending = line;
       continue;
     }
     if (line[0] != 'A' || pending.empty()) continue;
-    // Commit the pending op.
-    std::istringstream in(pending);
-    std::string tag, kind, key;
-    in >> tag >> kind >> key;
-    if (kind == "D") {
-      st.acked.erase(key);
-    } else {
-      std::string doc;
-      std::getline(in, doc);
-      if (!doc.empty() && doc[0] == ' ') doc.erase(0, 1);
-      st.acked[key] = Canon(doc);
+    const auto [kind, key] = ApplyOp(pending, &st.acked);
+    if (kind == "I") {
+      std::istringstream ack(line);
+      std::string tag, ack_kind;
+      long long ack_key = 0;
+      size_t row = 0;
+      ack >> tag >> ack_kind >> ack_key >> row;
+      st.ids[ack_key] = row;
+    } else if (kind == "D") {
+      st.ids.erase(std::stoll(key));
     }
     pending.clear();
   }
   st.with_inflight = st.acked;
   if (!pending.empty()) {
     st.has_inflight = true;
-    std::istringstream in(pending);
-    std::string tag, kind, key;
-    in >> tag >> kind >> key;
-    if (kind == "D") {
-      st.with_inflight.erase(key);
-    } else {
-      std::string doc;
-      std::getline(in, doc);
-      if (!doc.empty() && doc[0] == ' ') doc.erase(0, 1);
-      st.with_inflight[key] = Canon(doc);
-    }
+    const auto [kind, key] = ApplyOp(pending, &st.with_inflight);
+    if (kind == "D") st.inflight_delete = std::stoll(key);
   }
   const size_t keep = lines.size() < 12 ? 0 : lines.size() - 12;
   for (size_t i = keep; i < lines.size(); ++i) st.tail.push_back(lines[i]);
@@ -190,12 +225,37 @@ ProtocolState ParseProtocol(const std::vector<std::string>& lines) {
   return st;
 }
 
-void RunKillAndRecover(uint64_t seed) {
-  SCOPED_TRACE("crash-chaos seed " + std::to_string(seed));
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("fsdm_crash_chaos_" + std::to_string(seed));
-  fs::remove_all(dir);
-  const size_t shards = 1 + seed % 4;  // vary the stack shape per seed
+/// Keys whose acknowledged row id no longer addresses them, one line each.
+std::string MisplacedIds(const JsonCollection& coll,
+                         const std::map<int64_t, size_t>& ids) {
+  std::string out;
+  const size_t n = coll.shard_count();
+  for (const auto& [key, id] : ids) {
+    const collection::Shard& shard = *coll.shard(id % n);
+    const rdbms::Table& table = *shard.table();
+    const size_t local = id / n;
+    if (local >= table.row_count() || !table.IsLive(local) ||
+        table.StoredRow(local)[shard.key_pos()].ToDisplayString() !=
+            std::to_string(key)) {
+      out += "  key " + std::to_string(key) + " row " + std::to_string(id) +
+             "\n";
+    }
+  }
+  return out;
+}
+
+/// Runs one generation: forks a storm child over `dir`, SIGKILLs it at a
+/// seed-derived point, recovers in-process and checks the recovered
+/// collection against the acknowledged state `*state` grew into. Leaves
+/// in `*state` the recovered state and the row ids the next generation
+/// may use.
+void RunGeneration(uint64_t seed, int generation, const fs::path& dir,
+                   size_t shards, bool checkpoint, ProtocolState* state) {
+  const uint64_t later = static_cast<uint64_t>(generation - 1);
+  StormStart start;
+  start.live = state->ids;
+  start.next_key = 1 + 100000 * static_cast<int64_t>(later);
+  start.checkpoint = checkpoint;
 
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
@@ -203,14 +263,15 @@ void RunKillAndRecover(uint64_t seed) {
   ASSERT_GE(child, 0);
   if (child == 0) {
     close(fds[0]);
-    RunStormChild(seed, dir.string(), shards, fds[1]);
+    RunStormChild(seed + 1000 * later, dir.string(), shards, std::move(start),
+                  fds[1]);
   }
   close(fds[1]);
 
   // Read protocol lines until the kill point — a seed-derived number of
   // lines into the storm — then SIGKILL mid-flight and drain what the
   // child managed to write before dying.
-  Rng rng(seed ^ 0xdeadbeefULL);
+  Rng rng((seed ^ 0xdeadbeefULL) + later);
   const size_t kill_after = 20 + rng.Uniform(600);
   std::vector<std::string> lines;
   std::string buf, chunk(4096, '\0');
@@ -242,7 +303,8 @@ void RunKillAndRecover(uint64_t seed) {
         << "child failed with status " << wstatus;
   }
 
-  ProtocolState st = ParseProtocol(lines);
+  ProtocolState& st = *state;
+  st = ParseProtocol(lines, std::move(st));
 
   // Recover in-process.
   CollectionOptions options;
@@ -258,14 +320,20 @@ void RunKillAndRecover(uint64_t seed) {
   const bool matches_acked = recovered == st.acked;
   const bool matches_inflight =
       st.has_inflight && recovered == st.with_inflight;
+  if (!matches_acked && matches_inflight && st.inflight_delete) {
+    st.ids.erase(*st.inflight_delete);
+  }
+  const std::string misplaced = MisplacedIds(*coll, st.ids);
   collection::ConsistencyReport report = coll->CheckConsistency();
 
-  if (!(matches_acked || matches_inflight) || !report.consistent) {
+  if (!(matches_acked || matches_inflight) || !misplaced.empty() ||
+      !report.consistent) {
     // Dump the evidence for the CI artifact before failing.
     const std::string path =
         "crash_chaos_report_seed" + std::to_string(seed) + ".txt";
     std::ofstream out(path);
-    out << "crash-chaos seed " << seed << " shards " << shards << "\n"
+    out << "crash-chaos seed " << seed << " generation " << generation
+        << " shards " << shards << "\n"
         << "protocol lines: " << lines.size() << " (killed: " << killed
         << ", kill_after: " << kill_after << ")\n\nprotocol tail:\n";
     for (const std::string& l : st.tail) out << "  " << l << "\n";
@@ -277,13 +345,35 @@ void RunKillAndRecover(uint64_t seed) {
           << MapToString(st.with_inflight);
     }
     out << "\nrecovered state (" << recovered.size() << " docs):\n"
-        << MapToString(recovered) << "\nconsistency:\n"
+        << MapToString(recovered) << "\nacknowledged row ids that moved:\n"
+        << (misplaced.empty() ? "  (none)\n" : misplaced) << "\nconsistency:\n"
         << report.ToString() << "\nrecovery info:\n"
         << coll->wal()->recovery().ToString();
-    FAIL() << "recovered state diverges from acknowledged state "
+    FAIL() << "generation " << generation
+           << ": recovered state diverges from acknowledged state "
            << "(report written to " << path << ")";
   }
-  EXPECT_TRUE(report.consistent) << report.ToString();
+  // The next generation starts from what was recovered: an in-flight op
+  // that survived is part of it, under a row id only an insert's ack
+  // would have told.
+  st.acked = recovered;
+  st.has_inflight = false;
+  st.inflight_delete.reset();
+  st.tail.clear();
+}
+
+void RunKillAndRecover(uint64_t seed) {
+  SCOPED_TRACE("crash-chaos seed " + std::to_string(seed));
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("fsdm_crash_chaos_" + std::to_string(seed));
+  fs::remove_all(dir);
+  const size_t shards = 1 + seed % 4;  // vary the stack shape per seed
+
+  ProtocolState state;
+  RunGeneration(seed, 1, dir, shards, /*checkpoint=*/false, &state);
+  if (::testing::Test::HasFatalFailure()) return;
+  RunGeneration(seed, 2, dir, shards, /*checkpoint=*/true, &state);
+  if (::testing::Test::HasFatalFailure()) return;
   fs::remove_all(dir);
 }
 

@@ -107,6 +107,12 @@ TEST(ParserTest, DuplicateKeysPolicy) {
   ParseOptions strict;
   strict.reject_duplicate_keys = true;
   EXPECT_FALSE(Parse(doc, strict).ok());
+  // Keys compare decoded, and only within one object.
+  EXPECT_FALSE(Parse(R"({"a\u0062":1,"ab":2})", strict).ok());
+  EXPECT_FALSE(Parse(R"({"x":{"y":1},"x":2})", strict).ok());
+  EXPECT_TRUE(Parse(R"({"\u0061":1,"\u0062":{"\u0061":2},"c":3})", strict)
+                  .ok());
+  EXPECT_TRUE(Parse(R"([{"a":1},{"a":2}])", strict).ok());
 }
 
 TEST(ParserTest, ValidateMatchesParse) {
