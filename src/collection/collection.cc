@@ -8,6 +8,7 @@
 #include "collection/collections_table.h"
 #include "collection/wal_table.h"
 #include "common/hash.h"
+#include "common/on_return.h"
 #include "fault/fault.h"
 #include "json/parser.h"
 #include "json/serializer.h"
@@ -52,19 +53,6 @@ CollectionMemory::CollectionMemory(const std::string& collection)
       wal_buffers(telemetry::MemSubsystem::kWalBuffers, collection) {}
 
 namespace {
-
-/// Runs `f` when the enclosing scope ends, on every return path.
-template <typename F>
-class OnReturn {
- public:
-  explicit OnReturn(F f) : f_(std::move(f)) {}
-  ~OnReturn() { f_(); }
-  OnReturn(const OnReturn&) = delete;
-  OnReturn& operator=(const OnReturn&) = delete;
-
- private:
-  F f_;
-};
 
 // Incident bundles carry engine state the telemetry layer cannot see on
 // its own: collection health (with the REASON plumbing) and the WAL

@@ -252,7 +252,7 @@ class Shard {
   void PublishMemory();
 
   void InvalidateImc(size_t row_id);
-  Status MaintainOwnGuide(const Value& doc_value);
+  Status MaintainOwnGuide();
   std::vector<std::string> DefaultImcColumns() const;
   /// DML guard: Unavailable while quarantined, OK otherwise.
   Status CheckWritable() const;

@@ -310,12 +310,12 @@ void Shard::AppendDeadRows(size_t row_count) {
 // only costs re-evaluating that one row at the next EnsureImc() — and the
 // own-guide is additive like the index's DataGuide (§3.4).
 
-Status Shard::DmlObserver::OnInsert(size_t row_id, const rdbms::Row& row) {
+Status Shard::DmlObserver::OnInsert(size_t row_id, const rdbms::Row&) {
   FSDM_TRACE_SPAN(span, "collection", "observer.insert");
   FSDM_FAULT_POINT("collection.observer.insert");
   owner_->InvalidateImc(row_id);
   if (owner_->index_ == nullptr) {
-    return owner_->MaintainOwnGuide(row[owner_->json_pos_]);
+    return owner_->MaintainOwnGuide();
   }
   return Status::Ok();
 }
@@ -329,12 +329,12 @@ Status Shard::DmlObserver::OnDelete(size_t row_id, const rdbms::Row&) {
 }
 
 Status Shard::DmlObserver::OnReplace(size_t row_id, const rdbms::Row&,
-                                     const rdbms::Row& new_row) {
+                                     const rdbms::Row&) {
   FSDM_TRACE_SPAN(span, "collection", "observer.replace");
   FSDM_FAULT_POINT("collection.observer.replace");
   owner_->InvalidateImc(row_id);
   if (owner_->index_ == nullptr) {
-    return owner_->MaintainOwnGuide(new_row[owner_->json_pos_]);
+    return owner_->MaintainOwnGuide();
   }
   return Status::Ok();
 }
@@ -351,17 +351,14 @@ void Shard::InvalidateImc(size_t row_id) {
   }
 }
 
-Status Shard::MaintainOwnGuide(const Value& doc_value) {
+Status Shard::MaintainOwnGuide() {
   // Reuse the parse the IS JSON constraint already paid for (§3.2.1). The
-  // path-statistics repository rides the same walk as the scalar sink.
+  // table checks every non-null document, so only a null one has no parse,
+  // and it adds nothing. The path-statistics repository rides the same
+  // walk as the scalar sink.
   const json::JsonNode* parsed = table_->ParsedJsonForObserver(json_pos_);
-  if (parsed != nullptr) {
-    json::TreeDom dom(parsed);
-    return own_guide_.AddDocument(dom, nullptr, &path_stats_).status();
-  }
-  FSDM_ASSIGN_OR_RETURN(std::unique_ptr<json::JsonNode> doc,
-                        json::Parse(doc_value.AsString()));
-  json::TreeDom dom(doc.get());
+  if (parsed == nullptr) return Status::Ok();
+  json::TreeDom dom(parsed);
   return own_guide_.AddDocument(dom, nullptr, &path_stats_).status();
 }
 

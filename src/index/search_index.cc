@@ -316,7 +316,7 @@ Result<std::unique_ptr<JsonSearchIndex>> JsonSearchIndex::Create(
   // Back-fill existing rows.
   for (size_t r = 0; r < table->row_count(); ++r) {
     if (!table->IsLive(r)) continue;
-    FSDM_RETURN_NOT_OK(idx->IndexDocument(r, table->StoredRow(r)[pos]));
+    FSDM_RETURN_NOT_OK(idx->OnInsert(r, table->StoredRow(r)));
   }
   table->AddObserver(idx.get());
   return idx;
@@ -333,12 +333,25 @@ void JsonSearchIndex::Detach() {
 
 Status JsonSearchIndex::OnInsert(size_t row_id, const rdbms::Row& row) {
   if (degraded_) return Status::Ok();  // maintenance suspended until Rebuild
-  return IndexDocument(row_id, row[json_col_pos_]);
+  FSDM_COUNT("fsdm_index_docs_indexed_total", 1);
+  FSDM_TIME_SCOPE_US("fsdm_index_maintain_us");
+  FSDM_TRACE_SPAN(span, "index", "index.insert");
+  const Value& doc = row[json_col_pos_];
+  if (doc.is_null()) return Status::Ok();
+  if (options_.maintain_postings) FSDM_FAULT_POINT("index.insert.postings");
+  return Move(row_id, Value::Null(), doc, "insert");
 }
 
 Status JsonSearchIndex::OnDelete(size_t row_id, const rdbms::Row& row) {
   if (degraded_) return Status::Ok();
-  return UnindexDocument(row_id, row[json_col_pos_]);
+  FSDM_COUNT("fsdm_index_docs_unindexed_total", 1);
+  FSDM_TIME_SCOPE_US("fsdm_index_maintain_us");
+  FSDM_TRACE_SPAN(span, "index", "index.remove");
+  const Value& doc = row[json_col_pos_];
+  if (doc.is_null()) return Status::Ok();
+  if (options_.maintain_postings) FSDM_FAULT_POINT("index.remove.postings");
+  // The DataGuide is additive: no path removal on delete (§3.4).
+  return Move(row_id, doc, Value::Null(), "delete");
 }
 
 Status JsonSearchIndex::OnReplace(size_t row_id, const rdbms::Row& old_row,
@@ -349,8 +362,27 @@ Status JsonSearchIndex::OnReplace(size_t row_id, const rdbms::Row& old_row,
   FSDM_COUNT("fsdm_index_docs_replaced_total", 1);
   FSDM_TIME_SCOPE_US("fsdm_index_maintain_us");
   FSDM_TRACE_SPAN(span, "index", "index.replace");
-  return ReplaceDocumentImpl(row_id, old_row[json_col_pos_],
-                             new_row[json_col_pos_]);
+  FSDM_FAULT_POINT("index.replace.stage");
+  return Move(row_id, old_row[json_col_pos_], new_row[json_col_pos_],
+              "replace");
+}
+
+Status JsonSearchIndex::UndoInsert(size_t row_id, const rdbms::Row& row) {
+  const Value& doc = row[json_col_pos_];
+  return doc.is_null() ? Status::Ok()
+                       : Undo(row_id, doc, Value::Null(), "insert");
+}
+
+Status JsonSearchIndex::UndoDelete(size_t row_id, const rdbms::Row& row) {
+  const Value& doc = row[json_col_pos_];
+  return doc.is_null() ? Status::Ok()
+                       : Undo(row_id, Value::Null(), doc, "delete");
+}
+
+Status JsonSearchIndex::UndoReplace(size_t row_id, const rdbms::Row& old_row,
+                                    const rdbms::Row& new_row) {
+  return Undo(row_id, new_row[json_col_pos_], old_row[json_col_pos_],
+              "replace");
 }
 
 Result<dataguide::StagedDoc> JsonSearchIndex::StageDoc(
@@ -412,144 +444,59 @@ Status JsonSearchIndex::MaintainDataGuide(const StagedDoc& doc) {
   return Status::Ok();
 }
 
-Status JsonSearchIndex::IndexDocument(size_t row_id, const Value& doc) {
-  FSDM_COUNT("fsdm_index_docs_indexed_total", 1);
-  FSDM_TIME_SCOPE_US("fsdm_index_maintain_us");
-  FSDM_TRACE_SPAN(span, "index", "index.insert");
-  return IndexDocumentImpl(row_id, doc);
-}
-
-Status JsonSearchIndex::UnindexDocument(size_t row_id, const Value& doc) {
-  FSDM_COUNT("fsdm_index_docs_unindexed_total", 1);
-  FSDM_TIME_SCOPE_US("fsdm_index_maintain_us");
-  FSDM_TRACE_SPAN(span, "index", "index.remove");
-  return UnindexDocumentImpl(row_id, doc);
-}
-
-Status JsonSearchIndex::IndexDocumentImpl(size_t row_id, const Value& doc) {
-  if (doc.is_null()) return Status::Ok();
-  if (options_.maintain_postings) FSDM_FAULT_POINT("index.insert.postings");
-  FSDM_ASSIGN_OR_RETURN(StagedDoc staged,
-                        StageDoc(doc, true, dataguide_.mutable_paths()));
-  if (options_.maintain_postings) SwapPostings(StagedDoc(), staged, row_id);
-  Status dg = MaintainDataGuide(staged);
-  if (!dg.ok()) {
-    // The postings already landed; take them back out so the failed insert
-    // leaves no trace.
-    RollBackPostings(staged, StagedDoc(), row_id, "insert");
-    return dg;
-  }
-  ++indexed_docs_;
-  return Status::Ok();
-}
-
-Status JsonSearchIndex::UnindexDocumentImpl(size_t row_id, const Value& doc) {
-  if (doc.is_null()) return Status::Ok();
-  if (options_.maintain_postings) {
-    FSDM_FAULT_POINT("index.remove.postings");
-    FSDM_ASSIGN_OR_RETURN(StagedDoc staged,
-                          StageDoc(doc, false, dataguide_.mutable_paths()));
-    SwapPostings(staged, StagedDoc(), row_id);
-  }
-  // The DataGuide is additive: no path removal on delete (§3.4).
-  if (indexed_docs_ > 0) --indexed_docs_;
-  return Status::Ok();
-}
-
-Status JsonSearchIndex::ReplaceDocumentImpl(size_t row_id,
-                                            const Value& old_doc,
-                                            const Value& new_doc) {
+Status JsonSearchIndex::Move(size_t row_id, const Value& from,
+                             const Value& to, const char* dml, bool undo) {
   // Stage both documents before mutating any posting list: a failure here
-  // (parse error, injected fault) leaves the postings as they were, where
-  // the old unindex-then-reindex flow would have lost the old document's.
-  FSDM_FAULT_POINT("index.replace.stage");
-  StagedDoc old_staged;
+  // (parse error, injected fault) leaves the postings as they were.
+  StagedDoc staged_from;
+  StagedDoc staged_to;
   if (options_.maintain_postings) {
-    FSDM_ASSIGN_OR_RETURN(old_staged,
-                          StageDoc(old_doc, false, dataguide_.mutable_paths()));
+    FSDM_ASSIGN_OR_RETURN(staged_from,
+                          StageDoc(from, undo, dataguide_.mutable_paths()));
   }
-  FSDM_ASSIGN_OR_RETURN(StagedDoc new_staged,
-                        StageDoc(new_doc, true, dataguide_.mutable_paths()));
-  if (options_.maintain_postings) {
-    SwapPostings(old_staged, new_staged, row_id);
+  if (options_.maintain_postings || !undo) {
+    FSDM_ASSIGN_OR_RETURN(staged_to,
+                          StageDoc(to, !undo, dataguide_.mutable_paths()));
   }
-  Status dg = new_doc.is_null() ? Status::Ok() : MaintainDataGuide(new_staged);
-  if (!dg.ok()) {
-    RollBackPostings(new_staged, old_staged, row_id, "replace");
-    return dg;
+  if (options_.maintain_postings) SwapPostings(staged_from, staged_to, row_id);
+  // An undo leaves the guide as it is (additive, §3.4).
+  if (!undo && !to.is_null()) {
+    Status dg = MaintainDataGuide(staged_to);
+    if (!dg.ok()) {
+      // The postings already moved; move them back so the failed DML
+      // leaves no trace.
+      if (options_.maintain_postings) {
+        Status undone = FSDM_FAULT_STATUS("index.undo.postings");
+        if (undone.ok()) {
+          SwapPostings(staged_to, staged_from, row_id);
+        } else {
+          MarkDegraded(std::string(dml) + " rollback failed on row " +
+                       std::to_string(row_id) + ": " + undone.message());
+        }
+      }
+      return dg;
+    }
   }
-  if (!old_doc.is_null() && new_doc.is_null()) {
-    if (indexed_docs_ > 0) --indexed_docs_;
-  } else if (old_doc.is_null() && !new_doc.is_null()) {
-    ++indexed_docs_;
+  if (from.is_null() != to.is_null()) {
+    if (from.is_null()) {
+      ++indexed_docs_;
+    } else if (indexed_docs_ > 0) {
+      --indexed_docs_;
+    }
   }
   return Status::Ok();
 }
 
-void JsonSearchIndex::RollBackPostings(const StagedDoc& applied,
-                                       const StagedDoc& prior, size_t row_id,
-                                       const char* dml) {
-  if (!options_.maintain_postings) return;
+Status JsonSearchIndex::Undo(size_t row_id, const Value& from,
+                             const Value& to, const char* dml) {
+  if (degraded_) return Status::Ok();
   Status undone = FSDM_FAULT_STATUS("index.undo.postings");
-  if (undone.ok()) {
-    SwapPostings(applied, prior, row_id);
-  } else {
-    MarkDegraded(std::string(dml) + " rollback failed on row " +
-                 std::to_string(row_id) + ": " + undone.message());
-  }
-}
-
-Status JsonSearchIndex::UndoPostings(size_t row_id, const Value& from,
-                                     const Value& to, const char* dml) {
-  Status undone = FSDM_FAULT_STATUS("index.undo.postings");
-  if (undone.ok() && options_.maintain_postings) {
-    undone = [&]() -> Status {
-      FSDM_ASSIGN_OR_RETURN(StagedDoc applied,
-                            StageDoc(from, true, dataguide_.mutable_paths()));
-      FSDM_ASSIGN_OR_RETURN(StagedDoc prior,
-                            StageDoc(to, false, dataguide_.mutable_paths()));
-      SwapPostings(applied, prior, row_id);
-      return Status::Ok();
-    }();
-  }
+  if (undone.ok()) undone = Move(row_id, from, to, dml, /*undo=*/true);
   if (!undone.ok()) {
     MarkDegraded(std::string("undo of ") + dml + " failed on row " +
                  std::to_string(row_id) + ": " + undone.message());
   }
   return undone;
-}
-
-Status JsonSearchIndex::UndoInsert(size_t row_id, const rdbms::Row& row) {
-  if (degraded_) return Status::Ok();
-  const Value& doc = row[json_col_pos_];
-  if (doc.is_null()) return Status::Ok();
-  FSDM_RETURN_NOT_OK(UndoPostings(row_id, doc, Value::Null(), "insert"));
-  if (indexed_docs_ > 0) --indexed_docs_;
-  // DataGuide additions stay (additive semantics, §3.4).
-  return Status::Ok();
-}
-
-Status JsonSearchIndex::UndoDelete(size_t row_id, const rdbms::Row& row) {
-  if (degraded_) return Status::Ok();
-  const Value& doc = row[json_col_pos_];
-  if (doc.is_null()) return Status::Ok();
-  FSDM_RETURN_NOT_OK(UndoPostings(row_id, Value::Null(), doc, "delete"));
-  ++indexed_docs_;
-  return Status::Ok();
-}
-
-Status JsonSearchIndex::UndoReplace(size_t row_id, const rdbms::Row& old_row,
-                                    const rdbms::Row& new_row) {
-  if (degraded_) return Status::Ok();
-  const Value& old_doc = old_row[json_col_pos_];
-  const Value& new_doc = new_row[json_col_pos_];
-  FSDM_RETURN_NOT_OK(UndoPostings(row_id, new_doc, old_doc, "replace"));
-  if (!old_doc.is_null() && new_doc.is_null()) {
-    ++indexed_docs_;
-  } else if (old_doc.is_null() && !new_doc.is_null()) {
-    if (indexed_docs_ > 0) --indexed_docs_;
-  }
-  return Status::Ok();
 }
 
 void JsonSearchIndex::MarkDegraded(std::string reason) {

@@ -155,11 +155,12 @@ class Postings {
 /// The persistent DataGuide is additive: deletes remove postings but never
 /// remove $DG rows (§3.4).
 ///
-/// Failure semantics: every maintenance operation stages the
-/// document (the DataGuide's instance walk) *before* mutating the posting
-/// lists, so a failure during staging (parse error, injected fault) leaves
-/// every posting list as it was (staging may only have interned paths into
-/// the guide's additive path dictionary) — in particular a replace is
+/// Failure semantics: every callback is one move of a row id between the
+/// posting keys of two documents, and the move stages both documents (the
+/// DataGuide's instance walk) *before* mutating the posting lists, so a
+/// failure during staging (parse error, injected fault) leaves every
+/// posting list as it was (staging may only have interned paths into the
+/// guide's additive path dictionary) — in particular a replace is
 /// stage-then-swap, never unindex-then-reindex. When a failure strikes
 /// after the postings were applied (DataGuide persistence) or during a
 /// compensation callback from the table, the index first tries to undo its
@@ -298,26 +299,22 @@ class JsonSearchIndex final : public rdbms::TableObserver {
   /// DataGuide + $DG side-table maintenance for one staged document.
   Status MaintainDataGuide(const StagedDoc& doc);
 
-  /// Takes a failed `dml`'s postings back out (moves `row_id` from the keys
-  /// of `applied` to those of `prior`); degrades the index when even that
-  /// compensation fails.
-  void RollBackPostings(const StagedDoc& applied, const StagedDoc& prior,
-                        size_t row_id, const char* dml);
-  /// The Undo* callbacks: stages `from` (the in-flight document, whose DML
-  /// parse it may borrow) and `to`, then moves `row_id` from the keys of
-  /// one to the other. Degrades the index on failure.
-  Status UndoPostings(size_t row_id, const Value& from, const Value& to,
-                      const char* dml);
-
-  /// Telemetry wrappers around the *Impl workers: count one document and
-  /// record one maintenance-latency observation per DML event (a replace
-  /// reports as one replace, not a delete+insert — ISSUE 2 satellite fix).
-  Status IndexDocument(size_t row_id, const Value& doc);
-  Status UnindexDocument(size_t row_id, const Value& doc);
-  Status IndexDocumentImpl(size_t row_id, const Value& doc);
-  Status UnindexDocumentImpl(size_t row_id, const Value& doc);
-  Status ReplaceDocumentImpl(size_t row_id, const Value& old_doc,
-                             const Value& new_doc);
+  /// The one write step behind all six callbacks: moves `row_id` from the
+  /// posting keys of `from` to those of `to` (a null document has none)
+  /// and moves the document count by (to non-null) - (from non-null).
+  /// Stages both documents before mutating anything. The in-flight
+  /// document may borrow the DML parse: `to` on a forward move, `from` on
+  /// an `undo`. `from` is staged only when postings are maintained, and
+  /// an undo stages nothing otherwise. A forward move then teaches the
+  /// guide a non-null `to`; when that fails it swaps its postings back
+  /// (degrading the index if even that fails) and returns the failure.
+  /// `dml` names the statement in degraded reasons.
+  Status Move(size_t row_id, const Value& from, const Value& to,
+              const char* dml, bool undo = false);
+  /// The Undo* callbacks: Move(undo) behind the `index.undo.postings`
+  /// fault point; degrades the index on failure.
+  Status Undo(size_t row_id, const Value& from, const Value& to,
+              const char* dml);
 
   rdbms::Table* table_;
   size_t json_col_pos_;  // position within the physical row

@@ -1,6 +1,7 @@
 #include "json/parser.h"
 
 #include <cstdlib>
+#include <forward_list>
 #include <string>
 #include <vector>
 
@@ -84,18 +85,15 @@ class EventParser {
       ++p_;
       return handler_->OnEndObject();
     }
-    std::vector<std::string> seen_keys;
+    // This object's keys are the top of the per-parse key stack.
+    const size_t first_key = keys_.size();
     while (true) {
       SkipWs();
       if (p_ >= end_ || *p_ != '"') return Error("expected object key");
       std::string_view key;
       FSDM_RETURN_NOT_OK(ParseString(&key));
       if (options_.reject_duplicate_keys) {
-        for (const std::string& k : seen_keys) {
-          if (k == key) return Error("duplicate object key '" +
-                                     std::string(key) + "'");
-        }
-        seen_keys.emplace_back(key);
+        FSDM_RETURN_NOT_OK(PushUniqueKey(key, first_key));
       }
       FSDM_RETURN_NOT_OK(handler_->OnKey(key));
       SkipWs();
@@ -111,10 +109,27 @@ class EventParser {
       }
       if (*p_ == '}') {
         ++p_;
+        keys_.resize(first_key);
         return handler_->OnEndObject();
       }
       return Error("expected ',' or '}'");
     }
+  }
+
+  /// Refuses a key the open object (keys from `first_key` on) already has;
+  /// otherwise pushes it. An unescaped key is a view into the input; an
+  /// escaped one lives in the reused scratch buffer, so it is copied.
+  Status PushUniqueKey(std::string_view key, size_t first_key) {
+    for (size_t i = first_key; i < keys_.size(); ++i) {
+      if (keys_[i] == key) {
+        return Error("duplicate object key '" + std::string(key) + "'");
+      }
+    }
+    if (key.data() == scratch_.data()) {
+      key = escaped_keys_.emplace_front(key);
+    }
+    keys_.push_back(key);
+    return Status::Ok();
   }
 
   Status ParseArray(int depth) {
@@ -306,6 +321,9 @@ class EventParser {
   JsonEventHandler* handler_;
   const ParseOptions& options_;
   std::string scratch_;
+  // Keys of the open objects, innermost last, when duplicates are refused.
+  std::vector<std::string_view> keys_;
+  std::forward_list<std::string> escaped_keys_;  // what keys_ points at
 };
 
 /// Builds a JsonNode tree from the event stream.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/on_return.h"
 #include "fault/fault.h"
 #include "json/parser.h"
 #include "telemetry/flight_recorder.h"
@@ -111,7 +112,6 @@ bool TypeAccepts(ColumnType type, const Value& v) {
 }  // namespace
 
 Status Table::ValidateRow(const Row& physical_values, ParsedJson parsed) {
-  dml_parsed_.clear();
   if (physical_values.size() != physical_.size()) {
     return Status::InvalidArgument(
         name_ + ": expected " + std::to_string(physical_.size()) +
@@ -155,6 +155,8 @@ Status Table::ValidateRow(const Row& physical_values, ParsedJson parsed) {
 Result<size_t> Table::Insert(Row physical_values, ParsedJson parsed) {
   // Simulated storage-layer failure before any side effect.
   FSDM_FAULT_POINT("table.insert.apply");
+  // However the DML ends, no parse outlives it.
+  OnReturn clear_parse([this] { dml_parsed_.clear(); });
   FSDM_RETURN_NOT_OK(ValidateRow(physical_values, std::move(parsed)));
   size_t row_id = rows_.size();
   rows_.push_back(std::move(physical_values));
@@ -179,10 +181,8 @@ Result<size_t> Table::Insert(Row physical_values, ParsedJson parsed) {
     rows_.pop_back();
     live_.pop_back();
     live_rows_.fetch_sub(1, std::memory_order_relaxed);
-    dml_parsed_.clear();
     return failure;
   }
-  dml_parsed_.clear();
   return row_id;
 }
 
@@ -222,6 +222,7 @@ Status Table::Replace(size_t row_id, Row physical_values, ParsedJson parsed) {
   if (row_id >= rows_.size() || !live_[row_id]) {
     return Status::NotFound("row " + std::to_string(row_id));
   }
+  OnReturn clear_parse([this] { dml_parsed_.clear(); });
   FSDM_RETURN_NOT_OK(ValidateRow(physical_values, std::move(parsed)));
   Status failure;
   size_t completed = 0;
@@ -237,7 +238,6 @@ Status Table::Replace(size_t row_id, Row physical_values, ParsedJson parsed) {
   if (!failure.ok()) {
     RollbackObservers(observers_, completed, DmlKind::kReplace, row_id,
                       rows_[row_id], physical_values);
-    dml_parsed_.clear();
     return failure;
   }
   heap_bytes_.fetch_sub(RowHeapBytes(rows_[row_id]),
@@ -245,7 +245,6 @@ Status Table::Replace(size_t row_id, Row physical_values, ParsedJson parsed) {
   rows_[row_id] = std::move(physical_values);
   heap_bytes_.fetch_add(RowHeapBytes(rows_[row_id]),
                         std::memory_order_relaxed);
-  dml_parsed_.clear();
   return Status::Ok();
 }
 

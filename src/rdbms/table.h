@@ -193,7 +193,7 @@ class Table {
   std::atomic<uint64_t> heap_bytes_{0};
   std::vector<TableObserver*> observers_;
   // Parse results of the current DML's IS JSON checks, shared with
-  // observers; cleared after the callbacks run.
+  // observers; empty outside an Insert/Replace.
   std::map<size_t, std::unique_ptr<json::JsonNode>> dml_parsed_;
 };
 

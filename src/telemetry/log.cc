@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 
 namespace fsdm::telemetry {
 
@@ -101,16 +100,6 @@ void EngineLog::SetRateLimit(double burst, double per_sec) {
   buckets_.clear();
 }
 
-void EngineLog::SetJsonlSink(std::string path) {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  jsonl_path_ = std::move(path);
-}
-
-std::string EngineLog::jsonl_sink() const {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  return jsonl_path_;
-}
-
 bool EngineLog::Admit(uint16_t event_id, uint64_t now_us) {
   std::lock_guard<std::mutex> lock(bucket_mu_);
   auto [it, inserted] =
@@ -159,15 +148,6 @@ void EngineLog::EmitImpl(LogLevel level, const char* component,
   }
   total_records_.fetch_add(1, std::memory_order_relaxed);
   FSDM_COUNT("fsdm_log_records_total", 1);
-
-  // JSONL sink: open-append per record. Log volume is lifecycle/error
-  // paths (and rate-limited), so the open cost is immaterial next to the
-  // durability of having the line on disk when the process dies.
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  if (!jsonl_path_.empty()) {
-    std::ofstream out(jsonl_path_, std::ios::app);
-    if (out) out << rec.ToJsonLine() << "\n";
-  }
 }
 
 std::vector<LogRecord> EngineLog::SnapshotLast(size_t n) const {

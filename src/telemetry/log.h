@@ -36,7 +36,7 @@
 /// scripts/check_log_events.py). Ids make records greppable across
 /// message wording changes and give the per-event token-bucket rate
 /// limiter its key: a looping failure (fsync erroring once per append)
-/// cannot flush the ring or bloat a JSONL sink.
+/// cannot flush the ring.
 ///
 /// Exposed as the TELEMETRY$LOG SQL relation and captured into incident
 /// bundles (incident.h).
@@ -79,8 +79,8 @@ struct LogRecord {
   bool has_args() const { return args[0].key != nullptr; }
   /// {"k":v,...} rendering of the arg slots ("{}" when none).
   std::string ArgsJson() const;
-  /// One JSON object (single line, no trailing newline) for the JSONL
-  /// sink and the incident bundle "log" section.
+  /// One JSON object (single line, no trailing newline) for the incident
+  /// bundle "log" section.
   std::string ToJsonLine() const;
 };
 
@@ -153,11 +153,6 @@ class EngineLog {
   /// burst 64, 32/s.
   void SetRateLimit(double burst, double per_sec);
 
-  /// Path for the optional JSONL sink; empty disables it. Admitted
-  /// records are appended as they are emitted.
-  void SetJsonlSink(std::string path);
-  std::string jsonl_sink() const;
-
   /// All live records across threads, merged and sorted by (ts_us, tid).
   std::vector<LogRecord> Snapshot() const { return rings_.Snapshot(); }
   /// The newest `n` of Snapshot() — the incident bundle's log slice.
@@ -198,9 +193,6 @@ class EngineLog {
   std::unordered_map<uint16_t, TokenBucket> buckets_;
   double bucket_burst_ = 64;
   double bucket_per_sec_ = 32;
-
-  mutable std::mutex sink_mu_;
-  std::string jsonl_path_;
 };
 
 }  // namespace fsdm::telemetry

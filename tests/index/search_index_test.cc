@@ -153,6 +153,38 @@ TEST(SearchIndexTest, PostingsCanBeDisabled) {
   EXPECT_GT(idx->dataguide().distinct_path_count(), 0u);
 }
 
+// A DML that fails after its IS JSON check parsed the document must not
+// leave that parse behind: Create()'s back-fill would otherwise index every
+// existing row as the failed DML's document.
+TEST(SearchIndexTest, FailedDmlLeavesNoParseForBackFill) {
+  Table table("STALE", {{.name = "ID", .type = ColumnType::kNumber},
+                        {.name = "DOC",
+                         .type = ColumnType::kJson,
+                         .check_is_json = true},
+                        {.name = "X", .type = ColumnType::kNumber}});
+  ASSERT_TRUE(table
+                  .Insert({Value::Int64(1), Value::String(R"({"a":1})"),
+                           Value::Int64(1)})
+                  .ok());
+  // DOC passes its check; X then fails on its type.
+  ASSERT_FALSE(table
+                   .Insert({Value::Int64(2), Value::String(R"({"b":2})"),
+                            Value::String("not a number")})
+                   .ok());
+  EXPECT_EQ(table.ParsedJsonForObserver(1), nullptr);
+  ASSERT_FALSE(table
+                   .Replace(0, {Value::Int64(1), Value::String(R"({"c":3})"),
+                                Value::String("not a number")})
+                   .ok());
+  EXPECT_EQ(table.ParsedJsonForObserver(1), nullptr);
+
+  auto idx = JsonSearchIndex::Create(&table, "DOC").MoveValue();
+  EXPECT_EQ(idx->DocsWithPath("$.a"), (std::vector<size_t>{0}));
+  EXPECT_TRUE(idx->DocsWithPath("$.b").empty());
+  EXPECT_TRUE(idx->DocsWithPath("$.c").empty());
+  EXPECT_EQ(idx->indexed_document_count(), 1u);
+}
+
 TEST(SearchIndexTest, CreateValidatesColumn) {
   auto table = MakePo();
   EXPECT_FALSE(JsonSearchIndex::Create(table.get(), "NOPE").ok());

@@ -115,6 +115,29 @@ TEST(ParserTest, DuplicateKeysPolicy) {
   EXPECT_TRUE(Parse(R"([{"a":1},{"a":2}])", strict).ok());
 }
 
+TEST(ParserTest, DuplicateKeyCheckKeepsEscapedKeysAndNesting) {
+  ParseOptions strict;
+  strict.reject_duplicate_keys = true;
+  // Escaped keys are decoded into one reused buffer: each one the check
+  // remembers must keep its own text.
+  EXPECT_TRUE(Parse(R"({"a\u0062":1,"a\u0063":2,"\u0061d":3})", strict).ok());
+  EXPECT_TRUE(Parse(R"({"a\nb":1,"a\tb":2,"a b":3})", strict).ok());
+  EXPECT_FALSE(Parse(R"({"a\u0062":1,"x\u0079":2,"a\u0062":3})", strict)
+                   .ok());
+  EXPECT_FALSE(Parse(R"({"x\u0079":1,"a\u0062":2,"xy":3})", strict).ok());
+  // Nested objects may reuse their parents' names, and closing one leaves
+  // its parent's keys in force.
+  EXPECT_TRUE(
+      Parse(R"({"a":{"a":{"a":1},"b":2},"b":{"a":3,"b":4}})", strict).ok());
+  EXPECT_TRUE(Parse(R"({"a":{"b":1},"b":2})", strict).ok());
+  EXPECT_FALSE(Parse(R"({"a":{"b":1},"c":[{"a":2}],"a":3})", strict).ok());
+  Result<std::unique_ptr<JsonNode>> dup =
+      Parse(R"({"k":{"x":1},"m":{"x":2},"k":3})", strict);
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.status().message().find("duplicate object key 'k'"),
+            std::string::npos);
+}
+
 TEST(ParserTest, ValidateMatchesParse) {
   EXPECT_TRUE(Validate(R"({"a":[1,2,{"b":null}]})").ok());
   EXPECT_FALSE(Validate("{bad}").ok());

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +19,6 @@ class EngineLogTest : public ::testing::Test {
     log.Reset();
     log.SetLevel(LogLevel::kDebug);
     log.SetRateLimit(64, 32);
-    log.SetJsonlSink("");
   }
 
   void TearDown() override {
@@ -29,7 +26,6 @@ class EngineLogTest : public ::testing::Test {
     log.Reset();
     log.SetLevel(LogLevelFromEnv());
     log.SetRateLimit(64, 32);
-    log.SetJsonlSink("");
   }
 };
 
@@ -139,28 +135,6 @@ TEST_F(EngineLogTest, LongMessageTruncatesAtFixedWidth) {
   std::vector<LogRecord> records = EngineLog::Global().Snapshot();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(std::string(records[0].message).size(), LogRecord::kMaxMessage);
-}
-
-TEST_F(EngineLogTest, JsonlSinkAppendsOneObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "fsdm_log_sink_test.jsonl";
-  std::remove(path.c_str());
-  EngineLog& log = EngineLog::Global();
-  log.SetJsonlSink(path);
-  FSDM_LOG(LogLevel::kError, "test", 9011, "sink me", LogNum("n", 7));
-  FSDM_LOG(LogLevel::kInfo, "test", 9012, "me too");
-  log.SetJsonlSink("");
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"level\":\"error\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"event_id\":9011"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"message\":\"sink me\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"n\":7"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"event_id\":9012"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST_F(EngineLogTest, SnapshotMergesThreadsInTimestampOrder) {
