@@ -1,6 +1,7 @@
 #include "index/search_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <utility>
 
@@ -31,77 +32,237 @@ bool RemoveRowId(std::vector<size_t>* postings, size_t row_id) {
   return true;
 }
 
+/// The keyword tokenizer: calls `emit(token)` for every maximal run of
+/// ASCII alphanumerics in `text`, lowercased. The tokens are views into
+/// `buf`, valid until its next use; nothing else is allocated.
+template <typename Emit>
+void ForEachKeyword(std::string_view text, std::string* buf,
+                    const Emit& emit) {
+  buf->resize(text.size());
+  size_t start = 0;
+  for (size_t i = 0; i <= text.size(); ++i) {
+    const unsigned char c = i < text.size() ? text[i] : ' ';
+    if (std::isalnum(c)) {
+      (*buf)[i] = static_cast<char>(std::tolower(c));
+      continue;
+    }
+    if (i > start) emit(std::string_view(buf->data() + start, i - start));
+    start = i + 1;
+  }
+}
+
 /// Calls `emit(is_keyword, path id, text)` for every value and keyword
 /// posting key of a staged document: each non-null scalar's display, and
-/// each string's keyword tokens.
+/// each string's keyword tokens (views into `buf`).
 template <typename Emit>
-void ForEachTextKey(const dataguide::StagedDoc& doc, const Emit& emit) {
+void ForEachTextKey(const dataguide::StagedDoc& doc, std::string* buf,
+                    const Emit& emit) {
   for (const dataguide::StagedNode& n : doc.nodes) {
     if (n.kind != json::NodeKind::kScalar || n.value.is_null()) continue;
     emit(false, n.path, n.Display());
     if (n.value.type() != ScalarType::kString) continue;
-    for (const std::string& tok : TokenizeKeywords(n.value.AsString())) {
-      emit(true, n.path, std::string_view(tok));
-    }
+    ForEachKeyword(n.value.AsString(), buf, [&](std::string_view token) {
+      emit(true, n.path, token);
+    });
   }
 }
 
-/// The document's path ids, sorted and unique (array elements share their
-/// array's path).
-std::vector<dataguide::PathId> SortedPaths(const dataguide::StagedDoc& doc) {
-  std::vector<dataguide::PathId> paths;
-  paths.reserve(doc.nodes.size());
-  for (const dataguide::StagedNode& n : doc.nodes) paths.push_back(n.path);
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  return paths;
+/// Fills `paths` with the document's path ids, sorted and unique (array
+/// elements share their array's path).
+void SortedPaths(const dataguide::StagedDoc& doc,
+                 std::vector<dataguide::PathId>* paths) {
+  paths->clear();
+  for (const dataguide::StagedNode& n : doc.nodes) paths->push_back(n.path);
+  std::sort(paths->begin(), paths->end());
+  paths->erase(std::unique(paths->begin(), paths->end()), paths->end());
 }
+
+/// An empty $DG side table for the collection table `table`. Its inserts
+/// fire their own fault point, so a fault armed to veto the collection's
+/// DML (`table.insert.apply`) never hits a $DG persist instead.
+std::unique_ptr<rdbms::Table> NewDgTable(const std::string& table) {
+  return std::make_unique<rdbms::Table>(
+      table + "$DG",
+      std::vector<rdbms::ColumnDef>{
+          {.name = "PATH", .type = rdbms::ColumnType::kString},
+          {.name = "TYPE", .type = rdbms::ColumnType::kString}},
+      "index.dataguide.persist");
+}
+
+/// The table grows before a key would push the share of occupied slots
+/// past 3/4.
+constexpr size_t kLoadNum = 3;
+constexpr size_t kLoadDen = 4;
+constexpr size_t kFirstSlots = 16;
+constexpr size_t kFirstArena = 64;
 
 }  // namespace
 
-size_t Postings::KeyHash::operator()(const Probe& k) const {
-  return static_cast<size_t>(
-      Hash64(k.text, uint64_t{k.path} * 0x9e3779b97f4a7c15ull));
-}
-
 std::vector<std::string> TokenizeKeywords(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string cur;
-  for (unsigned char c : text) {
-    if (std::isalnum(c)) {
-      cur.push_back(static_cast<char>(std::tolower(c)));
-    } else if (!cur.empty()) {
-      tokens.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) tokens.push_back(std::move(cur));
+  std::string buf;
+  ForEachKeyword(text, &buf,
+                 [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 
-const std::vector<size_t>* Postings::Find(const Map& map, PathId path,
-                                          std::string_view text) {
-  auto it = map.find(Probe{path, text});
-  return it == map.end() ? nullptr : &it->second;
+uint32_t Postings::HashOf(uint32_t key, std::string_view text) {
+  const uint64_t h = Hash64(text, (uint64_t{key} + 1) * 0x9e3779b97f4a7c15ull);
+  return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-uint64_t Postings::NodeBytes(std::string_view text) {
-  // One hash node: the next pointer, the cached hash and the stored
-  // key/value pair. The same constants on the incremental and recompute
-  // sides make reconciliation exact.
-  return sizeof(void*) + sizeof(size_t) + sizeof(Map::value_type) +
-         text.size();
-}
-
-void Postings::SyncBucketBytes() {
-  const size_t buckets = values_.bucket_count() + keywords_.bucket_count();
-  if (buckets == charged_buckets_) return;
-  if (buckets > charged_buckets_) {
-    Charge((buckets - charged_buckets_) * sizeof(void*));
-  } else {
-    Refund((charged_buckets_ - buckets) * sizeof(void*));
+size_t Postings::FindSlot(uint32_t key, std::string_view text,
+                          uint32_t hash) const {
+  if (slots_.empty()) return kNoSlot;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.entry == kNone) return kNoSlot;
+    if (s.hash != hash) continue;
+    const Entry& e = entries_[s.entry];
+    if (e.key == key && Text(e) == text) return i;
   }
-  charged_buckets_ = buckets;
+}
+
+uint32_t Postings::Find(uint32_t key, std::string_view text) const {
+  const size_t slot = FindSlot(key, text, HashOf(key, text));
+  return slot == kNoSlot ? kNone : slots_[slot].entry;
+}
+
+std::span<const size_t> Postings::Rows(uint32_t entry) const {
+  if (entry == kNone) return {};
+  const Entry& e = entries_[entry];
+  if (e.spill == kNone) return {&e.row, 1};
+  return spills_[e.spill].rows;
+}
+
+void Postings::Place(Slot slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = slot.hash & mask;
+  while (slots_[i].entry != kNone) i = (i + 1) & mask;
+  slots_[i] = slot;
+}
+
+void Postings::Grow() {
+  std::vector<Slot> old(slots_.empty() ? kFirstSlots : slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.entry != kNone) Place(s);
+  }
+}
+
+uint32_t Postings::Apply(uint32_t key, std::string_view text, size_t row_id,
+                         Moved* moved) {
+  const uint32_t hash = HashOf(key, text);
+  const size_t slot = FindSlot(key, text, hash);
+  if (slot != kNoSlot) {
+    const uint32_t index = slots_[slot].entry;
+    Entry& e = entries_[index];
+    if (e.spill == kNone) {
+      if (e.row == row_id) return index;
+      // The key's second row: spill both to a sorted list.
+      assert(spills_.size() < kFree);
+      e.spill = static_cast<uint32_t>(spills_.size());
+      spills_.push_back(Spill{{std::min(e.row, row_id), std::max(e.row, row_id)},
+                              index});
+      Charge(2 * sizeof(size_t));
+    } else if (AddRowId(&spills_[e.spill].rows, row_id)) {
+      Charge(sizeof(size_t));
+    } else {
+      return index;
+    }
+    ++moved->appended;
+    return index;
+  }
+  if ((keys_ + 1) * kLoadDen > slots_.size() * kLoadNum) Grow();
+  if (arena_.size() + text.size() > arena_.capacity()) {
+    // A full arena is rewritten without its dead text; it doubles only
+    // when its live text would then fill more than 7/8 of it, so churn
+    // that replaces keys reuses the capacity their text left behind.
+    const size_t needed = arena_.size() - dead_text_ + text.size();
+    size_t capacity = arena_.capacity();
+    if (needed * 8 > capacity * 7) {
+      capacity = std::max({kFirstArena, 2 * capacity, needed});
+    }
+    CompactArena(capacity);
+  }
+  assert(arena_.size() + text.size() <= UINT32_MAX);
+  const uint32_t offset = static_cast<uint32_t>(arena_.size());
+  arena_.insert(arena_.end(), text.begin(), text.end());
+  uint32_t index = free_;
+  if (index != kNone) {
+    free_ = static_cast<uint32_t>(entries_[index].row);
+  } else {
+    assert(entries_.size() < kFree);
+    index = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  entries_[index] = Entry{key, static_cast<uint32_t>(text.size()), offset,
+                          kNone, row_id};
+  Place(Slot{hash, index});
+  ++keys_;
+  ++moved->appended;
+  return index;
+}
+
+void Postings::Erase(size_t slot, size_t row_id, Moved* moved) {
+  Entry& e = entries_[slots_[slot].entry];
+  if (e.spill == kNone) {
+    if (e.row != row_id) return;
+    RemoveKey(slot);
+  } else {
+    std::vector<size_t>& rows = spills_[e.spill].rows;
+    if (!RemoveRowId(&rows, row_id)) return;
+    Refund(sizeof(size_t));
+    if (rows.size() == 1) {
+      // Back to one row: inline it and fill the spill with the last one.
+      Refund(sizeof(size_t));
+      e.row = rows.front();
+      if (e.spill + 1 != spills_.size()) {
+        spills_[e.spill] = std::move(spills_.back());
+        entries_[spills_[e.spill].entry].spill = e.spill;
+      }
+      spills_.pop_back();
+      e.spill = kNone;
+    }
+  }
+  ++moved->erased;
+}
+
+void Postings::RemoveKey(size_t slot) {
+  const uint32_t index = slots_[slot].entry;
+  Entry& e = entries_[index];
+  dead_text_ += e.length;
+  e.spill = kFree;
+  e.row = free_;
+  free_ = index;
+  --keys_;
+  // Backward-shift deletion: pull each later key of the probe run into
+  // the hole unless its home slot lies cyclically in (hole, its slot].
+  const size_t mask = slots_.size() - 1;
+  size_t hole = slot;
+  for (size_t i = (hole + 1) & mask; slots_[i].entry != kNone;
+       i = (i + 1) & mask) {
+    const size_t home = slots_[i].hash & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = Slot{};
+}
+
+void Postings::CompactArena(size_t capacity) {
+  std::vector<char> fresh;
+  fresh.reserve(capacity);
+  for (Entry& e : entries_) {
+    if (e.spill == kFree) continue;
+    const std::string_view text = Text(e);
+    e.offset = static_cast<uint32_t>(fresh.size());
+    fresh.insert(fresh.end(), text.begin(), text.end());
+  }
+  arena_.swap(fresh);
+  dead_text_ = 0;
 }
 
 void Postings::ApplyPath(PathId path, size_t row_id, Moved* moved) {
@@ -124,34 +285,18 @@ void Postings::ErasePath(PathId path, size_t row_id, Moved* moved) {
   ++moved->erased;
 }
 
-const std::vector<size_t>* Postings::Apply(Map* map, PathId path,
-                                           std::string_view text,
-                                           size_t row_id, Moved* moved) {
-  auto it = map->find(Probe{path, text});
-  if (it == map->end()) {
-    it = map->emplace(Key{path, std::string(text)},
-                      std::vector<size_t>{row_id})
-             .first;
-    Charge(NodeBytes(text) + sizeof(size_t));
-    SyncBucketBytes();
-  } else if (AddRowId(&it->second, row_id)) {
-    Charge(sizeof(size_t));
-  } else {
-    return &it->second;
-  }
-  ++moved->appended;
-  return &it->second;
+uint64_t Postings::CapacityBytes() const {
+  return slots_.capacity() * sizeof(Slot) +
+         entries_.capacity() * sizeof(Entry) +
+         spills_.capacity() * sizeof(Spill) + arena_.capacity();
 }
 
-void Postings::Erase(Map* map, Map::iterator it, size_t row_id,
-                     Moved* moved) {
-  if (!RemoveRowId(&it->second, row_id)) return;
-  if (it->second.empty()) {
-    Refund(NodeBytes(it->first.text));
-    map->erase(it);
-  }
-  Refund(sizeof(size_t));
-  ++moved->erased;
+void Postings::SyncCapacityBytes() {
+  // The arrays never shrink: Clear() and arena rewrites keep capacity.
+  const uint64_t now = CapacityBytes();
+  assert(now >= charged_capacity_);
+  Charge(now - charged_capacity_);
+  charged_capacity_ = now;
 }
 
 Postings::Moved Postings::Swap(const dataguide::StagedDoc& from,
@@ -159,40 +304,50 @@ Postings::Moved Postings::Swap(const dataguide::StagedDoc& from,
                                size_t row_id) {
   Moved moved;
   // Sorted, unique path ids, so one merge finds the shared ones.
-  const std::vector<PathId> from_paths = SortedPaths(from);
-  const std::vector<PathId> to_paths = SortedPaths(to);
-  auto f = from_paths.begin();
-  auto t = to_paths.begin();
-  while (f != from_paths.end() || t != to_paths.end()) {
-    if (t == to_paths.end() || (f != from_paths.end() && *f < *t)) {
+  SortedPaths(from, &from_paths_);
+  SortedPaths(to, &to_paths_);
+  auto f = from_paths_.begin();
+  auto t = to_paths_.begin();
+  while (f != from_paths_.end() || t != to_paths_.end()) {
+    if (t == to_paths_.end() || (f != from_paths_.end() && *f < *t)) {
       ErasePath(*f++, row_id, &moved);
-    } else if (f == from_paths.end() || *t < *f) {
+    } else if (f == from_paths_.end() || *t < *f) {
       ApplyPath(*t++, row_id, &moved);
     } else {
       ++f;
       ++t;
     }
   }
-  // Values and keywords: apply `to` first and remember the lists it
-  // touched (node addresses are stable across rehashes); a key of `from`
-  // whose list is among them is shared and stays as it is. An erase never
-  // creates a key.
-  std::vector<const std::vector<size_t>*> kept;
-  ForEachTextKey(to, [&](bool keyword, PathId p, std::string_view text) {
-    const std::vector<size_t>* list =
-        Apply(keyword ? &keywords_ : &values_, p, text, row_id, &moved);
-    if (!from.nodes.empty()) kept.push_back(list);
-  });
-  if (from.nodes.empty()) return moved;
-  std::sort(kept.begin(), kept.end());
-  ForEachTextKey(from, [&](bool keyword, PathId p, std::string_view text) {
-    Map* map = keyword ? &keywords_ : &values_;
-    auto it = map->find(Probe{p, text});
-    if (it != map->end() &&
-        !std::binary_search(kept.begin(), kept.end(), &it->second)) {
-      Erase(map, it, row_id, &moved);
+  // Values and keywords: apply `to` first and remember the entries it
+  // touched (an entry's index is stable, and none is freed before the
+  // erases); a key of `from` whose entry is among them is shared and stays
+  // as it is. An erase never creates a key.
+  kept_.clear();
+  ForEachTextKey(to, &tokens_,
+                 [&](bool keyword, PathId p, std::string_view text) {
+                   const uint32_t entry =
+                       Apply(KeyOf(p, keyword), text, row_id, &moved);
+                   if (!from.nodes.empty()) kept_.push_back(entry);
+                 });
+  if (!from.nodes.empty()) {
+    std::sort(kept_.begin(), kept_.end());
+    ForEachTextKey(from, &tokens_,
+                   [&](bool keyword, PathId p, std::string_view text) {
+                     const uint32_t key = KeyOf(p, keyword);
+                     const size_t slot =
+                         FindSlot(key, text, HashOf(key, text));
+                     if (slot != kNoSlot &&
+                         !std::binary_search(kept_.begin(), kept_.end(),
+                                             slots_[slot].entry)) {
+                       Erase(slot, row_id, &moved);
+                     }
+                   });
+    // Dead key text stays below live key text.
+    if (dead_text_ > arena_.size() - dead_text_) {
+      CompactArena(arena_.capacity());
     }
-  });
+  }
+  SyncCapacityBytes();
   return moved;
 }
 
@@ -200,22 +355,26 @@ void Postings::Clear() {
   for (std::vector<size_t>& postings : paths_) {
     std::vector<size_t>().swap(postings);
   }
-  values_.clear();
-  keywords_.clear();
-  SyncBucketBytes();
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  entries_.clear();
+  spills_.clear();
+  arena_.clear();
+  keys_ = 0;
+  free_ = kNone;
+  dead_text_ = 0;
+  charged_capacity_ = CapacityBytes();
   bytes_.store(RecomputeMemoryBytes(), std::memory_order_relaxed);
 }
 
 void Postings::Diff(const Postings& expected,
                     const dataguide::PathDictionary& names,
                     std::vector<std::string>* problems) const {
-  static const std::vector<size_t> kNone;
   const size_t first = problems->size();
-  auto diff = [&](const std::string& key, const std::vector<size_t>* have,
-                  const std::vector<size_t>* want) {
-    const std::vector<size_t>& held = have == nullptr ? kNone : *have;
-    const std::vector<size_t>& implied = want == nullptr ? kNone : *want;
-    if (held == implied) return;
+  auto diff = [&](const std::string& key, std::span<const size_t> held,
+                  std::span<const size_t> implied) {
+    if (std::equal(held.begin(), held.end(), implied.begin(), implied.end())) {
+      return;
+    }
     problems->push_back("posting " + key + ": index has " +
                         std::to_string(held.size()) + " docs, table implies " +
                         std::to_string(implied.size()) +
@@ -226,34 +385,36 @@ void Postings::Diff(const Postings& expected,
   for (PathId id = 0; id < std::max(paths_.size(), expected.paths_.size());
        ++id) {
     const std::string path(names.Name(id));
-    const std::vector<size_t>* have = PathRows(id);
-    if (have != nullptr && have->empty() && have->capacity() != 0) {
+    if (id < paths_.size() && paths_[id].empty() &&
+        paths_[id].capacity() != 0) {
       problems->push_back("posting " + path +
                           ": empty list still holds heap");
     }
-    diff(path, have, expected.PathRows(id));
+    diff(path, PathRows(id), expected.PathRows(id));
   }
   // Value and keyword lists: every expected key is present and exact, and
   // no key here is spurious or empty.
-  auto diff_map = [&](const Map& live, const Map& implied, const char* sep) {
-    auto name = [&](const Key& key) {
-      return std::string(names.Name(key.path)) + sep + key.text;
-    };
-    for (const auto& [key, rows] : implied) {
-      diff(name(key), Find(live, key.path, key.text), &rows);
-    }
-    for (const auto& [key, rows] : live) {
-      if (rows.empty()) {
-        problems->push_back("posting " + name(key) +
-                            ": empty list (an emptied key must be removed)");
-      } else if (Find(implied, key.path, key.text) == nullptr) {
-        diff(name(key), &rows, nullptr);
-      }
-    }
+  auto name = [&](const Postings& store, const Entry& e) {
+    return std::string(names.Name(e.key >> 1)) + ((e.key & 1) ? "~" : "=") +
+           std::string(store.Text(e));
   };
-  diff_map(values_, expected.values_, "=");
-  diff_map(keywords_, expected.keywords_, "~");
-  // Hash-map order depends on the DML history; sorting makes the report
+  for (const Entry& e : expected.entries_) {
+    if (e.spill == kFree) continue;
+    diff(name(expected, e), Rows(Find(e.key, expected.Text(e))),
+         expected.Rows(static_cast<uint32_t>(&e - expected.entries_.data())));
+  }
+  for (const Entry& e : entries_) {
+    if (e.spill == kFree) continue;
+    const std::span<const size_t> rows =
+        Rows(static_cast<uint32_t>(&e - entries_.data()));
+    if (rows.empty()) {
+      problems->push_back("posting " + name(*this, e) +
+                          ": empty list (an emptied key must be removed)");
+    } else if (expected.Find(e.key, Text(e)) == kNone) {
+      diff(name(*this, e), rows, {});
+    }
+  }
+  // Entry order depends on the DML history; sorting makes the report
   // deterministic.
   std::sort(problems->begin() + first, problems->end());
 }
@@ -261,23 +422,23 @@ void Postings::Diff(const Postings& expected,
 size_t Postings::posting_count() const {
   size_t n = 0;
   for (const std::vector<size_t>& v : paths_) n += v.size();
-  for (const auto& [k, v] : values_) n += v.size();
-  for (const auto& [k, v] : keywords_) n += v.size();
+  for (const Entry& e : entries_) {
+    if (e.spill == kNone) {
+      ++n;
+    } else if (e.spill != kFree) {
+      n += spills_[e.spill].rows.size();
+    }
+  }
   return n;
 }
 
 uint64_t Postings::RecomputeMemoryBytes() const {
   uint64_t total =
-      (values_.bucket_count() + keywords_.bucket_count()) * sizeof(void*) +
-      paths_.size() * sizeof(std::vector<size_t>);
+      CapacityBytes() + paths_.size() * sizeof(std::vector<size_t>);
   for (const std::vector<size_t>& rows : paths_) {
     total += rows.size() * sizeof(size_t);
   }
-  for (const Map* map : {&values_, &keywords_}) {
-    for (const auto& [k, v] : *map) {
-      total += NodeBytes(k.text) + v.size() * sizeof(size_t);
-    }
-  }
+  for (const Spill& s : spills_) total += s.rows.size() * sizeof(size_t);
   return total;
 }
 
@@ -308,11 +469,7 @@ Result<std::unique_ptr<JsonSearchIndex>> JsonSearchIndex::Create(
 
   std::unique_ptr<JsonSearchIndex> idx(
       new JsonSearchIndex(table, pos, options));
-  idx->dg_table_ = std::make_unique<rdbms::Table>(
-      table->name() + "$DG",
-      std::vector<rdbms::ColumnDef>{
-          {.name = "PATH", .type = rdbms::ColumnType::kString},
-          {.name = "TYPE", .type = rdbms::ColumnType::kString}});
+  idx->dg_table_ = NewDgTable(table->name());
   // Back-fill existing rows.
   for (size_t r = 0; r < table->row_count(); ++r) {
     if (!table->IsLive(r)) continue;
@@ -540,11 +697,7 @@ Status JsonSearchIndex::Rebuild() {
     // Re-derive the $DG side table from the in-memory guide. A failed
     // persist (or writes skipped while degraded) leaves it behind, and the
     // known-path fast path above never re-attempts those rows.
-    auto fresh_dg = std::make_unique<rdbms::Table>(
-        table_->name() + "$DG",
-        std::vector<rdbms::ColumnDef>{
-            {.name = "PATH", .type = rdbms::ColumnType::kString},
-            {.name = "TYPE", .type = rdbms::ColumnType::kString}});
+    std::unique_ptr<rdbms::Table> fresh_dg = NewDgTable(table_->name());
     for (const dataguide::PathEntry* e : dataguide_.SortedEntries()) {
       failure = fresh_dg
                     ->Insert({Value::String(std::string(e->path)),
@@ -570,9 +723,9 @@ Status JsonSearchIndex::Rebuild() {
 std::vector<size_t> JsonSearchIndex::DocsWithPath(
     const std::string& path) const {
   FSDM_COUNT("fsdm_index_lookups_total", 1);
-  const std::vector<size_t>* rows =
+  const std::span<const size_t> rows =
       postings_.PathRows(dataguide_.paths().Find(path));
-  std::vector<size_t> docs = rows != nullptr ? *rows : std::vector<size_t>{};
+  std::vector<size_t> docs(rows.begin(), rows.end());
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
 }
@@ -584,8 +737,8 @@ std::vector<size_t> JsonSearchIndex::DocsWithValue(const std::string& path,
   std::vector<size_t> docs;
   if (id != dataguide::kNoPath) {
     const std::string display = value.ToDisplayString();
-    const std::vector<size_t>* rows = postings_.ValueRows(id, display);
-    if (rows != nullptr) docs = *rows;
+    const std::span<const size_t> rows = postings_.ValueRows(id, display);
+    docs.assign(rows.begin(), rows.end());
   }
   FSDM_OBSERVE_SIZE("fsdm_index_lookup_postings_len", docs.size());
   return docs;
@@ -600,14 +753,14 @@ std::vector<size_t> JsonSearchIndex::DocsWithKeyword(
   // Conjunction over the keyword's tokens.
   std::vector<size_t> acc;
   for (size_t i = 0; i < tokens.size(); ++i) {
-    const std::vector<size_t>* rows = postings_.KeywordRows(id, tokens[i]);
-    if (rows == nullptr) return {};
+    const std::span<const size_t> rows = postings_.KeywordRows(id, tokens[i]);
+    if (rows.empty()) return {};
     if (i == 0) {
-      acc = *rows;
+      acc.assign(rows.begin(), rows.end());
     } else {
       std::vector<size_t> merged;
-      std::set_intersection(acc.begin(), acc.end(), rows->begin(),
-                            rows->end(), std::back_inserter(merged));
+      std::set_intersection(acc.begin(), acc.end(), rows.begin(), rows.end(),
+                            std::back_inserter(merged));
       acc = std::move(merged);
     }
   }

@@ -2,11 +2,12 @@
 #define FSDM_INDEX_SEARCH_INDEX_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dataguide/dataguide.h"
@@ -22,6 +23,12 @@ namespace fsdm::index {
 /// owner keeps. The live index maintains one store; the consistency check
 /// builds a shadow with the same Swap() calls and diffs the two.
 ///
+/// Value and keyword keys share one open-addressing table (see DESIGN.md
+/// "Search index postings"): each slot holds a 32-bit hash and the index of
+/// an entry; an entry holds the key (path id, kind bit and the offset of
+/// its text in one arena) and either its single row id inline or the index
+/// of a spilled sorted row-id list.
+///
 /// No value or keyword list is ever empty: an erase never creates a key,
 /// and removing the last row id removes the key. An emptied path list
 /// releases its heap but keeps its slot.
@@ -35,8 +42,6 @@ class Postings {
     size_t erased = 0;
   };
 
-  Postings() { SyncBucketBytes(); }
-
   /// Moves `row_id` from the posting keys of `from` to those of `to`: an
   /// insert swaps from no document, a delete to none, a replace from the
   /// old document to the new one. A key both documents have keeps its list
@@ -45,21 +50,24 @@ class Postings {
   /// in-memory mutation that cannot fail.
   Moved Swap(const dataguide::StagedDoc& from, const dataguide::StagedDoc& to,
              size_t row_id);
-  /// Drops every posting list in place; the path slots stay.
+  /// Drops every posting list in place. The path slots stay, and the slot,
+  /// entry, spill and arena arrays keep their capacity, so refilling the
+  /// same postings lands on the same MemoryBytes().
   void Clear();
 
-  /// The rows under a path, value display or keyword token; nullptr when
-  /// there are none.
-  const std::vector<size_t>* PathRows(PathId path) const {
-    return path < paths_.size() ? &paths_[path] : nullptr;
+  /// The rows under a path, value display or keyword token; empty when
+  /// there are none. Valid until the next Swap() or Clear().
+  std::span<const size_t> PathRows(PathId path) const {
+    if (path >= paths_.size()) return {};
+    return paths_[path];
   }
-  const std::vector<size_t>* ValueRows(PathId path,
-                                       std::string_view display) const {
-    return Find(values_, path, display);
+  std::span<const size_t> ValueRows(PathId path,
+                                    std::string_view display) const {
+    return Rows(Find(KeyOf(path, false), display));
   }
-  const std::vector<size_t>* KeywordRows(PathId path,
-                                         std::string_view token) const {
-    return Find(keywords_, path, token);
+  std::span<const size_t> KeywordRows(PathId path,
+                                      std::string_view token) const {
+    return Rows(Find(KeyOf(path, true), token));
   }
 
   /// Appends to `problems`, sorted, one line per list that differs from
@@ -70,12 +78,12 @@ class Postings {
 
   size_t posting_count() const;
 
-  /// In-memory footprint: per hash node the key, the row-id vector header,
-  /// the next pointer and the cached hash; the key text and row-id payload
-  /// by size(); one vector header per path slot; and the bucket arrays of
-  /// the two hash maps. Path text is the dictionary's, charged there. Kept
-  /// incrementally, O(1) to read; atomic (relaxed) so another thread may
-  /// read it while DML mutates it.
+  /// In-memory footprint: the slot, entry and spill arrays and the key
+  /// text arena by capacity (a spill is one list header per key with two
+  /// or more rows); the rows of spilled and path lists by size; one vector
+  /// header per path slot. An inline row id lives in its entry. Path text
+  /// is the dictionary's, charged there. Kept incrementally, O(1) to read;
+  /// atomic (relaxed) so another thread may read it while DML mutates it.
   uint64_t MemoryBytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -83,50 +91,72 @@ class Postings {
   uint64_t RecomputeMemoryBytes() const;
 
  private:
-  struct Key {
-    PathId path;
-    std::string text;
-  };
-  /// Allocation-free probe for the same key.
-  struct Probe {
-    PathId path;
-    std::string_view text;
-  };
-  /// Heterogeneous hash/equality, so probes never build a Key. The hash is
-  /// deliberately not noexcept: libstdc++ then caches it in every node, and
-  /// rehashes and collisions never re-read the key text.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const Key& k) const {
-      return (*this)(Probe{k.path, k.text});
-    }
-    size_t operator()(const Probe& k) const;
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return a.path == b.path && std::string_view(a.text) == b.text;
-    }
-  };
-  using Map = std::unordered_map<Key, std::vector<size_t>, KeyHash, KeyEq>;
+  /// Reads the table's layout in tests/index/postings_model_test.cc.
+  friend struct PostingsPeer;
 
-  static const std::vector<size_t>* Find(const Map& map, PathId path,
-                                         std::string_view text);
+  static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr uint32_t kFree = UINT32_MAX - 1;
+  static constexpr size_t kNoSlot = SIZE_MAX;
+
+  /// One table slot: the key's 32-bit hash (its low bits are the home
+  /// slot, all of it is the tag compared before any text) and its entry.
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t entry = kNone;
+  };
+  /// A value or keyword key and its rows. An entry keeps its index while
+  /// its key lives; a removed key's entry goes on a free list chained
+  /// through `row`.
+  struct Entry {
+    uint32_t key;     // path id << 1 | keyword bit
+    uint32_t length;  // key text bytes at arena_[offset]
+    uint32_t offset;
+    uint32_t spill;  // kNone: one row id in `row`; kFree: unused entry
+    size_t row;
+  };
+  /// The sorted rows of a key with two or more; `entry` points back so a
+  /// freed spill can be filled with the last one.
+  struct Spill {
+    std::vector<size_t> rows;
+    uint32_t entry;
+  };
+
+  static uint32_t KeyOf(PathId path, bool keyword) {
+    assert(path < (1u << 31));
+    return path << 1 | (keyword ? 1u : 0u);
+  }
+  static uint32_t HashOf(uint32_t key, std::string_view text);
+  std::string_view Text(const Entry& e) const {
+    return {arena_.data() + e.offset, e.length};
+  }
+  /// The slot holding the key, or kNoSlot.
+  size_t FindSlot(uint32_t key, std::string_view text, uint32_t hash) const;
+  /// The key's entry, or kNone.
+  uint32_t Find(uint32_t key, std::string_view text) const;
+  /// The rows of an entry (empty for kNone).
+  std::span<const size_t> Rows(uint32_t entry) const;
+  /// Adds `row_id` under the key, creating the key if needed; returns its
+  /// entry.
+  uint32_t Apply(uint32_t key, std::string_view text, size_t row_id,
+                 Moved* moved);
+  /// Removes `row_id` from the key at `slot`, and the key with it when
+  /// its last row goes.
+  void Erase(size_t slot, size_t row_id, Moved* moved);
+  /// Removes the key at `slot` and frees its entry and text.
+  void RemoveKey(size_t slot);
+  /// Puts `slot` into the first empty slot from its home.
+  void Place(Slot slot);
+  /// Doubles the slot array (or makes the first one).
+  void Grow();
+  /// Rewrites the arena with only the live keys' text, into a buffer of
+  /// `capacity` bytes.
+  void CompactArena(size_t capacity);
   void ApplyPath(PathId path, size_t row_id, Moved* moved);
   void ErasePath(PathId path, size_t row_id, Moved* moved);
-  /// Adds `row_id` under the key, creating the key if needed; returns its
-  /// posting list.
-  const std::vector<size_t>* Apply(Map* map, PathId path,
-                                   std::string_view text, size_t row_id,
-                                   Moved* moved);
-  /// Removes `row_id` from the list at `it`, and the key with it when the
-  /// list empties.
-  void Erase(Map* map, Map::iterator it, size_t row_id, Moved* moved);
-  /// Accounting footprint of a value or keyword key, row ids excluded.
-  static uint64_t NodeBytes(std::string_view text);
-  /// Charges or refunds the bucket arrays after a map may have rehashed.
-  void SyncBucketBytes();
+  /// Bytes of the arrays charged by capacity.
+  uint64_t CapacityBytes() const;
+  /// Charges what CapacityBytes() grew by since the last charge.
+  void SyncCapacityBytes();
   void Charge(uint64_t bytes) {
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
@@ -135,10 +165,21 @@ class Postings {
   }
 
   std::vector<std::vector<size_t>> paths_;
-  Map values_;
-  Map keywords_;
+  std::vector<Slot> slots_;  // power-of-two size, or empty
+  std::vector<Entry> entries_;
+  std::vector<Spill> spills_;
+  std::vector<char> arena_;
+  size_t keys_ = 0;            // occupied slots
+  uint32_t free_ = kNone;      // head of the free entry list
+  size_t dead_text_ = 0;       // arena bytes of removed keys
   std::atomic<uint64_t> bytes_{0};
-  size_t charged_buckets_ = 0;  // bucket count of the two maps as charged
+  uint64_t charged_capacity_ = 0;  // CapacityBytes() as charged
+  // Swap()'s scratch, kept between calls: a move allocates only to spill
+  // a key, to grow a list or an array, or to rewrite the arena.
+  std::vector<PathId> from_paths_;
+  std::vector<PathId> to_paths_;
+  std::vector<uint32_t> kept_;
+  std::string tokens_;
 };
 
 /// Schema-agnostic JSON search index (§3.2.1): an inverted index over every

@@ -55,8 +55,12 @@ void RollbackObservers(const std::vector<TableObserver*>& observers,
 
 }  // namespace
 
-Table::Table(std::string name, std::vector<ColumnDef> columns)
-    : name_(std::move(name)), columns_(std::move(columns)) {
+Table::Table(std::string name, std::vector<ColumnDef> columns,
+             const std::string& insert_fault_point)
+    : name_(std::move(name)),
+      columns_(std::move(columns)),
+      insert_fault_(
+          fault::FaultRegistry::Global().Register(insert_fault_point)) {
   std::vector<std::string> physical_names;
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].is_virtual()) continue;
@@ -154,7 +158,7 @@ Status Table::ValidateRow(const Row& physical_values, ParsedJson parsed) {
 
 Result<size_t> Table::Insert(Row physical_values, ParsedJson parsed) {
   // Simulated storage-layer failure before any side effect.
-  FSDM_FAULT_POINT("table.insert.apply");
+  if (insert_fault_->armed()) FSDM_RETURN_NOT_OK(insert_fault_->Fire());
   // However the DML ends, no parse outlives it.
   OnReturn clear_parse([this] { dml_parsed_.clear(); });
   FSDM_RETURN_NOT_OK(ValidateRow(physical_values, std::move(parsed)));

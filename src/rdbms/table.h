@@ -12,6 +12,10 @@
 #include "json/node.h"
 #include "rdbms/expression.h"
 
+namespace fsdm::fault {
+class FaultPoint;
+}  // namespace fsdm::fault
+
 namespace fsdm::rdbms {
 
 /// Declared column types. kJson is a text column carrying the IS JSON check
@@ -98,7 +102,11 @@ struct ParsedJson {
 /// needs concurrent DML).
 class Table {
  public:
-  Table(std::string name, std::vector<ColumnDef> columns);
+  /// `insert_fault_point` names the fault point Insert() fires before any
+  /// side effect; a table private to one component takes its own, so a
+  /// fault armed to veto a collection's DML never hits it instead.
+  Table(std::string name, std::vector<ColumnDef> columns,
+        const std::string& insert_fault_point = "table.insert.apply");
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnDef>& columns() const { return columns_; }
@@ -192,6 +200,7 @@ class Table {
   // thread may read it while DML mutates it.
   std::atomic<uint64_t> heap_bytes_{0};
   std::vector<TableObserver*> observers_;
+  fault::FaultPoint* insert_fault_;
   // Parse results of the current DML's IS JSON checks, shared with
   // observers; empty outside an Insert/Replace.
   std::map<size_t, std::unique_ptr<json::JsonNode>> dml_parsed_;

@@ -167,6 +167,63 @@ TEST_F(DegradedRoutingTest, DmlFaultsAtTableApplyAreFullyCompensated) {
   EXPECT_EQ(DrainKeys(routed.value().plan.get()).size(), 1u);
 }
 
+// The index's $DG side table fires its own fault point, so a one-shot
+// `table.insert.apply` armed before a replace that adds a path is left for
+// the collection's own DML: the replace succeeds, the index stays healthy,
+// and the next collection insert is the DML the fault vetoes.
+TEST_F(DegradedRoutingTest, TableInsertFaultNeverHitsTheDgPersist) {
+  auto coll = JsonCollection::Create(&db_, "DGVETO").MoveValue();
+  Result<size_t> target = coll->Insert("{\"k\": \"alpha\"}");
+  ASSERT_TRUE(target.ok());
+  const size_t dg_rows = coll->search_index()->dg_table()->live_row_count();
+
+  fault::ScopedFault f("table.insert.apply", fault::FaultSpec::Once());
+  ASSERT_TRUE(coll->Replace(target.value(), Value::Int64(1),
+                            "{\"k\": \"beta\", \"fresh\": 1}")
+                  .ok());
+  EXPECT_EQ(coll->health(), CollectionHealth::kHealthy)
+      << coll->health_reason();
+  EXPECT_EQ(coll->search_index()->dg_table()->live_row_count(), dg_rows + 1);
+  EXPECT_EQ(coll->document_count(), 1u);
+  Result<size_t> vetoed = coll->Insert("{\"k\": \"gamma\"}");
+  ASSERT_FALSE(vetoed.ok());
+  EXPECT_NE(vetoed.status().message().find("table.insert.apply"),
+            std::string::npos);
+  EXPECT_EQ(coll->health(), CollectionHealth::kHealthy);
+  EXPECT_TRUE(coll->CheckConsistency().consistent)
+      << coll->CheckConsistency().ToString();
+}
+
+// A failed $DG persist (`index.dataguide.persist`) still degrades the
+// index, and RebuildIndex() heals it.
+TEST_F(DegradedRoutingTest, DgPersistFaultDegradesUntilRebuild) {
+  auto coll = JsonCollection::Create(&db_, "DGFAIL").MoveValue();
+  Result<size_t> target = coll->Insert("{\"k\": \"alpha\"}");
+  ASSERT_TRUE(target.ok());
+  {
+    fault::ScopedFault f("index.dataguide.persist", fault::FaultSpec::Once());
+    EXPECT_FALSE(coll->Replace(target.value(), Value::Int64(1),
+                               "{\"k\": \"beta\", \"fresh\": 1}")
+                     .ok());
+  }
+  EXPECT_EQ(coll->health(), CollectionHealth::kIndexDegraded);
+  EXPECT_NE(coll->health_reason().find("$DG persist failed"),
+            std::string::npos)
+      << coll->health_reason();
+  EXPECT_EQ(coll->document_count(), 1u);
+
+  ASSERT_TRUE(coll->RebuildIndex().ok());
+  EXPECT_EQ(coll->health(), CollectionHealth::kHealthy);
+  EXPECT_TRUE(coll->CheckConsistency().consistent)
+      << coll->CheckConsistency().ToString();
+  ASSERT_TRUE(coll->Replace(target.value(), Value::Int64(1),
+                            "{\"k\": \"beta\", \"fresh\": 1}")
+                  .ok());
+  auto routed = coll->Route({PathPredicate::Exists("$.fresh")});
+  ASSERT_TRUE(routed.ok());
+  EXPECT_EQ(DrainKeys(routed.value().plan.get()).size(), 1u);
+}
+
 TEST_F(DegradedRoutingTest, RebuildFailureQuarantinesUntilRetrySucceeds) {
   auto coll_r = JsonCollection::Create(&db_, "QUAR");
   ASSERT_TRUE(coll_r.ok());

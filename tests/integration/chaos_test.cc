@@ -63,7 +63,8 @@ void RunChaos(uint64_t seed) {
       "table.replace.apply",        "index.insert.postings",
       "index.insert.dataguide",     "index.remove.postings",
       "index.replace.stage",        "collection.observer.insert",
-      "collection.observer.delete", "collection.observer.replace"};
+      "collection.observer.delete", "collection.observer.replace",
+      "index.dataguide.persist"};
 
   // The storm: 200 random DML ops; ~20% run with a random single fault
   // armed, ~7% with a primary fault plus a failing compensation (the pair
