@@ -83,7 +83,7 @@ void AccessPathAblation(size_t docs_n) {
   auto routed = coll->Route({collection::PathPredicate::Exists(kRarePath)})
                     .MoveValue();
   printf("router: %s (%s)\n", collection::AccessPathName(routed.access_path),
-         routed.trace.decision.reason.c_str());
+         routed.trace.decision.reason().c_str());
   auto [t_index, n3] = time_plan([&] {
     // Re-route into the outer RoutedPlan: the plan's instrumentation
     // points into the trace it owns, so the trace must outlive the drain.

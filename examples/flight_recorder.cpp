@@ -50,7 +50,7 @@ int main() {
   auto rows = rdbms::Collect(routed.plan.get());
   CHECK_OK(rows);
   printf("routed query (%s) returned %zu rows\n\n",
-         routed.trace.decision.winner.c_str(), rows.value().size());
+         collection::AccessPathName(routed.access_path), rows.value().size());
 
   // 1. The chrome trace.
   const char* trace_path = "flight_recorder_trace.json";

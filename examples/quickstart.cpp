@@ -74,7 +74,7 @@ int main() {
                     .MoveValue();
   printf("\nrouter chose: %s (%s)\n",
          collection::AccessPathName(routed.access_path),
-         routed.trace.decision.reason.c_str());
+         routed.trace.decision.reason().c_str());
   auto routed_rows = rdbms::CollectStrings(routed.plan.get());
   CHECK_OK(routed_rows);
   for (const auto& row : routed_rows.value()) printf("  %s\n", row.c_str());

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "collection/collection.h"
@@ -46,8 +46,7 @@ namespace {
 /// Scalar DataGuide entry for `path`, preferring the singleton (not-under-
 /// array) variant; nullptr when the guide has never seen a scalar there.
 const dataguide::PathEntry* FindScalarEntry(const dataguide::DataGuide& guide,
-                                            const std::string& path) {
-  const dataguide::PathId id = guide.paths().Find(path);
+                                            dataguide::PathId id) {
   const dataguide::PathEntry* e =
       guide.Find(id, json::NodeKind::kScalar, /*under_array=*/false);
   if (e == nullptr) {
@@ -114,26 +113,14 @@ std::string PredicateText(const PathPredicate& p) {
          p.literal->ToDisplayString();
 }
 
-std::string Fmt1(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
-}
-
-std::string Fmt2(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
-
 /// Selectivity estimation over the collection's PathStatsRepository with
 /// the DataGuide as fallback. All estimates are deterministic for frozen
 /// statistics — no wall clock, no randomness.
 class SelEstimator {
  public:
   SelEstimator(const stats::PathStatsRepository& repo,
-               const dataguide::DataGuide& guide, double docs)
-      : repo_(repo), guide_(guide), docs_(docs) {}
+               const dataguide::DataGuide& guide)
+      : repo_(repo), guide_(guide) {}
 
   /// Fraction of documents containing the path, in [0, 1]. Paths are ids
   /// of the guide's dictionary, which also names the repository's paths.
@@ -150,23 +137,16 @@ class SelEstimator {
   }
 
   /// NDV of the path's non-null values, clamped to >= 1. Falls back to a
-  /// default of 10 distinct values when no sketch exists. Each path's
-  /// estimate is computed once per estimator — one route — because
-  /// NdvEstimate() sums every HLL register.
+  /// default of 10 distinct values when no sketch exists. The sketch
+  /// caches its estimate, so asking twice sums its registers once.
   double Ndv(dataguide::PathId path) const {
-    for (const auto& [id, ndv] : ndv_cache_) {
-      if (id == path) return ndv;
-    }
-    const double ndv = repo_.Find(path) != nullptr
-                           ? std::max(1.0, repo_.NdvEstimate(path))
-                           : 10.0;
-    ndv_cache_.emplace_back(path, ndv);
-    return ndv;
+    return repo_.Find(path) != nullptr
+               ? std::max(1.0, repo_.NdvEstimate(path))
+               : 10.0;
   }
 
-  /// Selectivity of one conjunct.
-  double PredSel(const PathPredicate& p) const {
-    const dataguide::PathId path = guide_.paths().Find(p.path);
+  /// Selectivity of one conjunct; `path` is the guide's id for `p.path`.
+  double PredSel(const PathPredicate& p, dataguide::PathId path) const {
     const double exists = ExistsSel(path);
     if (p.is_existence()) return exists;
     if (p.op == rdbms::CompareOp::kEq) return exists / Ndv(path);
@@ -198,41 +178,40 @@ class SelEstimator {
     return exists / 3.0;
   }
 
-  /// Estimated documents satisfying one conjunct.
-  double PredRows(const PathPredicate& p) const {
-    return docs_ * PredSel(p);
-  }
-
-  /// Estimated documents satisfying the whole conjunction (independence
-  /// assumption: product of per-conjunct selectivities).
-  double ConjunctionRows(const std::vector<PathPredicate>& preds) const {
-    double sel = 1.0;
-    for (const PathPredicate& p : preds) sel *= PredSel(p);
-    return docs_ * sel;
-  }
-
-  double docs() const { return docs_; }
-
  private:
   const stats::PathStatsRepository& repo_;
   const dataguide::DataGuide& guide_;
-  double docs_;
-  mutable std::vector<std::pair<dataguide::PathId, double>> ndv_cache_;
 };
 
-/// Applies every predicate except those in `skip` as a Filter over `plan`.
+/// One conjunct as a route sees it: its path looked up in the shard's
+/// guide once, and its selectivity estimated once.
+struct Conjunct {
+  const PathPredicate* pred;
+  dataguide::PathId path;              // kNoPath when the guide never saw it
+  const dataguide::PathEntry* scalar;  // FindScalarEntry(), may be null
+  double sel;
+  /// The path as decision text names it: the dictionary's interned copy,
+  /// which lives as long as the collection, when the guide knows the
+  /// path; else the predicate's own text, which lives only as long as the
+  /// route, so text naming it must Own() it.
+  std::string_view name;
+
+  bool name_interned() const { return path != dataguide::kNoPath; }
+};
+
+/// Applies every conjunct except those in `skip` as a Filter over `plan`.
 /// Each residual Filter gets its own instrumented span stacked on top of
 /// *root, which on return points at the new tree root.
 Result<rdbms::OperatorPtr> ApplyResiduals(
     const Shard& shard, rdbms::OperatorPtr plan,
-    const std::vector<PathPredicate>& predicates,
-    const std::vector<const PathPredicate*>& skip,
+    const std::vector<Conjunct>& conjuncts,
+    const std::vector<const Conjunct*>& skip,
     std::unique_ptr<telemetry::OperatorSpan>* root) {
-  for (const PathPredicate& p : predicates) {
-    if (std::find(skip.begin(), skip.end(), &p) != skip.end()) continue;
-    FSDM_ASSIGN_OR_RETURN(rdbms::ExprPtr expr, PredicateExpr(shard, p));
+  for (const Conjunct& c : conjuncts) {
+    if (std::find(skip.begin(), skip.end(), &c) != skip.end()) continue;
+    FSDM_ASSIGN_OR_RETURN(rdbms::ExprPtr expr, PredicateExpr(shard, *c.pred));
     std::unique_ptr<telemetry::OperatorSpan> span =
-        telemetry::MakeSpan("Filter", PredicateText(p));
+        telemetry::MakeSpan("Filter", PredicateText(*c.pred));
     plan = rdbms::Instrument(rdbms::Filter(std::move(plan), std::move(expr)),
                              span.get());
     span->children.push_back(std::move(*root));
@@ -246,18 +225,25 @@ Result<rdbms::OperatorPtr> ApplyResiduals(
 /// and compares estimated vs. actual output rows — the cardinality
 /// feedback loop (fsdm_router_misestimates_total counts ratios past 4x) —
 /// and (b) captures the query into the SlowQueryLog when it crossed the
-/// threshold. Holds only a *copy* of the RouterDecision and the stable
-/// heap pointer to the root span — the owning RoutedPlan may move (and its
-/// trace member with it) while the plan runs.
+/// threshold. The owning RoutedPlan may move (and its trace member with
+/// it) while the plan runs, so the probe holds only stable pointers: the
+/// root span's heap node and the decision's candidate array, whose heap
+/// buffer a move of the vector keeps and which the router never resizes
+/// once the probe is built. The winner's name is a static string and its
+/// reason is copied as deferred text; none of it is formatted unless the
+/// query is slow.
 class RoutedQueryProbe final : public rdbms::Operator {
  public:
   RoutedQueryProbe(rdbms::OperatorPtr child, std::string collection,
-                   std::string query, telemetry::RouterDecision decision,
+                   std::string query, const telemetry::RouterDecision& decision,
                    const telemetry::OperatorSpan* root, uint64_t query_id)
       : child_(std::move(child)),
         collection_(std::move(collection)),
         query_(std::move(query)),
-        decision_(std::move(decision)),
+        winner_(decision.winner),
+        reason_(decision.reason_text),
+        candidates_(decision.candidates),
+        est_out_rows_(decision.est_out_rows),
         root_(root),
         query_id_(query_id) {
     schema_ = child_->schema();
@@ -280,14 +266,14 @@ class RoutedQueryProbe final : public rdbms::Operator {
     // on destruction, covering plans dropped on an error path before
     // Close() (ISSUE 7 satellite: no dangling active records).
     lease_ = telemetry::ActivityLease::Begin(
-        collection_, decision_.winner, "RoutedQueryProbe", query_,
+        collection_, std::string(winner_), "RoutedQueryProbe", query_,
         /*shard=*/-1, /*worker=*/-1, query_id_);
     // Register in the in-flight monitor (ISSUE 9 tentpole): from here
     // until Close() a concurrent session sees this drain — and its live
     // per-operator progress — in TELEMETRY$QUERY_MONITOR.
     telemetry::QueryMonitor::Global().Register(query_id_, collection_, query_,
-                                               decision_.winner,
-                                               decision_.est_out_rows, root_);
+                                               std::string(winner_),
+                                               est_out_rows_, root_);
     registered_ = true;
     // The grand total the writers keep current: resident state (table
     // heap, postings, IMC) plus live transient charges.
@@ -340,8 +326,8 @@ class RoutedQueryProbe final : public rdbms::Operator {
     if (root_ != nullptr) {
       stats::OperatorCostModel::Global().RecordSpanTree(*root_);
     }
-    if (decision_.est_out_rows >= 0) {
-      const double est = decision_.est_out_rows;
+    if (est_out_rows_ >= 0) {
+      const double est = est_out_rows_;
       const double actual = static_cast<double>(rows_);
       const double ratio = std::max((actual + 1.0) / (est + 1.0),
                                     (est + 1.0) / (actual + 1.0));
@@ -357,11 +343,15 @@ class RoutedQueryProbe final : public rdbms::Operator {
     rec.query_id = query_id_;
     rec.peak_mem_bytes = peak_mem_bytes_;
     rec.query = query_;
-    rec.access_path = decision_.winner;
+    rec.access_path = winner_;
     rec.elapsed_us = elapsed;
     rec.rows = rows_;
-    rec.est_rows = decision_.est_out_rows;
-    rec.trace_text = decision_.Render();
+    rec.est_rows = est_out_rows_;
+    telemetry::RouterDecision decision;
+    decision.candidates.assign(candidates_.begin(), candidates_.end());
+    decision.winner = winner_;
+    decision.reason_text = reason_;
+    rec.trace_text = decision.Render();
     if (root_ != nullptr) {
       rec.trace_text += "plan:\n";
       telemetry::RenderSpanTree(*root_, 1, &rec.trace_text);
@@ -385,7 +375,10 @@ class RoutedQueryProbe final : public rdbms::Operator {
   rdbms::OperatorPtr child_;
   std::string collection_;
   std::string query_;
-  telemetry::RouterDecision decision_;
+  std::string_view winner_;
+  telemetry::DeferredText reason_;
+  std::span<const telemetry::RouterCandidate> candidates_;
+  double est_out_rows_;
   const telemetry::OperatorSpan* root_;
   uint64_t query_id_ = 0;
   telemetry::Stopwatch watch_;
@@ -427,10 +420,9 @@ constexpr size_t kFullScanCandidate = std::size(kCandidatePaths) - 1;
 /// share one build; they differ in the conjuncts their posting lists
 /// answer, which the residual filters then skip.
 struct PostingCandidate {
-  const char* span;    // span name, also the operator cost-model key
-  const char* method;  // closes the winner's reason
-  std::vector<const PathPredicate*> covered;
-  std::string subject;  // opens the winner's reason
+  const char* span;  // span name, also the operator cost-model key
+  std::vector<const Conjunct*> covered;
+  telemetry::DeferredText reason;  // the decision's reason if it wins
 };
 
 /// Routes one shard. With `fanout_samples` null the shard is the whole
@@ -441,11 +433,15 @@ struct PostingCandidate {
 /// route-time measurements are appended to `fanout_samples` for the
 /// facade to record once every shard has been costed — so all shards of
 /// one fan-out are priced at the same rates.
+///
+/// The decision's text is deferred: candidates record the numbers and
+/// interned path names their explanation needs, and nothing is formatted
+/// here but the query text, which the query monitor and the activity
+/// sampler show live, and the winner's span detail.
 Result<RoutedPlan> RouteSingle(
     const Shard& shard, const std::vector<PathPredicate>& predicates,
-    std::vector<RouteTimeSample>* fanout_samples) {
+    std::string query_text, std::vector<RouteTimeSample>* fanout_samples) {
   FSDM_TRACE_SPAN(route_span, "router", "router.route");
-  std::string query_text = BuildQueryText(predicates);
   route_span.AddNumberArg("predicates",
                           static_cast<double>(predicates.size()));
 
@@ -453,8 +449,18 @@ Result<RoutedPlan> RouteSingle(
   const uint64_t guide_docs = guide.document_count();
   const double live_docs = static_cast<double>(shard.document_count());
   const stats::OperatorCostModel& costs = stats::OperatorCostModel::Global();
-  SelEstimator est(shard.path_stats(), guide, live_docs);
+  const SelEstimator est(shard.path_stats(), guide);
   const size_t n_preds = predicates.size();
+
+  std::vector<Conjunct> conjuncts;
+  conjuncts.reserve(n_preds);
+  for (const PathPredicate& p : predicates) {
+    const dataguide::PathId id = guide.paths().Find(p.path);
+    conjuncts.push_back(
+        {&p, id, FindScalarEntry(guide, id), est.PredSel(p, id),
+         id == dataguide::kNoPath ? std::string_view(p.path)
+                                  : guide.paths().Name(id)});
+  }
 
   RoutedPlan routed;
   telemetry::RouterDecision& decision = routed.trace.decision;
@@ -467,16 +473,16 @@ Result<RoutedPlan> RouteSingle(
   telemetry::RouterCandidate& isect_cand = decision.candidates[2];
   telemetry::RouterCandidate& path_cand = decision.candidates[3];
   telemetry::RouterCandidate& full_cand = decision.candidates[4];
-  PostingCandidate posting[] = {
-      {"IndexedValueScan", "value postings", {}, {}},
-      {"PostingIntersectScan", "posting-list intersection", {}, {}},
-      {"IndexedPathScan", "path postings", {}, {}}};
+  PostingCandidate posting[] = {{"IndexedValueScan", {}, {}},
+                                {"PostingIntersectScan", {}, {}},
+                                {"IndexedPathScan", {}, {}}};
 
   // The conjunction's estimated output cardinality — what the feedback
-  // loop later compares against the actual row count.
-  decision.est_out_rows = predicates.empty()
-                              ? live_docs
-                              : est.ConjunctionRows(predicates);
+  // loop later compares against the actual row count. Independence
+  // assumption: the product of the per-conjunct selectivities.
+  double conjunction_sel = 1.0;
+  for (const Conjunct& c : conjuncts) conjunction_sel *= c.sel;
+  decision.est_out_rows = live_docs * conjunction_sel;
 
   // --- Evaluate every candidate: eligibility, estimated rows, estimated
   // cost (selectivity x measured per-row operator cost). ------------------
@@ -488,18 +494,20 @@ Result<RoutedPlan> RouteSingle(
   const imc::ColumnStore* store = shard.imc();
   std::vector<imc::ColumnStore::Predicate> column_preds;
   if (store == nullptr) {
-    imc_cand.detail = "no valid IMC store";
+    imc_cand.detail_text = "no valid IMC store";
   } else if (predicates.empty()) {
-    imc_cand.detail = "no predicates to push into the store";
+    imc_cand.detail_text = "no predicates to push into the store";
   } else {
     bool all_materialized = true;
-    for (const PathPredicate& p : predicates) {
+    for (const Conjunct& c : conjuncts) {
+      const PathPredicate& p = *c.pred;
       const std::string* vc =
           p.is_existence() ? nullptr : shard.VirtualColumnFor(p.path);
       if (vc == nullptr || store->column(*vc) == nullptr) {
         all_materialized = false;
-        imc_cand.detail =
-            "path " + p.path + " not materialized as a virtual column";
+        imc_cand.detail_text = {"path {} not materialized as a virtual column",
+                                {c.name}};
+        if (!c.name_interned()) imc_cand.detail_text.Own();
         break;
       }
       column_preds.push_back({*vc, p.op, *p.literal});
@@ -510,7 +518,7 @@ Result<RoutedPlan> RouteSingle(
       imc_cand.est_cost_us =
           static_cast<double>(store->row_count()) *
           costs.UsPerRow("ImcFilterScan");
-      imc_cand.detail =
+      imc_cand.detail_text =
           "all predicate paths materialized in a valid IMC store";
     }
   }
@@ -524,31 +532,35 @@ Result<RoutedPlan> RouteSingle(
   const CollectionHealth health = shard.health();
   const bool postings =
       postings_maintained && health == CollectionHealth::kHealthy;
+  std::string degraded;  // "<health>: <reason>" while postings are off
   if (!postings_maintained) {
-    value_cand.detail = isect_cand.detail = path_cand.detail =
+    value_cand.detail_text = isect_cand.detail_text = path_cand.detail_text =
         "no search index postings maintained";
   } else if (!postings) {
-    value_cand.detail = isect_cand.detail = path_cand.detail =
-        std::string(CollectionHealthName(health)) + ": " +
-        shard.health_reason();
+    const std::string health_reason = shard.health_reason();
+    degraded = std::string(CollectionHealthName(health)) + ": " + health_reason;
+    value_cand.detail_text = isect_cand.detail_text = path_cand.detail_text =
+        degraded;
     FSDM_COUNT("fsdm_router_degraded_fallbacks_total", 1);
     FSDM_LOG(telemetry::LogLevel::kWarn, "router", 1201,
              "degraded routing fallback on " + shard.name() + " (" +
-                 CollectionHealthName(health) + "): " + shard.health_reason(),
+                 CollectionHealthName(health) + "): " + health_reason,
              telemetry::LogText("collection", shard.name()));
   }
 
   // [1] Value postings: the most selective equality on a path the guide
   // knows as a scalar.
   if (postings) {
-    const PathPredicate* best_eq = nullptr;
+    const Conjunct* best_eq = nullptr;
     double best_eq_rows = std::numeric_limits<double>::max();
-    for (const PathPredicate& p : predicates) {
-      if (p.is_existence() || p.op != rdbms::CompareOp::kEq) continue;
-      if (FindScalarEntry(guide, p.path) == nullptr) continue;
-      const double rows = est.PredRows(p);
+    for (const Conjunct& c : conjuncts) {
+      if (c.pred->is_existence() || c.pred->op != rdbms::CompareOp::kEq ||
+          c.scalar == nullptr) {
+        continue;
+      }
+      const double rows = live_docs * c.sel;
       if (rows < best_eq_rows) {
-        best_eq = &p;
+        best_eq = &c;
         best_eq_rows = rows;
       }
     }
@@ -559,15 +571,17 @@ Result<RoutedPlan> RouteSingle(
           best_eq_rows * costs.UsPerRow("IndexedValueScan") +
           best_eq_rows * static_cast<double>(n_preds - 1) *
               costs.UsPerRow("Filter");
-      value_cand.detail =
-          "equality on " + best_eq->path + " (DataGuide frequency " +
-          std::to_string(FindScalarEntry(guide, best_eq->path)->frequency) +
-          "/" + std::to_string(guide_docs) + ", ndv ~" +
-          Fmt1(est.Ndv(guide.paths().Find(best_eq->path))) + ")";
+      value_cand.detail_text = {
+          "equality on {} (DataGuide frequency {}/{}, ndv ~{})",
+          {best_eq->name, best_eq->scalar->frequency, guide_docs,
+           est.Ndv(best_eq->path)}};
       posting[0].covered = {best_eq};
-      posting[0].subject = "equality on scalar path " + best_eq->path;
+      posting[0].reason = {
+          "equality on scalar path {} (est {} rows, cost {.2} us); "
+          "value postings",
+          {best_eq->name, value_cand.est_rows, value_cand.est_cost_us}};
     } else {
-      value_cand.detail = "no equality on a DataGuide-known scalar path";
+      value_cand.detail_text = "no equality on a DataGuide-known scalar path";
     }
   }
 
@@ -576,22 +590,24 @@ Result<RoutedPlan> RouteSingle(
   // paths and existence tests — evaluated by intersecting their posting
   // lists, leaving only the rest as residual filters.
   if (postings) {
-    std::vector<const PathPredicate*>& isect_covered = posting[1].covered;
-    for (const PathPredicate& p : predicates) {
-      if (p.is_existence() || (p.op == rdbms::CompareOp::kEq &&
-                               FindScalarEntry(guide, p.path) != nullptr)) {
-        isect_covered.push_back(&p);
-      }
-    }
-    if (isect_covered.size() >= 2) {
+    auto answerable = [](const Conjunct& c) {
+      return c.pred->is_existence() ||
+             (c.pred->op == rdbms::CompareOp::kEq && c.scalar != nullptr);
+    };
+    const size_t n_answerable = static_cast<size_t>(
+        std::count_if(conjuncts.begin(), conjuncts.end(), answerable));
+    if (n_answerable >= 2) {
+      std::vector<const Conjunct*>& isect_covered = posting[1].covered;
       double total_postings = 0;
       double covered_sel = 1.0;
-      for (const PathPredicate* p : isect_covered) {
-        total_postings += est.PredRows(*p);
-        covered_sel *= est.PredSel(*p);
+      for (const Conjunct& c : conjuncts) {
+        if (!answerable(c)) continue;
+        isect_covered.push_back(&c);
+        total_postings += live_docs * c.sel;
+        covered_sel *= c.sel;
       }
       const double covered_rows = live_docs * covered_sel;
-      const size_t n_residual = n_preds - isect_covered.size();
+      const size_t n_residual = n_preds - n_answerable;
       isect_cand.eligible = true;
       isect_cand.est_rows = covered_rows;
       isect_cand.est_cost_us =
@@ -599,16 +615,15 @@ Result<RoutedPlan> RouteSingle(
           covered_rows * costs.UsPerRow("PostingIntersectScan") +
           covered_rows * static_cast<double>(n_residual) *
               costs.UsPerRow("Filter");
-      isect_cand.detail =
-          std::to_string(isect_covered.size()) +
-          " index-answerable conjuncts, ~" + Fmt1(total_postings) +
-          " postings to merge";
-      posting[1].subject = "conjunction of " +
-                           std::to_string(isect_covered.size()) +
-                           " indexable predicates";
+      isect_cand.detail_text = {
+          "{} index-answerable conjuncts, ~{} postings to merge",
+          {n_answerable, total_postings}};
+      posting[1].reason = {
+          "conjunction of {} indexable predicates (est {} rows, cost {.2} "
+          "us); posting-list intersection",
+          {n_answerable, covered_rows, isect_cand.est_cost_us}};
     } else {
-      isect_cand.detail = "fewer than two index-answerable conjuncts";
-      isect_covered.clear();
+      isect_cand.detail_text = "fewer than two index-answerable conjuncts";
     }
   }
 
@@ -616,13 +631,13 @@ Result<RoutedPlan> RouteSingle(
   // frequency threshold (present in at most half the documents) is gone —
   // the cost comparison against the full scan decides.
   if (postings) {
-    const PathPredicate* best_exists = nullptr;
+    const Conjunct* best_exists = nullptr;
     double best_exists_rows = std::numeric_limits<double>::max();
-    for (const PathPredicate& p : predicates) {
-      if (!p.is_existence()) continue;
-      const double rows = est.PredRows(p);
+    for (const Conjunct& c : conjuncts) {
+      if (!c.pred->is_existence()) continue;
+      const double rows = live_docs * c.sel;
       if (rows < best_exists_rows) {
-        best_exists = &p;
+        best_exists = &c;
         best_exists_rows = rows;
       }
     }
@@ -633,15 +648,20 @@ Result<RoutedPlan> RouteSingle(
           best_exists_rows * costs.UsPerRow("IndexedPathScan") +
           best_exists_rows * static_cast<double>(n_preds - 1) *
               costs.UsPerRow("Filter");
-      const uint64_t freq =
-          PathFrequency(guide, guide.paths().Find(best_exists->path));
-      path_cand.detail = "existence of " + best_exists->path +
-                         " (DataGuide frequency " + std::to_string(freq) +
-                         "/" + std::to_string(guide_docs) + ")";
+      path_cand.detail_text = {
+          "existence of {} (DataGuide frequency {}/{})",
+          {best_exists->name, PathFrequency(guide, best_exists->path),
+           guide_docs}};
       posting[2].covered = {best_exists};
-      posting[2].subject = "existence of path " + best_exists->path;
+      posting[2].reason = {
+          "existence of path {} (est {} rows, cost {.2} us); path postings",
+          {best_exists->name, path_cand.est_rows, path_cand.est_cost_us}};
+      if (!best_exists->name_interned()) {
+        path_cand.detail_text.Own();
+        posting[2].reason.Own();
+      }
     } else {
-      path_cand.detail = "no existence predicate to probe";
+      path_cand.detail_text = "no existence predicate to probe";
     }
   }
 
@@ -652,7 +672,7 @@ Result<RoutedPlan> RouteSingle(
   full_cand.est_cost_us =
       live_docs * (costs.UsPerRow("Scan") +
                    static_cast<double>(n_preds) * costs.UsPerRow("Filter"));
-  full_cand.detail = "always applicable";
+  full_cand.detail_text = "always applicable";
 
   // --- Pick the cheapest eligible candidate, ties breaking toward the
   // earlier one so decisions are deterministic: walking back from the
@@ -678,8 +698,8 @@ Result<RoutedPlan> RouteSingle(
   // scan — and the conjuncts it answers; the rest become residual filters.
   std::unique_ptr<telemetry::OperatorSpan> root;
   rdbms::OperatorPtr plan;
-  std::vector<const PathPredicate*> covered;
-  std::string reason;
+  std::vector<const Conjunct*> covered;
+  telemetry::DeferredText reason;
   if (winner == 0) {
     telemetry::Stopwatch route_scan;
     FSDM_ASSIGN_OR_RETURN(
@@ -689,25 +709,36 @@ Result<RoutedPlan> RouteSingle(
     // below only *replays* the materialized result, so RecordSpanTree
     // skips its span.
     record("ImcFilterScan", store->row_count(), route_scan.ElapsedUs());
-    imc_cand.detail += "; FilterScan at route time: " +
-                       std::to_string(rows.size()) + " rows";
-    root = telemetry::MakeSpan("ImcFilterScan", imc_cand.detail);
+    imc_cand.detail_text = {
+        "all predicate paths materialized in a valid IMC store; FilterScan "
+        "at route time: {} rows",
+        {rows.size()}};
+    root = telemetry::MakeSpan("ImcFilterScan", imc_cand.detail());
     plan = rdbms::Instrument(
         rdbms::Values(rdbms::Schema(store->column_names()), std::move(rows)),
         root.get());
-    for (const PathPredicate& p : predicates) covered.push_back(&p);
-    reason = "all predicate paths materialized as virtual columns in a valid "
-             "IMC store (est cost " + Fmt2(imc_cand.est_cost_us) +
-             " us); vectorized FilterScan";
+    for (const Conjunct& c : conjuncts) covered.push_back(&c);
+    reason = {"all predicate paths materialized as virtual columns in a "
+              "valid IMC store (est cost {.2} us); vectorized FilterScan",
+              {imc_cand.est_cost_us}};
   } else if (winner < kFullScanCandidate) {
     PostingCandidate& chosen = posting[winner - 1];
     covered = std::move(chosen.covered);
     std::vector<index::IndexTerm> terms;
+    terms.reserve(covered.size());
+    for (const Conjunct* c : covered) {
+      terms.push_back({c->pred->path, c->pred->literal});
+    }
+    // The span names the conjuncts the postings answer: when that is
+    // every conjunct, in order, the query text already says it.
     std::string terms_text;
-    for (const PathPredicate* p : covered) {
-      terms.push_back({p->path, p->literal});
-      if (!terms_text.empty()) terms_text += " AND ";
-      terms_text += PredicateText(*p);
+    if (covered.size() == n_preds) {
+      terms_text = query_text;
+    } else {
+      for (const Conjunct* c : covered) {
+        if (!terms_text.empty()) terms_text += " AND ";
+        terms_text += PredicateText(*c->pred);
+      }
     }
     telemetry::Stopwatch build;
     index::IntersectionInfo info;
@@ -722,9 +753,7 @@ Result<RoutedPlan> RouteSingle(
     }
     root = telemetry::MakeSpan(chosen.span, std::move(terms_text));
     plan = rdbms::Instrument(std::move(scan), root.get());
-    const telemetry::RouterCandidate& c = decision.candidates[winner];
-    reason = chosen.subject + " (est " + Fmt1(c.est_rows) + " rows, cost " +
-             Fmt2(c.est_cost_us) + " us); " + chosen.method;
+    reason = std::move(chosen.reason);
   } else {
     root = telemetry::MakeSpan("Scan", shard.name());
     plan = rdbms::Instrument(shard.Scan(), root.get());
@@ -735,12 +764,10 @@ Result<RoutedPlan> RouteSingle(
     if (predicates.empty()) {
       reason = "no predicates; full scan";
     } else if (postings_maintained && !postings) {
-      reason = "posting paths unavailable (" +
-               std::string(CollectionHealthName(health)) + ": " +
-               shard.health_reason() + "); full scan";
+      reason = "posting paths unavailable (" + degraded + "); full scan";
     } else if (other_eligible) {
-      reason = "full scan estimated cheapest (est cost " +
-               Fmt2(full_cand.est_cost_us) + " us)";
+      reason = {"full scan estimated cheapest (est cost {.2} us)",
+                {full_cand.est_cost_us}};
     } else {
       reason = "no selective index or materialized column applies; "
                "full scan";
@@ -748,19 +775,19 @@ Result<RoutedPlan> RouteSingle(
   }
   FSDM_ASSIGN_OR_RETURN(
       routed.plan,
-      ApplyResiduals(shard, std::move(plan), predicates, covered, &root));
+      ApplyResiduals(shard, std::move(plan), conjuncts, covered, &root));
   routed.trace.root = std::move(root);
 
   decision.candidates[winner].chosen = true;
   routed.access_path = kCandidatePaths[winner];
   decision.winner = AccessPathName(routed.access_path);
-  decision.reason = std::move(reason);
+  decision.reason_text = std::move(reason);
   route_span.AddTextArg("winner", decision.winner);
   FSDM_TRACE_INSTANT_TEXT("router", "router.winner", "path", decision.winner);
   // Shard sub-plans of a fan-out stay bare — see above.
   if (fanout_samples == nullptr) {
     routed.plan = std::make_unique<RoutedQueryProbe>(
-        std::move(routed.plan), shard.name(), query_text, decision,
+        std::move(routed.plan), shard.name(), std::move(query_text), decision,
         routed.trace.root.get(),
         telemetry::QueryMonitor::Global().AllocateQueryId());
   }
@@ -815,7 +842,8 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
   std::vector<RouteTimeSample> samples;
   for (size_t i = 0; i < n; ++i) {
     FSDM_ASSIGN_OR_RETURN(RoutedPlan sub,
-                          RouteSingle(*coll.shard(i), predicates, &samples));
+                          RouteSingle(*coll.shard(i), predicates, query_text,
+                                      &samples));
     double sub_cost = -1;
     for (const telemetry::RouterCandidate& c : sub.trace.decision.candidates) {
       if (c.chosen) sub_cost = c.est_cost_us;
@@ -826,12 +854,12 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
     }
 
     telemetry::RouterCandidate cand;
-    cand.access_path =
-        "shard " + std::to_string(i) + " -> " + sub.trace.decision.winner;
+    cand.access_path = sub.trace.decision.winner;
+    cand.shard = static_cast<int>(i);
     cand.eligible = true;
     cand.est_rows = sub.trace.decision.est_out_rows;
     cand.est_cost_us = sub_cost;
-    cand.detail = sub.trace.decision.reason;
+    cand.detail_text = sub.trace.decision.reason_text;
     decision.candidates.push_back(std::move(cand));
 
     StampShard(sub.trace.root.get(), static_cast<int>(i));
@@ -841,7 +869,8 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
     // this morsel: collection, the shard's own winning access path, shard
     // id, and (stamped at Open time) the pool worker index.
     children.push_back(rdbms::ActivityScope(
-        std::move(sub.plan), coll.name(), sub.trace.decision.winner,
+        std::move(sub.plan), coll.name(),
+        std::string(sub.trace.decision.winner),
         "morsel.drain", query_text, static_cast<int>(i), query_id));
   }
 
@@ -854,7 +883,7 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
   union_cand.chosen = true;
   union_cand.est_rows = decision.est_out_rows;
   union_cand.est_cost_us = max_shard_cost + merge_cost;
-  union_cand.detail = "parallel cost = max over shards + merge";
+  union_cand.detail_text = "parallel cost = max over shards + merge";
   decision.candidates.push_back(std::move(union_cand));
   // Every shard is costed: only now may route-time measurements move the
   // model.
@@ -863,10 +892,10 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
   }
 
   decision.winner = AccessPathName(AccessPath::kShardedUnion);
-  decision.reason = "fan-out over " + std::to_string(n) +
-                    " shards (est cost = max over shard costs " +
-                    Fmt2(max_shard_cost) + " us + merge " + Fmt2(merge_cost) +
-                    " us)";
+  decision.reason_text = {
+      "fan-out over {} shards (est cost = max over shard costs {.2} us + "
+      "merge {.2} us)",
+      {n, max_shard_cost, merge_cost}};
   routed.access_path = AccessPath::kShardedUnion;
 
   size_t workers = rdbms::WorkerPool::Global().worker_count();
@@ -894,7 +923,8 @@ Result<RoutedPlan> RouteSharded(const JsonCollection& coll,
 Result<RoutedPlan> RoutePredicates(
     const JsonCollection& coll, const std::vector<PathPredicate>& predicates) {
   if (coll.shard_count() == 1) {
-    return RouteSingle(*coll.shard(0), predicates, nullptr);
+    return RouteSingle(*coll.shard(0), predicates, BuildQueryText(predicates),
+                       nullptr);
   }
   return RouteSharded(coll, predicates);
 }

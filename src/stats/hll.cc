@@ -48,10 +48,22 @@ void Hll::AddHash(uint64_t hash) {
     ++rank;
     rest <<= 1;
   }
-  if (rank > registers_[idx]) registers_[idx] = rank;
+  if (rank > registers_[idx]) {
+    registers_[idx] = rank;
+    MarkStale();
+  }
 }
 
 double Hll::Estimate() const {
+  double estimate = estimate_.load(std::memory_order_relaxed);
+  if (estimate == kStale) {
+    estimate = Sum();
+    estimate_.store(estimate, std::memory_order_relaxed);
+  }
+  return estimate;
+}
+
+double Hll::Sum() const {
   constexpr double m = static_cast<double>(kRegisters);
   // alpha_m for m >= 128 (Flajolet et al., 2007).
   constexpr double alpha = 0.7213 / (1.0 + 1.079 / m);
@@ -75,6 +87,7 @@ void Hll::Merge(const Hll& other) {
       registers_[i] = other.registers_[i];
     }
   }
+  MarkStale();
 }
 
 }  // namespace fsdm::stats

@@ -2,6 +2,7 @@
 #define FSDM_STATS_HLL_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -19,6 +20,13 @@ namespace fsdm::stats {
 /// canonical display form (the same canonicalization the search index's
 /// value postings key on), so the same stream always produces the same
 /// estimate — the router determinism test relies on this.
+///
+/// Estimate() keeps its last result: a sketch whose registers have not
+/// changed since is not summed again. An Add that raises a register,
+/// Merge, Clear and assignment mark the cached value stale. It sits in a
+/// relaxed atomic because a TELEMETRY$PATH_STATS scan may call Estimate()
+/// from another session while routed reads call it too; both compute the
+/// same bits from the same registers, so either store may win.
 class Hll {
  public:
   static constexpr int kPrecision = 10;
@@ -33,13 +41,25 @@ class Hll {
 
   /// Distinct-count estimate: linear counting while zero registers remain
   /// and the raw estimate is small, bias-corrected raw HLL otherwise.
+  /// Cached; bit-identical to summing the registers afresh.
   double Estimate() const;
 
   /// Register-wise max. After Merge(other), Estimate() equals that of a
   /// sketch fed the union of both input streams.
   void Merge(const Hll& other);
 
-  void Clear() { registers_.fill(0); }
+  void Clear() {
+    registers_.fill(0);
+    MarkStale();
+  }
+
+  Hll() = default;
+  Hll(const Hll& other) : registers_(other.registers_) {}
+  Hll& operator=(const Hll& other) {
+    registers_ = other.registers_;
+    MarkStale();
+    return *this;
+  }
 
   /// Register values (exposed for tests).
   const std::array<uint8_t, kRegisters>& registers() const {
@@ -47,7 +67,14 @@ class Hll {
   }
 
  private:
+  /// Estimate()'s cache while it holds no valid (non-negative) estimate.
+  static constexpr double kStale = -1.0;
+
+  void MarkStale() { estimate_.store(kStale, std::memory_order_relaxed); }
+  double Sum() const;
+
   std::array<uint8_t, kRegisters> registers_{};
+  mutable std::atomic<double> estimate_{kStale};
 };
 
 }  // namespace fsdm::stats

@@ -43,21 +43,24 @@ OperatorCostModel& OperatorCostModel::Global() {
   return *model;
 }
 
-double OperatorCostModel::UsPerRow(const std::string& op_name) const {
+double OperatorCostModel::UsPerRow(std::string_view op_name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(op_name);
   return it == entries_.end() ? 1.0 : it->second.us_per_row;
 }
 
-void OperatorCostModel::Record(const std::string& op_name, uint64_t rows,
+void OperatorCostModel::Record(std::string_view op_name, uint64_t rows,
                                double us) {
   std::lock_guard<std::mutex> lock(mu_);
   if (frozen_ || rows == 0) return;
   const double obs = std::min(
       1000.0, std::max(0.001, us / static_cast<double>(rows)));
-  auto [it, inserted] = entries_.try_emplace(op_name);
+  auto it = entries_.find(op_name);
+  if (it == entries_.end()) {
+    it = entries_.emplace(std::string(op_name), Entry{}).first;
+  }
   Entry& e = it->second;
-  if (inserted || e.samples == 0) {
+  if (e.samples == 0) {
     // First measurement replaces the seed outright instead of blending
     // into it — the seed is a prior, not a data point.
     e.us_per_row = obs;
@@ -91,8 +94,7 @@ void OperatorCostModel::Reset() {
   SeedLocked();
 }
 
-std::map<std::string, OperatorCostModel::Entry> OperatorCostModel::Snapshot()
-    const {
+OperatorCostModel::Entries OperatorCostModel::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_;
 }

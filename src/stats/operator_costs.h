@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "telemetry/trace.h"
 
@@ -23,13 +24,13 @@ class OperatorCostModel {
   /// Current estimate of microseconds spent per row processed by the named
   /// operator: the EWMA when measurements exist, the seed default
   /// otherwise (1.0 us/row for unseeded names).
-  double UsPerRow(const std::string& op_name) const;
+  double UsPerRow(std::string_view op_name) const;
 
   /// Feeds one measurement: `rows` rows processed in `us` microseconds.
   /// No-op while frozen or when rows == 0; the per-row observation is
   /// clamped to [0.001, 1000] us so clock-granularity zeros cannot
   /// collapse an estimate.
-  void Record(const std::string& op_name, uint64_t rows, double us);
+  void Record(std::string_view op_name, uint64_t rows, double us);
 
   /// Harvests an executed span tree: each span contributes its *exclusive*
   /// time (elapsed minus children's elapsed) over its row basis — leaves
@@ -61,8 +62,12 @@ class OperatorCostModel {
     double last_us_per_row = 0.0;  // most recent raw observation
   };
 
+  /// Keyed by operator name; looked up by std::string_view, so a lookup
+  /// allocates nothing.
+  using Entries = std::map<std::string, Entry, std::less<>>;
+
   /// Seeded + measured entries, for TELEMETRY$OPERATOR_COSTS.
-  std::map<std::string, Entry> Snapshot() const;
+  Entries Snapshot() const;
 
  private:
   OperatorCostModel();
@@ -74,7 +79,7 @@ class OperatorCostModel {
   // Guards entries_ and frozen_: routed sub-plans on different worker
   // threads can feed measurements concurrently (ISSUE 6).
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;  // seeds pre-inserted
+  Entries entries_;  // seeds pre-inserted
   bool frozen_ = false;
 };
 

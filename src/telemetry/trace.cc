@@ -1,6 +1,9 @@
 #include "telemetry/trace.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <cstring>
 
 namespace fsdm::telemetry {
 
@@ -55,12 +58,80 @@ void RenderSpanTree(const OperatorSpan& span, int depth, std::string* out) {
   }
 }
 
+DeferredText::DeferredText(const char* format,
+                           std::initializer_list<Arg> args)
+    : format_(format), arg_count_(static_cast<uint8_t>(args.size())) {
+  assert(args.size() <= kMaxArgs);
+  std::copy(args.begin(), args.end(), args_.begin());
+}
+
+DeferredText& DeferredText::Own() {
+  if (format_ != nullptr) {
+    text_ = Render();
+    format_ = nullptr;
+    arg_count_ = 0;
+  }
+  return *this;
+}
+
+std::string DeferredText::Render() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void DeferredText::AppendTo(std::string* out) const {
+  if (format_ == nullptr) {
+    *out += text_;
+    return;
+  }
+  if (arg_count_ == 0) {
+    *out += format_;
+    return;
+  }
+  size_t next = 0;
+  for (const char* p = format_; *p != '\0'; ++p) {
+    const char* close = *p == '{' ? std::strchr(p, '}') : nullptr;
+    if (close == nullptr || next == arg_count_) {
+      out->push_back(*p);
+      continue;
+    }
+    const Arg& arg = args_[next++];
+    char buf[32];
+    switch (arg.kind_) {
+      case Arg::kText:
+        *out += arg.text_;
+        break;
+      case Arg::kCount:
+        *out += std::to_string(arg.count_);
+        break;
+      case Arg::kReal:
+        std::snprintf(buf, sizeof(buf),
+                      std::string_view(p, close + 1 - p) == "{.2}" ? "%.2f"
+                                                                   : "%.1f",
+                      arg.real_);
+        *out += buf;
+        break;
+    }
+    p = close;
+  }
+}
+
+std::string RouterCandidate::Label() const {
+  if (shard < 0) return std::string(access_path);
+  return "shard " + std::to_string(shard) + " -> " + std::string(access_path);
+}
+
 std::string RouterDecision::Render() const {
-  std::string out = "access path: " + winner + " -- " + reason + "\n";
+  std::string out = "access path: ";
+  out += winner;
+  out += " -- ";
+  reason_text.AppendTo(&out);
+  out += "\n";
   out += "candidates:\n";
   for (const RouterCandidate& c : candidates) {
     out += c.chosen ? "  [x] " : (c.eligible ? "  [~] " : "  [ ] ");
-    out += c.access_path;
+    out += c.Label();
     if (out.back() != ' ') out += ' ';
     // Pad to a fixed column so the details line up.
     size_t line_start = out.rfind('\n') + 1;
@@ -72,7 +143,7 @@ std::string RouterDecision::Render() const {
                     c.est_rows, c.est_cost_us);
       out += est;
     }
-    out += c.detail;
+    c.detail_text.AppendTo(&out);
     out += "\n";
   }
   return out;

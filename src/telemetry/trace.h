@@ -1,10 +1,14 @@
 #ifndef FSDM_TELEMETRY_TRACE_H_
 #define FSDM_TELEMETRY_TRACE_H_
 
+#include <array>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// Per-query EXPLAIN ANALYZE traces (ISSUE 2 tentpole): the router records
@@ -60,30 +64,97 @@ struct OperatorSpan {
 std::unique_ptr<OperatorSpan> MakeSpan(std::string name,
                                        std::string detail = "");
 
+/// Text kept as a template and its arguments and formatted only when
+/// read: a route records the numbers and names its explanation needs, and
+/// only Render() (EXPLAIN output, the slow-query capture, tests) pays for
+/// the formatting. Each "{}" in the template takes the next argument: text
+/// as is, an unsigned integer in decimal, a real as "%.1f"; "{.2}" formats
+/// a real as "%.2f". A template without arguments is literal text.
+///
+/// The template and every text argument are views. They must outlive the
+/// DeferredText: string literals, or names such as the DataGuide's
+/// interned paths, which live as long as their collection. Text built from
+/// anything shorter-lived is rendered at once with Own(), or passed as a
+/// std::string.
+class DeferredText {
+ public:
+  class Arg {
+   public:
+    Arg() = default;
+    Arg(std::string_view text) : kind_(kText), text_(text) {}
+    Arg(const char* text) : Arg(std::string_view(text)) {}
+    template <std::unsigned_integral T>
+    Arg(T count) : kind_(kCount), count_(count) {}
+    Arg(double real) : kind_(kReal), real_(real) {}
+
+   private:
+    friend class DeferredText;
+    enum Kind : uint8_t { kText, kCount, kReal };
+    Kind kind_ = kText;
+    union {
+      std::string_view text_{};
+      uint64_t count_;
+      double real_;
+    };
+  };
+
+  DeferredText() = default;
+  /// Literal text; `literal` must be a string literal.
+  DeferredText(const char* literal) : format_(literal) {}
+  /// Text that is already rendered.
+  DeferredText(std::string text) : text_(std::move(text)) {}
+  DeferredText(const char* format, std::initializer_list<Arg> args);
+
+  /// Renders now and keeps only the text, so no view is read later.
+  DeferredText& Own();
+
+  std::string Render() const;
+  void AppendTo(std::string* out) const;
+
+ private:
+  static constexpr size_t kMaxArgs = 4;
+
+  const char* format_ = nullptr;  // nullptr: text_ is the rendered text
+  std::array<Arg, kMaxArgs> args_;
+  uint8_t arg_count_ = 0;
+  std::string text_;
+};
+
 /// One access path the router considered, in ranking order.
 struct RouterCandidate {
-  std::string access_path;  // AccessPathName() string
-  bool eligible = false;    // could this path have run the query?
+  std::string_view access_path;  // AccessPathName(), a static string
+  /// A fan-out row: the shard whose winning path `access_path` names; -1
+  /// for a path of the query as a whole.
+  int shard = -1;
+  bool eligible = false;  // could this path have run the query?
   bool chosen = false;
-  std::string detail;  // statistics the estimate used / why it was rejected
-  /// Cost-model estimates (ISSUE 5): rows the candidate's primary operator
-  /// would emit and its estimated total cost. Negative when the candidate
+  /// Statistics the estimate used / why the path was rejected.
+  DeferredText detail_text;
+  /// Cost-model estimates: rows the candidate's primary operator would
+  /// emit and its estimated total cost. Negative when the candidate
   /// was ineligible (no estimate computed).
   double est_rows = -1;
   double est_cost_us = -1;
+
+  /// The access path as Render() shows it: "shard 2 -> full-scan" for a
+  /// fan-out row.
+  std::string Label() const;
+  std::string detail() const { return detail_text.Render(); }
 };
 
 /// The router's full candidate ranking. `reason` is the one-line
 /// explanation of the winner; Render() adds the candidate table with each
-/// candidate's estimated rows/cost.
+/// candidate's estimated rows/cost. The text is rendered on demand.
 struct RouterDecision {
   std::vector<RouterCandidate> candidates;
-  std::string winner;  // AccessPathName() of the chosen path
-  std::string reason;
+  std::string_view winner;  // AccessPathName() of the chosen path
+  DeferredText reason_text;
   /// Estimated rows the whole conjunction emits (cost model); negative
   /// when no estimate was made. QueryTrace::Render() pairs it with the
   /// root span's actual rows_out after execution.
   double est_out_rows = -1;
+
+  std::string reason() const { return reason_text.Render(); }
   std::string Render() const;
 };
 

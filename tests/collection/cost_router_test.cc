@@ -109,7 +109,7 @@ TEST_F(CostRouterTest, ConjunctionRoutesToPostingIntersection) {
                     .MoveValue();
   EXPECT_EQ(routed.access_path, AccessPath::kPostingIntersectScan)
       << routed.trace.decision.Render();
-  EXPECT_NE(routed.trace.decision.reason.find("posting-list intersection"),
+  EXPECT_NE(routed.trace.decision.reason().find("posting-list intersection"),
             std::string::npos);
   // i % 10 == 0 AND i % 4 == 0 -> i % 20 == 0: 10 of 200.
   EXPECT_EQ(Drain(routed).size(), 10u);
@@ -352,7 +352,7 @@ TEST_F(CostRouterTest, PostingWinnersDrainTheForcedFullScansKeys) {
       } else {
         // Every shard's own decision is a "shard i -> <path>" candidate.
         for (size_t i = 0; i < shards; ++i) {
-          EXPECT_EQ(routed.trace.decision.candidates[i].access_path,
+          EXPECT_EQ(routed.trace.decision.candidates[i].Label(),
                     "shard " + std::to_string(i) + " -> " + winner);
         }
       }
@@ -400,14 +400,14 @@ TEST_F(CostRouterTest, DecisionsAreDeterministicUnderFrozenStats) {
     const telemetry::RouterDecision& a = first.trace.decision;
     const telemetry::RouterDecision& b = second.trace.decision;
     EXPECT_EQ(a.winner, b.winner);
-    EXPECT_EQ(a.reason, b.reason);
+    EXPECT_EQ(a.reason(), b.reason());
     EXPECT_EQ(a.est_out_rows, b.est_out_rows);
     ASSERT_EQ(a.candidates.size(), b.candidates.size());
     for (size_t i = 0; i < a.candidates.size(); ++i) {
-      EXPECT_EQ(a.candidates[i].access_path, b.candidates[i].access_path);
+      EXPECT_EQ(a.candidates[i].Label(), b.candidates[i].Label());
       EXPECT_EQ(a.candidates[i].eligible, b.candidates[i].eligible);
       EXPECT_EQ(a.candidates[i].chosen, b.candidates[i].chosen);
-      EXPECT_EQ(a.candidates[i].detail, b.candidates[i].detail) << i;
+      EXPECT_EQ(a.candidates[i].detail(), b.candidates[i].detail()) << i;
       EXPECT_EQ(a.candidates[i].est_rows, b.candidates[i].est_rows) << i;
       EXPECT_EQ(a.candidates[i].est_cost_us, b.candidates[i].est_cost_us)
           << i;

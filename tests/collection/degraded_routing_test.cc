@@ -82,17 +82,17 @@ TEST_F(DegradedRoutingTest, UnrecoverableFaultDegradesThenRebuildHeals) {
   routed = coll->Route({PathPredicate::Exists("$.rare")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.value().access_path, AccessPath::kFullScan);
-  EXPECT_NE(routed.value().trace.decision.reason.find(
+  EXPECT_NE(routed.value().trace.decision.reason().find(
                 "posting paths unavailable"),
             std::string::npos);
   const telemetry::RouterDecision& decision =
       routed.value().trace.decision;
   ASSERT_EQ(decision.candidates.size(), 5u);
-  EXPECT_NE(decision.candidates[1].detail.find("index-degraded"),
+  EXPECT_NE(decision.candidates[1].detail().find("index-degraded"),
             std::string::npos);
-  EXPECT_NE(decision.candidates[2].detail.find("index-degraded"),
+  EXPECT_NE(decision.candidates[2].detail().find("index-degraded"),
             std::string::npos);
-  EXPECT_NE(decision.candidates[3].detail.find("index-degraded"),
+  EXPECT_NE(decision.candidates[3].detail().find("index-degraded"),
             std::string::npos);
   EXPECT_EQ(Metric("fsdm_router_degraded_fallbacks_total"),
             fallbacks_before + 1);
@@ -249,7 +249,7 @@ TEST_F(DegradedRoutingTest, RebuildFailureQuarantinesUntilRetrySucceeds) {
   auto routed = coll->Route({PathPredicate::Exists("$.x")});
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.value().access_path, AccessPath::kFullScan);
-  EXPECT_NE(routed.value().trace.decision.candidates[1].detail.find(
+  EXPECT_NE(routed.value().trace.decision.candidates[1].detail().find(
                 "quarantined"),
             std::string::npos);
 

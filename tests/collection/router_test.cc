@@ -107,7 +107,7 @@ TEST_F(RouterTest, SparseExistenceUsesPathPostings) {
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed.value().access_path, AccessPath::kIndexedPathScan);
   EXPECT_EQ(RowCount(routed.value()), 10u);  // i % 5 == 0, i < 50
-  EXPECT_NE(routed.value().trace.decision.reason.find("$.flag"),
+  EXPECT_NE(routed.value().trace.decision.reason().find("$.flag"),
             std::string::npos);
 }
 

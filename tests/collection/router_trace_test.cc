@@ -38,7 +38,7 @@ class RouterTraceTest : public ::testing::Test {
     EXPECT_EQ(d.candidates[3].access_path, "indexed-path-scan");
     EXPECT_EQ(d.candidates[4].access_path, "full-scan");
     EXPECT_EQ(d.winner, winner);
-    EXPECT_FALSE(d.reason.empty());
+    EXPECT_FALSE(d.reason().empty());
     int chosen = 0;
     for (const telemetry::RouterCandidate& c : d.candidates) {
       if (c.chosen) {
@@ -70,9 +70,9 @@ TEST_F(RouterTraceTest, ImcWinnerRecordsCandidates) {
   // The cost model evaluates every candidate; the rivals lost on cost or
   // eligibility, and the decision records why.
   const telemetry::RouterDecision& d = routed.trace.decision;
-  EXPECT_EQ(d.candidates[1].detail,
+  EXPECT_EQ(d.candidates[1].detail(),
             "no equality on a DataGuide-known scalar path");
-  EXPECT_EQ(d.candidates[2].detail,
+  EXPECT_EQ(d.candidates[2].detail(),
             "fewer than two index-answerable conjuncts");
   EXPECT_GE(d.candidates[0].est_cost_us, 0.0);
   EXPECT_GE(d.candidates[4].est_cost_us, d.candidates[0].est_cost_us);
@@ -89,9 +89,9 @@ TEST_F(RouterTraceTest, ValuePostingsWinnerRecordsFrequency) {
   ASSERT_EQ(routed.access_path, AccessPath::kIndexedValueScan);
   CheckDecision(routed, "indexed-value-scan");
   const telemetry::RouterDecision& d = routed.trace.decision;
-  EXPECT_EQ(d.candidates[0].detail, "no valid IMC store");
-  EXPECT_NE(d.candidates[1].detail.find("$.tag"), std::string::npos);
-  EXPECT_NE(d.candidates[1].detail.find("frequency"), std::string::npos);
+  EXPECT_EQ(d.candidates[0].detail(), "no valid IMC store");
+  EXPECT_NE(d.candidates[1].detail().find("$.tag"), std::string::npos);
+  EXPECT_NE(d.candidates[1].detail().find("frequency"), std::string::npos);
 }
 
 TEST_F(RouterTraceTest, PathPostingsWinnerRecordsRejectedValueTier) {
@@ -101,7 +101,7 @@ TEST_F(RouterTraceTest, PathPostingsWinnerRecordsRejectedValueTier) {
   auto routed = coll->Route({PathPredicate::Exists("$.flag")}).MoveValue();
   ASSERT_EQ(routed.access_path, AccessPath::kIndexedPathScan);
   CheckDecision(routed, "indexed-path-scan");
-  EXPECT_EQ(routed.trace.decision.candidates[1].detail,
+  EXPECT_EQ(routed.trace.decision.candidates[1].detail(),
             "no equality on a DataGuide-known scalar path");
 }
 
@@ -118,9 +118,9 @@ TEST_F(RouterTraceTest, FullScanWinnerRecordsWhyOthersLost) {
   ASSERT_EQ(routed.access_path, AccessPath::kFullScan);
   CheckDecision(routed, "full-scan");
   const telemetry::RouterDecision& d = routed.trace.decision;
-  EXPECT_EQ(d.candidates[1].detail, "no search index postings maintained");
-  EXPECT_EQ(d.candidates[2].detail, "no search index postings maintained");
-  EXPECT_EQ(d.candidates[3].detail, "no search index postings maintained");
+  EXPECT_EQ(d.candidates[1].detail(), "no search index postings maintained");
+  EXPECT_EQ(d.candidates[2].detail(), "no search index postings maintained");
+  EXPECT_EQ(d.candidates[3].detail(), "no search index postings maintained");
   EXPECT_TRUE(d.candidates[4].eligible);
 }
 

@@ -350,7 +350,7 @@ TEST_F(ShardedCollectionTest, FanOutPricesEveryShardAtOneRate) {
   ASSERT_EQ(candidates.size(), 5u);  // one per shard + the union
   std::vector<double> rates;
   for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(candidates[s].access_path,
+    EXPECT_EQ(candidates[s].Label(),
               "shard " + std::to_string(s) + " -> imc-filter-scan");
     const imc::ColumnStore* store = coll->shard(s)->imc();
     ASSERT_NE(store, nullptr);

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "collection/collection.h"
@@ -203,6 +204,38 @@ TEST_F(ObservabilityTest, PathStatsRelationQueryableWithNonzeroValues) {
                  "WHERE COLLECTION = 'OBSP' AND PATH = '$.num'");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], "0|39");
+}
+
+// The NDV sketches cache their estimates: a TELEMETRY$PATH_STATS scan and
+// routed reads fill and read the same caches from two threads, without
+// any DML. The TSan build checks this is race-free; both sides must keep
+// seeing the sketch's one estimate.
+TEST_F(ObservabilityTest, PathStatsScanBesideRoutedReads) {
+  auto coll = collection::JsonCollection::Create(&db_, "OBSC").MoveValue();
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(coll->Insert("{\"tag\":\"t" + std::to_string(i % 4) + "\"}")
+                    .ok());
+  }
+  const std::string scan =
+      "SELECT NDV FROM TELEMETRY$PATH_STATS "
+      "WHERE COLLECTION = 'OBSC' AND PATH = '$.tag'";
+  std::thread reader([&] {
+    for (int i = 0; i < 50; ++i) {
+      auto routed = collection::RoutePredicates(
+          *coll, {collection::PathPredicate::Compare(
+                     "$.tag", rdbms::CompareOp::kEq, Value::String("t1"))});
+      ASSERT_TRUE(routed.ok());
+      auto rows = rdbms::Collect(routed.value().plan.get());
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(rows.value().size(), 10u);
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    std::vector<std::string> rows = Q(&db_, scan);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0], "4");
+  }
+  reader.join();
 }
 
 TEST_F(ObservabilityTest, OperatorCostsRelationReflectsMeasurements) {

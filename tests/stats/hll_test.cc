@@ -1,9 +1,12 @@
 #include "stats/hll.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +131,76 @@ TEST(HllTest, ClearResets) {
   Feed(&hll, 1, 100);
   hll.Clear();
   EXPECT_EQ(hll.Estimate(), 0.0);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Estimate() caches its sum; after every kind of mutation the cached value
+// must be the bits a fresh sum of the registers gives.
+TEST(HllTest, CachedEstimateFollowsEveryMutation) {
+  Hll a;
+  EXPECT_EQ(Bits(a.Estimate()), Bits(LdexpEstimate(a)));  // empty, cached
+
+  // An Add that raises a register: a fresh sketch's first value always
+  // does.
+  a.Add("first");
+  EXPECT_EQ(Bits(a.Estimate()), Bits(LdexpEstimate(a)));
+  EXPECT_EQ(Bits(a.Estimate()), Bits(LdexpEstimate(a)));  // from the cache
+
+  // An Add that raises none: a duplicate leaves the registers as they are.
+  Feed(&a, 5, 300);
+  const double before = a.Estimate();
+  const std::array<uint8_t, Hll::kRegisters> registers = a.registers();
+  a.Add("v5-17");
+  ASSERT_EQ(a.registers(), registers);
+  EXPECT_EQ(Bits(a.Estimate()), Bits(before));
+  EXPECT_EQ(Bits(a.Estimate()), Bits(LdexpEstimate(a)));
+
+  // Merge raises registers without an Add.
+  Hll b;
+  Feed(&b, 6, 2000);
+  a.Merge(b);
+  EXPECT_EQ(Bits(a.Estimate()), Bits(LdexpEstimate(a)));
+
+  // Copy and assignment: the target reads its new registers, not a stale
+  // cache of its old ones.
+  Hll copy(a);
+  EXPECT_EQ(Bits(copy.Estimate()), Bits(LdexpEstimate(a)));
+  Hll assigned;
+  Feed(&assigned, 7, 10);
+  EXPECT_EQ(Bits(assigned.Estimate()), Bits(LdexpEstimate(assigned)));
+  assigned = b;
+  EXPECT_EQ(Bits(assigned.Estimate()), Bits(LdexpEstimate(b)));
+
+  a.Clear();
+  EXPECT_EQ(a.Estimate(), 0.0);
+  EXPECT_EQ(Bits(a.Estimate()), Bits(LdexpEstimate(a)));
+}
+
+// Readers only: two threads fill and read the caches of the same sketches
+// at once, as a TELEMETRY$PATH_STATS scan may beside routed reads. Both
+// must see the fresh sum, and the TSan build must see no race.
+TEST(HllTest, ConcurrentEstimatesAgree) {
+  std::vector<Hll> sketches(64);
+  std::vector<double> want;
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    Feed(&sketches[i], 100 + i, 40 * i);
+    want.push_back(LdexpEstimate(sketches[i]));
+  }
+  auto read_all = [&](std::vector<uint64_t>* got) {
+    for (const Hll& h : sketches) got->push_back(Bits(h.Estimate()));
+  };
+  std::vector<uint64_t> got_a;
+  std::vector<uint64_t> got_b;
+  std::thread other(read_all, &got_b);
+  read_all(&got_a);
+  other.join();
+  ASSERT_EQ(got_a.size(), want.size());
+  ASSERT_EQ(got_b.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got_a[i], Bits(want[i])) << i;
+    EXPECT_EQ(got_b[i], Bits(want[i])) << i;
+  }
 }
 
 }  // namespace

@@ -182,14 +182,14 @@ TEST(MetricsRegistryTest, MacrosFeedTheGlobalRegistry) {
 TEST(TraceTest, RouterDecisionRenderListsCandidates) {
   RouterDecision d;
   d.winner = "indexed-value-scan";
-  d.reason = "equality on scalar path $.tag";
+  d.reason_text = "equality on scalar path $.tag";
   d.candidates.resize(2);
   d.candidates[0].access_path = "imc-filter-scan";
-  d.candidates[0].detail = "no valid IMC store";
+  d.candidates[0].detail_text = "no valid IMC store";
   d.candidates[1].access_path = "indexed-value-scan";
   d.candidates[1].eligible = true;
   d.candidates[1].chosen = true;
-  d.candidates[1].detail = "DataGuide frequency 5/50 on $.tag";
+  d.candidates[1].detail_text = "DataGuide frequency 5/50 on $.tag";
 
   std::string text = d.Render();
   EXPECT_NE(text.find("access path: indexed-value-scan"), std::string::npos)
@@ -211,7 +211,7 @@ TEST(TraceTest, SpanTreeRowsInSumsChildren) {
 
   QueryTrace trace;
   trace.decision.winner = "full-scan";
-  trace.decision.reason = "no predicates; full scan";
+  trace.decision.reason_text = "no predicates; full scan";
   trace.root = std::move(root);
   std::string text = trace.Render();
   EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos) << text;
