@@ -69,6 +69,10 @@ struct RoutedPlan {
   /// trace owns the spans the operators point into — keep the RoutedPlan
   /// alive while the plan runs (moving it is fine; spans are stable).
   ///
+  /// The decision's text is rendered on demand from views of the
+  /// collection's DataGuide path names, so render the trace (Render(),
+  /// reason(), detail()) only while its collection is alive.
+  ///
   /// Declared BEFORE `plan` so it is destroyed AFTER it: the probe at the
   /// root of `plan` unregisters the query from the QueryMonitor in its
   /// destructor (covering plans dropped without Close() on error paths),
